@@ -108,7 +108,7 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: not an object")
         step = entry.get("step")
-        if not isinstance(step, int):
+        if not isinstance(step, int) or isinstance(step, bool):
             raise ValidationError(f"{where}: 'step' must be an integer")
         if step in seen_steps:
             raise ValidationError(f"{where}: duplicate step {step}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -226,12 +227,12 @@ class Countermeasure:
             raise ValidationError(
                 f"countermeasure {self.id!r}: unknown group {self.d3fend_group!r}"
             )
-        for name in ("p_success_multiplier", "p_detect_multiplier"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"countermeasure {self.id!r}: {name} must be >= 0")
-        for name in ("capex", "opex", "maintenance"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"countermeasure {self.id!r}: {name} must be >= 0")
+        for name in ("p_success_multiplier", "p_detect_multiplier", "capex", "opex", "maintenance"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValidationError(
+                    f"countermeasure {self.id!r}: {name} must be a finite number >= 0"
+                )
 
     @property
     def total_cost(self) -> float:

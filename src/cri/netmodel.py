@@ -141,9 +141,6 @@ class NetworkModel:
     def entry_points(self) -> list[str]:
         return sorted(n.id for n in self.nodes.values() if n.entry_point)
 
-    def nodes_by_class(self, asset_class: str) -> list[str]:
-        return sorted(n.id for n in self.nodes.values() if n.asset_class == asset_class)
-
 
 def physical_paths(
     net: NetworkModel, src: str, dst: str, max_len: int = DEFAULT_MAX_PATH_LEN

@@ -9,8 +9,10 @@ from .complexity import (
 )
 from .solve import (
     Policy,
+    PolicyNode,
     SolveResult,
     belief_update,
+    compile_policy,
     milestone_probabilities,
     value_iteration,
 )
@@ -33,11 +35,13 @@ __all__ = [
     "NetworkState",
     "OBSERVATIONS",
     "Policy",
+    "PolicyNode",
     "Pomdp",
     "SolveResult",
     "analyze_targets",
     "belief_update",
     "build_pomdp",
+    "compile_policy",
     "complexity_from_sizes",
     "complexity_report",
     "expand_technique",

@@ -5,40 +5,22 @@ expectimax with belief memoization. At every belief the attacker may also
 stop (walk away), worth zero: an action is taken only when its expected
 value is non-negative. Ties between equally valued actions break toward
 the lowest action index.
+
+The solved policy is then compiled into a policy graph (Kaelbling,
+Littman & Cassandra 1998): one node per (belief, steps left) the policy
+can reach from the initial belief, holding the chosen action and one
+child per possible observation. The milestone readout and the Monte Carlo
+simulator walk this graph instead of recomputing beliefs. `_successors`
+is the only place belief successors are computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import CapacityError, InconsistentObservation, ModelError
 from .types import Belief, Pomdp, Support, support_key
-
-
-def _obs_prob(pomdp: Pomdp, s2: int, a: int, o: int) -> float:
-    for label, p in pomdp.observation_probs[(s2, a)]:
-        if label == o:
-            return p
-    return 0.0
-
-
-def _update_sparse(pomdp: Pomdp, support: Support, a: int, o: int) -> tuple[Support, float]:
-    """Unnormalized Bayes step; returns (normalized belief, total mass)."""
-    new: dict[int, float] = {}
-    for s in sorted(support):
-        bs = support[s]
-        for s2, p in pomdp.transitions[(s, a)]:
-            w = bs * p
-            if w <= 0.0:
-                continue
-            z = _obs_prob(pomdp, s2, a, o)
-            if z <= 0.0:
-                continue
-            new[s2] = new.get(s2, 0.0) + w * z
-    mass = sum(new[s] for s in sorted(new))
-    if mass <= 0.0:
-        return {}, 0.0
-    return {s: w / mass for s, w in sorted(new.items())}, mass
 
 
 def belief_update(pomdp: Pomdp, belief: Belief, a: int, o: int) -> Belief:
@@ -48,17 +30,16 @@ def belief_update(pomdp: Pomdp, belief: Belief, a: int, o: int) -> Belief:
         raise ModelError(f"action index {a} out of range")
     if not 0 <= o < len(pomdp.observations):
         raise ModelError(f"observation index {o} out of range")
-    support = {i: p for i, p in enumerate(belief.probs) if p > 0.0}
-    updated, mass = _update_sparse(pomdp, support, a, o)
-    if mass <= 0.0:
-        raise InconsistentObservation(
-            f"observation {pomdp.observations[o]} impossible after action "
-            f"{pomdp.actions[a].id}"
-        )
-    vec = [0.0] * len(pomdp.states)
-    for s, p in updated.items():
-        vec[s] = p
-    return Belief(tuple(vec))
+    for label, _, child in _successors(pomdp, belief.support(), a):
+        if label == o:
+            vec = [0.0] * len(pomdp.states)
+            for s, p in child.items():
+                vec[s] = p
+            return Belief(tuple(vec))
+    raise InconsistentObservation(
+        f"observation {pomdp.observations[o]} impossible after action "
+        f"{pomdp.actions[a].id}"
+    )
 
 
 def _successors(pomdp: Pomdp, support: Support, a: int) -> list[tuple[int, float, Support]]:
@@ -86,19 +67,30 @@ def _successors(pomdp: Pomdp, support: Support, a: int) -> list[tuple[int, float
     return out
 
 
+@dataclass(frozen=True)
+class PolicyNode:
+    """One reachable belief of a compiled policy. `action` None means stop;
+    `children` maps each possible observation to (mass, child node id)."""
+
+    action: int | None
+    key: tuple
+    support: Support
+    children: dict[int, tuple[float, int]]
+
+
 @dataclass
 class Policy:
-    """Action choice per (belief, steps-left); None means stop."""
+    """A policy compiled into the graph of the beliefs it reaches from b0.
 
-    actions: dict[tuple, int | None]
-    values: dict[tuple, float]
+    Children come before their parents in `nodes`, so the last node is the
+    initial belief with `horizon` steps left."""
+
+    nodes: list[PolicyNode]
     horizon: int
 
-    def action_for(self, support: Support, steps_left: int) -> int | None:
-        key = (support_key(support), steps_left)
-        if key not in self.actions:
-            raise ModelError("policy is not defined at this belief")
-        return self.actions[key]
+    @property
+    def root(self) -> PolicyNode:
+        return self.nodes[-1]
 
 
 @dataclass
@@ -106,22 +98,37 @@ class SolveResult:
     policy: Policy
     value: float
     reachable_beliefs: int
-    horizon: int
-    sweeps: int = 1
 
 
-def value_iteration(
-    pomdp: Pomdp,
-    epsilon: float | None = None,
-    horizon: int | None = None,
-    belief_cap: int = 500_000,
-) -> SolveResult:
-    """Solve for the attacker-optimal policy.
+def compile_policy(
+    pomdp: Pomdp, choose: Callable[[tuple], int | None], horizon: int
+) -> Policy:
+    """Follow `choose((belief key, steps left))` from b0 through every
+    observation and number the beliefs reached. `choose` returns an action
+    index or None to stop; a node with no steps left always stops."""
+    nodes: list[PolicyNode] = []
+    ids: dict[tuple, int] = {}
 
-    Finite horizon (discount 1 or no epsilon): exact expectimax to the
-    model's horizon. With discount < 1 and an epsilon, the horizon deepens
-    until V(b0) moves less than epsilon between sweeps.
-    """
+    def visit(support: Support, depth: int) -> int:
+        key = (support_key(support), depth)
+        if key in ids:
+            return ids[key]
+        action = choose(key) if depth > 0 else None
+        children = {}
+        if action is not None:
+            for o, mass, child in _successors(pomdp, support, action):
+                children[o] = (mass, visit(child, depth - 1))
+        ids[key] = len(nodes)
+        nodes.append(PolicyNode(action, key[0], support, children))
+        return ids[key]
+
+    visit(pomdp.b0_support(), horizon)
+    return Policy(nodes=nodes, horizon=horizon)
+
+
+def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
+    """Solve for the attacker-optimal policy by exact expectimax to the
+    model's horizon, and compile it into a policy graph."""
     expected: dict[tuple[int, int], float] = {
         key: pomdp.expected_reward(*key) for key in pomdp.transitions
     }
@@ -158,36 +165,15 @@ def value_iteration(
             chosen[key] = best_a
         return values[key]
 
-    b0 = pomdp.b0_support()
-    if epsilon is not None and pomdp.discount < 1.0:
-        previous = 0.0
-        depth = 0
-        while True:
-            depth += 1
-            value = solve(b0, depth)
-            if depth > 1 and abs(value - previous) < epsilon:
-                break
-            if depth >= 10_000:
-                break
-            previous = value
-        used = depth
-    else:
-        used = horizon if horizon is not None else pomdp.horizon
-        value = solve(b0, used)
-
-    policy = Policy(actions=chosen, values=values, horizon=used)
+    value = solve(pomdp.b0_support(), pomdp.horizon)
     return SolveResult(
-        policy=policy,
+        policy=compile_policy(pomdp, chosen.get, pomdp.horizon),
         value=value,
         reachable_beliefs=len(values),
-        horizon=used,
-        sweeps=used,
     )
 
 
-def milestone_probabilities(
-    pomdp: Pomdp, policy: Policy, horizon: int | None = None
-) -> dict[int, float]:
+def milestone_probabilities(pomdp: Pomdp, policy: Policy) -> dict[int, float]:
     """Exact probability, per TTP step, that the step's milestone flag is
     ever reached when the attacker follows `policy` from the initial belief."""
     steps = sorted(pomdp.milestones)
@@ -195,39 +181,25 @@ def milestone_probabilities(
     flag_in_state = [
         tuple(flag in state.flags for flag in flags) for state in pomdp.states
     ]
-    memo: dict[tuple, tuple[float, ...]] = {}
-
-    def walk(support: Support, depth: int) -> tuple[float, ...]:
-        key = (support_key(support), depth)
-        if key in memo:
-            return memo[key]
-        zeros = tuple(0.0 for _ in flags)
-        if depth == 0:
-            memo[key] = zeros
-            return zeros
-        action_key = (support_key(support), depth)
-        a = policy.actions.get(action_key)
+    zeros = tuple(0.0 for _ in flags)
+    reached: list[tuple[float, ...]] = []
+    for node in policy.nodes:
+        a = node.action
         if a is None:
-            memo[key] = zeros
-            return zeros
-        inflow = [0.0] * len(flags)
-        for s in sorted(support):
-            bs = support[s]
+            reached.append(zeros)
+            continue
+        total = [0.0] * len(flags)
+        for s in sorted(node.support):
+            bs = node.support[s]
             here = flag_in_state[s]
             for s2, p in pomdp.transitions[(s, a)]:
                 there = flag_in_state[s2]
                 for i in range(len(flags)):
                     if there[i] and not here[i]:
-                        inflow[i] += bs * p
-        total = list(inflow)
-        for _, mass, child in _successors(pomdp, support, a):
-            sub = walk(child, depth - 1)
+                        total[i] += bs * p
+        for mass, child in node.children.values():
+            sub = reached[child]
             for i in range(len(flags)):
                 total[i] += mass * sub[i]
-        result = tuple(min(1.0, max(0.0, v)) for v in total)
-        memo[key] = result
-        return result
-
-    depth = horizon if horizon is not None else policy.horizon
-    probs = walk(pomdp.b0_support(), depth)
-    return {step: probs[i] for i, step in enumerate(steps)}
+        reached.append(tuple(min(1.0, max(0.0, v)) for v in total))
+    return {step: reached[-1][i] for i, step in enumerate(steps)}

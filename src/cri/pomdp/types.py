@@ -138,7 +138,6 @@ class Pomdp:
 
     def __post_init__(self):
         self.state_index = {s: i for i, s in enumerate(self.states)}
-        self.obs_index = {o: i for i, o in enumerate(self.observations)}
 
     def expected_reward(self, s: int, a: int) -> float:
         return sum(

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError
-from .pomdp.solve import Policy, _update_sparse
-from .pomdp.types import NetworkState, Pomdp, Support, support_key
+from .pomdp.solve import Policy
+from .pomdp.types import NetworkState, Pomdp, Support
 
 _Z95 = 1.959963984540054
 
@@ -88,38 +88,37 @@ class SimulationSummary:
 
 def simulate_episode(pomdp: Pomdp, policy: Policy, rng: np.random.Generator) -> Episode:
     """Play one episode: hidden state sampled from b0, the policy's action
-    applied at each step, successor/observation sampled, belief updated."""
-    support: Support = pomdp.b0_support()
-    state = _draw(rng, sorted(support.items()))
+    applied at each step, successor/observation sampled, and the policy
+    graph followed to the child for that observation."""
+    node = policy.root
+    state = _draw(rng, sorted(node.support.items()))
     steps: list[EpisodeStep] = []
     total = 0.0
     weight = 1.0
     abandoned = False
-    for step_no in range(policy.horizon):
-        remaining = policy.horizon - step_no
-        action = policy.action_for(support, remaining)
+    for _ in range(policy.horizon):
+        action = node.action
         if action is None:
             abandoned = True
             break
-        before = support_key(support)
         nxt = _draw(rng, pomdp.transitions[(state, action)])
         reward = pomdp.branch_rewards[(state, action, nxt)]
         obs = _draw(rng, pomdp.observation_probs[(nxt, action)])
-        support, mass = _update_sparse(pomdp, support, action, obs)
-        assert mass > 0.0, "sampled observation must be consistent"
+        child = policy.nodes[node.children[obs][1]]
         total += weight * reward
         weight *= pomdp.discount
         steps.append(
             EpisodeStep(
-                belief_before=before,
+                belief_before=node.key,
                 action=pomdp.actions[action].id,
                 observation=pomdp.observations[obs],
                 reward=reward,
-                belief_after=support_key(support),
+                belief_after=child.key,
                 state_before=state,
                 state_after=nxt,
             )
         )
+        node = child
         state = nxt
     terminal = pomdp.states[state]
     succeeded = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -42,6 +43,13 @@ class TiRecord:
     def __post_init__(self):
         if not self.technique_id or not self.asset_class:
             raise ValidationError("technique_id and asset_class must be non-empty")
+        for name in TI_COLUMNS[2:]:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{name}={value} is not a finite number for "
+                    f"({self.technique_id}, {self.asset_class})"
+                )
         for name in ("p_success_base", "p_detect"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -93,9 +101,6 @@ class TiTable:
         if rec is None and self.allow_defaults:
             return TiRecord(technique_id, asset_class, **DEFAULT_RECORD_FIELDS)
         return rec
-
-    def classes_for(self, technique_id: str) -> set[str]:
-        return {c for (t, c) in self._by_key if t == technique_id}
 
     def has_technique(self, technique_id: str) -> bool:
         return any(t == technique_id for (t, _) in self._by_key)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from cri.ingest import RawBundle, validate_bundle
+from cri.pomdp import compile_policy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = REPO_ROOT / "fixtures" / "scenario"
@@ -42,12 +43,6 @@ def rng():
     return random.Random(20240901)
 
 
-class FixedPolicy:
+def fixed_policy(pomdp, action: int | None, horizon: int):
     """Test helper: play one action index at every belief."""
-
-    def __init__(self, action: int | None, horizon: int):
-        self.action = action
-        self.horizon = horizon
-
-    def action_for(self, support, steps_left):
-        return self.action
+    return compile_policy(pomdp, lambda key: action, horizon)

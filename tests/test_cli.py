@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -81,6 +82,35 @@ class TestCalc:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("CRI ")
+
+    def test_seeded_monte_carlo_golden(self, tmp_path):
+        # pins seeded Monte Carlo on the fixture: a change to the order of
+        # random draws or to the policy followed moves these digests
+        out = tmp_path / "out"
+        result = run_cli(
+            "calc", *calc_args(out, campaign=None, mode="simulate", episodes="2000")
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout.strip().splitlines()[-1] == "CRI 37.682604"
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("campaign_report.json", "flows.csv")
+        }
+        assert digests == {
+            "campaign_report.json": "6323fc2a4cc8872944929a3ed747ebadfca033eba543f8c1f94e9cb1bcfd93cf",
+            "flows.csv": "0b68c094a9e538a0c619b7dcc16d00abb22a16ecc43c6699f48f031a33215c9e",
+        }
+
+    def test_non_finite_threat_intel_exits_2(self, tmp_path):
+        rows = (SCENARIO / "ti.csv").read_text().splitlines(keepends=True)
+        header = rows[0].strip().split(",")
+        first = rows[1].strip().split(",")
+        first[header.index("reward_success")] = "nan"
+        bad = tmp_path / "ti.csv"
+        bad.write_text(rows[0] + ",".join(first) + "\n" + "".join(rows[2:]))
+        result = run_cli("calc", *calc_args(tmp_path / "out", ti=str(bad)))
+        assert result.exit_code == 2
+        assert "CRI " not in result.stdout
 
     def test_naive_check_flag_skips_gracefully_at_scale(self, tmp_path):
         result = run_cli("calc", *calc_args(tmp_path / "out"), "--naive-check")
@@ -189,6 +219,18 @@ class TestWhatif:
             "whatif", *calc_args(tmp_path / "out"), "--countermeasures", str(bad)
         )
         assert result.exit_code == 2
+
+    def test_non_finite_multiplier_exits_2(self, tmp_path):
+        measures = json.loads((SCENARIO / "countermeasures.json").read_text())
+        rows = measures["countermeasures"] if isinstance(measures, dict) else measures
+        rows[0]["p_success_multiplier"] = "nan"
+        bad = tmp_path / "cm.json"
+        bad.write_text(json.dumps(measures))
+        result = run_cli(
+            "whatif", *calc_args(tmp_path / "out"), "--countermeasures", str(bad)
+        )
+        assert result.exit_code == 2
+        assert not (tmp_path / "out" / "whatif_report.json").exists()
 
 
 class TestHistory:

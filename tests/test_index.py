@@ -195,6 +195,9 @@ class TestCountermeasures:
             '[{"id": "x"}]',
             '[{"id": "x", "d3fend_group": "attack"}]',
             '[{"id": "x", "d3fend_group": "harden", "capex": -1}]',
+            '[{"id": "x", "d3fend_group": "harden", "p_success_multiplier": "nan"}]',
+            '[{"id": "x", "d3fend_group": "harden", "p_detect_multiplier": "inf"}]',
+            '[{"id": "x", "d3fend_group": "harden", "opex": NaN}]',
         ],
     )
     def test_parse_rejects_malformed(self, raw):

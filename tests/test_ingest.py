@@ -208,7 +208,11 @@ class TestParseAttackFlow:
             assert all(position[e.src] < position[e.dst] for e in flow.edges)
 
     @pytest.mark.parametrize(
-        "name", ["missing_technique.json", "cycle.json", "bad_relation.json", "dup_step.json"]
+        "name",
+        [
+            "missing_technique.json", "cycle.json", "bad_relation.json", "dup_step.json",
+            "bool_step.json",
+        ],
     )
     def test_rejects_malformed(self, name):
         with pytest.raises(ValidationError):

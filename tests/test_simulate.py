@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from conftest import FixedPolicy
+from conftest import fixed_policy
 from cri.errors import CapacityError
-from cri.pomdp import value_iteration
-from cri.pomdp.types import AttackerAction, NetworkState, Pomdp
+from cri.pomdp import belief_update, build_pomdp, value_iteration
+from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp
 from cri.simulate import (
     brute_force_value,
     episodes_to_jsonl,
@@ -17,6 +17,7 @@ from cri.simulate import (
     wilson_interval,
 )
 from cri.toys import and_chain, bundled_toys, noisy_sensor, single_step
+from genscen import random_scenario
 
 
 def _reward_lottery():
@@ -64,7 +65,7 @@ class TestSimulateEpisode:
 
     def test_forced_failure_accumulates_penalties(self):
         pomdp, _ = single_step(p_success=0.0, penalty=-2.0, cost=1.0, horizon=3)
-        policy = FixedPolicy(0, horizon=3)
+        policy = fixed_policy(pomdp, 0, horizon=3)
         episode = simulate_episode(pomdp, policy, substream(5, 0))
         assert episode.cumulative_reward == pytest.approx(3 * (-2.0 - 1.0), abs=1e-12)
         assert episode.succeeded == {1: False}
@@ -104,6 +105,31 @@ class TestSimulateEpisode:
             total = sum(s.reward for s in episode.steps)
             assert total == pytest.approx(episode.cumulative_reward, abs=1e-9)
 
+    def test_belief_after_is_the_policy_graph_child(self):
+        rng = random.Random(515)
+        for _ in range(6):
+            inputs = random_scenario(rng)
+            pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+            policy = value_iteration(pomdp).policy
+            action_index = {act.id: i for i, act in enumerate(pomdp.actions)}
+            obs_index = {o: i for i, o in enumerate(pomdp.observations)}
+            for i in range(25):
+                node = policy.root
+                for step in simulate_episode(pomdp, policy, substream(9, i)).steps:
+                    assert step.belief_before == node.key
+                    a, o = action_index[step.action], obs_index[step.observation]
+                    assert a == node.action
+                    node = policy.nodes[node.children[o][1]]
+                    assert step.belief_after == node.key
+                    before = [0.0] * len(pomdp.states)
+                    for s, p in step.belief_before:
+                        before[s] = p
+                    before = [p / sum(before) for p in before]
+                    expected = belief_update(pomdp, Belief(tuple(before)), a, o).probs
+                    after = dict(step.belief_after)
+                    for s, p in enumerate(expected):
+                        assert after.get(s, 0.0) == pytest.approx(p, abs=1e-9)
+
     def test_jsonl_export(self):
         pomdp, _ = single_step()
         result = value_iteration(pomdp)
@@ -140,7 +166,7 @@ class TestEstimators:
     def test_seeded_rewards_average_exactly(self):
         # seed 17 draws the 1, 2 and 3 branches once each across 3 episodes
         pomdp = _reward_lottery()
-        summary = estimate_expected_reward(pomdp, FixedPolicy(0, horizon=1), 3, seed=17)
+        summary = estimate_expected_reward(pomdp, fixed_policy(pomdp, 0, horizon=1), 3, seed=17)
         assert sorted(e for e in summary.rewards) == [1.0, 2.0, 3.0]
         assert summary.mean_reward == pytest.approx(2.0, abs=1e-15)
 

@@ -4,7 +4,7 @@ import pytest
 
 from cri.errors import CapacityError, InconsistentObservation
 from cri.pomdp import belief_update, build_pomdp, milestone_probabilities, value_iteration
-from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp
+from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp, support_key
 from cri.simulate import brute_force_value
 from cri.toys import and_chain, single_step
 from genscen import random_pomdp, random_scenario
@@ -165,13 +165,13 @@ class TestValueIteration:
         )
         result = value_iteration(pomdp)
         assert result.value == pytest.approx(5.0, abs=1e-12)
-        assert result.policy.action_for(pomdp.b0_support(), 1) == 0
+        assert result.policy.root.action == 0
 
     def test_all_negative_options_mean_stop(self):
         pomdp, _ = single_step(p_success=0.1, reward=1.0, penalty=-5.0, cost=2.0)
         result = value_iteration(pomdp)
         assert result.value == 0.0
-        assert result.policy.action_for(pomdp.b0_support(), pomdp.horizon) is None
+        assert result.policy.root.action is None
 
     def test_matches_brute_force_on_random_models(self):
         rng = random.Random(7321)
@@ -198,21 +198,7 @@ class TestValueIteration:
             milestones=pomdp.milestones,
         )
         result = value_iteration(doubled)
-        assert result.policy.action_for(doubled.b0_support(), doubled.horizon) == 0
-
-    def test_discounted_infinite_horizon_converges(self):
-        state = (NetworkState.initial(),)
-        pomdp = Pomdp(
-            states=state, actions=(_action(0),), observations=("o1",),
-            transitions={(0, 0): ((0, 1.0),)},
-            observation_probs={(0, 0): ((0, 1.0),)},
-            branch_rewards={(0, 0, 0): 1.0},
-            initial_belief=(1.0,), horizon=1, discount=0.5,
-            applicable={0: (0,)}, milestones={},
-        )
-        result = value_iteration(pomdp, epsilon=1e-6)
-        assert result.value == pytest.approx(2.0, rel=1e-4)
-        assert result.horizon > 10
+        assert result.policy.root.action == 0
 
     def test_belief_cap_raises(self, scenario):
         pomdp = build_pomdp(scenario.flows[0], scenario.network, scenario.ti)
@@ -240,3 +226,44 @@ class TestMilestoneProbabilities:
         # is retried after a first-step failure, so P = p1 + (1 - p1) * p1
         assert exact[2] == pytest.approx(0.25, abs=1e-12)
         assert exact[1] == pytest.approx(0.75, abs=1e-12)
+
+
+def _dense(pomdp, support):
+    vec = [0.0] * len(pomdp.states)
+    for s, p in support.items():
+        vec[s] = p
+    return vec
+
+
+class TestPolicyGraph:
+    def _check_graph(self, pomdp, policy):
+        assert policy.root.support == pomdp.b0_support()
+        referenced = set()
+        for i, node in enumerate(policy.nodes):
+            assert node.key == support_key(node.support)
+            if node.action is None:
+                assert node.children == {}
+                continue
+            parent = Belief(tuple(_dense(pomdp, node.support)))
+            assert sum(m for m, _ in node.children.values()) == pytest.approx(1.0, abs=1e-12)
+            for o, (_, child_id) in node.children.items():
+                assert child_id < i  # children are placed before parents
+                referenced.add(child_id)
+                expected = belief_update(pomdp, parent, node.action, o).probs
+                actual = _dense(pomdp, policy.nodes[child_id].support)
+                assert max(abs(x - y) for x, y in zip(actual, expected)) <= 1e-12
+        # every node but the root is reached from some parent
+        assert referenced == set(range(len(policy.nodes) - 1))
+
+    def test_children_are_bayes_updates_on_built_scenarios(self):
+        rng = random.Random(4242)
+        for _ in range(10):
+            inputs = random_scenario(rng)
+            pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+            self._check_graph(pomdp, value_iteration(pomdp).policy)
+
+    def test_children_are_bayes_updates_on_random_models(self):
+        rng = random.Random(1717)
+        for _ in range(20):
+            pomdp = random_pomdp(rng)
+            self._check_graph(pomdp, value_iteration(pomdp).policy)

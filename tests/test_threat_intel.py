@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from cri.errors import ParseError, ValidationError
-from cri.threat_intel import TiRecord, load_threat_intel, serialize_threat_intel
+from cri.threat_intel import TI_COLUMNS, TiRecord, load_threat_intel, serialize_threat_intel
 
 CSV_ONE = (
     "technique_id,asset_class,p_success_base,p_detect,reward_success,"
@@ -70,6 +72,29 @@ def test_record_invariants(field, value):
     kwargs[field] = value
     with pytest.raises(ValidationError):
         TiRecord(**kwargs)
+
+
+@pytest.mark.parametrize("field", TI_COLUMNS[2:])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_csv_value_rejected(field, value):
+    header, row = CSV_ONE.splitlines()
+    cells = row.split(",")
+    cells[TI_COLUMNS.index(field)] = value
+    with pytest.raises(ValidationError):
+        load_threat_intel(header + "\n" + ",".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("field", TI_COLUMNS[2:])
+@pytest.mark.parametrize("value", ["NaN", '"nan"', "Infinity"])
+def test_non_finite_json_value_rejected(field, value):
+    row = {
+        "technique_id": "T1078", "asset_class": "endpoint", "p_success_base": 0.6,
+        "p_detect": 0.3, "reward_success": 10, "penalty_failure": -2,
+        "action_cost": 1, "historical_frequency": 40,
+    }
+    row[field] = "VALUE"
+    with pytest.raises(ValidationError):
+        load_threat_intel(json.dumps([row]).replace('"VALUE"', value))
 
 
 def test_bad_header_rejected():
