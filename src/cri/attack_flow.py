@@ -82,11 +82,24 @@ class AttackFlow:
         return order
 
 
-def _require(obj: dict, key: str, where: str):
+def _object(entry: dict, key: str, where: str) -> dict:
+    value = entry.get(key) or {}
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: {key!r} must be an object")
+    return value
+
+
+def _require(obj: dict, key: str, where: str) -> str:
     value = obj.get(key)
     if value in (None, ""):
         raise ValidationError(f"{where}: missing {key!r}")
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: {key!r} must be a string")
     return value
+
+
+def _is_step(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
@@ -95,6 +108,8 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
         data = json.loads(doc)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid attack-flow JSON: {exc.msg}", exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("attack-flow JSON nested too deeply") from exc
     if not isinstance(data, dict) or "attackFlow" not in data:
         raise ValidationError("attack-flow document must contain an 'attackFlow' array")
     steps_raw = data["attackFlow"]
@@ -108,15 +123,18 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: not an object")
         step = entry.get("step")
-        if not isinstance(step, int) or isinstance(step, bool):
+        if not _is_step(step):
             raise ValidationError(f"{where}: 'step' must be an integer")
         if step in seen_steps:
             raise ValidationError(f"{where}: duplicate step {step}")
         seen_steps.add(step)
-        tactic = entry.get("tactic") or {}
-        technique = entry.get("technique") or {}
+        tactic = _object(entry, "tactic", where)
+        technique = _object(entry, "technique", where)
         tactic_id = _require(tactic, "id", f"{where}.tactic")
         technique_id = _require(technique, "id", f"{where}.technique")
+        tree_id = entry.get("attackTree")
+        if tree_id is not None and not isinstance(tree_id, str):
+            raise ValidationError(f"{where}: 'attackTree' must be a string")
         annotations = []
         for key in ("metadata", "stix", "description"):
             if key in entry:
@@ -124,11 +142,11 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
         nodes.append(
             TtpNode(
                 step=step,
-                tactic_id=str(tactic_id),
+                tactic_id=tactic_id,
                 tactic_name=str(tactic.get("name", "")),
-                technique_id=str(technique_id),
+                technique_id=technique_id,
                 technique_name=str(technique.get("name", "")),
-                attack_tree_id=entry.get("attackTree"),
+                attack_tree_id=tree_id,
                 annotations=tuple(annotations),
             )
         )
@@ -136,6 +154,8 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
 
     edges: list[FlowEdge] = []
     if "edges" in data and data["edges"]:
+        if not isinstance(data["edges"], list):
+            raise ValidationError("'edges' must be an array")
         for i, e in enumerate(data["edges"]):
             where = f"edges[{i}]"
             if not isinstance(e, dict):
@@ -144,6 +164,8 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
             relation = e.get("relation", "sequence")
             if relation not in RELATIONS:
                 raise ValidationError(f"{where}: unknown relation {relation!r}")
+            if not (_is_step(src) and _is_step(dst)):
+                raise ValidationError(f"{where}: 'from' and 'to' must be integer steps")
             if src not in seen_steps or dst not in seen_steps:
                 raise ValidationError(f"{where}: references unknown step {src!r}->{dst!r}")
             if src == dst:
@@ -157,7 +179,10 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
         ]
 
     trees = TreeLibrary()
-    for raw in data.get("attackTrees", []) or []:
+    raw_trees = data.get("attackTrees") or []
+    if not isinstance(raw_trees, list):
+        raise ValidationError("'attackTrees' must be an array")
+    for raw in raw_trees:
         trees.add(parse_tree_dict(raw))
     for node in nodes:
         if node.attack_tree_id is not None and trees.get(node.attack_tree_id) is None:
@@ -165,6 +190,8 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
                 f"step {node.step} references unknown attack tree {node.attack_tree_id!r}"
             )
 
+    if not isinstance(data.get("id") or "", str):
+        raise ValidationError("attack-flow 'id' must be a string")
     flow = AttackFlow(
         id=flow_id or data.get("id") or "flow",
         nodes=nodes,

@@ -7,11 +7,16 @@ leaf outcomes combine (AND = all children, OR = any child).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
 GATES = ("AND", "OR")
+
+# Deepest gate nesting a tree may have; deeper documents are rejected
+# before they can exhaust the interpreter's recursion limit.
+MAX_TREE_DEPTH = 64
 
 # Leaf parameters that may override the technique's threat-intel record.
 LEAF_PARAM_KEYS = ("p_success", "p_detect", "reward_success", "penalty_failure", "cost")
@@ -96,6 +101,17 @@ def success_probability(tree: AttackTree, leaf_probability) -> float:
     return walk(tree.root)
 
 
+def _finite(value) -> float | None:
+    """A JSON number as a finite float, or None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def parse_tree_dict(obj: dict) -> AttackTree:
     """Build an AttackTree from its JSON object form."""
     if not isinstance(obj, dict):
@@ -104,32 +120,47 @@ def parse_tree_dict(obj: dict) -> AttackTree:
     technique_id = obj.get("technique_id")
     if not tree_id or not technique_id:
         raise ValidationError("attack tree requires 'id' and 'technique_id'")
+    if not isinstance(tree_id, str) or not isinstance(technique_id, str):
+        raise ValidationError("attack tree 'id' and 'technique_id' must be strings")
     if "root" not in obj:
         raise ValidationError(f"attack tree {tree_id!r} has no 'root'")
 
     seen_names: set[str] = set()
 
-    def walk(node) -> TreeGate | TreeLeaf:
+    def walk(node, depth: int) -> TreeGate | TreeLeaf:
         if not isinstance(node, dict):
             raise ValidationError(f"attack tree {tree_id!r}: node must be an object")
+        if depth > MAX_TREE_DEPTH:
+            raise ValidationError(
+                f"attack tree {tree_id!r}: nested deeper than {MAX_TREE_DEPTH} levels"
+            )
         if "gate" in node:
             kind = node["gate"]
             if kind not in GATES:
                 raise ValidationError(f"attack tree {tree_id!r}: unknown gate {kind!r}")
             children = node.get("children") or []
-            if not children:
-                raise ValidationError(f"attack tree {tree_id!r}: gate with no children")
-            return TreeGate(kind, tuple(walk(c) for c in children))
+            if not isinstance(children, list) or not children:
+                raise ValidationError(
+                    f"attack tree {tree_id!r}: gate needs a non-empty 'children' array"
+                )
+            return TreeGate(kind, tuple(walk(c, depth + 1) for c in children))
         name = node.get("name")
         if not name:
             raise ValidationError(f"attack tree {tree_id!r}: leaf without a name")
+        if not isinstance(name, str):
+            raise ValidationError(f"attack tree {tree_id!r}: leaf name must be a string")
         if name in seen_names:
             raise ValidationError(f"attack tree {tree_id!r}: duplicate leaf name {name!r}")
         seen_names.add(name)
         params = []
         for key in LEAF_PARAM_KEYS:
             if key in node:
-                value = float(node[key])
+                value = _finite(node[key])
+                if value is None:
+                    raise ValidationError(
+                        f"attack tree {tree_id!r}: leaf {name!r} {key}={node[key]!r} "
+                        "is not a finite number"
+                    )
                 if key in ("p_success", "p_detect") and not 0.0 <= value <= 1.0:
                     raise ValidationError(
                         f"attack tree {tree_id!r}: leaf {name!r} {key}={value} outside [0,1]"
@@ -137,7 +168,7 @@ def parse_tree_dict(obj: dict) -> AttackTree:
                 params.append((key, value))
         return TreeLeaf(name, tuple(params))
 
-    return AttackTree(id=tree_id, technique_id=technique_id, root=walk(obj["root"]))
+    return AttackTree(id=tree_id, technique_id=technique_id, root=walk(obj["root"], 1))
 
 
 def tree_to_dict(tree: AttackTree) -> dict:

@@ -164,8 +164,8 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
         pomdp = build_pomdp(flow, net, inputs.ti, build_cfg)
         solved = value_iteration(pomdp)
         logger.info(
-            "flow %s: %d states, %d actions, %d reachable beliefs, V*=%.6f",
-            flow.id, len(pomdp.states), len(pomdp.actions),
+            "flow %s: %d states in %d blocks, %d actions, %d reachable beliefs, V*=%.6f",
+            flow.id, len(pomdp.states), solved.blocks, len(pomdp.actions),
             solved.reachable_beliefs, solved.value,
         )
 

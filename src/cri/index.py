@@ -244,6 +244,8 @@ def parse_countermeasures(doc: str) -> list[Countermeasure]:
         data = json.loads(doc)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid countermeasure JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValidationError("countermeasure JSON nested too deeply") from exc
     if isinstance(data, dict):
         data = data.get("countermeasures")
     if not isinstance(data, list) or not data:

@@ -6,12 +6,17 @@ stop (walk away), worth zero: an action is taken only when its expected
 value is non-negative. Ties between equally valued actions break toward
 the lowest action index.
 
-The solved policy is then compiled into a policy graph (Kaelbling,
-Littman & Cassandra 1998): one node per (belief, steps left) the policy
-can reach from the initial belief, holding the chosen action and one
-child per possible observation. The milestone readout and the Monte Carlo
-simulator walk this graph instead of recomputing beliefs. `_successors`
-is the only place belief successors are computed.
+The expectimax runs on the model's coarsest exact bisimulation quotient
+(`lump`): states that differ only in what no action, observation or reward
+reads, such as compromised inventory, share one block, so far fewer
+beliefs are expanded. The solved policy is then compiled into a policy
+graph (Kaelbling, Littman & Cassandra 1998) over the original model's
+states: one node per (belief, steps left) the policy can reach from the
+initial belief, holding the chosen action and one child per possible
+observation. The milestone readout and the Monte Carlo simulator walk
+this graph instead of recomputing beliefs, and the attacker's value is
+summed over it on the original model. `_successors` is the only place
+belief successors are computed.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import CapacityError, InconsistentObservation, ModelError
+from .lump import lump
 from .types import Belief, Pomdp, Support, support_key
 
 
@@ -95,43 +101,61 @@ class Policy:
 
 @dataclass
 class SolveResult:
+    """`reachable_beliefs` counts the beliefs the expectimax expanded over
+    the `blocks` states of the quotient."""
+
     policy: Policy
     value: float
     reachable_beliefs: int
+    blocks: int
 
 
 def compile_policy(
-    pomdp: Pomdp, choose: Callable[[tuple], int | None], horizon: int
+    pomdp: Pomdp,
+    choose: Callable[[tuple], int | None],
+    horizon: int,
+    quotient: Pomdp | None = None,
 ) -> Policy:
     """Follow `choose((belief key, steps left))` from b0 through every
     observation and number the beliefs reached. `choose` returns an action
-    index or None to stop; a node with no steps left always stops."""
+    index or None to stop; a node with no steps left always stops.
+
+    With a `quotient` of `pomdp`, the walk tracks the matching quotient
+    belief alongside each belief, child for child by observation, and
+    `choose` is asked about the quotient belief's key."""
+    guide = quotient or pomdp
     nodes: list[PolicyNode] = []
     ids: dict[tuple, int] = {}
 
-    def visit(support: Support, depth: int) -> int:
+    def visit(support: Support, guide_support: Support, depth: int) -> int:
         key = (support_key(support), depth)
         if key in ids:
             return ids[key]
-        action = choose(key) if depth > 0 else None
+        action = choose((support_key(guide_support), depth)) if depth > 0 else None
         children = {}
         if action is not None:
+            guided = {o: child for o, _, child in _successors(guide, guide_support, action)}
             for o, mass, child in _successors(pomdp, support, action):
-                children[o] = (mass, visit(child, depth - 1))
+                children[o] = (mass, visit(child, guided[o], depth - 1))
         ids[key] = len(nodes)
         nodes.append(PolicyNode(action, key[0], support, children))
         return ids[key]
 
-    visit(pomdp.b0_support(), horizon)
+    visit(pomdp.b0_support(), guide.b0_support(), horizon)
     return Policy(nodes=nodes, horizon=horizon)
 
 
-def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
-    """Solve for the attacker-optimal policy by exact expectimax to the
-    model's horizon, and compile it into a policy graph."""
-    expected: dict[tuple[int, int], float] = {
-        key: pomdp.expected_reward(*key) for key in pomdp.transitions
-    }
+def expected_rewards(pomdp: Pomdp) -> dict[tuple[int, int], float]:
+    """Expected immediate reward of every (state, action) pair."""
+    return {key: pomdp.expected_reward(*key) for key in pomdp.transitions}
+
+
+def expectimax(
+    pomdp: Pomdp, expected: dict[tuple[int, int], float], belief_cap: int
+) -> tuple[float, dict[tuple, int | None]]:
+    """Memoized expectimax to the model's horizon from b0. Returns the value
+    and the action chosen at every expanded (belief key, steps left), None
+    meaning stop; raises CapacityError past `belief_cap` beliefs."""
     values: dict[tuple, float] = {}
     chosen: dict[tuple, int | None] = {}
 
@@ -165,11 +189,40 @@ def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
             chosen[key] = best_a
         return values[key]
 
-    value = solve(pomdp.b0_support(), pomdp.horizon)
+    return solve(pomdp.b0_support(), pomdp.horizon), chosen
+
+
+def policy_value(
+    pomdp: Pomdp, policy: Policy, expected: dict[tuple[int, int], float]
+) -> float:
+    """Expected cumulative reward of following `policy` from b0, summed in
+    the expectimax's order so an optimal policy yields V* to the bit."""
+    values: list[float] = []
+    for node in policy.nodes:
+        if node.action is None:
+            values.append(0.0)
+            continue
+        support = node.support
+        q = sum(support[s] * expected[(s, node.action)] for s in sorted(support))
+        for mass, child in node.children.values():
+            q += pomdp.discount * mass * values[child]
+        values.append(q)
+    return values[-1]
+
+
+def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
+    """Solve for the attacker-optimal policy by exact expectimax on the
+    model's bisimulation quotient, and compile it into a policy graph over
+    the model's own states."""
+    expected = expected_rewards(pomdp)
+    quotient, quotient_expected = lump(pomdp, expected)
+    _, chosen = expectimax(quotient, quotient_expected, belief_cap)
+    policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
     return SolveResult(
-        policy=compile_policy(pomdp, chosen.get, pomdp.horizon),
-        value=value,
-        reachable_beliefs=len(values),
+        policy=policy,
+        value=policy_value(pomdp, policy, expected),
+        reachable_beliefs=len(chosen),
+        blocks=len(quotient.states),
     )
 
 

@@ -167,6 +167,8 @@ def load_threat_intel(doc: str, allow_defaults: bool = False) -> TiTable:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid threat-intel JSON: {exc.msg}", exc.lineno) from exc
+        except RecursionError as exc:
+            raise ParseError("threat-intel JSON nested too deeply") from exc
         if isinstance(data, dict):
             data = data.get("records")
         if not isinstance(data, list):

@@ -1,7 +1,8 @@
-"""Randomized scenario and model generators shared by the test modules."""
+"""Scenario and model generators shared by the test modules."""
 
 import json
 import random
+from pathlib import Path
 
 from cri.ingest import RawBundle, validate_bundle
 from cri.pomdp.types import AttackerAction, NetworkState, Pomdp
@@ -17,6 +18,8 @@ PERMIT_ALL = """
   </Rule>
 </Policy>
 """
+
+SCENARIO = Path(__file__).resolve().parent.parent / "fixtures" / "scenario"
 
 TI_HEADER = (
     "technique_id,asset_class,p_success_base,p_detect,reward_success,"
@@ -102,6 +105,29 @@ def random_scenario(
         ti_doc=TI_HEADER + "\n".join(rows) + "\n",
     )
     return validate_bundle(bundle)
+
+
+def chain_scenario(techniques: list[str]):
+    """The reference network, policies and TI with one flow chaining
+    `techniques` in order."""
+    flow = {
+        "id": "chain",
+        "attackFlow": [
+            {"step": i + 1, "tactic": {"id": "TA0001"}, "technique": {"id": tech}}
+            for i, tech in enumerate(techniques)
+        ],
+    }
+    return validate_bundle(
+        RawBundle(
+            network_doc=(SCENARIO / "network.graphml").read_text(),
+            flow_docs=[json.dumps(flow)],
+            policy_docs=[
+                (SCENARIO / "policies" / name).read_text()
+                for name in ("access.xml", "segmentation.xml")
+            ],
+            ti_doc=(SCENARIO / "ti.csv").read_text(),
+        )
+    )
 
 
 def random_pomdp(

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from cri.attack_tree import (
+    MAX_TREE_DEPTH,
     AttackTree,
     TreeGate,
     TreeLeaf,
@@ -124,3 +125,50 @@ def test_parse_round_trip():
 def test_parse_rejects_malformed(raw):
     with pytest.raises(ValidationError):
         parse_tree_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    [
+        {"name": "x", "p_success": "abc"},
+        {"name": "x", "p_success": "0.5"},
+        {"name": "x", "cost": [1]},
+        {"name": "x", "cost": "nan"},
+        {"name": "x", "cost": float("nan")},
+        {"name": "x", "cost": True},
+        {"name": "x", "reward_success": "inf"},
+        {"name": "x", "reward_success": float("-inf")},
+        {"name": "x", "penalty_failure": 10**400},
+        {"name": ["x"]},
+    ],
+)
+def test_parse_rejects_non_finite_or_non_numeric_leaves(leaf):
+    with pytest.raises(ValidationError):
+        parse_tree_dict({"id": "t", "technique_id": "T1", "root": leaf})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"id": ["t"], "technique_id": "T1", "root": {"name": "x"}},
+        {"id": "t", "technique_id": 1, "root": {"name": "x"}},
+        {"id": "t", "technique_id": "T1", "root": {"gate": "OR", "children": 3}},
+    ],
+)
+def test_parse_rejects_mistyped_shapes(raw):
+    with pytest.raises(ValidationError):
+        parse_tree_dict(raw)
+
+
+def _nested(depth):
+    node = {"name": "x", "cost": 1}
+    for _ in range(depth - 1):
+        node = {"gate": "AND", "children": [node]}
+    return {"id": "t", "technique_id": "T1", "root": node}
+
+
+def test_nesting_depth_is_bounded():
+    tree = parse_tree_dict(_nested(MAX_TREE_DEPTH))
+    assert tree.leaves() == [TreeLeaf("x", (("cost", 1.0),))]
+    with pytest.raises(ValidationError, match="nested deeper"):
+        parse_tree_dict(_nested(MAX_TREE_DEPTH + 1))

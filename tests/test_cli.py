@@ -295,4 +295,4 @@ class TestMalformedInputsSuite:
         else:
             args["ti"] = str(source)
         result = run_cli("calc", *calc_args(tmp_path / "out", **args))
-        assert result.exit_code != 0, name
+        assert result.exit_code == 2, name

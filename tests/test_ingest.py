@@ -211,16 +211,46 @@ class TestParseAttackFlow:
         "name",
         [
             "missing_technique.json", "cycle.json", "bad_relation.json", "dup_step.json",
-            "bool_step.json",
+            "bool_step.json", "string_tactic.json", "int_edges.json", "list_edge_step.json",
+            "nan_leaf_cost.json",
         ],
     )
     def test_rejects_malformed(self, name):
         with pytest.raises(ValidationError):
             parse_attack_flow((MALFORMED / name).read_text())
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: doc["attackFlow"][1].update(technique="T1059"),
+            lambda doc: doc["attackFlow"][0]["tactic"].update(id=["TA0001"]),
+            lambda doc: doc["attackFlow"][0]["technique"].update(id=1078),
+            lambda doc: doc["attackFlow"][0].update(attackTree=["t"]),
+            lambda doc: doc.update(attackTrees={"id": "t"}),
+            lambda doc: doc.update(edges=[{"from": 1, "to": True}]),
+            lambda doc: doc.update(id=["f"]),
+        ],
+    )
+    def test_rejects_mistyped_shapes(self, change):
+        doc = json.loads(TWO_STEP_FLOW)
+        change(doc)
+        with pytest.raises(ValidationError):
+            parse_attack_flow(json.dumps(doc))
+
     def test_rejects_bad_json(self):
         with pytest.raises(ParseError):
             parse_attack_flow((MALFORMED / "bad_json.json").read_text())
+
+    def test_too_deep_json_is_a_parse_error(self):
+        depth = 600
+        tree = '{"gate": "AND", "children": [' * depth + '{"name": "x"}' + "]}" * depth
+        doc = json.loads(TWO_STEP_FLOW)
+        doc["attackTrees"] = ["TREE"]
+        text = json.dumps(doc).replace(
+            '"TREE"', '{"id": "t", "technique_id": "T1078", "root": ' + tree + "}"
+        )
+        with pytest.raises(ParseError):
+            parse_attack_flow(text)
 
     def test_round_trip(self):
         for doc in (

@@ -3,11 +3,19 @@ import random
 import pytest
 
 from cri.errors import CapacityError, InconsistentObservation
-from cri.pomdp import belief_update, build_pomdp, milestone_probabilities, value_iteration
+from cri.pomdp import (
+    belief_update,
+    build_pomdp,
+    compile_policy,
+    milestone_probabilities,
+    value_iteration,
+)
+from cri.pomdp.lump import lump
+from cri.pomdp.solve import expectimax, expected_rewards
 from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp, support_key
 from cri.simulate import brute_force_value
 from cri.toys import and_chain, single_step
-from genscen import random_pomdp, random_scenario
+from genscen import chain_scenario, random_pomdp, random_scenario
 
 
 def _action(idx, **kwargs):
@@ -267,3 +275,124 @@ class TestPolicyGraph:
         for _ in range(20):
             pomdp = random_pomdp(rng)
             self._check_graph(pomdp, value_iteration(pomdp).policy)
+
+
+def _unlumped(pomdp):
+    """The expectimax run directly on the model's own states."""
+    value, chosen = expectimax(pomdp, expected_rewards(pomdp), 500_000)
+    return value, compile_policy(pomdp, chosen.get, pomdp.horizon)
+
+
+def _with_twin(pomdp, s):
+    """`pomdp` plus a bisimilar twin of state `s`: the twin copies the rows
+    of `s`, and every move into `s`, and b0's mass on it, is split evenly
+    between the two."""
+    twin = len(pomdp.states)
+    actions = range(len(pomdp.actions))
+
+    def split(row):
+        out = []
+        for s2, p in row:
+            out.extend([(s, p * 0.5), (twin, p * 0.5)] if s2 == s else [(s2, p)])
+        return tuple(sorted(out))
+
+    transitions = {key: split(row) for key, row in pomdp.transitions.items()}
+    rewards = {}
+    for (s1, a, s2), r in pomdp.branch_rewards.items():
+        for src in (s1, twin) if s1 == s else (s1,):
+            for dst in (s2, twin) if s2 == s else (s2,):
+                rewards[(src, a, dst)] = r
+    belief = list(pomdp.initial_belief) + [0.0]
+    belief[s] = belief[twin] = pomdp.initial_belief[s] * 0.5
+    return Pomdp(
+        states=pomdp.states + (NetworkState(flags=("twin",)),),
+        actions=pomdp.actions,
+        observations=pomdp.observations,
+        transitions=transitions | {(twin, a): transitions[(s, a)] for a in actions},
+        observation_probs=pomdp.observation_probs
+        | {(twin, a): pomdp.observation_probs[(s, a)] for a in actions},
+        branch_rewards=rewards,
+        initial_belief=tuple(belief),
+        horizon=pomdp.horizon,
+        applicable=pomdp.applicable | {twin: pomdp.applicable[s]},
+        milestones=pomdp.milestones,
+    )
+
+
+def _graph(policy):
+    return [(n.action, n.key, n.children) for n in policy.nodes]
+
+
+class TestLumpedSolve:
+    def _assert_same_as_unlumped(self, pomdp):
+        result = value_iteration(pomdp)
+        value, policy = _unlumped(pomdp)
+        assert result.value == value
+        assert _graph(result.policy) == _graph(policy)
+        assert milestone_probabilities(pomdp, result.policy) == milestone_probabilities(
+            pomdp, policy
+        )
+        return result
+
+    def test_fixture_flows_match_unlumped_solve(self, scenario):
+        counts = {}
+        for flow in scenario.flows:
+            pomdp = build_pomdp(flow, scenario.network, scenario.ti)
+            result = self._assert_same_as_unlumped(pomdp)
+            counts[flow.id] = (len(pomdp.states), result.blocks, result.reachable_beliefs)
+        # unlumped: 22,139 and 5,421 beliefs
+        assert counts == {
+            "credential_chain": (35, 4, 608),
+            "dns_injection": (313, 75, 385),
+        }
+
+    def test_random_scenarios_match_unlumped_solve(self):
+        rng = random.Random(3131)
+        for _ in range(100):
+            inputs = random_scenario(rng)
+            self._assert_same_as_unlumped(
+                build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+            )
+
+    def test_random_models_match_unlumped_solve(self):
+        rng = random.Random(5151)
+        for _ in range(100):
+            self._assert_same_as_unlumped(random_pomdp(rng))
+
+    def test_random_models_with_a_twin_state_match_unlumped_solve(self):
+        rng = random.Random(6161)
+        for _ in range(100):
+            pomdp = random_pomdp(rng)
+            twinned = _with_twin(pomdp, rng.randrange(len(pomdp.states)))
+            result = self._assert_same_as_unlumped(twinned)
+            assert result.blocks < len(twinned.states)
+
+    def test_five_step_chain_solves_under_cap(self):
+        # unlumped, this chain raises CapacityError at the default cap
+        inputs = chain_scenario(["T1078", "T1059", "T1005", "T1566", "T1659"])
+        pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+        result = value_iteration(pomdp)
+        assert (len(pomdp.states), result.blocks, result.reachable_beliefs) == (105, 6, 12_524)
+
+    def test_copies_merge_only_on_exact_equality(self):
+        pomdp = _two_state_identity()
+        copied = Pomdp(
+            states=pomdp.states + (NetworkState(flags=("s2",)),),
+            actions=pomdp.actions,
+            observations=pomdp.observations,
+            transitions=pomdp.transitions | {(2, 0): ((2, 1.0),)},
+            observation_probs=pomdp.observation_probs | {(2, 0): pomdp.observation_probs[(1, 0)]},
+            branch_rewards=pomdp.branch_rewards | {(2, 0, 2): 0.0},
+            initial_belief=(0.5, 0.25, 0.25),
+            horizon=pomdp.horizon,
+            applicable={0: (0,), 1: (0,), 2: (0,)},
+            milestones=pomdp.milestones,
+        )
+        expected = expected_rewards(copied)
+        quotient, _ = lump(copied, expected)
+        assert quotient.states == pomdp.states
+        assert quotient.initial_belief == (0.5, 0.5)
+        assert quotient.transitions == pomdp.transitions
+        # one subnormal apart is enough to keep the copy apart
+        quotient, _ = lump(copied, expected | {(2, 0): 5e-324})
+        assert quotient.states == copied.states
