@@ -7,9 +7,9 @@ leaf outcomes combine (AND = all children, OR = any child).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+from .canon import finite_number
 from .errors import ValidationError
 
 GATES = ("AND", "OR")
@@ -101,17 +101,6 @@ def success_probability(tree: AttackTree, leaf_probability) -> float:
     return walk(tree.root)
 
 
-def _finite(value) -> float | None:
-    """A JSON number as a finite float, or None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 def parse_tree_dict(obj: dict) -> AttackTree:
     """Build an AttackTree from its JSON object form."""
     if not isinstance(obj, dict):
@@ -155,7 +144,7 @@ def parse_tree_dict(obj: dict) -> AttackTree:
         params = []
         for key in LEAF_PARAM_KEYS:
             if key in node:
-                value = _finite(node[key])
+                value = finite_number(node[key])
                 if value is None:
                     raise ValidationError(
                         f"attack tree {tree_id!r}: leaf {name!r} {key}={node[key]!r} "

@@ -1,11 +1,13 @@
 """Canonical serialization helpers.
 
 Every machine-readable artifact the engine writes goes through these so
-that two runs over identical inputs produce byte-identical files.
+that two runs over identical inputs produce byte-identical files. The
+parsers share `finite_number` for numbers they read back from JSON.
 """
 
 import hashlib
 import json
+import math
 
 
 def canonical_json(obj) -> str:
@@ -22,3 +24,14 @@ def sha256_hex(data: bytes | str) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
+
+
+def finite_number(value) -> float | None:
+    """A JSON number as a finite float, or None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None

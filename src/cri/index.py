@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field
 
 from .attack_flow import AttackFlow
-from .canon import compact_json
+from .canon import compact_json, finite_number
 from .errors import ModelError, UsageError, ValidationError
 
 D3FEND_GROUPS = ("harden", "detect", "isolate", "deceive", "evict", "restore")
@@ -146,6 +146,27 @@ class LedgerEntry:
         )
 
 
+def _ledger_entry(raw, where: str) -> LedgerEntry:
+    """A ledger line's object: string ts/campaign/note, kind
+    assumed|validated and a finite numeric index."""
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    for key in ("ts", "campaign"):
+        if not isinstance(raw.get(key), str):
+            raise ValidationError(f"{where}: {key!r} must be a string")
+    if raw.get("kind") not in ("assumed", "validated"):
+        raise ValidationError(f"{where}: 'kind' must be assumed|validated")
+    index = finite_number(raw.get("index"))
+    if index is None:
+        raise ValidationError(f"{where}: 'index' must be a finite number")
+    note = raw.get("note", "")
+    if not isinstance(note, str):
+        raise ValidationError(f"{where}: 'note' must be a string")
+    return LedgerEntry(
+        ts=raw["ts"], campaign=raw["campaign"], index=index, kind=raw["kind"], note=note
+    )
+
+
 @dataclass
 class IndexLedger:
     """Append-only index history, persisted as JSON lines."""
@@ -165,15 +186,9 @@ class IndexLedger:
                     raw = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValidationError(f"ledger line {lineno}: {exc.msg}") from exc
-                entries.append(
-                    LedgerEntry(
-                        ts=raw["ts"],
-                        campaign=raw["campaign"],
-                        index=float(raw["index"]),
-                        kind=raw["kind"],
-                        note=raw.get("note", ""),
-                    )
-                )
+                except RecursionError as exc:
+                    raise ValidationError(f"ledger line {lineno}: nested too deeply") from exc
+                entries.append(_ledger_entry(raw, f"ledger line {lineno}"))
         return IndexLedger(path=path, entries=entries)
 
     def serialize(self) -> str:
@@ -239,6 +254,16 @@ class Countermeasure:
         return self.capex + self.opex + self.maintenance
 
 
+# Numeric countermeasure fields and their defaults.
+_CM_NUMBERS = (
+    ("p_success_multiplier", 1.0),
+    ("p_detect_multiplier", 1.0),
+    ("capex", 0.0),
+    ("opex", 0.0),
+    ("maintenance", 0.0),
+)
+
+
 def parse_countermeasures(doc: str) -> list[Countermeasure]:
     try:
         data = json.loads(doc)
@@ -254,17 +279,20 @@ def parse_countermeasures(doc: str) -> list[Countermeasure]:
     for i, raw in enumerate(data):
         if not isinstance(raw, dict) or "id" not in raw or "d3fend_group" not in raw:
             raise ValidationError(f"countermeasure {i}: requires 'id' and 'd3fend_group'")
+        for key in ("technique_id", "asset_class"):
+            if not isinstance(raw.get(key), (str, type(None))):
+                raise ValidationError(f"countermeasure {i}: {key!r} must be a string or null")
+        try:
+            numbers = {key: float(raw.get(key, default)) for key, default in _CM_NUMBERS}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"countermeasure {i}: {exc}") from exc
         out.append(
             Countermeasure(
                 id=str(raw["id"]),
                 d3fend_group=str(raw["d3fend_group"]),
                 technique_id=raw.get("technique_id"),
                 asset_class=raw.get("asset_class"),
-                p_success_multiplier=float(raw.get("p_success_multiplier", 1.0)),
-                p_detect_multiplier=float(raw.get("p_detect_multiplier", 1.0)),
-                capex=float(raw.get("capex", 0.0)),
-                opex=float(raw.get("opex", 0.0)),
-                maintenance=float(raw.get("maintenance", 0.0)),
+                **numbers,
             )
         )
     return out

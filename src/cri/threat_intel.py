@@ -152,7 +152,7 @@ def _record_from_row(row: dict, where: str) -> TiRecord:
             action_cost=float(row["action_cost"]),
             historical_frequency=float(row["historical_frequency"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -181,17 +181,23 @@ def load_threat_intel(doc: str, allow_defaults: bool = False) -> TiTable:
             records.append(_record_from_row(row, f"row {i}"))
     else:
         reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None:
-            raise ParseError("threat-intel CSV has no header row")
-        header = [h.strip() for h in reader.fieldnames]
-        if header != list(TI_COLUMNS):
-            raise ValidationError(
-                f"threat-intel CSV header must be exactly {','.join(TI_COLUMNS)}"
-            )
-        records = [
-            _record_from_row({k.strip(): v for k, v in row.items()}, f"row {i}")
-            for i, row in enumerate(reader, start=2)
-        ]
+        try:
+            if reader.fieldnames is None:
+                raise ParseError("threat-intel CSV has no header row")
+            header = [h.strip() for h in reader.fieldnames]
+            if header != list(TI_COLUMNS):
+                raise ValidationError(
+                    f"threat-intel CSV header must be exactly {','.join(TI_COLUMNS)}"
+                )
+            records = []
+            for i, row in enumerate(reader, start=2):
+                if None in row:
+                    raise ValidationError(f"row {i}: more fields than the header")
+                records.append(
+                    _record_from_row({k.strip(): v for k, v in row.items()}, f"row {i}")
+                )
+        except csv.Error as exc:
+            raise ParseError(f"malformed threat-intel CSV: {exc}", reader.line_num) from exc
     return TiTable(records, allow_defaults=allow_defaults)
 
 

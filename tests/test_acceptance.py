@@ -272,6 +272,9 @@ def test_09_parser_round_trips(tmp_path):
         work.mkdir()
         if source.suffix == ".graphml":
             args["network"] = str(source)
+        elif source.suffix == ".jsonl":
+            shutil.copy(source, work / "ledger.jsonl")
+            args["ledger"] = str(work / "ledger.jsonl")
         elif source.suffix == ".json":
             flows = work / "flows"
             flows.mkdir()

@@ -260,6 +260,12 @@ class TestHistory:
         result = run_cli("history", "--ledger", str(tmp_path / "none.jsonl"))
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in MALFORMED.glob("*.jsonl")))
+    def test_malformed_ledger_exits_2(self, name):
+        result = run_cli("history", "--ledger", str(MALFORMED / name))
+        assert result.exit_code == 2, name
+        assert isinstance(result.exception, SystemExit)
+
     def test_csv_export_round_trip(self, tmp_path):
         ledger = self._ledger(tmp_path)
         out_csv = tmp_path / "series.csv"
@@ -282,6 +288,9 @@ class TestMalformedInputsSuite:
         args = {"out": str(tmp_path / "out")}
         if name.endswith(".graphml"):
             args["network"] = str(source)
+        elif name.endswith(".jsonl"):
+            shutil.copy(source, tmp_path / "ledger.jsonl")
+            args["ledger"] = str(tmp_path / "ledger.jsonl")
         elif name.endswith(".json"):
             flows = tmp_path / "flows"
             flows.mkdir()
@@ -296,3 +305,5 @@ class TestMalformedInputsSuite:
             args["ti"] = str(source)
         result = run_cli("calc", *calc_args(tmp_path / "out", **args))
         assert result.exit_code == 2, name
+        if name.endswith(".jsonl"):
+            assert (tmp_path / "ledger.jsonl").read_bytes() == source.read_bytes()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import SCENARIO
+from conftest import MALFORMED, SCENARIO
 from cri.attack_flow import parse_attack_flow
 from cri.engine import EngineConfig, run_campaign
 from cri.errors import ModelError, UsageError, ValidationError
@@ -172,6 +172,11 @@ class TestLedger:
         with pytest.raises(UsageError):
             record_index(ledger, self._result(), "hoped")
 
+    @pytest.mark.parametrize("name", sorted(p.name for p in MALFORMED.glob("*.jsonl")))
+    def test_load_rejects_malformed_lines(self, name):
+        with pytest.raises(ValidationError, match="ledger line"):
+            IndexLedger.load(str(MALFORMED / name))
+
     def test_failed_write_leaves_memory_unchanged(self, tmp_path):
         ledger = IndexLedger(path=str(tmp_path / "missing-dir" / "ledger.jsonl"))
         with pytest.raises(OSError):
@@ -198,6 +203,13 @@ class TestCountermeasures:
             '[{"id": "x", "d3fend_group": "harden", "p_success_multiplier": "nan"}]',
             '[{"id": "x", "d3fend_group": "harden", "p_detect_multiplier": "inf"}]',
             '[{"id": "x", "d3fend_group": "harden", "opex": NaN}]',
+            '[{"id": "x", "d3fend_group": "harden", "capex": [1]}]',
+            '[{"id": "x", "d3fend_group": "harden", "opex": "x"}]',
+            pytest.param(
+                '[{"id": "x", "d3fend_group": "harden", "maintenance": 1' + "0" * 400 + "}]",
+                id="int-beyond-float-range",
+            ),
+            '[{"id": "x", "d3fend_group": "harden", "technique_id": 5}]',
         ],
     )
     def test_parse_rejects_malformed(self, raw):

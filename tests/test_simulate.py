@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import fixed_policy
 from cri.errors import CapacityError
 from cri.pomdp import belief_update, build_pomdp, value_iteration
 from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp
+import cri.simulate
 from cri.simulate import (
+    BLOCK,
     brute_force_value,
     episodes_to_jsonl,
     estimate_expected_reward,
@@ -17,7 +22,7 @@ from cri.simulate import (
     wilson_interval,
 )
 from cri.toys import and_chain, bundled_toys, noisy_sensor, single_step
-from genscen import random_scenario
+from genscen import random_pomdp, random_scenario
 
 
 def _reward_lottery():
@@ -199,6 +204,149 @@ class TestEstimators:
         for successes, n in ((0, 10), (10, 10), (3, 7), (500, 1000)):
             lo, hi = wilson_interval(successes, n)
             assert 0.0 <= lo <= hi <= 1.0
+
+
+def _fold(pomdp, policy, num_episodes, seed):
+    """The summary fields, folded from one `simulate_episode` per episode."""
+    episodes = [
+        simulate_episode(pomdp, policy, substream(seed, i)) for i in range(num_episodes)
+    ]
+    rewards = [e.cumulative_reward for e in episodes]
+    mean = math.fsum(rewards) / num_episodes
+    if num_episodes > 1:
+        var = math.fsum((r - mean) ** 2 for r in rewards) / (num_episodes - 1)
+        std_error = math.sqrt(var / num_episodes)
+    else:
+        std_error = 0.0
+    hits = {s: sum(e.succeeded[s] for e in episodes) for s in sorted(pomdp.milestones)}
+    return {
+        "rewards": rewards,
+        "mean_reward": mean,
+        "std_error": std_error,
+        "p_n_estimates": {s: h / num_episodes for s, h in hits.items()},
+        "p_n_intervals": {s: wilson_interval(h, num_episodes) for s, h in hits.items()},
+        "truncated_episodes": sum(e.truncated for e in episodes),
+    }
+
+
+def _assert_matches_episode_walks(pomdp, policy, num_episodes, seed):
+    summary = estimate_expected_reward(pomdp, policy, num_episodes, seed)
+    folded = _fold(pomdp, policy, num_episodes, seed)
+    assert {key: getattr(summary, key) for key in folded} == folded
+    assert summary.num_episodes == num_episodes
+    return summary
+
+
+class _Scripted:
+    """Stands in for an episode's substream, handing out given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, out=None):
+        if out is None:
+            return self.uniforms.pop(0)
+        out[:] = self.uniforms[: len(out)]
+
+
+def _spread(pomdp, rng):
+    """`pomdp` with b0 spread over every state and a discount below 1."""
+    weights = [rng.uniform(0.1, 1.0) for _ in pomdp.states]
+    return dataclasses.replace(
+        pomdp,
+        initial_belief=tuple(w / sum(weights) for w in weights),
+        discount=rng.choice((0.5, 0.9, 0.97)),
+    )
+
+
+class TestBlockWalkOracle:
+    """`estimate_expected_reward` walks episodes in blocks; every summary
+    field must equal the fold of per-episode walks, bit for bit."""
+
+    SMALL_BLOCK = 16
+    SIZES = (1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 5)
+
+    def test_uniform_vector_equals_sequential_draws(self):
+        rng, again = substream(5, 3), substream(5, 3)
+        assert rng.random(7).tolist() == [again.random() for _ in range(7)]
+
+    @pytest.mark.parametrize("num_episodes", (1, BLOCK - 1, BLOCK, BLOCK + 1))
+    def test_fixture_flows(self, scenario, num_episodes):
+        for flow in scenario.flows:
+            pomdp = build_pomdp(flow, scenario.network, scenario.ti)
+            policy = value_iteration(pomdp).policy
+            _assert_matches_episode_walks(pomdp, policy, num_episodes, seed=7)
+
+    def test_random_scenarios(self, monkeypatch):
+        monkeypatch.setattr(cri.simulate, "BLOCK", self.SMALL_BLOCK)
+        rng = random.Random(8080)
+        for i in range(100):
+            inputs = random_scenario(rng)
+            pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+            policy = value_iteration(pomdp).policy
+            _assert_matches_episode_walks(
+                pomdp, policy, self.SIZES[i % len(self.SIZES)], seed=rng.randrange(10**6)
+            )
+
+    def test_random_models_with_spread_belief_and_discount(self, monkeypatch):
+        monkeypatch.setattr(cri.simulate, "BLOCK", self.SMALL_BLOCK)
+        rng = random.Random(9090)
+        for i in range(100):
+            pomdp = _spread(random_pomdp(rng), rng)
+            policy = value_iteration(pomdp).policy
+            _assert_matches_episode_walks(
+                pomdp, policy, self.SIZES[i % len(self.SIZES)], seed=rng.randrange(10**6)
+            )
+
+    def test_policy_stopping_at_the_root(self):
+        pomdp, _ = noisy_sensor()
+        summary = _assert_matches_episode_walks(pomdp, fixed_policy(pomdp, None, 3), 40, 1)
+        assert summary.rewards == [0.0] * 40
+        assert summary.truncated_episodes == 0
+
+    def test_policy_running_to_the_horizon_is_truncated(self, monkeypatch):
+        monkeypatch.setattr(cri.simulate, "BLOCK", self.SMALL_BLOCK)
+        pomdp, _ = single_step(p_success=0.0, penalty=-2.0, cost=1.0, horizon=3)
+        summary = _assert_matches_episode_walks(pomdp, fixed_policy(pomdp, 0, 3), 40, 1)
+        assert summary.truncated_episodes == 40
+        rng = random.Random(7070)
+        for _ in range(50):
+            pomdp = _spread(random_pomdp(rng), rng)
+            policy = fixed_policy(pomdp, 0, pomdp.horizon)
+            _assert_matches_episode_walks(pomdp, policy, 17, seed=rng.randrange(10**6))
+
+    def test_boundary_uniforms_pick_like_draw(self, monkeypatch):
+        # uniforms equal to a cumulative sum move on to the next entry, and
+        # uniforms at or above a row's total (here 1 - 1e-10) fall through
+        # to its last entry
+        lottery = _reward_lottery()
+        pomdp = dataclasses.replace(
+            lottery,
+            transitions=lottery.transitions | {(0, 0): ((1, 0.25), (2, 0.25), (3, 0.4999999999))},
+            initial_belief=(0.5, 0.5, 0.0, 0.0),
+        )
+        pomdp.validate()
+        scripts = [
+            (b0, t, 0.0)
+            for b0 in (0.0, 0.5, 0.9999999999999999)
+            for t in (0.0, 0.25, 0.5, 0.9999999999, 0.99999999995, 0.9999999999999999)
+        ]
+        monkeypatch.setattr(cri.simulate, "substream", lambda seed, i: _Scripted(scripts[i]))
+        policy = fixed_policy(pomdp, 0, 1)
+        episodes = [simulate_episode(pomdp, policy, _Scripted(u)) for u in scripts]
+        summary = estimate_expected_reward(pomdp, policy, len(scripts), 0)
+        assert summary.rewards == [e.cumulative_reward for e in episodes]
+        assert summary.rewards[:6] == [1.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+        hits = sum(e.succeeded[1] for e in episodes)
+        assert summary.p_n_estimates == {1: hits / len(scripts)}
+
+    def test_estimation_walks_no_single_episode(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("estimate_expected_reward called simulate_episode")
+
+        monkeypatch.setattr(cri.simulate, "simulate_episode", refuse)
+        pomdp, _ = noisy_sensor()
+        estimate_expected_reward(pomdp, value_iteration(pomdp).policy, 10, 3)
 
 
 class TestBruteForce:

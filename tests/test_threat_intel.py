@@ -102,6 +102,22 @@ def test_bad_header_rejected():
         load_threat_intel("a,b,c\n1,2,3\n")
 
 
+def test_csv_row_longer_than_header_rejected():
+    with pytest.raises(ValidationError, match="more fields"):
+        load_threat_intel(CSV_ONE.strip() + ",extra\n")
+
+
+def test_csv_bare_carriage_return_is_a_parse_error():
+    with pytest.raises(ParseError):
+        load_threat_intel(CSV_ONE + "T1059,ser\rver,0.4,0.2,5,-1,0.5,12\n")
+
+
+def test_json_integer_beyond_float_range_rejected():
+    row = dict(zip(TI_COLUMNS, ["T1078", "endpoint", 0.6, 0.3, 10**400, -2, 1, 40]))
+    with pytest.raises(ValidationError):
+        load_threat_intel(json.dumps([row]))
+
+
 def test_empty_document_rejected():
     with pytest.raises(ParseError):
         load_threat_intel("   ")
