@@ -19,15 +19,10 @@ import click
 
 from . import __version__
 from .canon import canonical_json, sha256_hex
-from .engine import EngineConfig, RunOutput, run_campaign
+from .engine import EngineConfig, RunOutput, run_campaign, run_whatif
 from .errors import CriError
-from .index import (
-    IndexLedger,
-    evaluate_countermeasure,
-    parse_countermeasures,
-    record_index,
-)
-from .ingest import RawBundle, validate_bundle
+from .index import IndexLedger, parse_countermeasures, record_index
+from .ingest import RawBundle, read_input, validate_bundle
 from .pomdp import complexity_report
 
 logger = logging.getLogger(__name__)
@@ -44,7 +39,7 @@ def _read_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_input(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -67,10 +62,10 @@ def _load_bundle(network, flows, policies, ti, allow_defaults):
     flow_paths = _collect(Path(flows), ".json")
     policy_paths = _collect(Path(policies), ".xml") if policies else []
     bundle = RawBundle(
-        network_doc=network_path.read_text(encoding="utf-8"),
-        flow_docs=[p.read_text(encoding="utf-8") for p in flow_paths],
-        policy_docs=[p.read_text(encoding="utf-8") for p in policy_paths],
-        ti_doc=Path(ti).read_text(encoding="utf-8") if ti else "",
+        network_doc=read_input(network_path),
+        flow_docs=[read_input(p) for p in flow_paths],
+        policy_docs=[read_input(p) for p in policy_paths],
+        ti_doc=read_input(ti) if ti else "",
         flow_names=[p.stem for p in flow_paths],
     )
     digests = {network_path.name: sha256_hex(network_path.read_bytes())}
@@ -229,11 +224,13 @@ def calc(formats, **kwargs):
     """Run the full pipeline and print the campaign index."""
     try:
         inputs, cfg, out_dir, ledger_path = _prepare(kwargs)
+        ledger_path = ledger_path or str(Path(out_dir) / "ledger.jsonl")
+        if Path(ledger_path).exists():
+            ledger = IndexLedger.load(ledger_path)
+        else:
+            ledger = IndexLedger(path=ledger_path)
         output = run_campaign(inputs, cfg)
         _write_reports(output, out_dir, tuple(formats))
-        ledger = IndexLedger(path=ledger_path or str(Path(out_dir) / "ledger.jsonl"))
-        if ledger.path and Path(ledger.path).exists():
-            ledger = IndexLedger.load(ledger.path)
         record_index(ledger, output.assumed, "assumed", note="base rates")
         record_index(ledger, output.campaign, "validated", note=f"mode={cfg.mode}")
     except CriError as exc:
@@ -251,12 +248,14 @@ def whatif(cm_path, **kwargs):
     try:
         _require_path(cm_path, "countermeasures")
         inputs, cfg, out_dir, _ = _prepare(kwargs)
-        measures = parse_countermeasures(Path(cm_path).read_text(encoding="utf-8"))
+        measures = parse_countermeasures(read_input(cm_path))
         deltas = []
-        for cm in measures:
-            delta = evaluate_countermeasure(inputs, cm, cfg)
+        for delta in run_whatif(inputs, measures, cfg):
             if not delta.matched:
-                click.echo(f"warning: countermeasure {cm.id} matches no technique", err=True)
+                click.echo(
+                    f"warning: countermeasure {delta.countermeasure.id} matches no technique",
+                    err=True,
+                )
             deltas.append(delta)
         groups: dict[str, dict] = {}
         for d in deltas:
@@ -310,19 +309,19 @@ def complexity(**kwargs):
         flows_arg = _resolve(config, kwargs.get("flows"), "flows")
         ti_arg = _resolve(config, kwargs.get("ti"), "ti")
         policies_arg = _resolve(config, kwargs.get("policies"), "policies")
-        net = parse_network(Path(network).read_text(encoding="utf-8"))
+        net = parse_network(read_input(network))
         if policies_arg:
             _require_path(policies_arg, "policies")
             net.policies = parse_policy_set(
-                [p.read_text(encoding="utf-8") for p in _collect(Path(policies_arg), ".xml")]
+                [read_input(p) for p in _collect(Path(policies_arg), ".xml")]
             )
         flow_paths = _collect(Path(flows_arg), ".json") if flows_arg and Path(flows_arg).exists() else []
         flows_list = [
-            parse_attack_flow(p.read_text(encoding="utf-8"), flow_id=p.stem)
+            parse_attack_flow(read_input(p), flow_id=p.stem)
             for p in flow_paths
         ]
         ti = (
-            load_threat_intel(Path(ti_arg).read_text(encoding="utf-8"))
+            load_threat_intel(read_input(ti_arg))
             if ti_arg and Path(ti_arg).exists()
             else None
         )

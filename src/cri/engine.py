@@ -5,18 +5,30 @@ Two probability series are produced per run. The "assumed" series combines
 raw threat-intel base rates straight through the flow DAG; the "validated"
 series runs the attacker emulation (solver and/or Monte Carlo) first and
 combines the resulting milestone probabilities.
+
+`run_whatif` evaluates countermeasures against one baseline run: it
+re-solves only the flows whose threat-intel reads a countermeasure changes.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import __version__
 from .attack_flow import AttackFlow
 from .attack_tree import success_probability
 from .errors import CapacityError, ModelError
-from .index import CampaignResult, FlowResult, campaign_cri, flow_cri
+from .index import (
+    CampaignResult,
+    Countermeasure,
+    CountermeasureDelta,
+    FlowResult,
+    campaign_cri,
+    evaluate_countermeasure,
+    flow_cri,
+)
 from .ingest import ValidatedInputs
 from .netmodel import NetworkModel
 from .pomdp import (
@@ -73,11 +85,15 @@ class RunOutput:
     complexity: dict
 
 
+def _asset_classes(net: NetworkModel) -> list[str]:
+    return sorted({n.asset_class for n in net.nodes.values()})
+
+
 def assumed_p_n(flow: AttackFlow, net: NetworkModel, ti: TiTable) -> dict[int, float]:
     """Base-rate probability per TTP node, before any emulation: the best
     p_success_base across asset classes present in the network (attack-tree
     nodes combine leaf base rates through their gates)."""
-    classes = sorted({n.asset_class for n in net.nodes.values()})
+    classes = _asset_classes(net)
     out: dict[int, float] = {}
     for node in flow.nodes:
         base = 0.0
@@ -151,68 +167,75 @@ def _reachable_under(pomdp) -> set:
     return {pomdp.states[i] for i in seen}
 
 
-def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> RunOutput:
-    """Run the full pipeline over every flow and aggregate the campaign."""
-    cfg = cfg or EngineConfig()
-    net = inputs.network
-    build_cfg = BuildConfig(mode="reduced", horizon=cfg.horizon, max_path_len=cfg.max_path_len)
+def _run_flow(
+    flow: AttackFlow, net: NetworkModel, ti: TiTable, build_cfg: BuildConfig, cfg: EngineConfig
+) -> FlowReport:
+    """Build, solve and read out (and/or simulate) one flow's model."""
+    logger.info("building model for flow %s", flow.id)
+    pomdp = build_pomdp(flow, net, ti, build_cfg)
+    solved = value_iteration(pomdp)
+    logger.info(
+        "flow %s: %d states in %d blocks, %d actions, %d reachable beliefs, V*=%.6f",
+        flow.id, len(pomdp.states), solved.blocks, len(pomdp.actions),
+        solved.reachable_beliefs, solved.value,
+    )
 
-    flow_reports: list[FlowReport] = []
-    assumed_results: list[FlowResult] = []
-    for flow in inputs.flows:
-        logger.info("building model for flow %s", flow.id)
-        pomdp = build_pomdp(flow, net, inputs.ti, build_cfg)
-        solved = value_iteration(pomdp)
-        logger.info(
-            "flow %s: %d states in %d blocks, %d actions, %d reachable beliefs, V*=%.6f",
-            flow.id, len(pomdp.states), solved.blocks, len(pomdp.actions),
-            solved.reachable_beliefs, solved.value,
-        )
+    p_exact = None
+    p_sim = None
+    intervals = None
+    summary = None
+    if cfg.mode in ("exact", "both"):
+        p_exact = milestone_probabilities(pomdp, solved.policy)
+    if cfg.mode in ("simulate", "both"):
+        summary = estimate_expected_reward(pomdp, solved.policy, cfg.episodes, cfg.seed)
+        p_sim = summary.p_n_estimates
+        intervals = summary.p_n_intervals
 
-        p_exact = None
-        p_sim = None
-        intervals = None
-        summary = None
-        if cfg.mode in ("exact", "both"):
-            p_exact = milestone_probabilities(pomdp, solved.policy)
-        if cfg.mode in ("simulate", "both"):
-            summary = estimate_expected_reward(pomdp, solved.policy, cfg.episodes, cfg.seed)
-            p_sim = summary.p_n_estimates
-            intervals = summary.p_n_intervals
+    if p_exact is not None:
+        p_used, method = p_exact, "exact"
+        reward = solved.value
+    else:
+        assert summary is not None
+        p_used, method = p_sim, "simulated"
+        reward = summary.mean_reward
 
-        if p_exact is not None:
-            p_used, method = p_exact, "exact"
-            reward = solved.value
-        else:
-            assert summary is not None
-            p_used, method = p_sim, "simulated"
-            reward = summary.mean_reward
+    naive_note = None
+    if cfg.naive_check:
+        naive_note = _naive_check(flow, net, ti, build_cfg, pomdp, solved.value)
 
-        naive_note = None
-        if cfg.naive_check:
-            naive_note = _naive_check(flow, net, inputs.ti, build_cfg, pomdp, solved.value)
-
-        result = FlowResult(
+    return FlowReport(
+        flow_id=flow.id,
+        result=FlowResult(
             flow_id=flow.id,
             p_n=p_used,
             q_flow=flow_cri(flow, p_used),
             expected_attacker_reward=reward,
             method=method,
-        )
-        flow_reports.append(
-            FlowReport(
-                flow_id=flow.id,
-                result=result,
-                p_n_exact=p_exact,
-                p_n_simulated=p_sim,
-                p_n_intervals=intervals,
-                solver_value=solved.value,
-                simulation=summary,
-                normalized_reward=_normalized_reward(pomdp, reward),
-                naive_check=naive_note,
-            )
-        )
+        ),
+        p_n_exact=p_exact,
+        p_n_simulated=p_sim,
+        p_n_intervals=intervals,
+        solver_value=solved.value,
+        simulation=summary,
+        normalized_reward=_normalized_reward(pomdp, reward),
+        naive_check=naive_note,
+    )
 
+
+def _build_config(cfg: EngineConfig) -> BuildConfig:
+    return BuildConfig(mode="reduced", horizon=cfg.horizon, max_path_len=cfg.max_path_len)
+
+
+def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> RunOutput:
+    """Run the full pipeline over every flow and aggregate the campaign."""
+    cfg = cfg or EngineConfig()
+    net = inputs.network
+    build_cfg = _build_config(cfg)
+
+    flow_reports: list[FlowReport] = []
+    assumed_results: list[FlowResult] = []
+    for flow in inputs.flows:
+        flow_reports.append(_run_flow(flow, net, inputs.ti, build_cfg, cfg))
         base = assumed_p_n(flow, net, inputs.ti)
         assumed_results.append(
             FlowResult(
@@ -246,3 +269,40 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
         flow_reports=flow_reports,
         complexity=complexity,
     )
+
+
+def _ti_view(flow: AttackFlow, classes: list[str], ti: TiTable) -> tuple:
+    """Every threat-intel record the engine can read for `flow`: one lookup
+    per (TTP node, asset class present in the network). Builds, solves and
+    seeded simulations read TI only through these lookups, so two tables
+    with equal views give the flow identical results."""
+    return tuple(ti.lookup(node.technique_id, c) for node in flow.nodes for c in classes)
+
+
+def run_whatif(
+    inputs: ValidatedInputs, measures: list[Countermeasure], cfg: EngineConfig | None = None
+) -> Iterator[CountermeasureDelta]:
+    """Yield one delta per countermeasure, in order. The baseline flows are
+    solved once; under each countermeasure only the flows whose TI view
+    changes are run again, and the rest reuse their baseline result."""
+    cfg = cfg or EngineConfig()
+    net = inputs.network
+    build_cfg = _build_config(cfg)
+    classes = _asset_classes(net)
+    baseline = [_run_flow(flow, net, inputs.ti, build_cfg, cfg).result for flow in inputs.flows]
+    views = [_ti_view(flow, classes, inputs.ti) for flow in inputs.flows]
+    index_before = campaign_cri(baseline, cfg.campaign_id).index
+    for cm in measures:
+        ti = inputs.ti.with_multiplier(
+            cm.technique_id,
+            cm.asset_class,
+            p_success_multiplier=cm.p_success_multiplier,
+            p_detect_multiplier=cm.p_detect_multiplier,
+        )
+        results = [
+            before if _ti_view(flow, classes, ti) == view
+            else _run_flow(flow, net, ti, build_cfg, cfg).result
+            for flow, view, before in zip(inputs.flows, views, baseline)
+        ]
+        index_after = campaign_cri(results, cfg.campaign_id).index
+        yield evaluate_countermeasure(cm, inputs.ti, index_before, index_after)

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from .attack_flow import AttackFlow
 from .canon import compact_json, finite_number
 from .errors import ModelError, UsageError, ValidationError
+from .ingest import read_input
+from .threat_intel import TiTable
 
 D3FEND_GROUPS = ("harden", "detect", "isolate", "deceive", "evict", "restore")
 
@@ -177,18 +179,17 @@ class IndexLedger:
     @staticmethod
     def load(path: str) -> "IndexLedger":
         entries = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValidationError(f"ledger line {lineno}: {exc.msg}") from exc
-                except RecursionError as exc:
-                    raise ValidationError(f"ledger line {lineno}: nested too deeply") from exc
-                entries.append(_ledger_entry(raw, f"ledger line {lineno}"))
+        for lineno, line in enumerate(read_input(path).split("\n"), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"ledger line {lineno}: {exc.msg}") from exc
+            except RecursionError as exc:
+                raise ValidationError(f"ledger line {lineno}: nested too deeply") from exc
+            entries.append(_ledger_entry(raw, f"ledger line {lineno}"))
         return IndexLedger(path=path, entries=entries)
 
     def serialize(self) -> str:
@@ -282,10 +283,11 @@ def parse_countermeasures(doc: str) -> list[Countermeasure]:
         for key in ("technique_id", "asset_class"):
             if not isinstance(raw.get(key), (str, type(None))):
                 raise ValidationError(f"countermeasure {i}: {key!r} must be a string or null")
-        try:
-            numbers = {key: float(raw.get(key, default)) for key, default in _CM_NUMBERS}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"countermeasure {i}: {exc}") from exc
+        numbers = {}
+        for key, default in _CM_NUMBERS:
+            numbers[key] = finite_number(raw.get(key, default))
+            if numbers[key] is None:
+                raise ValidationError(f"countermeasure {i}: {key} must be a finite JSON number")
         out.append(
             Countermeasure(
                 id=str(raw["id"]),
@@ -321,33 +323,23 @@ class CountermeasureDelta:
         }
 
 
-def evaluate_countermeasure(base, cm: Countermeasure, engine_cfg) -> CountermeasureDelta:
-    """Recompute the campaign index with the countermeasure's multipliers
-    applied to matching threat-intel rows and report the delta and cost."""
-    from .engine import run_campaign  # local import: engine orchestrates this module
-
-    before = run_campaign(base, engine_cfg)
+def evaluate_countermeasure(
+    cm: Countermeasure, ti: TiTable, index_before: float, index_after: float
+) -> CountermeasureDelta:
+    """The delta and cost of one countermeasure, given the campaign index
+    without it and with its multipliers applied to the threat-intel table
+    `ti`; `matched` says whether it scales any row of `ti`."""
     matched = any(
         (cm.technique_id is None or rec.technique_id == cm.technique_id)
         and (cm.asset_class is None or rec.asset_class == cm.asset_class)
-        for rec in base.ti.records
+        for rec in ti.records
     )
-    adjusted_ti = base.ti.with_multiplier(
-        cm.technique_id,
-        cm.asset_class,
-        p_success_multiplier=cm.p_success_multiplier,
-        p_detect_multiplier=cm.p_detect_multiplier,
-    )
-    from .ingest import ValidatedInputs
-
-    adjusted = ValidatedInputs(network=base.network, flows=base.flows, ti=adjusted_ti)
-    after = run_campaign(adjusted, engine_cfg)
-    delta = after.campaign.index - before.campaign.index
+    delta = index_after - index_before
     cost = cm.total_cost
     return CountermeasureDelta(
         countermeasure=cm,
-        index_before=before.campaign.index,
-        index_after=after.campaign.index,
+        index_before=index_before,
+        index_after=index_after,
         delta_index=delta,
         total_cost=cost,
         delta_per_cost=(delta / cost) if cost > 0 else None,

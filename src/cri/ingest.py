@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .attack_flow import AttackFlow, parse_attack_flow, serialize_attack_flow
 from .canon import sha256_hex
@@ -29,6 +30,17 @@ _KEY_ENTRY = "entry_point"
 
 _TRUE_WORDS = {"true", "1", "yes"}
 _FALSE_WORDS = {"false", "0", "no"}
+
+
+def read_input(path: str | Path) -> str:
+    """One input file as UTF-8 text (universal newlines). A file that cannot
+    be read or is not UTF-8 is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
 
 
 @dataclass

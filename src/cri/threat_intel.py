@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .canon import finite_number
 from .errors import ParseError, ValidationError
 
 TI_COLUMNS = (
@@ -178,6 +179,9 @@ def load_threat_intel(doc: str, allow_defaults: bool = False) -> TiTable:
         for i, row in rows:
             if not isinstance(row, dict):
                 raise ValidationError(f"threat-intel row {i} is not an object")
+            for column in TI_COLUMNS[2:]:
+                if row.get(column) is not None and finite_number(row[column]) is None:
+                    raise ValidationError(f"row {i}: {column} must be a finite JSON number")
             records.append(_record_from_row(row, f"row {i}"))
     else:
         reader = csv.DictReader(io.StringIO(text))

@@ -35,12 +35,15 @@ def random_scenario(
     shared_rewards: bool = False,
     detect_noise: bool = True,
     distinct_classes: bool = False,
+    extra_flows: int = 0,
 ):
     """Random connected network + chain flow + TI table, sized to stay under
     the naive-mode cap. With shared_rewards the reward economics are drawn
     per technique (identical across asset classes); with distinct_classes
     every node gets its own asset class, so each TI row parameterizes
-    exactly one action."""
+    exactly one action. `extra_flows` adds chains over random subsets of the
+    first flow's techniques, drawn last so the rest of the scenario does not
+    depend on it."""
     num_nodes = rng.randint(2, max_nodes)
     if distinct_classes:
         classes = [f"class{i}" for i in range(num_nodes)]
@@ -69,19 +72,21 @@ def random_scenario(
 
     num_steps = rng.randint(1, max_steps)
     techniques = [f"T9{i:03d}" for i in range(num_steps)]
-    flow_doc = json.dumps(
-        {
-            "id": "random-chain",
-            "attackFlow": [
-                {
-                    "step": i + 1,
-                    "tactic": {"id": "TA0001", "name": "x"},
-                    "technique": {"id": tech, "name": tech},
-                }
-                for i, tech in enumerate(techniques)
-            ],
-        }
-    )
+
+    def chain(flow_id: str, chosen: list[str]) -> str:
+        return json.dumps(
+            {
+                "id": flow_id,
+                "attackFlow": [
+                    {
+                        "step": i + 1,
+                        "tactic": {"id": "TA0001", "name": "x"},
+                        "technique": {"id": tech, "name": tech},
+                    }
+                    for i, tech in enumerate(chosen)
+                ],
+            }
+        )
 
     rows = []
     for tech in techniques:
@@ -98,9 +103,14 @@ def random_scenario(
             pd = rng.choice([0, 0.3]) if detect_noise else 0
             rows.append(f"{tech},{asset_class},{p},{pd},{reward},{penalty},{cost},1")
 
+    flow_docs = [chain("random-chain", techniques)]
+    for k in range(1, extra_flows + 1):
+        picked = sorted(rng.sample(range(num_steps), rng.randint(1, num_steps)))
+        flow_docs.append(chain(f"random-chain-{k}", [techniques[i] for i in picked]))
+
     bundle = RawBundle(
         network_doc=network_doc,
-        flow_docs=[flow_doc],
+        flow_docs=flow_docs,
         policy_docs=[PERMIT_ALL],
         ti_doc=TI_HEADER + "\n".join(rows) + "\n",
     )

@@ -169,6 +169,47 @@ class TestModeConsistency:
         assert abs(index_exact - index_sim) <= se_bound
 
 
+class TestUnreadableInputs:
+    """Every input file goes through one reader: undecodable bytes or an
+    unreadable path exit 2 with an error naming the file, never with a
+    traceback."""
+
+    NOT_UTF8 = str(MALFORMED / "not_utf8.csv")
+
+    def _assert_rejected(self, result):
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "not_utf8.csv: not UTF-8" in result.output
+
+    def test_complexity_ti(self):
+        self._assert_rejected(run_cli(
+            "complexity", "--network", NETWORK, "--flows", FLOWS, "--ti", self.NOT_UTF8,
+        ))
+
+    def test_complexity_network(self):
+        self._assert_rejected(run_cli("complexity", "--network", self.NOT_UTF8))
+
+    def test_config_file(self, tmp_path):
+        self._assert_rejected(run_cli("calc", "--config", self.NOT_UTF8))
+
+    def test_countermeasures_file(self, tmp_path):
+        self._assert_rejected(run_cli(
+            "whatif", *calc_args(tmp_path / "out"), "--countermeasures", self.NOT_UTF8,
+        ))
+
+    def test_ledger(self, tmp_path):
+        ledger = tmp_path / "not_utf8.csv"
+        shutil.copy(self.NOT_UTF8, ledger)
+        self._assert_rejected(run_cli("calc", *calc_args(tmp_path / "out", ledger=str(ledger))))
+        self._assert_rejected(run_cli("history", "--ledger", str(ledger)))
+
+    def test_directory_as_ti(self, tmp_path):
+        result = run_cli("calc", *calc_args(tmp_path / "out", ti=str(SCENARIO / "flows")))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "flows: cannot read" in result.output
+
+
 class TestComplexityCommand:
     def test_reference_scenario(self):
         result = run_cli(
@@ -307,3 +348,4 @@ class TestMalformedInputsSuite:
         assert result.exit_code == 2, name
         if name.endswith(".jsonl"):
             assert (tmp_path / "ledger.jsonl").read_bytes() == source.read_bytes()
+            assert not (tmp_path / "out" / "campaign_report.json").exists()

@@ -1,15 +1,22 @@
 """Parser fuzzing: arbitrary text, JSON-shaped values, XML-shaped and
 CSV-shaped documents fed to every input parser. A parser may accept a
-document or reject it with a CriError; nothing else may escape."""
+document or reject it with a CriError; nothing else may escape. The CLI
+test replaces one input file of `cri calc` with arbitrary bytes: the
+command exits 0 or 2, never with a traceback."""
 
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
+import pytest
+from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import SCENARIO
 from cri.attack_flow import parse_attack_flow
 from cri.attack_tree import LEAF_PARAM_KEYS
+from cri.cli import main
 from cri.errors import CriError
 from cri.index import IndexLedger, parse_countermeasures
 from cri.ingest import parse_network, parse_policy_set
@@ -178,3 +185,78 @@ def test_index_ledger_load(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "fuzz-ledger.jsonl"
     path.write_text(doc, encoding="utf-8")
     _only_cri_errors(IndexLedger.load, str(path))
+
+
+# One input file of a one-flow copy of the reference scenario, replaced
+# whole by the fuzzed bytes.
+CLI_INPUTS = {
+    "network": "network.graphml",
+    "flow": "flows/credential_chain.json",
+    "policy": "policies/access.xml",
+    "ti": "ti.csv",
+    "ledger": "ledger.jsonl",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_scenario(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    for name in ("network.graphml", "ti.csv", "flows/credential_chain.json",
+                 "policies/access.xml", "policies/segmentation.xml"):
+        (root / name).parent.mkdir(exist_ok=True)
+        shutil.copy(SCENARIO / name, root / name)
+    return root
+
+
+def _spliced(original: bytes):
+    """The original file with a run of bytes replaced, so the document is
+    often still well-formed and reaches the engine."""
+    size = len(original)
+    pieces = (
+        st.binary(max_size=8)
+        | st.sampled_from(WORDS).map(str.encode)
+        | st.text("0123456789.-", max_size=3).map(str.encode)
+    )
+    return st.tuples(st.integers(0, size), st.integers(0, 4), pieces).map(
+        lambda cut: original[: cut[0]] + cut[2] + original[cut[0] + cut[1]:]
+    )
+
+
+@st.composite
+def cli_cases(draw):
+    target = draw(st.sampled_from(sorted(CLI_INPUTS)))
+    texts = documents | xml_docs() | csv_docs() | flows.map(_json_doc) | ledger_docs()
+    content = draw(
+        st.binary(max_size=200)
+        | texts.map(lambda doc: doc.encode("utf-8"))
+        | (_spliced((SCENARIO / CLI_INPUTS[target]).read_bytes()) if target != "ledger"
+           else ledger_rows.map(lambda row: (_json_doc(row) + "\n").encode("utf-8")))
+    )
+    return target, content
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(cli_cases())
+def test_cli_calc_exits_0_or_2(cli_scenario, case):
+    target, content = case
+    path = cli_scenario / CLI_INPUTS[target]
+    original = None if target == "ledger" else path.read_bytes()
+    path.write_bytes(content)
+    try:
+        result = CliRunner().invoke(main, [
+            "calc", "--network", str(cli_scenario / "network.graphml"),
+            "--flows", str(cli_scenario / "flows"),
+            "--policies", str(cli_scenario / "policies"),
+            "--ti", str(cli_scenario / "ti.csv"),
+            "--ledger", str(cli_scenario / "ledger.jsonl"),
+            "--out", str(cli_scenario / "out"),
+        ])
+    finally:
+        (cli_scenario / "ledger.jsonl").unlink(missing_ok=True)
+        if original is not None:
+            path.write_bytes(original)
+    assert result.exit_code in (0, 2), (target, content, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        target, content, result.exception,
+    )

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import MALFORMED, SCENARIO
 from cri.attack_flow import parse_attack_flow
-from cri.engine import EngineConfig, run_campaign
+from cri.engine import EngineConfig, run_campaign, run_whatif
 from cri.errors import ModelError, UsageError, ValidationError
 from cri.index import (
     CampaignResult,
@@ -14,7 +14,6 @@ from cri.index import (
     campaign_cri,
     combine_and,
     combine_or,
-    evaluate_countermeasure,
     flow_cri,
     parse_countermeasures,
     record_index,
@@ -210,6 +209,10 @@ class TestCountermeasures:
                 id="int-beyond-float-range",
             ),
             '[{"id": "x", "d3fend_group": "harden", "technique_id": 5}]',
+            '[{"id": "x", "d3fend_group": "harden", "capex": true}]',
+            '[{"id": "x", "d3fend_group": "harden", "p_success_multiplier": "0.5"}]',
+            '[{"id": "x", "d3fend_group": "harden", "p_detect_multiplier": false}]',
+            '[{"id": "x", "d3fend_group": "harden", "opex": null}]',
         ],
     )
     def test_parse_rejects_malformed(self, raw):
@@ -219,7 +222,7 @@ class TestCountermeasures:
     def test_identity_effect_is_zero_delta(self):
         _, inputs = single_step()
         cm = Countermeasure(id="noop", d3fend_group="restore", technique_id="T0001")
-        delta = evaluate_countermeasure(inputs, cm, EngineConfig(mode="exact"))
+        delta = next(run_whatif(inputs, [cm], EngineConfig(mode="exact")))
         assert delta.delta_index == 0.0
         assert delta.matched
 
@@ -229,14 +232,14 @@ class TestCountermeasures:
             id="kill", d3fend_group="harden", technique_id="T0001",
             p_success_multiplier=0.0, capex=2.0,
         )
-        delta = evaluate_countermeasure(inputs, cm, EngineConfig(mode="exact"))
+        delta = next(run_whatif(inputs, [cm], EngineConfig(mode="exact")))
         assert delta.index_after == 100.0
         assert delta.delta_index > 0
 
     def test_unmatched_warns_with_zero_delta(self):
         _, inputs = single_step()
         cm = Countermeasure(id="ghost", d3fend_group="harden", technique_id="T9999")
-        delta = evaluate_countermeasure(inputs, cm, EngineConfig(mode="exact"))
+        delta = next(run_whatif(inputs, [cm], EngineConfig(mode="exact")))
         assert not delta.matched
         assert delta.delta_index == 0.0
 
@@ -246,7 +249,7 @@ class TestCountermeasures:
             p_success_multiplier=0.5, capex=30, opex=10, maintenance=5,
         )
         cfg = EngineConfig(mode="exact")
-        delta = evaluate_countermeasure(scenario, cm, cfg)
+        delta = next(run_whatif(scenario, [cm], cfg))
         assert delta.delta_index > 0
         # independent recomputation of the whole pipeline as the oracle
         hardened = ValidatedInputs(
@@ -267,5 +270,5 @@ class TestCountermeasures:
                 id=f"m{multiplier}", d3fend_group="harden",
                 technique_id="T0001", p_success_multiplier=multiplier,
             )
-            after = evaluate_countermeasure(inputs, cm, cfg).index_after
+            after = next(run_whatif(inputs, [cm], cfg)).index_after
             assert after >= base - 1e-9

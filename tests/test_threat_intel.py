@@ -97,6 +97,19 @@ def test_non_finite_json_value_rejected(field, value):
         load_threat_intel(json.dumps([row]).replace('"VALUE"', value))
 
 
+@pytest.mark.parametrize("field", TI_COLUMNS[2:])
+@pytest.mark.parametrize("value", ["true", "false", '"0.5"', "null", "[1]"])
+def test_json_value_that_is_not_a_number_rejected(field, value):
+    row = {
+        "technique_id": "T1078", "asset_class": "endpoint", "p_success_base": 0.6,
+        "p_detect": 0.3, "reward_success": 10, "penalty_failure": -2,
+        "action_cost": 1, "historical_frequency": 40,
+    }
+    row[field] = "VALUE"
+    with pytest.raises(ValidationError):
+        load_threat_intel(json.dumps([row]).replace('"VALUE"', value))
+
+
 def test_bad_header_rejected():
     with pytest.raises(ValidationError):
         load_threat_intel("a,b,c\n1,2,3\n")

@@ -1,0 +1,164 @@
+"""What-if evaluation: `run_whatif` against the direct fold of two fresh
+`run_campaign` runs per countermeasure, and the work it saves."""
+
+import ast
+import random
+
+import cri.engine
+from conftest import SCENARIO
+from cri.engine import EngineConfig, run_campaign, run_whatif
+from cri.index import Countermeasure, CountermeasureDelta, parse_countermeasures
+from cri.ingest import ValidatedInputs
+from genscen import random_scenario
+
+
+def rerun_delta(inputs, cm, cfg):
+    """The delta from two full pipeline runs, without and with `cm`."""
+    before = run_campaign(inputs, cfg).campaign.index
+    hardened = ValidatedInputs(
+        network=inputs.network,
+        flows=inputs.flows,
+        ti=inputs.ti.with_multiplier(
+            cm.technique_id,
+            cm.asset_class,
+            p_success_multiplier=cm.p_success_multiplier,
+            p_detect_multiplier=cm.p_detect_multiplier,
+        ),
+    )
+    after = run_campaign(hardened, cfg).campaign.index
+    matched = any(
+        (cm.technique_id is None or rec.technique_id == cm.technique_id)
+        and (cm.asset_class is None or rec.asset_class == cm.asset_class)
+        for rec in inputs.ti.records
+    )
+    delta = after - before
+    cost = cm.total_cost
+    return CountermeasureDelta(
+        countermeasure=cm,
+        index_before=before,
+        index_after=after,
+        delta_index=delta,
+        total_cost=cost,
+        delta_per_cost=delta / cost if cost > 0 else None,
+        matched=matched,
+    )
+
+
+def fixture_measures():
+    extra = [
+        Countermeasure(id="servers", d3fend_group="isolate", asset_class="server",
+                       p_success_multiplier=0.25),
+        Countermeasure(id="ghost", d3fend_group="deceive", technique_id="T0000", capex=3),
+    ]
+    return parse_countermeasures((SCENARIO / "countermeasures.json").read_text()) + extra
+
+
+def random_measures(rng, inputs):
+    techniques = sorted({n.technique_id for f in inputs.flows for n in f.nodes})
+    classes = sorted({n.asset_class for n in inputs.network.nodes.values()})
+    scopes = [
+        (rng.choice(techniques), None),
+        (None, rng.choice(classes)),
+        (rng.choice(techniques), rng.choice(classes)),
+        (None, None),
+        ("T0000", None),
+        (None, "nowhere"),
+    ]
+    measures = []
+    for i, (technique, asset_class) in enumerate(rng.sample(scopes, 4)):
+        identity = rng.random() < 0.25
+        measures.append(
+            Countermeasure(
+                id=f"cm{i}",
+                d3fend_group=rng.choice(("harden", "detect", "isolate")),
+                technique_id=technique,
+                asset_class=asset_class,
+                p_success_multiplier=1.0 if identity else rng.choice((0.0, 0.5, 1.3)),
+                p_detect_multiplier=1.0 if identity else rng.choice((0.5, 1.0, 2.0)),
+                capex=rng.choice((0.0, 5.0)),
+            )
+        )
+    return measures
+
+
+class CallCounter:
+    """Counts calls through `cri.engine`'s references to layer functions."""
+
+    def __init__(self, monkeypatch, *names):
+        self.calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(cri.engine, name, self._wrap(name, getattr(cri.engine, name)))
+
+    def _wrap(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+
+class TestRunWhatifOracle:
+    def test_fixture_exact(self, scenario):
+        cfg = EngineConfig(mode="exact")
+        measures = fixture_measures()
+        expected = [rerun_delta(scenario, cm, cfg) for cm in measures]
+        assert list(run_whatif(scenario, measures, cfg)) == expected
+
+    def test_fixture_both_modes(self, scenario):
+        cfg = EngineConfig(mode="both", episodes=500, seed=7)
+        measures = fixture_measures()[:3]
+        expected = [rerun_delta(scenario, cm, cfg) for cm in measures]
+        assert list(run_whatif(scenario, measures, cfg)) == expected
+
+    def test_random_scenarios(self, monkeypatch):
+        rng = random.Random(5150)
+        reused = 0
+        for _ in range(30):
+            inputs = random_scenario(rng, max_steps=3, extra_flows=2)
+            measures = random_measures(rng, inputs)
+            cfg = EngineConfig(mode="exact")
+            expected = [rerun_delta(inputs, cm, cfg) for cm in measures]
+            with monkeypatch.context() as patch:
+                counter = CallCounter(patch, "build_pomdp")
+                assert list(run_whatif(inputs, measures, cfg)) == expected
+            reused += len(inputs.flows) * (1 + len(measures)) - counter.calls["build_pomdp"]
+        assert reused > 0
+
+    def test_generator_runs_lazily_in_order(self, scenario, monkeypatch):
+        counter = CallCounter(monkeypatch, "build_pomdp")
+        deltas = run_whatif(scenario, fixture_measures(), EngineConfig(mode="exact"))
+        assert counter.calls["build_pomdp"] == 0
+        assert next(deltas).countermeasure.id == "cm-mfa-rollout"
+        assert counter.calls["build_pomdp"] == len(scenario.flows) + 1
+
+
+class TestRunWhatifWork:
+    def test_fixture_solves_each_changed_flow_once(self, scenario, monkeypatch):
+        counter = CallCounter(
+            monkeypatch, "build_pomdp", "value_iteration", "complexity_report", "run_campaign"
+        )
+        measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
+        deltas = list(run_whatif(scenario, measures, EngineConfig(mode="exact")))
+        assert len(deltas) == 3
+        # 2 baseline flows; mfa touches one flow, noop none, sensor tuning both
+        assert counter.calls == {
+            "build_pomdp": 5, "value_iteration": 5, "complexity_report": 0, "run_campaign": 0,
+        }
+
+    def test_identity_and_unmatched_reuse_the_baseline(self, scenario, monkeypatch):
+        counter = CallCounter(monkeypatch, "build_pomdp")
+        measures = [
+            Countermeasure(id="noop", d3fend_group="restore", p_detect_multiplier=1.0),
+            Countermeasure(id="ghost", d3fend_group="harden", technique_id="T0000"),
+        ]
+        deltas = list(run_whatif(scenario, measures, EngineConfig(mode="exact")))
+        assert [d.delta_index for d in deltas] == [0.0, 0.0]
+        assert [d.matched for d in deltas] == [True, False]
+        assert counter.calls["build_pomdp"] == len(scenario.flows)
+
+
+def test_index_does_not_import_engine():
+    tree = ast.parse((SCENARIO.parent.parent / "src" / "cri" / "index.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "engine" not in imported
+
