@@ -74,29 +74,41 @@ def _load_bundle(network, flows, policies, ti, allow_defaults):
     return validate_bundle(bundle, allow_ti_defaults=allow_defaults), digests
 
 
-def _common_options(fn):
-    decorators = [
-        click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
-                     help="key=value config file; explicit flags override it."),
-        click.option("--network", type=str, default=None, help="GraphML network file."),
-        click.option("--flows", type=str, default=None, help="Attack-flow JSON file or directory."),
-        click.option("--policies", type=str, default=None, help="Policy XML file or directory."),
-        click.option("--ti", type=str, default=None, help="Threat-intel CSV/JSON file."),
-        click.option("--mode", type=click.Choice(["exact", "simulate", "both"]), default=None),
-        click.option("--episodes", type=int, default=None, help="Monte Carlo episodes."),
-        click.option("--seed", type=int, default=None, help="Master RNG seed."),
-        click.option("--horizon", type=int, default=None, help="Override the planning horizon."),
-        click.option("--naive-check", is_flag=True, default=False,
-                     help="Also build the naive model and verify it agrees."),
-        click.option("--ti-defaults", is_flag=True, default=False,
-                     help="Fall back to default statistics for missing TI records."),
-        click.option("--campaign", "campaign_id", type=str, default=None, help="Campaign id."),
-        click.option("--ledger", type=str, default=None, help="Ledger file (JSON lines)."),
-        click.option("--out", type=str, default=None, help="Output directory."),
-    ]
-    for dec in reversed(decorators):
-        fn = dec(fn)
-    return fn
+_INPUT_OPTIONS = [
+    click.option("--config", type=click.Path(exists=True, dir_okay=False), default=None,
+                 help="key=value config file; explicit flags override it."),
+    click.option("--network", type=str, default=None, help="GraphML network file."),
+    click.option("--flows", type=str, default=None, help="Attack-flow JSON file or directory."),
+    click.option("--policies", type=str, default=None, help="Policy XML file or directory."),
+    click.option("--ti", type=str, default=None, help="Threat-intel CSV/JSON file."),
+]
+
+
+_RUN_OPTIONS = [
+    click.option("--mode", type=click.Choice(["exact", "simulate", "both"]), default=None),
+    click.option("--episodes", type=int, default=None, help="Monte Carlo episodes."),
+    click.option("--seed", type=int, default=None, help="Master RNG seed."),
+    click.option("--horizon", type=int, default=None, help="Override the planning horizon."),
+    click.option("--naive-check", is_flag=True, default=False,
+                 help="Also build the naive model and verify it agrees."),
+    click.option("--ti-defaults", is_flag=True, default=False,
+                 help="Fall back to default statistics for missing TI records."),
+    click.option("--campaign", "campaign_id", type=str, default=None, help="Campaign id."),
+    click.option("--ledger", type=str, default=None, help="Ledger file (JSON lines)."),
+    click.option("--out", type=str, default=None, help="Output directory."),
+]
+
+
+def _options(decorators):
+    def apply(fn):
+        for dec in reversed(decorators):
+            fn = dec(fn)
+        return fn
+    return apply
+
+
+_input_options = _options(_INPUT_OPTIONS)
+_common_options = _options(_INPUT_OPTIONS + _RUN_OPTIONS)
 
 
 def _resolve(config: dict[str, str], flag_value, key: str, default=None, cast=str):
@@ -118,8 +130,19 @@ def _require_path(value, what: str) -> str:
     return value
 
 
+def _require_out_dir(value: str) -> str:
+    """An output directory that exists or can be created: the nearest
+    existing path among it and its parents must be a directory."""
+    path = Path(value)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise click.UsageError(f"out is not a directory: {existing}")
+    return value
+
+
 def _prepare(kwargs) -> tuple:
     config = _read_config_file(kwargs.get("config"))
+    out_dir = _require_out_dir(_resolve(config, kwargs.get("out"), "out", "cri-out"))
     network = _require_path(_resolve(config, kwargs.get("network"), "network"), "network")
     flows = _require_path(_resolve(config, kwargs.get("flows"), "flows"), "flows")
     policies = _resolve(config, kwargs.get("policies"), "policies")
@@ -137,7 +160,6 @@ def _prepare(kwargs) -> tuple:
         campaign_id=_resolve(config, kwargs.get("campaign_id"), "campaign", "campaign"),
         provenance=digests,
     )
-    out_dir = _resolve(config, kwargs.get("out"), "out", "cri-out")
     ledger_path = _resolve(config, kwargs.get("ledger"), "ledger", None)
     return inputs, cfg, out_dir, ledger_path
 
@@ -296,7 +318,7 @@ def whatif(cm_path, **kwargs):
 
 
 @main.command()
-@_common_options
+@_input_options
 def complexity(**kwargs):
     """Print worst-case versus actually-built model sizes."""
     from .attack_flow import parse_attack_flow
@@ -306,25 +328,22 @@ def complexity(**kwargs):
     try:
         config = _read_config_file(kwargs.get("config"))
         network = _require_path(_resolve(config, kwargs.get("network"), "network"), "network")
-        flows_arg = _resolve(config, kwargs.get("flows"), "flows")
-        ti_arg = _resolve(config, kwargs.get("ti"), "ti")
-        policies_arg = _resolve(config, kwargs.get("policies"), "policies")
+        given = {}
+        for key in ("flows", "policies", "ti"):
+            value = _resolve(config, kwargs.get(key), key)
+            if value:
+                given[key] = _require_path(value, key)
         net = parse_network(read_input(network))
-        if policies_arg:
-            _require_path(policies_arg, "policies")
+        if "policies" in given:
             net.policies = parse_policy_set(
-                [read_input(p) for p in _collect(Path(policies_arg), ".xml")]
+                [read_input(p) for p in _collect(Path(given["policies"]), ".xml")]
             )
-        flow_paths = _collect(Path(flows_arg), ".json") if flows_arg and Path(flows_arg).exists() else []
+        flow_paths = _collect(Path(given["flows"]), ".json") if "flows" in given else []
         flows_list = [
             parse_attack_flow(read_input(p), flow_id=p.stem)
             for p in flow_paths
         ]
-        ti = (
-            load_threat_intel(read_input(ti_arg))
-            if ti_arg and Path(ti_arg).exists()
-            else None
-        )
+        ti = load_threat_intel(read_input(given["ti"])) if "ti" in given else None
         if ti is not None and not net.entry_points():
             ti = None  # actual model sizes need an entry point; bounds do not
         report = complexity_report(net, flows_list, ti)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .attack_flow import AttackFlow
@@ -53,7 +53,6 @@ class EngineConfig:
     seed: int = 0
     horizon: int | None = None
     naive_check: bool = False
-    max_path_len: int = 12
     campaign_id: str = "campaign"
     provenance: dict[str, str] = field(default_factory=dict)
 
@@ -129,14 +128,8 @@ def _normalized_reward(pomdp, value: float) -> float | None:
 
 
 def _naive_check(flow, net, ti, build_cfg, reduced, reduced_value) -> str:
-    naive_cfg = BuildConfig(
-        mode="naive",
-        horizon=build_cfg.horizon,
-        discount=build_cfg.discount,
-        max_path_len=build_cfg.max_path_len,
-    )
     try:
-        naive = build_pomdp(flow, net, ti, naive_cfg)
+        naive = build_pomdp(flow, net, ti, replace(build_cfg, mode="naive"))
     except CapacityError as exc:
         return f"skipped: {exc}"
     reduced_set = set(reduced.states)
@@ -223,7 +216,7 @@ def _run_flow(
 
 
 def _build_config(cfg: EngineConfig) -> BuildConfig:
-    return BuildConfig(mode="reduced", horizon=cfg.horizon, max_path_len=cfg.max_path_len)
+    return BuildConfig(mode="reduced", horizon=cfg.horizon)
 
 
 def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> RunOutput:

@@ -5,10 +5,17 @@ inventory of software/apps/services. Access rules use first-applicable
 semantics with default deny. Segmentation groups nodes into zones and a
 hop between two differently-zoned nodes is allowed only when the zones
 are peered (unzoned nodes are unrestricted).
+
+A node is reachable when some entry point gets to it in at most
+MAX_PATH_LEN hops, each hop allowed by segmentation, and the first
+applicable rule permits the attacker's access to it. A shortest route is
+a simple path, so one breadth-first search over the hop-allowed edges
+answers this without listing paths.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -19,7 +26,7 @@ from .threat_intel import TiTable
 ATTACKER_SUBJECT: dict[str, str] = {}
 ATTACKER_ACTION = "access"
 
-DEFAULT_MAX_PATH_LEN = 12
+MAX_PATH_LEN = 12
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ class NetworkModel:
 
 
 def physical_paths(
-    net: NetworkModel, src: str, dst: str, max_len: int = DEFAULT_MAX_PATH_LEN
+    net: NetworkModel, src: str, dst: str, max_len: int = MAX_PATH_LEN
 ) -> list[list[str]]:
     """All simple paths src->dst with at most max_len edges, in lexicographic
     order. src == dst yields the single zero-length path [src]."""
@@ -193,59 +200,31 @@ def policy_permits(
     return "Deny"
 
 
-def _segmentation_allows(policies: PolicySet, path: list[str]) -> bool:
-    return all(policies.hop_allowed(a, b) for a, b in zip(path, path[1:]))
+def reachable_targets(net: NetworkModel, max_len: int = MAX_PATH_LEN) -> set[str]:
+    """Nodes the attacker can reach: within max_len segmentation-allowed
+    hops of some entry point (an entry point is at distance 0), and
+    permitted for the attacker's access by the first applicable rule."""
+    depth = {entry: 0 for entry in net.entry_points()}
+    frontier = deque(depth)
+    while frontier:
+        node = frontier.popleft()
+        if depth[node] >= max_len:
+            continue
+        for nxt in net.neighbours(node):
+            if nxt not in depth and net.policies.hop_allowed(node, nxt):
+                depth[nxt] = depth[node] + 1
+                frontier.append(nxt)
+    return {
+        node
+        for node in depth
+        if policy_permits(net.policies, ATTACKER_SUBJECT, node, ATTACKER_ACTION) == "Permit"
+    }
 
 
-def logical_paths(
-    net: NetworkModel,
-    src: str,
-    dst: str,
-    subject: dict[str, str],
-    action: str,
-    max_len: int = DEFAULT_MAX_PATH_LEN,
-) -> list[list[str]]:
-    """Physical paths that the policies admit: the destination must be
-    permitted for (subject, action) and no hop may cross unpeered zones."""
-    physical = physical_paths(net, src, dst, max_len)
-    if policy_permits(net.policies, subject, dst, action) != "Permit":
-        return []
-    return [p for p in physical if _segmentation_allows(net.policies, p)]
-
-
-def reachable_targets(
-    net: NetworkModel,
-    subject: dict[str, str] | None = None,
-    action: str = ATTACKER_ACTION,
-    max_len: int = DEFAULT_MAX_PATH_LEN,
-) -> set[str]:
-    """Nodes reachable by at least one logical path from some entry point."""
-    subject = ATTACKER_SUBJECT if subject is None else subject
-    entries = net.entry_points()
-    out: set[str] = set()
-    for target in net.nodes:
-        for entry in entries:
-            if logical_paths(net, entry, target, subject, action, max_len):
-                out.add(target)
-                break
-    return out
-
-
-def candidate_targets(
-    net: NetworkModel,
-    ttp,
-    ti: TiTable,
-    max_len: int = DEFAULT_MAX_PATH_LEN,
-    reachable: set[str] | None = None,
-) -> set[str]:
-    """Likely targets for one TTP node: nodes whose asset class has a
-    threat-intel record for the technique (explicit or default), restricted
-    to nodes reachable from an entry point along a logical path.
-
-    `reachable` may be passed in to reuse a precomputed reachability set.
-    """
-    if reachable is None:
-        reachable = reachable_targets(net, max_len=max_len)
+def candidate_targets(net: NetworkModel, ttp, ti: TiTable, reachable: set[str]) -> set[str]:
+    """Likely targets for one TTP node: the nodes of `reachable` (see
+    `reachable_targets`) whose asset class has a threat-intel record for
+    the technique, explicit or default."""
     return {
         node_id
         for node_id in reachable

@@ -31,6 +31,7 @@ from ..threat_intel import TiTable
 from .types import AttackerAction, BuildConfig, NetworkState, Pomdp, OBSERVATIONS
 
 IDS_CLASSES = {"ids", "ips", "idps"}
+NAIVE_CAP = 10**6  # on |S| * |A| * |S| * |O| entries of the naive model
 _MUDDLE_LABELS = ("o5", "o7", "o8")
 
 
@@ -56,15 +57,15 @@ class TargetContext:
     policy_deny: bool
 
 
-def analyze_targets(net: NetworkModel, max_path_len: int = 12) -> dict[str, TargetContext]:
+def analyze_targets(net: NetworkModel) -> dict[str, TargetContext]:
     entries = net.entry_points()
-    reachable = reachable_targets(net, max_len=max_path_len)
+    reachable = reachable_targets(net)
     zone_of = net.policies.zone_of
     out: dict[str, TargetContext] = {}
     for target in sorted(net.nodes):
         paths: list[list[str]] = []
         for entry in entries:
-            paths.extend(physical_paths(net, entry, target, max_path_len))
+            paths.extend(physical_paths(net, entry, target))
         path_nodes = {n for p in paths for n in p}
         ids_on_path = any(net.nodes[n].asset_class in IDS_CLASSES for n in path_nodes)
         seg_on_path = any(
@@ -148,7 +149,7 @@ class _Builder:
         self.net = net
         self.ti = ti
         self.cfg = cfg
-        self.context = analyze_targets(net, cfg.max_path_len)
+        self.context = analyze_targets(net)
         self.reachable = {t for t, c in self.context.items() if c.reachable}
         self.seq_preds: dict[int, list[int]] = {}
         self.or_preds: dict[int, list[int]] = {}
@@ -167,9 +168,7 @@ class _Builder:
         actions: list[AttackerAction] = []
         for node in self.flow.nodes:
             if self.cfg.mode == "reduced":
-                targets = candidate_targets(
-                    self.net, node, self.ti, reachable=self.reachable
-                )
+                targets = candidate_targets(self.net, node, self.ti, self.reachable)
             else:
                 targets = {
                     nid
@@ -314,7 +313,7 @@ class _Builder:
         for count in inventory_counts:
             state_count *= 2**count
         entries = state_count * state_count * len(self.actions) * len(OBSERVATIONS)
-        if entries > self.cfg.naive_cap:
+        if entries > NAIVE_CAP:
             raise CapacityError("naive state space above cap", entries)
 
         per_node_subsets = []
@@ -383,7 +382,6 @@ class _Builder:
             branch_rewards=branch_rewards,
             initial_belief=tuple(belief),
             horizon=horizon,
-            discount=self.cfg.discount,
             applicable=applicable,
             milestones={n.step: milestone_flag(n.step) for n in self.flow.nodes},
             flow_id=self.flow.id,
@@ -398,5 +396,5 @@ def build_pomdp(
     """Construct the attacker POMDP for one flow. Reduced mode (default)
     enumerates only states reachable from the initial state over candidate
     targets; naive mode enumerates the full combination grid and refuses
-    above the configured cap."""
+    above NAIVE_CAP table entries."""
     return _Builder(flow, net, ti, cfg or BuildConfig()).build()

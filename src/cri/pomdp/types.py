@@ -234,6 +234,3 @@ class BuildConfig:
 
     mode: str = "reduced"  # "reduced" | "naive"
     horizon: int | None = None
-    discount: float = 1.0
-    max_path_len: int = 12
-    naive_cap: int = 10**6  # on |S| * |A| * |S| * |O| entries

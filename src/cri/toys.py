@@ -68,7 +68,6 @@ def _build(
     flow_doc: str,
     ti_rows: list[str],
     horizon: int | None = None,
-    discount: float = 1.0,
 ) -> tuple[Pomdp, ValidatedInputs]:
     inputs = validate_bundle(
         RawBundle(
@@ -78,7 +77,7 @@ def _build(
             ti_doc=_TI_HEADER + "\n".join(ti_rows) + "\n",
         )
     )
-    cfg = BuildConfig(horizon=horizon, discount=discount)
+    cfg = BuildConfig(horizon=horizon)
     return build_pomdp(inputs.flows[0], inputs.network, inputs.ti, cfg), inputs
 
 

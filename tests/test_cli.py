@@ -169,6 +169,34 @@ class TestModeConsistency:
         assert abs(index_exact - index_sim) <= se_bound
 
 
+class TestOutNamingAFile:
+    """An --out that cannot be a directory is rejected before the campaign
+    runs: exit 2, the file untouched, no reports and no ledger line."""
+
+    @pytest.mark.parametrize("command", ["calc", "whatif"])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_rejected_before_any_work(self, tmp_path, command, nested):
+        existing = tmp_path / "taken.txt"
+        existing.write_text("keep me\n")
+        out = existing / "sub" if nested else existing
+        ledger = tmp_path / "ledger.jsonl"
+        extra = ["--countermeasures", str(SCENARIO / "countermeasures.json")] if command == "whatif" else []
+        result = run_cli(command, *calc_args(out, ledger=str(ledger)), *extra)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "taken.txt" in result.output
+        assert existing.read_text() == "keep me\n"
+        assert not ledger.exists()
+
+    def test_checked_before_inputs_are_read(self, tmp_path):
+        existing = tmp_path / "taken.txt"
+        existing.write_text("")
+        result = run_cli("calc", *calc_args(existing, ti=str(MALFORMED / "not_utf8.csv")))
+        assert result.exit_code == 2
+        assert "out is not a directory" in result.output
+        assert "not UTF-8" not in result.output
+
+
 class TestUnreadableInputs:
     """Every input file goes through one reader: undecodable bytes or an
     unreadable path exit 2 with an error naming the file, never with a
@@ -230,11 +258,33 @@ class TestComplexityCommand:
             '<edge source="a" target="b"/>'
             "</graph></graphml>"
         )
-        result = run_cli("complexity", "--network", str(net), "--flows", str(tmp_path / "none"))
+        result = run_cli("complexity", "--network", str(net))
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
         assert payload["worst_states"] == "9"
         assert payload["num_actions"] == 0
+
+    @pytest.mark.parametrize("option", ["--flows", "--ti", "--policies"])
+    def test_missing_path_exits_2(self, tmp_path, option):
+        args = {"--network": NETWORK, "--flows": FLOWS, "--policies": POLICIES, "--ti": TI}
+        args[option] = str(tmp_path / "none")
+        result = run_cli("complexity", *(x for pair in args.items() for x in pair))
+        assert result.exit_code == 2, result.output
+        assert "none" in result.output
+
+    def test_missing_path_from_config_exits_2(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"network={NETWORK}\nflows={tmp_path / 'none'}\n")
+        result = run_cli("complexity", "--config", str(config))
+        assert result.exit_code == 2, result.output
+
+    def test_accepts_only_the_options_it_reads(self):
+        assert sorted(p.name for p in main.commands["complexity"].params) == [
+            "config", "flows", "network", "policies", "ti",
+        ]
+        result = run_cli("complexity", "--network", NETWORK, "--episodes", "-5")
+        assert result.exit_code == 2
+        assert "No such option" in result.output
 
 
 class TestWhatif:

@@ -1,7 +1,11 @@
+import random
+import sys
+
 import pytest
 
-from conftest import load_scenario
+from conftest import REPO_ROOT, load_scenario
 from cri.attack_flow import TtpNode
+from cri.ingest import RawBundle, validate_bundle
 from cri.netmodel import (
     AssetNode,
     Matcher,
@@ -10,12 +14,15 @@ from cri.netmodel import (
     PolicySet,
     Zone,
     candidate_targets,
-    logical_paths,
     physical_paths,
     policy_permits,
     reachable_targets,
 )
 from cri.threat_intel import TiRecord, TiTable
+from pathoracle import logical_paths, reachable_by_enumeration
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+import meshgen  # noqa: E402
 
 
 def _net(node_ids, edges, policies=None, classes=None, entries=()):
@@ -158,9 +165,111 @@ class TestLogicalPaths:
         assert "FileServer" not in reachable_targets(isolated.network)
 
 
+def _random_net(rng: random.Random) -> NetworkModel:
+    """Up to 8 nodes, random edges, several entry points, zones with random
+    peers (some nodes unzoned) and a random first-applicable rule list,
+    usually closed by a catch-all Permit."""
+    names = [f"n{i}" for i in range(rng.randint(2, 8))]
+    density = rng.uniform(0.2, 0.7)
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < density]
+    entries = rng.sample(names, rng.randint(1, min(3, len(names))))
+    labels = ["z0", "z1", "z2"]
+    members = {label: [] for label in labels}
+    for name in names:
+        label = rng.choice(labels + [None])
+        if label is not None:
+            members[label].append(name)
+    zones = [
+        Zone(label, tuple(members[label]), tuple(p for p in labels if p != label and rng.random() < 0.3))
+        for label in labels
+    ]
+    rules = [
+        PolicyRule(
+            f"r{i}",
+            Matcher(key="role", value=rng.choice([None, None, "admin"])),
+            Matcher(value=rng.choice([None] + names)),
+            Matcher(value=rng.choice([None, "access", "read"])),
+            rng.choice(["Permit", "Deny"]),
+        )
+        for i in range(rng.randint(0, 3))
+    ]
+    if rng.random() < 0.75:
+        rules.append(PERMIT_ALL)
+    return _net(names, edges, PolicySet(rules=rules, segmentation=zones), entries=entries)
+
+
+def _mesh(seed: int, **sizes) -> NetworkModel:
+    files = meshgen.generate(seed, **sizes)
+    return validate_bundle(RawBundle(
+        network_doc=files["network.graphml"],
+        flow_docs=[files["flows/mesh_chain.json"]],
+        policy_docs=[files["policies/mesh.xml"]],
+        ti_doc=files["ti.csv"],
+    )).network
+
+
+class TestReachableTargets:
+    """The breadth-first search against the path-enumeration oracle."""
+
+    def test_matches_oracle_on_random_graphs(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            net = _random_net(rng)
+            for max_len in range(1, 10):
+                assert reachable_targets(net, max_len) == reachable_by_enumeration(net, max_len)
+
+    @pytest.mark.parametrize("policy_dir", ["policies", "policies_isolated"])
+    def test_matches_oracle_on_fixture(self, policy_dir):
+        net = load_scenario(policy_dir).network
+        assert reachable_targets(net) == reachable_by_enumeration(net, 12)
+
+    @pytest.mark.parametrize("seed,sizes", [
+        (meshgen.DEFAULT_SEED, {}),
+        (1, {"nodes": 14, "chords": 8}),
+        (2, {"nodes": 14, "chords": 8}),
+        (3, {"nodes": 14, "chords": 8}),
+    ])
+    def test_matches_oracle_on_meshes(self, seed, sizes):
+        net = _mesh(seed, **sizes)
+        assert reachable_targets(net) == reachable_by_enumeration(net, 12)
+
+    def test_unpeered_hop_blocks(self):
+        zones = [Zone("left", ("a",), ()), Zone("right", ("b", "c"), ())]
+        policies = PolicySet(rules=[PERMIT_ALL], segmentation=zones)
+        net = _net(["a", "b", "c"], [("a", "b"), ("b", "c")], policies, entries=("a",))
+        assert reachable_targets(net) == {"a"}
+        zones[0] = Zone("left", ("a",), ("right",))
+        peered = PolicySet(rules=[PERMIT_ALL], segmentation=zones)
+        net = _net(["a", "b", "c"], [("a", "b"), ("b", "c")], peered, entries=("a",))
+        assert reachable_targets(net) == {"a", "b", "c"}
+
+    def test_no_rules_means_nothing_reachable(self):
+        net = _net(["a", "b"], [("a", "b")], entries=("a",))
+        assert reachable_targets(net) == set()
+
+    def test_denied_node_still_relays(self):
+        deny_b = PolicyRule("deny-b", Matcher(), Matcher(value="b"), Matcher(), "Deny")
+        policies = PolicySet(rules=[deny_b, PERMIT_ALL])
+        net = _net(["a", "b", "c"], [("a", "b"), ("b", "c")], policies, entries=("a",))
+        assert reachable_targets(net) == {"a", "c"}
+
+    def test_chain_is_cut_at_max_len(self):
+        for max_len in (1, 2, 5):
+            names = [f"n{i}" for i in range(max_len + 2)]
+            edges = list(zip(names, names[1:]))
+            net = _net(names, edges, PolicySet(rules=[PERMIT_ALL]), entries=("n0",))
+            assert reachable_targets(net, max_len) == set(names[:-1])
+
+    def test_default_bound_is_twelve_hops(self):
+        names = [f"n{i:02d}" for i in range(14)]
+        net = _net(names, list(zip(names, names[1:])), PolicySet(rules=[PERMIT_ALL]), entries=("n00",))
+        assert reachable_targets(net) == set(names[:13])
+
+
 class TestCandidateTargets:
     def test_endpoint_only_technique(self, scenario):
-        targets = candidate_targets(scenario.network, _ttp("T1566"), scenario.ti)
+        net = scenario.network
+        targets = candidate_targets(net, _ttp("T1566"), scenario.ti, reachable_targets(net))
         assert targets == {"StaffEndPoint", "AdminEndPoint", "StaffRemoteEndPoint"}
 
     def test_full_coverage_gives_all_reachable(self, scenario):
@@ -168,14 +277,16 @@ class TestCandidateTargets:
             TiRecord("T9000", c, 0.5, 0.1, 1, -1, 0.1, 0)
             for c in sorted({n.asset_class for n in scenario.network.nodes.values()})
         ]
-        targets = candidate_targets(scenario.network, _ttp("T9000"), TiTable(rows))
-        assert targets == reachable_targets(scenario.network)
+        reachable = reachable_targets(scenario.network)
+        targets = candidate_targets(scenario.network, _ttp("T9000"), TiTable(rows), reachable)
+        assert targets == reachable
 
     def test_monotone_in_ti_coverage(self, scenario):
         small = TiTable([TiRecord("T1566", "endpoint", 0.5, 0.1, 1, -1, 0.1, 0)])
         bigger = TiTable(
             small.records + [TiRecord("T1566", "server", 0.5, 0.1, 1, -1, 0.1, 0)]
         )
-        a = candidate_targets(scenario.network, _ttp("T1566"), small)
-        b = candidate_targets(scenario.network, _ttp("T1566"), bigger)
+        reachable = reachable_targets(scenario.network)
+        a = candidate_targets(scenario.network, _ttp("T1566"), small, reachable)
+        b = candidate_targets(scenario.network, _ttp("T1566"), bigger, reachable)
         assert a <= b
