@@ -118,7 +118,10 @@ def _resolve(config: dict[str, str], flag_value, key: str, default=None, cast=st
         raw = config[key]
         if cast is bool:
             return raw.lower() in ("true", "1", "yes")
-        return cast(raw)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise click.UsageError(f"config {key}={raw}: expected {cast.__name__}") from None
     return default
 
 
@@ -142,6 +145,12 @@ def _require_out_dir(value: str) -> str:
 
 def _prepare(kwargs) -> tuple:
     config = _read_config_file(kwargs.get("config"))
+    seed = _resolve(config, kwargs.get("seed"), "seed", 0, int)
+    if seed < 0:
+        raise click.UsageError(f"seed must be non-negative, got {seed}")
+    horizon = _resolve(config, kwargs.get("horizon"), "horizon", None, int)
+    if horizon is not None and horizon < 1:
+        raise click.UsageError(f"horizon must be at least 1, got {horizon}")
     out_dir = _require_out_dir(_resolve(config, kwargs.get("out"), "out", "cri-out"))
     network = _require_path(_resolve(config, kwargs.get("network"), "network"), "network")
     flows = _require_path(_resolve(config, kwargs.get("flows"), "flows"), "flows")
@@ -154,8 +163,8 @@ def _prepare(kwargs) -> tuple:
     cfg = EngineConfig(
         mode=_resolve(config, kwargs.get("mode"), "mode", "exact"),
         episodes=_resolve(config, kwargs.get("episodes"), "episodes", 10_000, int),
-        seed=_resolve(config, kwargs.get("seed"), "seed", 0, int),
-        horizon=_resolve(config, kwargs.get("horizon"), "horizon", None, int),
+        seed=seed,
+        horizon=horizon,
         naive_check=_resolve(config, kwargs.get("naive_check"), "naive_check", False, bool),
         campaign_id=_resolve(config, kwargs.get("campaign_id"), "campaign", "campaign"),
         provenance=digests,

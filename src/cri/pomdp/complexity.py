@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..attack_flow import AttackFlow
-from ..errors import CriError, ValidationError
+from ..errors import ValidationError
 from ..netmodel import NetworkModel
 from ..threat_intel import TiTable
 from .types import BuildConfig, ComplexityEstimate, OBSERVATIONS
@@ -62,17 +62,15 @@ def complexity_report(
     cfg: BuildConfig | None = None,
 ) -> ComplexityEstimate:
     """Worst-case bounds for the scenario; when threat intel is supplied the
-    reduced models are built and their actual sizes reported side by side."""
+    reduced models are built and their actual sizes reported side by side.
+    A flow that cannot be built raises its `CriError`, as it does in `calc`."""
     max_inventory = max((len(n.inventory) for n in net.nodes.values()), default=0)
     num_actions = sum(len(f.nodes) for f in flows)
     estimate = complexity_from_sizes(len(net.nodes), max_inventory, num_actions)
     if ti is not None and flows:
         from .build import build_pomdp
 
-        try:
-            models = [build_pomdp(f, net, ti, cfg) for f in flows]
-        except CriError:
-            return estimate
+        models = [build_pomdp(f, net, ti, cfg) for f in flows]
         estimate.reduced_states = sum(len(m.states) for m in models)
         estimate.reduced_actions = sum(len(m.actions) for m in models)
         labels = set()

@@ -3,8 +3,10 @@
 Episodes are reproducible: each one draws from an independent substream
 derived from (master seed, episode index). `estimate_expected_reward`
 walks episodes in blocks with numpy over the policy graph flattened into
-tables; its estimates equal those of per-episode `simulate_episode` walks
-bit for bit. `simulate_episode` stays as the audit path.
+tables, and derives each block's uniforms at once in numpy
+(`block_uniforms`), equal bit for bit to each episode's `substream`. Its
+estimates equal those of per-episode `simulate_episode` walks bit for bit.
+`substream` and `simulate_episode` stay as the audit path.
 """
 
 from __future__ import annotations
@@ -45,6 +47,114 @@ def substream(seed: int, episode_index: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(episode_index,)))
     )
+
+
+# numpy's SeedSequence (a 4-word uint32 pool after O'Neill's seed_seq) and
+# PCG64 (128-bit LCG with XSL-RR output; O'Neill 2014, "PCG: a family of
+# simple fast space-efficient statistically good algorithms").
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+class _HashMix:
+    """SeedSequence's hashmix: xor a word with the hash constant, advance the
+    constant, multiply by it and fold the high half down. Words are Python
+    ints or uint32 arrays; the arithmetic is mod 2**32 for both."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = self.const * self.mult & _MASK32
+        value = value * self.const & _MASK32
+        return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word `x` with a hashed word `y`."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _mix_in(pool: list, hashmix: _HashMix, words) -> list:
+    """SeedSequence's tail loop: each word beyond the pool size is hashed
+    into every pool word in turn."""
+    for word in words:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    return pool
+
+
+def _words(n: int) -> list[int]:
+    """`n` as SeedSequence reads an int: little-endian 32-bit words."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> 32 * k & _MASK32 for k in range(max(1, -(-n.bit_length() // 32)))]
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step, state * multiplier + inc mod 2**128, on uint64
+    limbs; the high half of lo * _PCG_LO is summed from 32-bit products."""
+    l0, l1 = lo & _MASK32, lo >> 32
+    m0, m1 = _PCG_LO & _MASK32, _PCG_LO >> 32
+    p01, p10 = l0 * m1, l1 * m0
+    mid = (l0 * m0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    mulhi = l1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_LO + inc_lo
+    return mulhi + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _pcg_uniforms(pool: list, draws: int) -> np.ndarray:
+    """`draws` doubles per row from PCG64 seeded by the SeedSequence whose
+    final pool (uint32 arrays, one row per stream) is `pool`."""
+    hashmix = _HashMix(_INIT_B, _MULT_B)
+    s = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # generate_state(4, uint64) pairs the words little-endian; PCG64 takes
+    # the first two results as the state and the last two as the stream,
+    # each high limb first
+    seed_hi, seed_lo, seq_hi, seq_lo = (s[2 * k] | s[2 * k + 1] << 32 for k in range(4))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    # srandom: state = 0, step (state = inc), add the seed, step
+    lo = inc_lo + seed_lo
+    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
+    out = np.empty((len(lo), draws))
+    for d in range(draws):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58  # XSL-RR
+        out[:, d] = (x >> rot | x << (64 - rot & 63)) >> 11
+    return out * 2.0**-53
+
+
+def block_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
+    """The first `draws` uniforms of `substream(seed, i)` for episodes i in
+    `start .. start + count - 1`, one row each, equal bit for bit. The pool
+    mixing of the seed is done once; each episode's index words, its PCG64
+    seeding and its draws are done on arrays across the rows."""
+    words = _words(seed)
+    words += [0] * (4 - len(words))  # padded, as when a spawn key follows
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    pool = _mix_in(pool, hashmix, words[4:])
+    out = np.empty((count, draws))
+    done = 0
+    while done < count:
+        # a run of rows whose indices share every word above the lowest
+        first = start + done
+        high = first >> 32
+        n = min(count - done, ((high + 1) << 32) - first)
+        low = (first & _MASK32) + np.arange(n, dtype=np.uint32)
+        index_words = [low] + (_words(high) if high else [])
+        spawn = _mix_in(pool, _HashMix(hashmix.const, _MULT_A), index_words)
+        out[done : done + n] = _pcg_uniforms(spawn, draws)
+        done += n
+    return out
 
 
 def _draw(rng: np.random.Generator, pairs) -> int:
@@ -270,7 +380,8 @@ def estimate_expected_reward(
 ) -> SimulationSummary:
     """Mean cumulative reward over independent episodes, with standard error
     and per-step milestone frequencies. Episode i draws its uniforms from
-    `substream(seed, i)`; episodes are walked BLOCK at a time."""
+    `substream(seed, i)`; episodes are walked BLOCK at a time, each block's
+    uniforms derived together by `block_uniforms`."""
     if num_episodes < 1:
         raise ValueError("num_episodes must be >= 1")
     tables = _WalkTables(pomdp, policy)
@@ -280,10 +391,7 @@ def estimate_expected_reward(
     truncated = 0
     for start in range(0, num_episodes, BLOCK):
         count = min(BLOCK, num_episodes - start)
-        u = np.empty((count, draws))
-        for j in range(count):
-            substream(seed, start + j).random(out=u[j])
-        totals, state, full = tables.walk(u)
+        totals, state, full = tables.walk(block_uniforms(seed, start, count, draws))
         rewards.extend(totals.tolist())
         counts += tables.flagged[state].sum(axis=0)
         truncated += int(tables.can_act[state[full]].sum())

@@ -238,6 +238,69 @@ class TestUnreadableInputs:
         assert "flows: cannot read" in result.output
 
 
+class TestRunNumbers:
+    """A negative seed, a horizon below 1 and a config value that is not an
+    integer exit 2 in every command that runs a campaign, from a flag or a
+    config file, before any input is read."""
+
+    COMMANDS = {
+        "calc": [],
+        "whatif": ["--countermeasures", str(SCENARIO / "countermeasures.json")],
+    }
+
+    def _run(self, tmp_path, command, config_line=None, **flags):
+        # the TI file is not UTF-8: reading it first would exit 2 naming it
+        overrides = {"ti": str(MALFORMED / "not_utf8.csv"), **flags}
+        args = calc_args(tmp_path / "out", **overrides)
+        if config_line is not None:
+            config = tmp_path / "run.cfg"
+            config.write_text(config_line + "\n")
+            args = ["--config", str(config), *args]
+        result = run_cli(command, *args, *self.COMMANDS[command])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "not UTF-8" not in result.output
+        assert not (tmp_path / "out").exists()
+        return result.output
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_flag(self, tmp_path, command):
+        output = self._run(tmp_path, command, seed="-1", mode="simulate")
+        assert "seed must be non-negative, got -1" in output
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_in_config(self, tmp_path, command):
+        output = self._run(tmp_path, command, "seed=-4", seed=None)
+        assert "seed must be non-negative, got -4" in output
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_integer_seed_in_config(self, tmp_path, command):
+        output = self._run(tmp_path, command, "seed=abc", seed=None)
+        assert "config seed=abc: expected int" in output
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_below_one_flag(self, tmp_path, command, horizon):
+        output = self._run(tmp_path, command, horizon=horizon)
+        assert f"horizon must be at least 1, got {horizon}" in output
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_horizon_below_one_in_config(self, tmp_path, command):
+        output = self._run(tmp_path, command, "horizon=0")
+        assert "horizon must be at least 1, got 0" in output
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_non_integer_horizon_in_config(self, tmp_path, command):
+        output = self._run(tmp_path, command, "horizon=2.5")
+        assert "config horizon=2.5: expected int" in output
+
+    def test_zero_seed_and_unit_horizon_run(self, tmp_path):
+        result = run_cli("calc", *calc_args(tmp_path / "out", seed="0", horizon="1"))
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "campaign_report.json").read_text())
+        assert report["campaign"]["provenance"]["horizon"] == "1"
+
+
 class TestComplexityCommand:
     def test_reference_scenario(self):
         result = run_cli(
@@ -277,6 +340,19 @@ class TestComplexityCommand:
         config.write_text(f"network={NETWORK}\nflows={tmp_path / 'none'}\n")
         result = run_cli("complexity", "--config", str(config))
         assert result.exit_code == 2, result.output
+
+    def test_unbuildable_flow_exits_2_like_calc(self, tmp_path):
+        isolated = str(SCENARIO / "policies_isolated")
+        message = "no candidate targets for TTP step 2 (T1659) in flow 'dns_injection'"
+        complexity = run_cli(
+            "complexity", "--network", NETWORK, "--flows", FLOWS,
+            "--policies", isolated, "--ti", TI,
+        )
+        calc = run_cli("calc", *calc_args(tmp_path / "out", policies=isolated))
+        for result in (complexity, calc):
+            assert result.exit_code == 2, result.output
+            assert f"error: {message}" in result.output
+        assert complexity.output == calc.output
 
     def test_accepts_only_the_options_it_reads(self):
         assert sorted(p.name for p in main.commands["complexity"].params) == [

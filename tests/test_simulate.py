@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixed_policy
 from cri.errors import CapacityError
@@ -13,6 +15,7 @@ from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp
 import cri.simulate
 from cri.simulate import (
     BLOCK,
+    block_uniforms,
     brute_force_value,
     episodes_to_jsonl,
     estimate_expected_reward,
@@ -331,7 +334,11 @@ class TestBlockWalkOracle:
             for b0 in (0.0, 0.5, 0.9999999999999999)
             for t in (0.0, 0.25, 0.5, 0.9999999999, 0.99999999995, 0.9999999999999999)
         ]
-        monkeypatch.setattr(cri.simulate, "substream", lambda seed, i: _Scripted(scripts[i]))
+        monkeypatch.setattr(
+            cri.simulate,
+            "block_uniforms",
+            lambda seed, start, count, draws: np.array(scripts[start : start + count]),
+        )
         policy = fixed_policy(pomdp, 0, 1)
         episodes = [simulate_episode(pomdp, policy, _Scripted(u)) for u in scripts]
         summary = estimate_expected_reward(pomdp, policy, len(scripts), 0)
@@ -347,6 +354,56 @@ class TestBlockWalkOracle:
         monkeypatch.setattr(cri.simulate, "simulate_episode", refuse)
         pomdp, _ = noisy_sensor()
         estimate_expected_reward(pomdp, value_iteration(pomdp).policy, 10, 3)
+
+
+def _substream_rows(seed, start, count, draws):
+    rows = [substream(seed, start + j).random(draws) for j in range(count)]
+    return np.array(rows).reshape(count, draws)
+
+
+class TestBlockUniformsOracle:
+    """`block_uniforms` must equal the stacked `substream` rows bit for bit."""
+
+    SEEDS = (0, 1, 7, 2**32 + 5, 2**97 - 3, 2**128 - 1, 2**128 + 5, 2**300 - 11)
+    STARTS = (0, BLOCK - 1, BLOCK, 2**31, 2**32 - 5)
+
+    def _assert_equal(self, seed, start, count, draws):
+        got = block_uniforms(seed, start, count, draws)
+        assert got.shape == (count, draws)
+        want = _substream_rows(seed, start, count, draws)
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start", STARTS)
+    def test_seeds_and_offsets(self, seed, start):
+        # a block at 2**32 - 5 straddles the index that adds a spawn word
+        self._assert_equal(seed, start, 9, 2 * (seed % 7) + 1)
+
+    @pytest.mark.parametrize("draws", range(1, 16))
+    def test_draw_counts(self, draws):
+        self._assert_equal(7, BLOCK - 3, 6, draws)
+
+    def test_indices_past_two_words(self):
+        self._assert_equal(2**97 - 3, 2**64 - 4, 8, 5)
+
+    def test_empty_block(self):
+        assert block_uniforms(7, 0, 0, 3).shape == (0, 3)
+
+    def test_negative_seed_raises_like_substream(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            substream(-1, 0)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            block_uniforms(-1, 0, 4, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**200 - 1),
+        start=st.one_of(st.integers(0, 2**33), st.integers(2**32 - 40, 2**32 + 40)),
+        count=st.integers(0, 40),
+        draws=st.integers(1, 15),
+    )
+    def test_property(self, seed, start, count, draws):
+        self._assert_equal(seed, start, count, draws)
 
 
 class TestBruteForce:
