@@ -22,7 +22,7 @@ from .canon import canonical_json, sha256_hex
 from .engine import EngineConfig, RunOutput, run_campaign, run_whatif
 from .errors import CriError
 from .index import IndexLedger, parse_countermeasures, record_index
-from .ingest import RawBundle, read_input, validate_bundle
+from .ingest import RawBundle, parse_bool, read_input, validate_bundle
 from .pomdp import complexity_report
 
 logger = logging.getLogger(__name__)
@@ -117,7 +117,7 @@ def _resolve(config: dict[str, str], flag_value, key: str, default=None, cast=st
     if key in config:
         raw = config[key]
         if cast is bool:
-            return raw.lower() in ("true", "1", "yes")
+            return parse_bool(raw, f"config {key}")
         try:
             return cast(raw)
         except ValueError:
@@ -133,13 +133,13 @@ def _require_path(value, what: str) -> str:
     return value
 
 
-def _require_out_dir(value: str) -> str:
+def _require_out_dir(value: str, what: str = "out") -> str:
     """An output directory that exists or can be created: the nearest
     existing path among it and its parents must be a directory."""
     path = Path(value)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
-        raise click.UsageError(f"out is not a directory: {existing}")
+        raise click.UsageError(f"{what} is not a directory: {existing}")
     return value
 
 
@@ -152,24 +152,27 @@ def _prepare(kwargs) -> tuple:
     if horizon is not None and horizon < 1:
         raise click.UsageError(f"horizon must be at least 1, got {horizon}")
     out_dir = _require_out_dir(_resolve(config, kwargs.get("out"), "out", "cri-out"))
+    ledger_path = _resolve(config, kwargs.get("ledger"), "ledger", None)
+    if ledger_path:
+        _require_out_dir(str(Path(ledger_path).parent), "ledger directory")
+    allow_defaults = _resolve(config, kwargs.get("ti_defaults"), "ti_defaults", False, bool)
+    naive_check = _resolve(config, kwargs.get("naive_check"), "naive_check", False, bool)
     network = _require_path(_resolve(config, kwargs.get("network"), "network"), "network")
     flows = _require_path(_resolve(config, kwargs.get("flows"), "flows"), "flows")
     policies = _resolve(config, kwargs.get("policies"), "policies")
     if policies:
         _require_path(policies, "policies")
     ti = _require_path(_resolve(config, kwargs.get("ti"), "ti"), "ti")
-    allow_defaults = _resolve(config, kwargs.get("ti_defaults"), "ti_defaults", False, bool)
     inputs, digests = _load_bundle(network, flows, policies, ti, allow_defaults)
     cfg = EngineConfig(
         mode=_resolve(config, kwargs.get("mode"), "mode", "exact"),
         episodes=_resolve(config, kwargs.get("episodes"), "episodes", 10_000, int),
         seed=seed,
         horizon=horizon,
-        naive_check=_resolve(config, kwargs.get("naive_check"), "naive_check", False, bool),
+        naive_check=naive_check,
         campaign_id=_resolve(config, kwargs.get("campaign_id"), "campaign", "campaign"),
         provenance=digests,
     )
-    ledger_path = _resolve(config, kwargs.get("ledger"), "ledger", None)
     return inputs, cfg, out_dir, ledger_path
 
 
@@ -262,6 +265,7 @@ def calc(formats, **kwargs):
             ledger = IndexLedger(path=ledger_path)
         output = run_campaign(inputs, cfg)
         _write_reports(output, out_dir, tuple(formats))
+        Path(ledger_path).parent.mkdir(parents=True, exist_ok=True)
         record_index(ledger, output.assumed, "assumed", note="base rates")
         record_index(ledger, output.campaign, "validated", note=f"mode={cfg.mode}")
     except CriError as exc:
@@ -391,7 +395,11 @@ def history(ledger_path, campaign_filter, csv_path):
         writer.writerow(["ts", "campaign", "kind", "index", "note"])
         for e in entries:
             writer.writerow([e.ts, e.campaign, e.kind, repr(e.index), e.note])
-        Path(csv_path).write_text(buf.getvalue(), encoding="utf-8")
+        try:
+            Path(csv_path).write_text(buf.getvalue(), encoding="utf-8")
+        except OSError as exc:
+            click.echo(f"error: {csv_path}: cannot write: {exc.strerror or exc}", err=True)
+            sys.exit(2)
     for e in entries:
         click.echo(f"{e.ts}\t{e.campaign}\t{e.kind}\t{e.index:.6f}\t{e.note}")
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import __version__
 from .attack_flow import AttackFlow
@@ -32,7 +32,6 @@ from .index import (
 from .ingest import ValidatedInputs
 from .netmodel import NetworkModel
 from .pomdp import (
-    BuildConfig,
     build_pomdp,
     complexity_report,
     milestone_probabilities,
@@ -127,9 +126,9 @@ def _normalized_reward(pomdp, value: float) -> float | None:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
-def _naive_check(flow, net, ti, build_cfg, reduced, reduced_value) -> str:
+def _naive_check(flow, net, ti, horizon, reduced, reduced_value) -> str:
     try:
-        naive = build_pomdp(flow, net, ti, replace(build_cfg, mode="naive"))
+        naive = build_pomdp(flow, net, ti, horizon=horizon, naive=True)
     except CapacityError as exc:
         return f"skipped: {exc}"
     reduced_set = set(reduced.states)
@@ -160,12 +159,10 @@ def _reachable_under(pomdp) -> set:
     return {pomdp.states[i] for i in seen}
 
 
-def _run_flow(
-    flow: AttackFlow, net: NetworkModel, ti: TiTable, build_cfg: BuildConfig, cfg: EngineConfig
-) -> FlowReport:
+def _run_flow(flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig) -> FlowReport:
     """Build, solve and read out (and/or simulate) one flow's model."""
     logger.info("building model for flow %s", flow.id)
-    pomdp = build_pomdp(flow, net, ti, build_cfg)
+    pomdp = build_pomdp(flow, net, ti, horizon=cfg.horizon)
     solved = value_iteration(pomdp)
     logger.info(
         "flow %s: %d states in %d blocks, %d actions, %d reachable beliefs, V*=%.6f",
@@ -194,7 +191,7 @@ def _run_flow(
 
     naive_note = None
     if cfg.naive_check:
-        naive_note = _naive_check(flow, net, ti, build_cfg, pomdp, solved.value)
+        naive_note = _naive_check(flow, net, ti, cfg.horizon, pomdp, solved.value)
 
     return FlowReport(
         flow_id=flow.id,
@@ -215,20 +212,15 @@ def _run_flow(
     )
 
 
-def _build_config(cfg: EngineConfig) -> BuildConfig:
-    return BuildConfig(mode="reduced", horizon=cfg.horizon)
-
-
 def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> RunOutput:
     """Run the full pipeline over every flow and aggregate the campaign."""
     cfg = cfg or EngineConfig()
     net = inputs.network
-    build_cfg = _build_config(cfg)
 
     flow_reports: list[FlowReport] = []
     assumed_results: list[FlowResult] = []
     for flow in inputs.flows:
-        flow_reports.append(_run_flow(flow, net, inputs.ti, build_cfg, cfg))
+        flow_reports.append(_run_flow(flow, net, inputs.ti, cfg))
         base = assumed_p_n(flow, net, inputs.ti)
         assumed_results.append(
             FlowResult(
@@ -255,7 +247,7 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
         [fr.result for fr in flow_reports], cfg.campaign_id, provenance
     )
     assumed = campaign_cri(assumed_results, cfg.campaign_id, dict(provenance, series="assumed"))
-    complexity = complexity_report(net, inputs.flows, inputs.ti, build_cfg).as_dict()
+    complexity = complexity_report(net, inputs.flows, inputs.ti).as_dict()
     return RunOutput(
         campaign=campaign,
         assumed=assumed,
@@ -280,9 +272,8 @@ def run_whatif(
     changes are run again, and the rest reuse their baseline result."""
     cfg = cfg or EngineConfig()
     net = inputs.network
-    build_cfg = _build_config(cfg)
     classes = _asset_classes(net)
-    baseline = [_run_flow(flow, net, inputs.ti, build_cfg, cfg).result for flow in inputs.flows]
+    baseline = [_run_flow(flow, net, inputs.ti, cfg).result for flow in inputs.flows]
     views = [_ti_view(flow, classes, inputs.ti) for flow in inputs.flows]
     index_before = campaign_cri(baseline, cfg.campaign_id).index
     for cm in measures:
@@ -294,7 +285,7 @@ def run_whatif(
         )
         results = [
             before if _ti_view(flow, classes, ti) == view
-            else _run_flow(flow, net, ti, build_cfg, cfg).result
+            else _run_flow(flow, net, ti, cfg).result
             for flow, view, before in zip(inputs.flows, views, baseline)
         ]
         index_after = campaign_cri(results, cfg.campaign_id).index

@@ -85,7 +85,7 @@ def _parse_xml(doc: str, what: str) -> ET.Element:
         raise ParseError(f"malformed {what} XML: {exc.msg}", line) from exc
 
 
-def _parse_bool(raw: str, where: str) -> bool:
+def parse_bool(raw: str, where: str) -> bool:
     word = raw.strip().lower()
     if word in _TRUE_WORDS:
         return True
@@ -130,7 +130,7 @@ def parse_network(doc: str) -> NetworkModel:
                     items = [part.strip() for part in value.split(";") if part.strip()]
                     inventory = tuple(sorted(set(items)))
                 elif key == _KEY_ENTRY:
-                    entry_point = _parse_bool(value, f"node {node_id!r} entry_point")
+                    entry_point = parse_bool(value, f"node {node_id!r} entry_point")
                 elif key:
                     attributes.append((key, value))
                 else:

@@ -19,7 +19,6 @@ from .solve import (
 from .types import (
     AttackerAction,
     Belief,
-    BuildConfig,
     ComplexityEstimate,
     NetworkState,
     OBSERVATIONS,
@@ -30,7 +29,6 @@ from .types import (
 __all__ = [
     "AttackerAction",
     "Belief",
-    "BuildConfig",
     "ComplexityEstimate",
     "NetworkState",
     "OBSERVATIONS",

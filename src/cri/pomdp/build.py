@@ -9,7 +9,13 @@ Success adds the target's inventory and the step milestone; failure leaves
 the state unchanged. An action whose preconditions do not hold in a state
 is a wasted move: a deterministic self-loop that only pays its cost.
 
-Observation rows follow the path context of the action's target:
+One exploration builds the model: each (state, action) pair of the states
+reachable from the initial state (or of the full grid, in naive mode) is
+evaluated once, then indexed over the sorted states, whose order fixes
+every downstream float sum. An observation row depends only on the action
+and on whether its own flag (milestone, or leaf flag for a tree leaf) is
+set, so each action has at most two, shared by every state. They follow
+the path context of the action's target:
   - success/failure (o1/o2) always apply;
   - access-denied (o6) when a Deny rule covers the target, blocked (o3)
     when segmentation governs a hop on the way, rejected (o4) when no
@@ -28,7 +34,7 @@ from ..attack_tree import AttackTree, TreeLibrary
 from ..errors import CapacityError, ModelError
 from ..netmodel import NetworkModel, candidate_targets, physical_paths, reachable_targets
 from ..threat_intel import TiTable
-from .types import AttackerAction, BuildConfig, NetworkState, Pomdp, OBSERVATIONS
+from .types import AttackerAction, NetworkState, Pomdp, OBSERVATIONS
 
 IDS_CLASSES = {"ids", "ips", "idps"}
 NAIVE_CAP = 10**6  # on |S| * |A| * |S| * |O| entries of the naive model
@@ -144,13 +150,14 @@ def expand_technique(
 
 
 class _Builder:
-    def __init__(self, flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: BuildConfig):
+    def __init__(self, flow: AttackFlow, net: NetworkModel, ti: TiTable, naive: bool):
         self.flow = flow
         self.net = net
         self.ti = ti
-        self.cfg = cfg
+        self.naive = naive
         self.context = analyze_targets(net)
         self.reachable = {t for t, c in self.context.items() if c.reachable}
+        self.milestones = {n.step: milestone_flag(n.step) for n in flow.nodes}
         self.seq_preds: dict[int, list[int]] = {}
         self.or_preds: dict[int, list[int]] = {}
         for node in flow.nodes:
@@ -161,13 +168,19 @@ class _Builder:
             self.or_preds[node.step] = sorted(e.src for e in incoming if e.relation == "OR")
         self.trees: dict[int, AttackTree] = {}
         self.actions = self._make_actions()
+        # the flag whose presence means the action itself has succeeded
+        self.own_flags = [
+            leaf_flag(a.step, a.target, a.leaf_name) if a.leaf_name is not None
+            else self.milestones[a.step]
+            for a in self.actions
+        ]
 
     def _make_actions(self) -> list[AttackerAction]:
         if not self.net.entry_points():
             raise ModelError("network declares no entry_point nodes")
         actions: list[AttackerAction] = []
         for node in self.flow.nodes:
-            if self.cfg.mode == "reduced":
+            if not self.naive:
                 targets = candidate_targets(self.net, node, self.ti, self.reachable)
             else:
                 targets = {
@@ -198,27 +211,22 @@ class _Builder:
                 actions.append(act)
         return actions
 
-    def offered(self, state: NetworkState, act: AttackerAction) -> bool:
+    def offered(self, flags: tuple[str, ...], act: AttackerAction, own: str) -> bool:
+        milestones = self.milestones
         step = act.step
-        if state.has_flag(milestone_flag(step)):
+        if own in flags or milestones[step] in flags:
             return False
-        for pred in self.seq_preds[step]:
-            if not state.has_flag(milestone_flag(pred)):
-                return False
-        if self.or_preds[step] and not any(
-            state.has_flag(milestone_flag(p)) for p in self.or_preds[step]
-        ):
+        if any(milestones[p] not in flags for p in self.seq_preds[step]):
             return False
-        if act.leaf_name is not None:
-            own = _leaf_prefix(step, act.target)
-            anystep = f"ttp{step}@"
-            for flag in state.flags:
-                if flag == leaf_flag(step, act.target, act.leaf_name):
-                    return False
-                # committed to a different target for this step's tree
-                if flag.startswith(anystep) and not flag.startswith(own):
-                    return False
-        return True
+        or_preds = self.or_preds[step]
+        if or_preds and not any(milestones[p] in flags for p in or_preds):
+            return False
+        if act.leaf_name is None:
+            return True
+        # not committed to a different target for this step's tree
+        prefix = _leaf_prefix(step, act.target)
+        anystep = f"ttp{step}@"
+        return not any(f.startswith(anystep) and not f.startswith(prefix) for f in flags)
 
     def _success_state(self, state: NetworkState, act: AttackerAction) -> NetworkState:
         inventory = set(self.net.nodes[act.target].inventory)
@@ -236,10 +244,10 @@ class _Builder:
         return nxt
 
     def execute(
-        self, state: NetworkState, act: AttackerAction
+        self, state: NetworkState, act: AttackerAction, offered: bool
     ) -> list[tuple[NetworkState, float, float]]:
         """(next state, probability, branch reward) rows; probabilities sum to 1."""
-        if not self.offered(state, act):
+        if not offered:
             return [(state, 1.0, -act.cost)]
         p = act.p_success
         if p <= 0.0:
@@ -252,12 +260,8 @@ class _Builder:
             (state, 1.0 - p, act.penalty_failure - act.cost),
         ]
 
-    def observation_row(self, state: NetworkState, act: AttackerAction) -> dict[str, float]:
+    def observation_row(self, act: AttackerAction, succeeded: bool) -> dict[str, float]:
         ctx = self.context[act.target]
-        if act.leaf_name is not None:
-            succeeded = state.has_flag(leaf_flag(act.step, act.target, act.leaf_name))
-        else:
-            succeeded = state.has_flag(milestone_flag(act.step))
         if succeeded:
             dist = {"o1": 1.0}
         else:
@@ -281,32 +285,32 @@ class _Builder:
             dist[muddle] = dist.get(muddle, 0.0) + pd
         return {o: p for o, p in dist.items() if p > 0.0}
 
-    def _reachable_states(self) -> list[NetworkState]:
-        initial = NetworkState.initial()
-        seen = {initial}
-        order = [initial]
-        cursor = 0
-        while cursor < len(order):
-            state = order[cursor]
-            cursor += 1
-            for act in self.actions:
-                if not self.offered(state, act):
-                    continue
-                for nxt, _, _ in self.execute(state, act):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        order.append(nxt)
-        return sorted(seen)
+    def _rows(self, state: NetworkState) -> list[tuple[list, bool, bool]]:
+        """Per action: its execute rows, whether it is offered in `state`,
+        and whether its own flag is set there."""
+        flags = state.flags
+        rows = []
+        for act, own in zip(self.actions, self.own_flags):
+            offered = self.offered(flags, act, own)
+            rows.append((self.execute(state, act, offered), offered, own in flags))
+        return rows
+
+    def _explore(self) -> dict[NetworkState, list[tuple[list, bool, bool]]]:
+        """`_rows` of every model state: the naive grid, or the states
+        reachable from the initial state."""
+        if self.naive:
+            return {state: self._rows(state) for state in self._grid_states()}
+        explored: dict[NetworkState, list[tuple[list, bool, bool]]] = {}
+        frontier = [NetworkState.initial()]
+        while frontier:
+            state = frontier.pop()
+            if state not in explored:
+                explored[state] = rows = self._rows(state)
+                frontier.extend(nxt for outcomes, _, _ in rows for nxt, _, _ in outcomes)
+        return explored
 
     def _grid_states(self) -> list[NetworkState]:
-        flags: list[str] = [milestone_flag(n.step) for n in self.flow.nodes]
-        for step, tree in sorted(self.trees.items()):
-            step_targets = sorted(
-                {a.target for a in self.actions if a.step == step and a.leaf_name}
-            )
-            for target in step_targets:
-                for leaf in tree.leaves():
-                    flags.append(leaf_flag(step, target, leaf.name))
+        flags = sorted(set(self.milestones.values()) | set(self.own_flags))
         node_ids = sorted(self.net.nodes)
         inventory_counts = [len(self.net.nodes[n].inventory) for n in node_ids]
         state_count = 2 ** len(flags)
@@ -327,52 +331,49 @@ class _Builder:
         for combo in itertools.product(*per_node_subsets):
             compromised = tuple(sorted((n, s) for n, s in combo if s))
             for r in range(len(flags) + 1):
-                for chosen in itertools.combinations(sorted(flags), r):
+                for chosen in itertools.combinations(flags, r):
                     states.append(NetworkState(compromised=compromised, flags=chosen))
-        return sorted(set(states))
+        return states
 
-    def build(self) -> Pomdp:
-        if self.cfg.mode == "reduced":
-            states = self._reachable_states()
-        elif self.cfg.mode == "naive":
-            states = self._grid_states()
-        else:
-            raise ModelError(f"unknown build mode {self.cfg.mode!r}")
+    def build(self, horizon: int | None) -> Pomdp:
+        explored = self._explore()
+        states = sorted(explored)
         index = {s: i for i, s in enumerate(states)}
         initial_idx = index[NetworkState.initial()]
+
+        # An observation row depends only on (action, own flag set); o1 and
+        # other labels appear only if some state uses a row carrying them.
+        used = {(a, own) for rows in explored.values() for a, (_, _, own) in enumerate(rows)}
+        obs_rows = {
+            key: self.observation_row(self.actions[key[0]], key[1]) for key in used
+        }
+        labels = {o for row in obs_rows.values() for o in row}
+        observations = tuple(o for o in OBSERVATIONS if o in labels)
+        obs_index = {o: i for i, o in enumerate(observations)}
+        indexed = {
+            key: tuple(sorted((obs_index[o], p) for o, p in row.items()))
+            for key, row in obs_rows.items()
+        }
 
         transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         obs_probs: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         branch_rewards: dict[tuple[int, int, int], float] = {}
         applicable: dict[int, tuple[int, ...]] = {}
-        used_labels: set[str] = set()
-
-        obs_rows: dict[tuple[int, int], dict[str, float]] = {}
         for s_idx, state in enumerate(states):
             offered_here = []
-            for a_idx, act in enumerate(self.actions):
-                rows = self.execute(state, act)
-                merged: dict[int, float] = {}
-                for nxt, p, r in rows:
-                    n_idx = index[nxt]
-                    merged[n_idx] = merged.get(n_idx, 0.0) + p
+            for a_idx, (outcomes, offered, own) in enumerate(explored[state]):
+                # success sets a flag the action needs unset: the outcomes differ
+                rows = [(index[nxt], p, r) for nxt, p, r in outcomes]
+                transitions[(s_idx, a_idx)] = tuple(sorted((n, p) for n, p, _ in rows))
+                for n_idx, _, r in rows:
                     branch_rewards[(s_idx, a_idx, n_idx)] = r
-                transitions[(s_idx, a_idx)] = tuple(sorted(merged.items()))
-                if self.offered(state, act):
+                obs_probs[(s_idx, a_idx)] = indexed[(a_idx, own)]
+                if offered:
                     offered_here.append(a_idx)
-                row = self.observation_row(state, act)
-                obs_rows[(s_idx, a_idx)] = row
-                used_labels.update(row)
             applicable[s_idx] = tuple(offered_here)
-
-        observations = tuple(o for o in OBSERVATIONS if o in used_labels)
-        obs_index = {o: i for i, o in enumerate(observations)}
-        for key, row in obs_rows.items():
-            obs_probs[key] = tuple(sorted((obs_index[o], p) for o, p in row.items()))
 
         belief = [0.0] * len(states)
         belief[initial_idx] = 1.0
-        horizon = self.cfg.horizon or (len(self.flow.nodes) + 2)
         pomdp = Pomdp(
             states=tuple(states),
             actions=tuple(self.actions),
@@ -381,9 +382,9 @@ class _Builder:
             observation_probs=obs_probs,
             branch_rewards=branch_rewards,
             initial_belief=tuple(belief),
-            horizon=horizon,
+            horizon=horizon or (len(self.flow.nodes) + 2),
             applicable=applicable,
-            milestones={n.step: milestone_flag(n.step) for n in self.flow.nodes},
+            milestones=dict(self.milestones),
             flow_id=self.flow.id,
         )
         pomdp.validate()
@@ -391,10 +392,15 @@ class _Builder:
 
 
 def build_pomdp(
-    flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: BuildConfig | None = None
+    flow: AttackFlow,
+    net: NetworkModel,
+    ti: TiTable,
+    *,
+    horizon: int | None = None,
+    naive: bool = False,
 ) -> Pomdp:
-    """Construct the attacker POMDP for one flow. Reduced mode (default)
-    enumerates only states reachable from the initial state over candidate
-    targets; naive mode enumerates the full combination grid and refuses
-    above NAIVE_CAP table entries."""
-    return _Builder(flow, net, ti, cfg or BuildConfig()).build()
+    """Construct the attacker POMDP for one flow. By default only states
+    reachable from the initial state over candidate targets are enumerated;
+    `naive` enumerates the full combination grid and refuses above
+    NAIVE_CAP table entries. `horizon` defaults to the flow length + 2."""
+    return _Builder(flow, net, ti, naive).build(horizon)

@@ -6,7 +6,7 @@ from ..attack_flow import AttackFlow
 from ..errors import ValidationError
 from ..netmodel import NetworkModel
 from ..threat_intel import TiTable
-from .types import BuildConfig, ComplexityEstimate, OBSERVATIONS
+from .types import ComplexityEstimate, OBSERVATIONS
 
 _NOTE = (
     "worst_states counts (2^|I|-1) inventory subsets per node (the "
@@ -59,7 +59,6 @@ def complexity_report(
     net: NetworkModel,
     flows: list[AttackFlow],
     ti: TiTable | None = None,
-    cfg: BuildConfig | None = None,
 ) -> ComplexityEstimate:
     """Worst-case bounds for the scenario; when threat intel is supplied the
     reduced models are built and their actual sizes reported side by side.
@@ -70,7 +69,7 @@ def complexity_report(
     if ti is not None and flows:
         from .build import build_pomdp
 
-        models = [build_pomdp(f, net, ti, cfg) for f in flows]
+        models = [build_pomdp(f, net, ti) for f in flows]
         estimate.reduced_states = sum(len(m.states) for m in models)
         estimate.reduced_actions = sum(len(m.actions) for m in models)
         labels = set()

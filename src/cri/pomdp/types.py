@@ -226,11 +226,3 @@ class ComplexityEstimate:
             "reduced_observations": self.reduced_observations,
             "note": self.note,
         }
-
-
-@dataclass
-class BuildConfig:
-    """Knobs for model construction."""
-
-    mode: str = "reduced"  # "reduced" | "naive"
-    horizon: int | None = None

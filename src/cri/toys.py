@@ -7,7 +7,7 @@ Pomdp (plus its ValidatedInputs) for a miniature network and flow.
 from __future__ import annotations
 
 from .ingest import RawBundle, ValidatedInputs, validate_bundle
-from .pomdp import BuildConfig, Pomdp, build_pomdp
+from .pomdp import Pomdp, build_pomdp
 
 _NET_ONE = """
 <graphml><graph edgedefault="undirected">
@@ -77,8 +77,7 @@ def _build(
             ti_doc=_TI_HEADER + "\n".join(ti_rows) + "\n",
         )
     )
-    cfg = BuildConfig(horizon=horizon)
-    return build_pomdp(inputs.flows[0], inputs.network, inputs.ti, cfg), inputs
+    return build_pomdp(inputs.flows[0], inputs.network, inputs.ti, horizon=horizon), inputs
 
 
 def single_step(

@@ -36,14 +36,17 @@ def random_scenario(
     detect_noise: bool = True,
     distinct_classes: bool = False,
     extra_flows: int = 0,
+    tree: bool = False,
 ):
     """Random connected network + chain flow + TI table, sized to stay under
     the naive-mode cap. With shared_rewards the reward economics are drawn
     per technique (identical across asset classes); with distinct_classes
     every node gets its own asset class, so each TI row parameterizes
     exactly one action. `extra_flows` adds chains over random subsets of the
-    first flow's techniques, drawn last so the rest of the scenario does not
-    depend on it."""
+    first flow's techniques; `tree` then gives one step of the first flow an
+    AND/OR attack tree over 2-3 leaves with random parameter overrides.
+    Both are drawn last, so the rest of the scenario does not depend on
+    them."""
     num_nodes = rng.randint(2, max_nodes)
     if distinct_classes:
         classes = [f"class{i}" for i in range(num_nodes)]
@@ -73,20 +76,18 @@ def random_scenario(
     num_steps = rng.randint(1, max_steps)
     techniques = [f"T9{i:03d}" for i in range(num_steps)]
 
-    def chain(flow_id: str, chosen: list[str]) -> str:
-        return json.dumps(
-            {
-                "id": flow_id,
-                "attackFlow": [
-                    {
-                        "step": i + 1,
-                        "tactic": {"id": "TA0001", "name": "x"},
-                        "technique": {"id": tech, "name": tech},
-                    }
-                    for i, tech in enumerate(chosen)
-                ],
-            }
-        )
+    def chain(flow_id: str, chosen: list[str]) -> dict:
+        return {
+            "id": flow_id,
+            "attackFlow": [
+                {
+                    "step": i + 1,
+                    "tactic": {"id": "TA0001", "name": "x"},
+                    "technique": {"id": tech, "name": tech},
+                }
+                for i, tech in enumerate(chosen)
+            ],
+        }
 
     rows = []
     for tech in techniques:
@@ -103,18 +104,46 @@ def random_scenario(
             pd = rng.choice([0, 0.3]) if detect_noise else 0
             rows.append(f"{tech},{asset_class},{p},{pd},{reward},{penalty},{cost},1")
 
-    flow_docs = [chain("random-chain", techniques)]
+    flows = [chain("random-chain", techniques)]
     for k in range(1, extra_flows + 1):
         picked = sorted(rng.sample(range(num_steps), rng.randint(1, num_steps)))
-        flow_docs.append(chain(f"random-chain-{k}", [techniques[i] for i in picked]))
+        flows.append(chain(f"random-chain-{k}", [techniques[i] for i in picked]))
+    if tree:
+        step = flows[0]["attackFlow"][rng.randrange(num_steps)]
+        step["attackTree"] = "random-tree"
+        flows[0]["attackTrees"] = [
+            {
+                "id": "random-tree",
+                "technique_id": step["technique"]["id"],
+                "root": {
+                    "gate": rng.choice(["AND", "OR"]),
+                    "children": [
+                        {"name": f"leaf{i}", **_leaf_overrides(rng)}
+                        for i in range(rng.randint(2, 3))
+                    ],
+                },
+            }
+        ]
 
     bundle = RawBundle(
         network_doc=network_doc,
-        flow_docs=flow_docs,
+        flow_docs=[json.dumps(f) for f in flows],
         policy_docs=[PERMIT_ALL],
         ti_doc=TI_HEADER + "\n".join(rows) + "\n",
     )
     return validate_bundle(bundle)
+
+
+def _leaf_overrides(rng: random.Random) -> dict[str, float]:
+    """A random subset of the tree-leaf parameters, each with a random value."""
+    draws = {
+        "p_success": lambda: round(rng.uniform(0.1, 1.0), 2),
+        "p_detect": lambda: rng.choice([0, 0.2]),
+        "reward_success": lambda: round(rng.uniform(0.0, 6.0), 2),
+        "penalty_failure": lambda: -round(rng.uniform(0.0, 2.0), 2),
+        "cost": lambda: round(rng.uniform(0.0, 0.5), 2),
+    }
+    return {key: draw() for key, draw in draws.items() if rng.random() < 0.5}
 
 
 def chain_scenario(techniques: list[str]):

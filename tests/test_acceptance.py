@@ -22,7 +22,7 @@ from cri.ingest import (
     serialize_network,
     serialize_policy_set,
 )
-from cri.pomdp import BuildConfig, build_pomdp, complexity_report, state_space_size, value_iteration
+from cri.pomdp import build_pomdp, complexity_report, state_space_size, value_iteration
 from cri.simulate import brute_force_value, estimate_expected_reward
 from cri.threat_intel import load_threat_intel, serialize_threat_intel
 from cri.toys import bundled_toys
@@ -113,9 +113,7 @@ def test_05_reduction_soundness():
         inputs = random_scenario(rng, max_nodes=3, max_items=2, max_steps=2)
         reduced = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
         try:
-            naive = build_pomdp(
-                inputs.flows[0], inputs.network, inputs.ti, BuildConfig(mode="naive")
-            )
+            naive = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, naive=True)
         except CapacityError:
             continue
         checked += 1
@@ -158,9 +156,8 @@ def test_06_hardening_monotonicity():
         )
         hardened = ValidatedInputs(inputs.network, inputs.flows, hardened_ti)
 
-        build_cfg = BuildConfig(horizon=3)
-        before = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, build_cfg)
-        after = build_pomdp(hardened.flows[0], hardened.network, hardened.ti, build_cfg)
+        before = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, horizon=3)
+        after = build_pomdp(hardened.flows[0], hardened.network, hardened.ti, horizon=3)
         v_before = brute_force_value(before)[0]
         v_after = brute_force_value(after)[0]
         assert v_after <= v_before + 1e-9

@@ -1,0 +1,66 @@
+"""Pins of the built attacker models: the sha256 of `Pomdp.dump()` for the
+fixture flows, seeded `genscen` scenarios (with and without attack trees)
+and reference-network chains, in reduced and naive mode.
+
+State indices fix every downstream float sum, so the builder must keep the
+state order and every row bit-identical. The digests in
+`build_digests.json` were produced by the two-pass builder of commit
+4bd2599 (reachable-state search, then a second table pass) over exactly
+the cases `_cases()` lists; a build that raised pins its `CriError` text.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from cri.errors import CriError
+from cri.pomdp import build_pomdp
+from conftest import load_scenario
+from genscen import chain_scenario, random_scenario
+
+DIGESTS = Path(__file__).resolve().parent / "build_digests.json"
+CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659"]
+MODES = (("reduced", False), ("naive", True))
+
+
+def _cases():
+    """(case id, inputs, flow) for every pinned build input."""
+    for policy_dir in ("policies", "policies_isolated"):
+        inputs = load_scenario(policy_dir)
+        for flow in inputs.flows:
+            yield f"fixture/{policy_dir}/{flow.id}", inputs, flow
+    for steps in (3, 4, 5):
+        inputs = chain_scenario(CHAIN[:steps])
+        yield f"chain/{steps}", inputs, inputs.flows[0]
+    for seed in range(200):
+        inputs = random_scenario(random.Random(seed), max_steps=1 + seed % 3)
+        yield f"genscen/{seed}", inputs, inputs.flows[0]
+    for seed in range(200):
+        inputs = random_scenario(
+            random.Random(seed), max_nodes=2, max_items=1, max_steps=2, tree=True
+        )
+        yield f"tree/{seed}", inputs, inputs.flows[0]
+
+
+def _digest(inputs, flow, naive: bool) -> str:
+    try:
+        pomdp = build_pomdp(flow, inputs.network, inputs.ti, naive=naive)
+    except CriError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(pomdp.dump().encode()).hexdigest()
+
+
+def test_builds_match_pinned_dumps():
+    expected = json.loads(DIGESTS.read_text())
+    actual = {
+        f"{case}/{mode}": _digest(inputs, flow, naive)
+        for case, inputs, flow in _cases()
+        for mode, naive in MODES
+    }
+    assert actual.keys() == expected.keys()
+    assert [k for k in actual if actual[k] != expected[k]] == []
+    # the pins cover tree leaves and built naive models, not only refusals
+    trees = [k for k in actual if k.startswith("tree/") and k.endswith("/naive")]
+    assert sum(not actual[k].startswith("CapacityError") for k in trees) >= 50
+

@@ -197,6 +197,40 @@ class TestOutNamingAFile:
         assert "not UTF-8" not in result.output
 
 
+class TestLedgerDirectory:
+    """The ledger's directory is handled like --out: created when missing,
+    rejected with exit 2 before any input is read when a file is in the way."""
+
+    def test_missing_directory_is_created(self, tmp_path):
+        ledger = tmp_path / "nodir" / "deeper" / "ledger.jsonl"
+        result = run_cli("calc", *calc_args(tmp_path / "out", ledger=str(ledger)))
+        assert result.exit_code == 0, result.output
+        kinds = [json.loads(l)["kind"] for l in ledger.read_text().splitlines()]
+        assert kinds == ["assumed", "validated"]
+
+    def test_ledger_inside_missing_out(self, tmp_path):
+        out = tmp_path / "out"
+        result = run_cli("calc", *calc_args(out, ledger=str(out / "ledger.jsonl")))
+        assert result.exit_code == 0, result.output
+        assert len((out / "ledger.jsonl").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_file_in_the_way_exits_2_before_inputs(self, tmp_path, nested):
+        existing = tmp_path / "taken.txt"
+        existing.write_text("keep me\n")
+        ledger = (existing / "sub" if nested else existing) / "ledger.jsonl"
+        result = run_cli("calc", *calc_args(
+            tmp_path / "out", ledger=str(ledger), ti=str(MALFORMED / "not_utf8.csv")
+        ))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "ledger directory is not a directory" in result.output
+        assert "taken.txt" in result.output
+        assert "not UTF-8" not in result.output
+        assert existing.read_text() == "keep me\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestUnreadableInputs:
     """Every input file goes through one reader: undecodable bytes or an
     unreadable path exit 2 with an error naming the file, never with a
@@ -293,6 +327,24 @@ class TestRunNumbers:
     def test_non_integer_horizon_in_config(self, tmp_path, command):
         output = self._run(tmp_path, command, "horizon=2.5")
         assert "config horizon=2.5: expected int" in output
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("line", ["naive_check=on", "ti_defaults=ture", "ti_defaults="])
+    def test_non_boolean_in_config(self, tmp_path, command, line):
+        key, raw = line.split("=")
+        output = self._run(tmp_path, command, line)
+        assert f"config {key}: boolean expected, got {raw!r}" in output
+
+    @pytest.mark.parametrize("word,checked", [
+        ("TRUE", True), ("Yes", True), ("1", True), ("false", False), ("NO", False), ("0", False),
+    ])
+    def test_boolean_words_in_config(self, tmp_path, word, checked):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"naive_check={word}\n")
+        result = run_cli("calc", "--config", str(config), *calc_args(tmp_path / "out"))
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "campaign_report.json").read_text())
+        assert [f["naive_check"] is not None for f in report["flows"]] == [checked, checked]
 
     def test_zero_seed_and_unit_horizon_run(self, tmp_path):
         result = run_cli("calc", *calc_args(tmp_path / "out", seed="0", horizon="1"))
@@ -443,6 +495,14 @@ class TestHistory:
         assert [(r["ts"], r["kind"], float(r["index"])) for r in rows] == [
             (o["ts"], o["kind"], o["index"]) for o in original
         ]
+
+    @pytest.mark.parametrize("target", ["missing/series.csv", "."])
+    def test_unwritable_csv_exits_2(self, tmp_path, target):
+        csv_path = tmp_path / target
+        result = run_cli("history", "--ledger", str(self._ledger(tmp_path)), "--csv", str(csv_path))
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {csv_path}: cannot write" in result.output
 
 
 class TestMalformedInputsSuite:

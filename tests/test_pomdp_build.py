@@ -6,7 +6,6 @@ from cri.attack_flow import TtpNode, parse_attack_flow
 from cri.attack_tree import TreeLibrary, parse_tree_dict
 from cri.errors import CapacityError, ModelError
 from cri.pomdp import (
-    BuildConfig,
     build_pomdp,
     complexity_from_sizes,
     complexity_report,
@@ -146,9 +145,7 @@ class TestBuildPomdp:
 
     def test_naive_mode_refuses_reference_scenario(self, scenario):
         with pytest.raises(CapacityError) as err:
-            build_pomdp(
-                scenario.flows[0], scenario.network, scenario.ti, BuildConfig(mode="naive")
-            )
+            build_pomdp(scenario.flows[0], scenario.network, scenario.ti, naive=True)
         assert err.value.estimate > 10**6
 
     def test_naive_equals_reduced_on_small_scenarios(self):
@@ -158,9 +155,7 @@ class TestBuildPomdp:
             inputs = random_scenario(rng)
             reduced = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
             try:
-                naive = build_pomdp(
-                    inputs.flows[0], inputs.network, inputs.ti, BuildConfig(mode="naive")
-                )
+                naive = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, naive=True)
             except CapacityError:
                 continue
             checked += 1
@@ -171,6 +166,28 @@ class TestBuildPomdp:
             v_reduced = value_iteration(reduced).value
             assert v_naive == pytest.approx(v_reduced, abs=1e-9)
             _row_sums_ok(naive)
+
+    def test_naive_equals_reduced_on_tree_scenarios(self):
+        checked = leaf_states = 0
+        for seed in range(400):
+            inputs = random_scenario(
+                random.Random(seed), max_nodes=2, max_items=1, max_steps=2, tree=True
+            )
+            reduced = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+            try:
+                naive = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, naive=True)
+            except CapacityError:
+                continue
+            checked += 1
+            assert _reachable_states(naive) == set(reduced.states)
+            v_naive = value_iteration(naive).value
+            v_reduced = value_iteration(reduced).value
+            assert v_naive == pytest.approx(v_reduced, abs=1e-9)
+            leaf_states += any("#" in f for s in reduced.states for f in s.flags)
+            if checked == 100:
+                break
+        assert checked == 100
+        assert leaf_states > 50  # the trees are exercised, not only offered
 
     def test_default_horizon_is_flow_length_plus_two(self, scenario):
         pomdp = build_pomdp(scenario.flows[0], scenario.network, scenario.ti)
