@@ -282,7 +282,9 @@ def whatif(cm_path, **kwargs):
     """Evaluate countermeasure cost/benefit against the campaign index."""
     try:
         _require_path(cm_path, "countermeasures")
-        inputs, cfg, out_dir, _ = _prepare(kwargs)
+        inputs, cfg, out_dir, ledger_path = _prepare(kwargs)
+        if ledger_path:
+            click.echo("warning: whatif writes no ledger; --ledger ignored", err=True)
         measures = parse_countermeasures(read_input(cm_path))
         deltas = []
         for delta in run_whatif(inputs, measures, cfg):

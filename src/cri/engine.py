@@ -165,9 +165,10 @@ def _run_flow(flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfi
     pomdp = build_pomdp(flow, net, ti, horizon=cfg.horizon)
     solved = value_iteration(pomdp)
     logger.info(
-        "flow %s: %d states in %d blocks, %d actions, %d reachable beliefs, V*=%.6f",
+        "flow %s: %d states in %d blocks, %d actions, %d reachable beliefs, "
+        "%d actions pruned, V*=%.6f",
         flow.id, len(pomdp.states), solved.blocks, len(pomdp.actions),
-        solved.reachable_beliefs, solved.value,
+        solved.reachable_beliefs, solved.pruned, solved.value,
     )
 
     p_exact = None

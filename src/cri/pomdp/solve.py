@@ -9,18 +9,40 @@ the lowest action index.
 The expectimax runs on the model's coarsest exact bisimulation quotient
 (`lump`): states that differ only in what no action, observation or reward
 reads, such as compromised inventory, share one block, so far fewer
-beliefs are expanded. The solved policy is then compiled into a policy
-graph (Kaelbling, Littman & Cassandra 1998) over the original model's
-states: one node per (belief, steps left) the policy can reach from the
-initial belief, holding the chosen action and one child per possible
-observation. The milestone readout and the Monte Carlo simulator walk
-this graph instead of recomputing beliefs, and the attacker's value is
-summed over it on the original model. `_successors` is the only place
+beliefs are expanded.
+
+The expectimax is exact branch-and-bound. Before it starts, `qmdp_bounds`
+tabulates Q_d(s, a), the finite-horizon Q-value of the quotient treated as
+fully observable, with the stop option (QMDP: Littman, Cassandra &
+Kaelbling 1995; Hauskrecht 2000): V_0 = 0, Q_d(s, a) = R(s, a) +
+discount * sum_s' T(s, a, s') V_{d-1}(s'), and V_d(s) = max(0, max over
+every action of Q_d(s, a)). Every action counts, not only the applicable
+ones, because a belief offers the union of its states' actions and so can
+force a state through a wasted move, which may pay. At a belief b with d
+steps left, UB(b, a) = sum_s b(s) Q_d(s, a) bounds the value of taking a.
+The offered actions are visited in decreasing UB, ties toward the lower
+index, and an action is skipped when UB < max(best q so far, 0) - eps.
+The largest q is chosen, exact ties going to the lowest index, so the
+choice does not depend on the visit order and the policy is the one an
+unpruned search picks. eps = 1e-9 * max |Q_d(s, a)| covers only float
+rounding in the bound: it scales with the model's rewards, and it keeps a
+skipped action's q strictly below the best q, since an equal q would win
+the tie on a lower index. No bound is passed down to the children, so
+every memoized value is exact.
+
+The solved policy is then compiled into a policy graph (Kaelbling,
+Littman & Cassandra 1998) over the original model's states: one node per
+(belief, steps left) the policy can reach from the initial belief,
+holding the chosen action and one child per possible observation. The
+milestone readout and the Monte Carlo simulator walk this graph instead
+of recomputing beliefs, and the attacker's value is summed over it on the
+original model. `_successors` is the only place
 belief successors are computed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -102,12 +124,14 @@ class Policy:
 @dataclass
 class SolveResult:
     """`reachable_beliefs` counts the beliefs the expectimax expanded over
-    the `blocks` states of the quotient."""
+    the `blocks` states of the quotient, and `pruned` the actions it
+    skipped at them because their bound could not win."""
 
     policy: Policy
     value: float
     reachable_beliefs: int
     blocks: int
+    pruned: int
 
 
 def compile_policy(
@@ -150,16 +174,47 @@ def expected_rewards(pomdp: Pomdp) -> dict[tuple[int, int], float]:
     return {key: pomdp.expected_reward(*key) for key in pomdp.transitions}
 
 
+def qmdp_bounds(
+    pomdp: Pomdp, expected: dict[tuple[int, int], float]
+) -> list[list[list[float]]]:
+    """Q_d(s, a) for d = 0..horizon, indexed [d][s][a]: the finite-horizon
+    Q-value of the model treated as fully observable, with the stop
+    option. V_d(s) = max(0, max over every action of Q_d(s, a)), since a
+    belief can force any state through any action its other states offer."""
+    actions = range(len(pomdp.actions))
+    rows = [
+        [(expected[(s, a)], pomdp.transitions[(s, a)]) for a in actions]
+        for s in range(len(pomdp.states))
+    ]
+    table = [[[0.0] * len(actions) for _ in rows]]
+    v = [0.0] * len(rows)
+    for _ in range(pomdp.horizon):
+        q = [
+            [r + pomdp.discount * sum([p * v[s2] for s2, p in row]) for r, row in state_rows]
+            for state_rows in rows
+        ]
+        v = [max([0.0, *row]) for row in q]
+        table.append(q)
+    return table
+
+
 def expectimax(
     pomdp: Pomdp, expected: dict[tuple[int, int], float], belief_cap: int
-) -> tuple[float, dict[tuple, int | None]]:
-    """Memoized expectimax to the model's horizon from b0. Returns the value
-    and the action chosen at every expanded (belief key, steps left), None
-    meaning stop; raises CapacityError past `belief_cap` beliefs."""
+) -> tuple[float, dict[tuple, int | None], int]:
+    """Memoized expectimax to the model's horizon from b0, with every
+    action bounded by `qmdp_bounds`. Returns the value, the action chosen
+    at every expanded (belief key, steps left), None meaning stop, and the
+    number of actions the bound skipped; raises CapacityError past
+    `belief_cap` beliefs."""
+    bounds = qmdp_bounds(pomdp, expected)
+    # covers float rounding in the bound, at the scale of the model's values
+    eps = 1e-9 * max((abs(q) for depth in bounds for row in depth for q in row), default=0.0)
     values: dict[tuple, float] = {}
     chosen: dict[tuple, int | None] = {}
+    pruned = 0
 
     def solve(support: Support, depth: int) -> float:
+        nonlocal pruned
         key = (support_key(support), depth)
         if key in values:
             return values[key]
@@ -169,19 +224,26 @@ def expectimax(
             values[key] = 0.0
             chosen[key] = None
             return 0.0
-        offered = sorted(
-            {a for s in support for a in pomdp.applicable.get(s, ())}
-        )
-        best_q: float | None = None
+        bound = bounds[depth]
+        upper = {
+            a: sum(p * bound[s][a] for s, p in support.items())
+            for a in {a for s in support for a in pomdp.applicable.get(s, ())}
+        }
+        order = sorted(upper, key=lambda a: (-upper[a], a))
+        best_q = -math.inf
         best_a: int | None = None
-        for a in offered:
+        for i, a in enumerate(order):
+            # neither this action nor any after it can beat stopping or best_a
+            if upper[a] < max(best_q, 0.0) - eps:
+                pruned += len(order) - i
+                break
             q = sum(support[s] * expected[(s, a)] for s in sorted(support))
             for _, mass, child in _successors(pomdp, support, a):
                 q += pomdp.discount * mass * solve(child, depth - 1)
-            if best_q is None or q > best_q:
+            if q > best_q or (q == best_q and a < best_a):
                 best_q = q
                 best_a = a
-        if best_q is None or best_q < 0.0:
+        if best_q < 0.0:
             values[key] = 0.0
             chosen[key] = None
         else:
@@ -189,7 +251,7 @@ def expectimax(
             chosen[key] = best_a
         return values[key]
 
-    return solve(pomdp.b0_support(), pomdp.horizon), chosen
+    return solve(pomdp.b0_support(), pomdp.horizon), chosen, pruned
 
 
 def policy_value(
@@ -216,13 +278,14 @@ def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
     the model's own states."""
     expected = expected_rewards(pomdp)
     quotient, quotient_expected = lump(pomdp, expected)
-    _, chosen = expectimax(quotient, quotient_expected, belief_cap)
+    _, chosen, pruned = expectimax(quotient, quotient_expected, belief_cap)
     policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
     return SolveResult(
         policy=policy,
         value=policy_value(pomdp, policy, expected),
         reachable_beliefs=len(chosen),
         blocks=len(quotient.states),
+        pruned=pruned,
     )
 
 

@@ -154,18 +154,8 @@ class Pomdp:
         total = sum(self.initial_belief)
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError(f"initial belief sums to {total}")
-        for (s, a), row in self.transitions.items():
-            total = sum(p for _, p in row)
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValidationError(f"T row ({s},{a}) sums to {total}")
-            if any(p < 0 for _, p in row):
-                raise ValidationError(f"T row ({s},{a}) has a negative entry")
-        for (s2, a), row in self.observation_probs.items():
-            total = sum(p for _, p in row)
-            if abs(total - 1.0) > PROB_TOL:
-                raise ValidationError(f"Z row ({s2},{a}) sums to {total}")
-            if any(p < 0 for _, p in row):
-                raise ValidationError(f"Z row ({s2},{a}) has a negative entry")
+        _check_rows("T", self.transitions)
+        _check_rows("Z", self.observation_probs)
 
     def dump(self) -> str:
         """Canonical JSON dump of the whole model, for diffing and oracles."""
@@ -192,6 +182,22 @@ class Pomdp:
             "milestones": {str(k): v for k, v in sorted(self.milestones.items())},
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _check_rows(kind: str, rows: dict[tuple[int, int], tuple[tuple[int, float], ...]]) -> None:
+    """Check that every row is a distribution, naming the first key that
+    uses a bad one. A row object shared by many keys is checked once."""
+    checked: set[int] = set()
+    for (s, a), row in rows.items():
+        if id(row) in checked:
+            continue
+        checked.add(id(row))
+        probs = [p for _, p in row]
+        total = sum(probs)
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValidationError(f"{kind} row ({s},{a}) sums to {total}")
+        if min(probs) < 0:
+            raise ValidationError(f"{kind} row ({s},{a}) has a negative entry")
 
 
 @dataclass

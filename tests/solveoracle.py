@@ -1,0 +1,72 @@
+"""Unpruned-expectimax oracle for the solver.
+
+`expectimax` in `cri.pomdp.solve` skips every action whose QMDP upper bound
+cannot beat the best action found so far. This module keeps the search it
+must agree with: every offered action is expanded at every belief, in
+ascending index order, and the largest q wins with ties toward the lowest
+index.
+"""
+
+from cri.errors import CapacityError
+from cri.pomdp.lump import lump
+from cri.pomdp.solve import _successors, compile_policy, expected_rewards, policy_value
+from cri.pomdp.types import Pomdp, Support, support_key
+
+
+def unpruned_expectimax(
+    pomdp: Pomdp, expected: dict[tuple[int, int], float], belief_cap: int = 500_000
+) -> tuple[float, dict[tuple, int | None]]:
+    """Memoized expectimax to the model's horizon from b0. Returns the value
+    and the action chosen at every expanded (belief key, steps left), None
+    meaning stop; raises CapacityError past `belief_cap` beliefs."""
+    values: dict[tuple, float] = {}
+    chosen: dict[tuple, int | None] = {}
+
+    def solve(support: Support, depth: int) -> float:
+        key = (support_key(support), depth)
+        if key in values:
+            return values[key]
+        if len(values) >= belief_cap:
+            raise CapacityError("reachable belief tree above cap", len(values))
+        if depth == 0:
+            values[key] = 0.0
+            chosen[key] = None
+            return 0.0
+        offered = sorted(
+            {a for s in support for a in pomdp.applicable.get(s, ())}
+        )
+        best_q: float | None = None
+        best_a: int | None = None
+        for a in offered:
+            q = sum(support[s] * expected[(s, a)] for s in sorted(support))
+            for _, mass, child in _successors(pomdp, support, a):
+                q += pomdp.discount * mass * solve(child, depth - 1)
+            if best_q is None or q > best_q:
+                best_q = q
+                best_a = a
+        if best_q is None or best_q < 0.0:
+            values[key] = 0.0
+            chosen[key] = None
+        else:
+            values[key] = best_q
+            chosen[key] = best_a
+        return values[key]
+
+    return solve(pomdp.b0_support(), pomdp.horizon), chosen
+
+
+def unpruned_solve(pomdp: Pomdp):
+    """`value_iteration` with the unpruned search: (value, policy graph,
+    beliefs expanded) from the expectimax on the model's quotient."""
+    expected = expected_rewards(pomdp)
+    quotient, quotient_expected = lump(pomdp, expected)
+    _, chosen = unpruned_expectimax(quotient, quotient_expected)
+    policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
+    return policy_value(pomdp, policy, expected), policy, len(chosen)
+
+
+def unlumped_solve(pomdp: Pomdp):
+    """The unpruned search run directly on the model's own states:
+    (value, policy graph, beliefs expanded)."""
+    value, chosen = unpruned_expectimax(pomdp, expected_rewards(pomdp))
+    return value, compile_policy(pomdp, chosen.get, pomdp.horizon), len(chosen)

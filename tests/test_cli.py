@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -430,6 +431,25 @@ class TestWhatif:
         assert set(payload["groups"]) <= {"harden", "detect", "isolate", "deceive", "evict", "restore"}
         with open(tmp_path / "out" / "whatif.csv", newline="", encoding="utf-8") as fh:
             assert len(list(csv.DictReader(fh))) == 3
+
+    def test_ledger_is_ignored_with_a_warning(self, tmp_path):
+        warning = "warning: whatif writes no ledger; --ledger ignored"
+        seen = {}
+        for where in (None, "flag", "config"):
+            out, ledger = tmp_path / f"out-{where}", tmp_path / f"ledger-{where}.jsonl"
+            config = tmp_path / f"{where}.cfg"
+            config.write_text(f"ledger={ledger}\n" if where == "config" else "")
+            extra = ["--ledger", str(ledger)] if where == "flag" else []
+            result = run_cli(
+                "whatif", *calc_args(out), "--config", str(config), *extra,
+                "--countermeasures", str(SCENARIO / "countermeasures.json"),
+            )
+            assert result.exit_code == 0, result.output
+            assert result.stderr.splitlines().count(warning) == (where is not None)
+            assert not ledger.exists()
+            assert sorted(p.name for p in out.iterdir()) == ["whatif.csv", "whatif_report.json"]
+            seen[where] = (result.stdout, [(out / n).read_bytes() for n in sorted(os.listdir(out))])
+        assert seen["flag"] == seen[None] == seen["config"]
 
     def test_malformed_file_exits_2(self, tmp_path):
         bad = tmp_path / "cm.json"

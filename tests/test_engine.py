@@ -119,3 +119,7 @@ class TestLogging:
         assert proc.returncode == 0
         assert "building model for flow" in proc.stderr
         assert "building model" not in proc.stdout
+        assert (
+            "flow credential_chain: 35 states in 4 blocks, 12 actions, "
+            "87 reachable beliefs, 180 actions pruned, V*=11.946275"
+        ) in proc.stderr

@@ -1,10 +1,11 @@
 import random
+import re
 
 import pytest
 
 from cri.attack_flow import TtpNode, parse_attack_flow
 from cri.attack_tree import TreeLibrary, parse_tree_dict
-from cri.errors import CapacityError, ModelError
+from cri.errors import CapacityError, ModelError, ValidationError
 from cri.pomdp import (
     build_pomdp,
     complexity_from_sizes,
@@ -15,6 +16,7 @@ from cri.pomdp import (
     value_iteration,
 )
 from cri.threat_intel import TiRecord, TiTable
+from cri.pomdp.types import NetworkState, Pomdp
 from cri.toys import and_chain, single_step
 from genscen import random_scenario
 
@@ -231,3 +233,49 @@ class TestComplexityReport:
     def test_action_count_sums_flow_sizes(self, scenario):
         est = complexity_report(scenario.network, scenario.flows)
         assert est.num_actions == sum(len(f.nodes) for f in scenario.flows)
+
+
+def _shared_rows(z_row, t_row=((0, 1.0),)):
+    """Three states whose every (s, a) key shares one T row and one Z row."""
+    keys = [(s, a) for s in range(3) for a in range(2)]
+    action = single_step()[0].actions[0]
+    return Pomdp(
+        states=tuple(NetworkState(flags=(f"s{i}",)) for i in range(3)),
+        actions=(action, action),
+        observations=("o1", "o2"),
+        transitions={key: t_row for key in keys},
+        observation_probs={key: z_row for key in keys},
+        branch_rewards={(s, a, 0): 0.0 for s, a in keys},
+        initial_belief=(1.0, 0.0, 0.0),
+        horizon=2,
+    )
+
+
+class TestValidate:
+    def test_shared_good_rows_pass(self):
+        _shared_rows(((0, 0.25), (1, 0.75))).validate()
+
+    @pytest.mark.parametrize(
+        "z_row, message",
+        [
+            (((0, 0.25), (1, 0.5)), "Z row (0,0) sums to 0.75"),
+            (((0, -0.5), (1, 1.5)), "Z row (0,0) has a negative entry"),
+        ],
+    )
+    def test_shared_bad_observation_row_raises(self, z_row, message):
+        pomdp = _shared_rows(z_row)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            pomdp.validate()
+
+    def test_shared_bad_row_names_first_key_using_it(self):
+        good, bad = ((0, 1.0),), ((0, 0.5),)
+        pomdp = _shared_rows(good)
+        pomdp.observation_probs[(1, 1)] = bad
+        pomdp.observation_probs[(2, 0)] = bad
+        with pytest.raises(ValidationError, match=r"Z row \(1,1\) sums to 0.5"):
+            pomdp.validate()
+
+    def test_shared_bad_transition_row_raises(self):
+        pomdp = _shared_rows(((0, 1.0),), t_row=((0, 0.5), (1, 0.25)))
+        with pytest.raises(ValidationError, match=r"T row \(0,0\) sums to 0.75"):
+            pomdp.validate()

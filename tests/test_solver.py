@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,16 +7,18 @@ from cri.errors import CapacityError, InconsistentObservation
 from cri.pomdp import (
     belief_update,
     build_pomdp,
-    compile_policy,
     milestone_probabilities,
     value_iteration,
 )
 from cri.pomdp.lump import lump
-from cri.pomdp.solve import expectimax, expected_rewards
+from cri.pomdp.solve import expected_rewards, qmdp_bounds
 from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp, support_key
 from cri.simulate import brute_force_value
 from cri.toys import and_chain, single_step
 from genscen import chain_scenario, random_pomdp, random_scenario
+from solveoracle import unlumped_solve, unpruned_solve
+
+CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659", "T1078"]
 
 
 def _action(idx, **kwargs):
@@ -277,12 +280,6 @@ class TestPolicyGraph:
             self._check_graph(pomdp, value_iteration(pomdp).policy)
 
 
-def _unlumped(pomdp):
-    """The expectimax run directly on the model's own states."""
-    value, chosen = expectimax(pomdp, expected_rewards(pomdp), 500_000)
-    return value, compile_policy(pomdp, chosen.get, pomdp.horizon)
-
-
 def _with_twin(pomdp, s):
     """`pomdp` plus a bisimilar twin of state `s`: the twin copies the rows
     of `s`, and every move into `s`, and b0's mass on it, is split evenly
@@ -326,7 +323,7 @@ def _graph(policy):
 class TestLumpedSolve:
     def _assert_same_as_unlumped(self, pomdp):
         result = value_iteration(pomdp)
-        value, policy = _unlumped(pomdp)
+        value, policy, _ = unlumped_solve(pomdp)
         assert result.value == value
         assert _graph(result.policy) == _graph(policy)
         assert milestone_probabilities(pomdp, result.policy) == milestone_probabilities(
@@ -339,7 +336,7 @@ class TestLumpedSolve:
         for flow in scenario.flows:
             pomdp = build_pomdp(flow, scenario.network, scenario.ti)
             result = self._assert_same_as_unlumped(pomdp)
-            counts[flow.id] = (len(pomdp.states), result.blocks, result.reachable_beliefs)
+            counts[flow.id] = (len(pomdp.states), result.blocks, unpruned_solve(pomdp)[2])
         # unlumped: 22,139 and 5,421 beliefs
         assert counts == {
             "credential_chain": (35, 4, 608),
@@ -369,10 +366,10 @@ class TestLumpedSolve:
 
     def test_five_step_chain_solves_under_cap(self):
         # unlumped, this chain raises CapacityError at the default cap
-        inputs = chain_scenario(["T1078", "T1059", "T1005", "T1566", "T1659"])
+        inputs = chain_scenario(CHAIN[:5])
         pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
         result = value_iteration(pomdp)
-        assert (len(pomdp.states), result.blocks, result.reachable_beliefs) == (105, 6, 12_524)
+        assert (len(pomdp.states), result.blocks, unpruned_solve(pomdp)[2]) == (105, 6, 12_524)
 
     def test_copies_merge_only_on_exact_equality(self):
         pomdp = _two_state_identity()
@@ -396,3 +393,161 @@ class TestLumpedSolve:
         # one subnormal apart is enough to keep the copy apart
         quotient, _ = lump(copied, expected | {(2, 0): 5e-324})
         assert quotient.states == copied.states
+
+
+def _scaled(pomdp, factor):
+    """`pomdp` with every branch reward multiplied by `factor`."""
+    return dataclasses.replace(
+        pomdp, branch_rewards={k: r * factor for k, r in pomdp.branch_rewards.items()}
+    )
+
+
+def _forced_wasted_move():
+    """Horizon 2. At s0, `a1` earns 1 now and 1 next step; `a0` earns 0 and
+    moves to s1 or s2 unseen. That belief offers `a0` through s2, and in s1,
+    where `a0` is not applicable, the wasted move pays 10, so `a0` is worth
+    5. A bound that maxes only over applicable actions values s1 at 0 and
+    would skip `a0`."""
+    states = (NetworkState.initial(), NetworkState(flags=("x",)), NetworkState(flags=("y",)))
+    transitions = {
+        (0, 0): ((1, 0.5), (2, 0.5)), (0, 1): ((0, 1.0),),
+        (1, 0): ((1, 1.0),), (1, 1): ((1, 1.0),),
+        (2, 0): ((2, 1.0),), (2, 1): ((2, 1.0),),
+    }
+    rewards = {(s, a, s2): 0.0 for (s, a), row in transitions.items() for s2, _ in row}
+    rewards[(0, 1, 0)] = 1.0
+    rewards[(1, 0, 1)] = 10.0
+    return Pomdp(
+        states=states,
+        actions=(_action(0), _action(1)),
+        observations=("o1",),
+        transitions=transitions,
+        observation_probs={key: ((0, 1.0),) for key in transitions},
+        branch_rewards=rewards,
+        initial_belief=(1.0, 0.0, 0.0),
+        horizon=2,
+        applicable={0: (0, 1), 1: (), 2: (0,)},
+        milestones={1: "x"},
+    )
+
+
+def _tied_gamble(sure):
+    """Horizon 2, fully observed. At s0, `a0` gambles (s1 with 0.75, s2
+    with 0.25) on follow-ups worth 3.7 and 0.6, and `a1` pays `sure` into
+    the dead end s3."""
+    states = tuple(NetworkState(flags=(f"s{i}",)) for i in range(4))
+    transitions = {(s, a): ((s, 1.0),) for s in range(1, 4) for a in (0, 1)}
+    transitions[(0, 0)] = ((1, 0.75), (2, 0.25))
+    transitions[(0, 1)] = ((3, 1.0),)
+    rewards = {(s, a, s2): 0.0 for (s, a), row in transitions.items() for s2, _ in row}
+    rewards |= {(0, 0, 1): 4.2, (0, 0, 2): 1.2, (0, 1, 3): sure, (1, 0, 1): 3.7, (2, 0, 2): 0.6}
+    observations = {key: ((0, 1.0),) for key in transitions}
+    observations[(2, 0)] = ((1, 1.0),)
+    return Pomdp(
+        states=states,
+        actions=(_action(0), _action(1)),
+        observations=("o1", "o2"),
+        transitions=transitions,
+        observation_probs=observations,
+        branch_rewards=rewards,
+        initial_belief=(1.0, 0.0, 0.0, 0.0),
+        horizon=2,
+        applicable={0: (0, 1), 1: (0, 1), 2: (0, 1), 3: ()},
+        milestones={1: "s1"},
+    )
+
+
+class TestPrunedSolve:
+    """`value_iteration` skips actions by their QMDP bound; the unpruned
+    search in `solveoracle` must pick the same policy, to the bit."""
+
+    def _assert_same_as_unpruned(self, pomdp):
+        result = value_iteration(pomdp)
+        value, policy, beliefs = unpruned_solve(pomdp)
+        assert result.value == value
+        assert _graph(result.policy) == _graph(policy)
+        assert result.reachable_beliefs <= beliefs
+        return result
+
+    def test_fixture_flows_match_unpruned_solve(self, scenario, scenario_isolated):
+        counts = {}
+        for inputs in (scenario, scenario_isolated):
+            for flow in inputs.flows:
+                pomdp = build_pomdp(flow, inputs.network, inputs.ti)
+                result = self._assert_same_as_unpruned(pomdp)
+                counts[flow.id, inputs is scenario] = result.reachable_beliefs
+        # unpruned: 608, 385 and 351 beliefs
+        assert counts == {
+            ("credential_chain", True): 87,
+            ("dns_injection", True): 126,
+            ("credential_chain", False): 73,
+        }
+
+    def test_random_scenarios_match_unpruned_solve(self):
+        rng = random.Random(7373)
+        for _ in range(200):
+            inputs = random_scenario(rng)
+            self._assert_same_as_unpruned(
+                build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+            )
+
+    def test_tree_scenarios_match_unpruned_solve(self):
+        rng = random.Random(7474)
+        for _ in range(100):
+            inputs = random_scenario(rng, tree=True)
+            self._assert_same_as_unpruned(
+                build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+            )
+
+    @pytest.mark.parametrize("factor", [1.0, 1e9, 1e-9])
+    def test_random_models_match_unpruned_solve(self, factor):
+        rng = random.Random(8181)
+        pruned = 0
+        for _ in range(200):
+            pruned += self._assert_same_as_unpruned(_scaled(random_pomdp(rng), factor)).pruned
+        assert pruned > 0
+
+    def test_pruning_is_scale_free(self):
+        # a power-of-two scale rounds every sum alike, so a bound whose
+        # slack scales with the model skips exactly the same actions
+        rng = random.Random(9191)
+        for _ in range(200):
+            pomdp = random_pomdp(rng)
+            base = value_iteration(pomdp)
+            for factor in (2.0**30, 2.0**-30):
+                result = value_iteration(_scaled(pomdp, factor))
+                assert result.value == base.value * factor
+                assert result.pruned == base.pruned
+                assert _graph(result.policy) == _graph(base.policy)
+
+    @pytest.mark.parametrize("steps", [3, 4, 5])
+    def test_chains_match_unpruned_solve(self, steps):
+        inputs = chain_scenario(CHAIN[:steps])
+        self._assert_same_as_unpruned(build_pomdp(inputs.flows[0], inputs.network, inputs.ti))
+
+    def test_bound_covers_wasted_moves(self):
+        pomdp = _forced_wasted_move()
+        result = self._assert_same_as_unpruned(pomdp)
+        assert result.value == 5.0
+        assert result.policy.root.action == 0
+        assert result.pruned == 1
+
+    def test_bound_rounding_keeps_an_exact_tie(self):
+        # `a1` is worth exactly what the search sums `a0` to, and ties go to
+        # `a0`; the bound of `a0` is summed in another order and lands one
+        # ulp lower, so a bound without slack would skip `a0`
+        gamble, _, _ = unpruned_solve(_tied_gamble(0.0))
+        pomdp = _tied_gamble(gamble)
+        assert qmdp_bounds(pomdp, expected_rewards(pomdp))[2][0][0] < gamble
+        result = self._assert_same_as_unpruned(pomdp)
+        assert result.policy.root.action == 0
+        assert result.value == gamble
+
+    def test_chain_belief_counts(self):
+        counts = {}
+        for steps in (5, 6):
+            inputs = chain_scenario(CHAIN[:steps])
+            result = value_iteration(build_pomdp(inputs.flows[0], inputs.network, inputs.ti))
+            counts[steps] = (result.blocks, result.reachable_beliefs, len(result.policy.nodes))
+        # unpruned: 12,524 and 52,918 beliefs
+        assert counts == {5: (6, 903, 52), 6: (7, 3_392, 68)}
