@@ -45,12 +45,6 @@ class AttackFlow:
     edges: list[FlowEdge]
     trees: TreeLibrary = field(default_factory=TreeLibrary)
 
-    def __post_init__(self):
-        self._by_step = {n.step: n for n in self.nodes}
-
-    def node(self, step: int) -> TtpNode:
-        return self._by_step[step]
-
     def predecessors(self, step: int) -> list[FlowEdge]:
         return [e for e in self.edges if e.dst == step]
 

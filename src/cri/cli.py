@@ -13,17 +13,22 @@ import io
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
 
 from . import __version__
+from .attack_flow import parse_attack_flow
 from .canon import canonical_json, sha256_hex
 from .engine import EngineConfig, RunOutput, run_campaign, run_whatif
 from .errors import CriError
 from .index import IndexLedger, parse_countermeasures, record_index
-from .ingest import RawBundle, parse_bool, read_input, validate_bundle
+from .ingest import (
+    RawBundle, parse_bool, parse_network, parse_policy_set, read_input, validate_bundle,
+)
 from .pomdp import complexity_report
+from .threat_intel import load_threat_intel
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +38,13 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 def _setup_logging():
     level = _LOG_LEVELS.get(os.environ.get("CRI_LOG", "error").lower(), logging.ERROR)
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+
+
+# Every key some command reads from a config file.
+_CONFIG_KEYS = frozenset({
+    "network", "flows", "policies", "ti", "mode", "episodes", "seed", "horizon",
+    "naive_check", "ti_defaults", "campaign", "ledger", "out",
+})
 
 
 def _read_config_file(path: str | None) -> dict[str, str]:
@@ -47,7 +59,10 @@ def _read_config_file(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise click.UsageError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -143,7 +158,10 @@ def _require_out_dir(value: str, what: str = "out") -> str:
     return value
 
 
-def _prepare(kwargs) -> tuple:
+def _prepare(kwargs, writes_ledger: bool) -> tuple:
+    """Resolve flags over the config file, check the paths a run writes to
+    (the ledger's directory only when `writes_ledger`), then read and
+    validate the inputs."""
     config = _read_config_file(kwargs.get("config"))
     seed = _resolve(config, kwargs.get("seed"), "seed", 0, int)
     if seed < 0:
@@ -153,7 +171,7 @@ def _prepare(kwargs) -> tuple:
         raise click.UsageError(f"horizon must be at least 1, got {horizon}")
     out_dir = _require_out_dir(_resolve(config, kwargs.get("out"), "out", "cri-out"))
     ledger_path = _resolve(config, kwargs.get("ledger"), "ledger", None)
-    if ledger_path:
+    if ledger_path and writes_ledger:
         _require_out_dir(str(Path(ledger_path).parent), "ledger directory")
     allow_defaults = _resolve(config, kwargs.get("ti_defaults"), "ti_defaults", False, bool)
     naive_check = _resolve(config, kwargs.get("naive_check"), "naive_check", False, bool)
@@ -257,7 +275,7 @@ def main():
 def calc(formats, **kwargs):
     """Run the full pipeline and print the campaign index."""
     try:
-        inputs, cfg, out_dir, ledger_path = _prepare(kwargs)
+        inputs, cfg, out_dir, ledger_path = _prepare(kwargs, writes_ledger=True)
         ledger_path = ledger_path or str(Path(out_dir) / "ledger.jsonl")
         if Path(ledger_path).exists():
             ledger = IndexLedger.load(ledger_path)
@@ -282,7 +300,7 @@ def whatif(cm_path, **kwargs):
     """Evaluate countermeasure cost/benefit against the campaign index."""
     try:
         _require_path(cm_path, "countermeasures")
-        inputs, cfg, out_dir, ledger_path = _prepare(kwargs)
+        inputs, cfg, out_dir, ledger_path = _prepare(kwargs, writes_ledger=False)
         if ledger_path:
             click.echo("warning: whatif writes no ledger; --ledger ignored", err=True)
         measures = parse_countermeasures(read_input(cm_path))
@@ -336,10 +354,6 @@ def whatif(cm_path, **kwargs):
 @_input_options
 def complexity(**kwargs):
     """Print worst-case versus actually-built model sizes."""
-    from .attack_flow import parse_attack_flow
-    from .ingest import parse_network, parse_policy_set
-    from .threat_intel import load_threat_intel
-
     try:
         config = _read_config_file(kwargs.get("config"))
         network = _require_path(_resolve(config, kwargs.get("network"), "network"), "network")
@@ -362,7 +376,7 @@ def complexity(**kwargs):
         if ti is not None and not net.entry_points():
             ti = None  # actual model sizes need an entry point; bounds do not
         report = complexity_report(net, flows_list, ti)
-        payload = report.as_dict()
+        payload = asdict(report)
         payload["worst_states"] = str(payload["worst_states"])
         payload["comp_state_obs"] = str(payload["comp_state_obs"])
         payload["c_statetrans"] = str(payload["c_statetrans"])

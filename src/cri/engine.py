@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import __version__
 from .attack_flow import AttackFlow
@@ -248,7 +248,7 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
         [fr.result for fr in flow_reports], cfg.campaign_id, provenance
     )
     assumed = campaign_cri(assumed_results, cfg.campaign_id, dict(provenance, series="assumed"))
-    complexity = complexity_report(net, inputs.flows, inputs.ti).as_dict()
+    complexity = asdict(complexity_report(net, inputs.flows, inputs.ti))
     return RunOutput(
         campaign=campaign,
         assumed=assumed,

@@ -192,9 +192,6 @@ class IndexLedger:
             entries.append(_ledger_entry(raw, f"ledger line {lineno}"))
         return IndexLedger(path=path, entries=entries)
 
-    def serialize(self) -> str:
-        return "".join(e.to_line() + "\n" for e in self.entries)
-
 
 def record_index(
     ledger: IndexLedger,

@@ -6,6 +6,7 @@ from ..attack_flow import AttackFlow
 from ..errors import ValidationError
 from ..netmodel import NetworkModel
 from ..threat_intel import TiTable
+from .build import build_pomdp
 from .types import ComplexityEstimate, OBSERVATIONS
 
 _NOTE = (
@@ -67,8 +68,6 @@ def complexity_report(
     num_actions = sum(len(f.nodes) for f in flows)
     estimate = complexity_from_sizes(len(net.nodes), max_inventory, num_actions)
     if ti is not None and flows:
-        from .build import build_pomdp
-
         models = [build_pomdp(f, net, ti) for f in flows]
         estimate.reduced_states = sum(len(m.states) for m in models)
         estimate.reduced_actions = sum(len(m.actions) for m in models)

@@ -10,7 +10,9 @@ worth, and picks the same actions.
 
 The partition is refined until its block count stops changing. Floats are
 compared for exact equality, so two states are merged only when every
-number the solver would read from them is the same number.
+number the solver would read from them is the same number. The quotient is
+a model in its own right: each block takes its representative's R(s, a)
+as its `rewards`, and has no branch rewards of its own.
 """
 
 from __future__ import annotations
@@ -18,15 +20,12 @@ from __future__ import annotations
 from .types import Pomdp
 
 
-def lump(
-    pomdp: Pomdp, expected: dict[tuple[int, int], float]
-) -> tuple[Pomdp, dict[tuple[int, int], float]]:
-    """The quotient model and its expected rewards per (block, action).
-
-    `expected` holds the expected immediate reward of every (state, action)
-    pair. Blocks are numbered in order of their lowest state index, and
-    that state, the block's representative, lends the block its rows."""
+def lump(pomdp: Pomdp) -> Pomdp:
+    """The quotient model. Blocks are numbered in order of their lowest
+    state index, and that state, the block's representative, lends the
+    block its rows and its rewards."""
     n = len(pomdp.states)
+    rewards = pomdp.rewards
     actions = range(len(pomdp.actions))
     seeds: dict[tuple, int] = {}
     block = [
@@ -34,7 +33,7 @@ def lump(
             (
                 pomdp.applicable.get(s, ()),
                 tuple(pomdp.observation_probs[(s, a)] for a in actions),
-                tuple(expected[(s, a)] for a in actions),
+                tuple(rewards[(s, a)] for a in actions),
             ),
             len(seeds),
         )
@@ -83,7 +82,6 @@ def lump(
             for b, s in enumerate(reps)
             for a in actions
         },
-        # the solver reads rewards from the expected table returned alongside
         branch_rewards={},
         initial_belief=tuple(initial),
         horizon=pomdp.horizon,
@@ -92,6 +90,7 @@ def lump(
         milestones=pomdp.milestones,
         flow_id=pomdp.flow_id,
     )
-    return quotient, {
-        (b, a): expected[(s, a)] for b, s in enumerate(reps) for a in actions
+    quotient.rewards = {
+        (b, a): rewards[(s, a)] for b, s in enumerate(reps) for a in actions
     }
+    return quotient

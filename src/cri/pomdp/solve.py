@@ -9,7 +9,8 @@ the lowest action index.
 The expectimax runs on the model's coarsest exact bisimulation quotient
 (`lump`): states that differ only in what no action, observation or reward
 reads, such as compromised inventory, share one block, so far fewer
-beliefs are expanded.
+beliefs are expanded. Every stage reads immediate rewards as R(s, a) from
+its model's `rewards`, the quotient's included.
 
 The expectimax is exact branch-and-bound. Before it starts, `qmdp_bounds`
 tabulates Q_d(s, a), the finite-horizon Q-value of the quotient treated as
@@ -169,21 +170,14 @@ def compile_policy(
     return Policy(nodes=nodes, horizon=horizon)
 
 
-def expected_rewards(pomdp: Pomdp) -> dict[tuple[int, int], float]:
-    """Expected immediate reward of every (state, action) pair."""
-    return {key: pomdp.expected_reward(*key) for key in pomdp.transitions}
-
-
-def qmdp_bounds(
-    pomdp: Pomdp, expected: dict[tuple[int, int], float]
-) -> list[list[list[float]]]:
+def qmdp_bounds(pomdp: Pomdp) -> list[list[list[float]]]:
     """Q_d(s, a) for d = 0..horizon, indexed [d][s][a]: the finite-horizon
     Q-value of the model treated as fully observable, with the stop
     option. V_d(s) = max(0, max over every action of Q_d(s, a)), since a
     belief can force any state through any action its other states offer."""
     actions = range(len(pomdp.actions))
     rows = [
-        [(expected[(s, a)], pomdp.transitions[(s, a)]) for a in actions]
+        [(pomdp.rewards[(s, a)], pomdp.transitions[(s, a)]) for a in actions]
         for s in range(len(pomdp.states))
     ]
     table = [[[0.0] * len(actions) for _ in rows]]
@@ -198,15 +192,14 @@ def qmdp_bounds(
     return table
 
 
-def expectimax(
-    pomdp: Pomdp, expected: dict[tuple[int, int], float], belief_cap: int
-) -> tuple[float, dict[tuple, int | None], int]:
+def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[dict[tuple, int | None], int]:
     """Memoized expectimax to the model's horizon from b0, with every
-    action bounded by `qmdp_bounds`. Returns the value, the action chosen
-    at every expanded (belief key, steps left), None meaning stop, and the
-    number of actions the bound skipped; raises CapacityError past
-    `belief_cap` beliefs."""
-    bounds = qmdp_bounds(pomdp, expected)
+    action bounded by `qmdp_bounds`. Returns the action chosen at every
+    expanded (belief key, steps left), None meaning stop, and the number
+    of actions the bound skipped; raises CapacityError past `belief_cap`
+    beliefs."""
+    rewards = pomdp.rewards
+    bounds = qmdp_bounds(pomdp)
     # covers float rounding in the bound, at the scale of the model's values
     eps = 1e-9 * max((abs(q) for depth in bounds for row in depth for q in row), default=0.0)
     values: dict[tuple, float] = {}
@@ -237,7 +230,7 @@ def expectimax(
             if upper[a] < max(best_q, 0.0) - eps:
                 pruned += len(order) - i
                 break
-            q = sum(support[s] * expected[(s, a)] for s in sorted(support))
+            q = sum(support[s] * rewards[(s, a)] for s in sorted(support))
             for _, mass, child in _successors(pomdp, support, a):
                 q += pomdp.discount * mass * solve(child, depth - 1)
             if q > best_q or (q == best_q and a < best_a):
@@ -251,12 +244,11 @@ def expectimax(
             chosen[key] = best_a
         return values[key]
 
-    return solve(pomdp.b0_support(), pomdp.horizon), chosen, pruned
+    solve(pomdp.b0_support(), pomdp.horizon)
+    return chosen, pruned
 
 
-def policy_value(
-    pomdp: Pomdp, policy: Policy, expected: dict[tuple[int, int], float]
-) -> float:
+def policy_value(pomdp: Pomdp, policy: Policy) -> float:
     """Expected cumulative reward of following `policy` from b0, summed in
     the expectimax's order so an optimal policy yields V* to the bit."""
     values: list[float] = []
@@ -265,7 +257,7 @@ def policy_value(
             values.append(0.0)
             continue
         support = node.support
-        q = sum(support[s] * expected[(s, node.action)] for s in sorted(support))
+        q = sum(support[s] * pomdp.rewards[(s, node.action)] for s in sorted(support))
         for mass, child in node.children.values():
             q += pomdp.discount * mass * values[child]
         values.append(q)
@@ -276,13 +268,12 @@ def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
     """Solve for the attacker-optimal policy by exact expectimax on the
     model's bisimulation quotient, and compile it into a policy graph over
     the model's own states."""
-    expected = expected_rewards(pomdp)
-    quotient, quotient_expected = lump(pomdp, expected)
-    _, chosen, pruned = expectimax(quotient, quotient_expected, belief_cap)
+    quotient = lump(pomdp)
+    chosen, pruned = expectimax(quotient, belief_cap)
     policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
     return SolveResult(
         policy=policy,
-        value=policy_value(pomdp, policy, expected),
+        value=policy_value(pomdp, policy),
         reachable_beliefs=len(chosen),
         blocks=len(quotient.states),
         pruned=pruned,

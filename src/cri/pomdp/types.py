@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -9,18 +10,9 @@ from ..errors import ValidationError
 
 PROB_TOL = 1e-9
 
-# The eight observation labels an attacker can receive.
+# The eight observation labels an attacker can receive; `build` says what
+# each one means.
 OBSERVATIONS = ("o1", "o2", "o3", "o4", "o5", "o6", "o7", "o8")
-OBS_MEANINGS = {
-    "o1": "success",
-    "o2": "failure",
-    "o3": "blocked",
-    "o4": "rejected",
-    "o5": "delayed response",
-    "o6": "access denied",
-    "o7": "no response",
-    "o8": "error message",
-}
 
 
 @dataclass(frozen=True, order=True)
@@ -37,12 +29,6 @@ class NetworkState:
 
     def has_flag(self, flag: str) -> bool:
         return flag in self.flags
-
-    def items_of(self, node_id: str) -> tuple[str, ...]:
-        for nid, items in self.compromised:
-            if nid == node_id:
-                return items
-        return ()
 
     def with_flags(self, new_flags: set[str]) -> "NetworkState":
         merged = tuple(sorted(set(self.flags) | new_flags))
@@ -118,7 +104,8 @@ class Pomdp:
     transitions[(s, a)] lists (s', p) successors for every state/action pair
     (actions whose preconditions fail in s are wasted moves that self-loop);
     observation_probs[(s', a)] lists (o, p); branch_rewards[(s, a, s')] is
-    the realized reward on that branch.
+    the realized reward on that branch, and `rewards` folds those into
+    R(s, a).
     """
 
     states: tuple[NetworkState, ...]
@@ -136,13 +123,15 @@ class Pomdp:
     milestones: dict[int, str] = field(default_factory=dict)
     flow_id: str = ""
 
-    def __post_init__(self):
-        self.state_index = {s: i for i, s in enumerate(self.states)}
-
-    def expected_reward(self, s: int, a: int) -> float:
-        return sum(
-            p * self.branch_rewards[(s, a, s2)] for s2, p in self.transitions[(s, a)]
-        )
+    @functools.cached_property
+    def rewards(self) -> dict[tuple[int, int], float]:
+        """Expected immediate reward R(s, a) of every (state, action) pair.
+        Cached on the instance, so a model made by `dataclasses.replace`
+        sums its own branch rewards."""
+        return {
+            (s, a): sum(p * self.branch_rewards[(s, a, s2)] for s2, p in row)
+            for (s, a), row in self.transitions.items()
+        }
 
     def b0_support(self) -> Support:
         return {i: p for i, p in enumerate(self.initial_belief) if p > 0.0}
@@ -216,19 +205,3 @@ class ComplexityEstimate:
     reduced_actions: int | None = None
     reduced_observations: int | None = None
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "max_inventory": self.max_inventory,
-            "worst_states": self.worst_states,
-            "num_actions": self.num_actions,
-            "num_observations": self.num_observations,
-            "comp_state_obs": self.comp_state_obs,
-            "c_statetrans": self.c_statetrans,
-            "natural_states": self.natural_states,
-            "reduced_states": self.reduced_states,
-            "reduced_actions": self.reduced_actions,
-            "reduced_observations": self.reduced_observations,
-            "note": self.note,
-        }

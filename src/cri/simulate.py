@@ -3,19 +3,19 @@
 Episodes are reproducible: each one draws from an independent substream
 derived from (master seed, episode index). `estimate_expected_reward`
 walks episodes in blocks with numpy over the policy graph flattened into
-tables, and derives each block's uniforms at once in numpy
-(`block_uniforms`), equal bit for bit to each episode's `substream`. Its
-estimates equal those of per-episode `simulate_episode` walks bit for bit.
-`substream` and `simulate_episode` stay as the audit path.
+tables, built once per call with sampling rows for just the (state,
+action) pairs the graph lists, and derives each block's uniforms at once
+in numpy (`block_uniforms`), equal bit for bit to each episode's
+`substream`. Its estimates equal those of per-episode `simulate_episode`
+walks bit for bit. `substream` and `simulate_episode` stay as the audit
+path.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -256,42 +256,34 @@ def simulate_episode(pomdp: Pomdp, policy: Policy, rng: np.random.Generator) -> 
 class _WalkTables:
     """The model and a policy graph flattened into arrays for `walk`: per
     policy node its action (-1 = stop) and its child per observation, and
-    per (state, action) the walk reaches its transition and observation
-    rows (see `_Rows`)."""
+    the sampling rows (see `_Rows`) of what the graph can reach: each
+    node's action from every state in its support, and the observation
+    row of every arrival."""
 
     def __init__(self, pomdp: Pomdp, policy: Policy):
         self.discount = pomdp.discount
-        used = sorted({n.action for n in policy.nodes if n.action is not None})
-        column = {a: j for j, a in enumerate(used)}
-        self.action = np.array(
-            [-1 if n.action is None else column[n.action] for n in policy.nodes]
-        )
+        self.action = np.array([-1 if n.action is None else n.action for n in policy.nodes])
         self.child = np.full((len(policy.nodes), len(pomdp.observations)), -1)
         for i, node in enumerate(policy.nodes):
             for obs, (_, child) in node.children.items():
                 self.child[i, obs] = child
         self.root = len(policy.nodes) - 1
-        # key s * len(used) + j stands for (state s, action used[j])
-        self.stride = len(used)
-        keys = len(pomdp.states) * len(used)
-
-        def pair(key: int) -> tuple[int, int]:
-            return key // len(used), used[key % len(used)]
-
-        def transitions(key: int) -> list[tuple[int, float, float]]:
-            s, a = pair(key)
-            return [
-                (s2, p, pomdp.branch_rewards[(s, a, s2)])
-                for s2, p in pomdp.transitions[(s, a)]
+        # key s * stride + a stands for (state s, action a)
+        self.stride = len(pomdp.actions)
+        keys = len(pomdp.states) * self.stride
+        pairs = {(s, n.action) for n in policy.nodes if n.action is not None for s in n.support}
+        arrivals = {(s2, a) for s, a in pairs for s2, _ in pomdp.transitions[(s, a)]}
+        self.transitions = _Rows(keys, {
+            s * self.stride + a: [
+                (s2, p, pomdp.branch_rewards[(s, a, s2)]) for s2, p in pomdp.transitions[(s, a)]
             ]
-
-        def observations(key: int) -> list[tuple[int, float, float]]:
-            return [(o, p, 0.0) for o, p in pomdp.observation_probs[pair(key)]]
-
-        self.transitions = _Rows(keys, pomdp.transitions.values(), transitions)
-        self.observations = _Rows(keys, pomdp.observation_probs.values(), observations)
-        b0 = [(s, p, 0.0) for s, p in sorted(policy.root.support.items())]
-        self.b0 = _Rows(1, [b0], lambda key: b0)
+            for s, a in pairs
+        })
+        self.observations = _Rows(keys, {
+            s2 * self.stride + a: [(o, p, 0.0) for o, p in pomdp.observation_probs[(s2, a)]]
+            for s2, a in arrivals
+        })
+        self.b0 = _Rows(1, {0: [(s, p, 0.0) for s, p in sorted(policy.root.support.items())]})
         steps = sorted(pomdp.milestones)
         self.flagged = np.array(
             [[st.has_flag(pomdp.milestones[m]) for m in steps] for st in pomdp.states],
@@ -331,48 +323,36 @@ class _WalkTables:
 
 
 class _Rows:
-    """Sampling rows of (outcome, probability, value), added the first time
-    the walk reaches their key. Cumulative sums are built left to right as
-    `_draw` adds them, and padded with +inf so that every row has a column
-    whose sum exceeds any uniform."""
+    """Sampling rows of (outcome, probability, value), one per given key.
+    Cumulative sums are built left to right as `_draw` adds them, and
+    padded with +inf so that every row has a column whose sum exceeds any
+    uniform."""
 
-    def __init__(self, keys: int, rows, row: Callable[[int], list]):
-        """`row(key)` builds the row of a key in `range(keys)`; `rows` are all
-        the rows a key can stand for, which size the columns."""
-        width = 1 + max(map(len, rows), default=0)
-        self.row = row
-        self.slot = np.zeros(keys, dtype=np.intp)  # 1 + row of each key, 0 = not added
-        self.outcome = np.zeros((0, width), dtype=np.intp)
-        self.value = np.zeros((0, width))
-        self.acc = np.zeros((0, width))
-        self.last = np.zeros(0, dtype=np.intp)
-
-    def draw(self, keys: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_draw`'s outcome and its value in each key's row for its uniform:
-        the first column whose cumulative sum exceeds the uniform, clamped
-        to the row's last entry."""
-        new = sorted(set(keys[self.slot[keys] == 0].tolist()))
-        if new:
-            self._add(new)
-        rows = self.slot[keys] - 1
-        k = np.minimum(np.argmax(self.acc[rows] > u[:, None], axis=1), self.last[rows])
-        return self.outcome[rows, k], self.value[rows, k]
-
-    def _add(self, keys: list[int]) -> None:
-        width = self.acc.shape[1]
-        outcome, value, acc, last = [], [], [], []
-        for key in keys:
-            entries = self.row(key)
+    def __init__(self, keys: int, rows: dict[int, list[tuple[int, float, float]]]):
+        """`rows` maps some of the keys in `range(keys)` to their rows."""
+        width = 1 + max(map(len, rows.values()), default=0)
+        outcome, value, acc = [], [], []
+        for entries in rows.values():
             pad = width - len(entries)
             outcome.append([o for o, _, _ in entries] + [0] * pad)
             value.append([v for _, _, v in entries] + [0.0] * pad)
             acc.append(list(itertools.accumulate(p for _, p, _ in entries)) + [math.inf] * pad)
-            last.append(len(entries) - 1)
-        self.slot[keys] = len(self.last) + 1 + np.arange(len(keys))
-        self.outcome = np.concatenate([self.outcome, np.array(outcome, dtype=np.intp)])
-        self.value = np.concatenate([self.value, value])
-        self.acc = np.concatenate([self.acc, acc])
-        self.last = np.concatenate([self.last, last])
+        self.slot = np.full(keys, -1, dtype=np.intp)  # row of each key, -1 = none
+        self.slot[list(rows)] = np.arange(len(rows))
+        self.outcome = np.array(outcome, dtype=np.intp).reshape(-1, width)
+        self.value = np.array(value).reshape(-1, width)
+        self.acc = np.array(acc).reshape(-1, width)
+        self.last = np.array([len(entries) - 1 for entries in rows.values()], dtype=np.intp)
+
+    def draw(self, keys: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`_draw`'s outcome and its value in each key's row for its uniform:
+        the first column whose cumulative sum exceeds the uniform, clamped
+        to the row's last entry. A key without a row raises KeyError."""
+        rows = self.slot[keys]
+        if (rows < 0).any():
+            raise KeyError(int(keys[rows < 0][0]))
+        k = np.minimum(np.argmax(self.acc[rows] > u[:, None], axis=1), self.last[rows])
+        return self.outcome[rows, k], self.value[rows, k]
 
 
 def estimate_expected_reward(
@@ -416,46 +396,6 @@ def estimate_expected_reward(
         truncated_episodes=truncated,
         rewards=rewards,
     )
-
-
-def estimate_p_n(
-    pomdp: Pomdp, policy: Policy, ttp_step: int, num_episodes: int, seed: int
-) -> tuple[float, tuple[float, float]]:
-    """Fraction of episodes reaching one TTP step's milestone, with a
-    Wilson 95% interval."""
-    if ttp_step not in pomdp.milestones:
-        raise KeyError(f"unknown TTP step {ttp_step}")
-    summary = estimate_expected_reward(pomdp, policy, num_episodes, seed)
-    return summary.p_n_estimates[ttp_step], summary.p_n_intervals[ttp_step]
-
-
-def episodes_to_jsonl(episodes: list[Episode]) -> str:
-    """One JSON object per line, for external audit."""
-    lines = []
-    for episode in episodes:
-        lines.append(
-            json.dumps(
-                {
-                    "steps": [
-                        {
-                            "belief_before": list(map(list, s.belief_before)),
-                            "action": s.action,
-                            "observation": s.observation,
-                            "reward": s.reward,
-                            "belief_after": list(map(list, s.belief_after)),
-                        }
-                        for s in episode.steps
-                    ],
-                    "terminal_state": episode.terminal_state.label(),
-                    "cumulative_reward": episode.cumulative_reward,
-                    "succeeded": {str(k): v for k, v in sorted(episode.succeeded.items())},
-                    "truncated": episode.truncated,
-                    "abandoned": episode.abandoned,
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def brute_force_value(

@@ -9,13 +9,11 @@ index.
 
 from cri.errors import CapacityError
 from cri.pomdp.lump import lump
-from cri.pomdp.solve import _successors, compile_policy, expected_rewards, policy_value
+from cri.pomdp.solve import _successors, compile_policy, policy_value
 from cri.pomdp.types import Pomdp, Support, support_key
 
 
-def unpruned_expectimax(
-    pomdp: Pomdp, expected: dict[tuple[int, int], float], belief_cap: int = 500_000
-) -> tuple[float, dict[tuple, int | None]]:
+def unpruned_expectimax(pomdp: Pomdp, belief_cap: int = 500_000) -> tuple[float, dict]:
     """Memoized expectimax to the model's horizon from b0. Returns the value
     and the action chosen at every expanded (belief key, steps left), None
     meaning stop; raises CapacityError past `belief_cap` beliefs."""
@@ -38,7 +36,7 @@ def unpruned_expectimax(
         best_q: float | None = None
         best_a: int | None = None
         for a in offered:
-            q = sum(support[s] * expected[(s, a)] for s in sorted(support))
+            q = sum(support[s] * pomdp.rewards[(s, a)] for s in sorted(support))
             for _, mass, child in _successors(pomdp, support, a):
                 q += pomdp.discount * mass * solve(child, depth - 1)
             if best_q is None or q > best_q:
@@ -58,15 +56,14 @@ def unpruned_expectimax(
 def unpruned_solve(pomdp: Pomdp):
     """`value_iteration` with the unpruned search: (value, policy graph,
     beliefs expanded) from the expectimax on the model's quotient."""
-    expected = expected_rewards(pomdp)
-    quotient, quotient_expected = lump(pomdp, expected)
-    _, chosen = unpruned_expectimax(quotient, quotient_expected)
+    quotient = lump(pomdp)
+    _, chosen = unpruned_expectimax(quotient)
     policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
-    return policy_value(pomdp, policy, expected), policy, len(chosen)
+    return policy_value(pomdp, policy), policy, len(chosen)
 
 
 def unlumped_solve(pomdp: Pomdp):
     """The unpruned search run directly on the model's own states:
     (value, policy graph, beliefs expanded)."""
-    value, chosen = unpruned_expectimax(pomdp, expected_rewards(pomdp))
+    value, chosen = unpruned_expectimax(pomdp)
     return value, compile_policy(pomdp, chosen.get, pomdp.horizon), len(chosen)

@@ -9,7 +9,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from conftest import MALFORMED, SCENARIO
+from conftest import MALFORMED, REPO_ROOT, SCENARIO
 from cri.cli import main
 
 NETWORK = str(SCENARIO / "network.graphml")
@@ -232,6 +232,41 @@ class TestLedgerDirectory:
         assert not (tmp_path / "out").exists()
 
 
+class TestConfigKeys:
+    """A config key that no command reads exits 2 naming its line, before
+    any input is read; the bundled config works for every command."""
+
+    COMMANDS = {
+        "calc": [],
+        "whatif": ["--countermeasures", str(SCENARIO / "countermeasures.json")],
+        "complexity": [],
+    }
+
+    def _args(self, command, out, **overrides):
+        if command == "complexity":
+            return [f"--{key}={value}" for key, value in overrides.items()]
+        return [*calc_args(out, **overrides), *self.COMMANDS[command]]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_key_exits_2_before_inputs(self, tmp_path, command):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# typos\nnetwork={NETWORK}\nmdoe=both\nepsiodes=50\n")
+        args = self._args(command, tmp_path / "out", ti=str(MALFORMED / "not_utf8.csv"))
+        result = run_cli(command, "--config", str(config), *args)
+        assert result.exit_code == 2, result.output
+        assert f"{config}:3: unknown key 'mdoe'" in result.output
+        assert "not UTF-8" not in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bundled_config_runs(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(REPO_ROOT)
+        config = "fixtures/scenario/config.txt"
+        extra = [] if command == "complexity" else ["--out", str(tmp_path / "out")]
+        result = run_cli(command, "--config", config, *extra, *self.COMMANDS[command])
+        assert result.exit_code == 0, result.output
+
+
 class TestUnreadableInputs:
     """Every input file goes through one reader: undecodable bytes or an
     unreadable path exit 2 with an error naming the file, never with a
@@ -434,12 +469,17 @@ class TestWhatif:
 
     def test_ledger_is_ignored_with_a_warning(self, tmp_path):
         warning = "warning: whatif writes no ledger; --ledger ignored"
+        # a ledger whose directory could not be created is ignored too
+        existing = tmp_path / "taken.txt"
+        existing.write_text("keep me\n")
         seen = {}
-        for where in (None, "flag", "config"):
+        for where in (None, "flag", "config", "under-a-file"):
             out, ledger = tmp_path / f"out-{where}", tmp_path / f"ledger-{where}.jsonl"
+            if where == "under-a-file":
+                ledger = existing / "ledger.jsonl"
             config = tmp_path / f"{where}.cfg"
             config.write_text(f"ledger={ledger}\n" if where == "config" else "")
-            extra = ["--ledger", str(ledger)] if where == "flag" else []
+            extra = ["--ledger", str(ledger)] if where in ("flag", "under-a-file") else []
             result = run_cli(
                 "whatif", *calc_args(out), "--config", str(config), *extra,
                 "--countermeasures", str(SCENARIO / "countermeasures.json"),
@@ -449,7 +489,8 @@ class TestWhatif:
             assert not ledger.exists()
             assert sorted(p.name for p in out.iterdir()) == ["whatif.csv", "whatif_report.json"]
             seen[where] = (result.stdout, [(out / n).read_bytes() for n in sorted(os.listdir(out))])
-        assert seen["flag"] == seen[None] == seen["config"]
+        assert seen["flag"] == seen[None] == seen["config"] == seen["under-a-file"]
+        assert existing.read_text() == "keep me\n"
 
     def test_malformed_file_exits_2(self, tmp_path):
         bad = tmp_path / "cm.json"

@@ -164,7 +164,7 @@ class TestLedger:
         replayed = IndexLedger.load(path)
         assert replayed.entries == ledger.entries
         with open(path, encoding="utf-8") as fh:
-            assert replayed.serialize() == fh.read()
+            assert "".join(e.to_line() + "\n" for e in replayed.entries) == fh.read()
 
     def test_unknown_kind_rejected(self, tmp_path):
         ledger = IndexLedger(path=str(tmp_path / "ledger.jsonl"))

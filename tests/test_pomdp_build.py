@@ -129,7 +129,7 @@ class TestBuildPomdp:
         pomdp, inputs = single_step()
         succ = pomdp.states[1]
         assert succ.has_flag(milestone_flag(1))
-        assert succ.items_of("host") == ("agent", "os")
+        assert dict(succ.compromised)["host"] == ("agent", "os")
 
     def test_milestones_map(self):
         pomdp, _ = and_chain()

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 import random
 
@@ -17,9 +16,7 @@ from cri.simulate import (
     BLOCK,
     block_uniforms,
     brute_force_value,
-    episodes_to_jsonl,
     estimate_expected_reward,
-    estimate_p_n,
     simulate_episode,
     substream,
     wilson_interval,
@@ -138,37 +135,29 @@ class TestSimulateEpisode:
                     for s, p in enumerate(expected):
                         assert after.get(s, 0.0) == pytest.approx(p, abs=1e-9)
 
-    def test_jsonl_export(self):
-        pomdp, _ = single_step()
-        result = value_iteration(pomdp)
-        episodes = [
-            simulate_episode(pomdp, result.policy, substream(1, i)) for i in range(3)
-        ]
-        text = episodes_to_jsonl(episodes)
-        lines = [json.loads(line) for line in text.strip().split("\n")]
-        assert len(lines) == 3
-        assert all("steps" in line and "cumulative_reward" in line for line in lines)
-
 
 class TestEstimators:
     def test_bernoulli_mean_within_interval(self):
         pomdp, _ = single_step(p_success=0.6, horizon=1)
         result = value_iteration(pomdp)
-        estimate, (lo, hi) = estimate_p_n(pomdp, result.policy, 1, 4000, seed=11)
+        summary = estimate_expected_reward(pomdp, result.policy, 4000, seed=11)
+        estimate, (lo, hi) = summary.p_n_estimates[1], summary.p_n_intervals[1]
         assert lo <= 0.6 <= hi
         assert abs(estimate - 0.6) < 0.03
 
     def test_certain_success_estimates_exactly_one(self):
         pomdp, _ = single_step(p_success=1.0, horizon=1)
         result = value_iteration(pomdp)
-        estimate, (lo, hi) = estimate_p_n(pomdp, result.policy, 1, 500, seed=1)
+        summary = estimate_expected_reward(pomdp, result.policy, 500, seed=1)
+        estimate, (lo, hi) = summary.p_n_estimates[1], summary.p_n_intervals[1]
         assert estimate == 1.0
         assert hi == 1.0
 
     def test_and_chain_product_oracle(self):
         pomdp, _ = and_chain(p1=0.5, p2=0.5, horizon=2)
         result = value_iteration(pomdp)
-        estimate, (lo, hi) = estimate_p_n(pomdp, result.policy, 2, 6000, seed=23)
+        summary = estimate_expected_reward(pomdp, result.policy, 6000, seed=23)
+        estimate, (lo, hi) = summary.p_n_estimates[2], summary.p_n_intervals[2]
         assert lo <= 0.25 <= hi
 
     def test_seeded_rewards_average_exactly(self):
@@ -356,6 +345,60 @@ class TestBlockWalkOracle:
         estimate_expected_reward(pomdp, value_iteration(pomdp).policy, 10, 3)
 
 
+class TestWalkTables:
+    """The walk's sampling rows are built once, for exactly the (state,
+    action) pairs the policy graph lists and the states they arrive in."""
+
+    @staticmethod
+    def _pairs(rows, stride):
+        return {divmod(int(key), stride) for key in np.flatnonzero(rows.slot >= 0)}
+
+    def _assert_graph_pairs(self, pomdp, policy):
+        tables = cri.simulate._WalkTables(pomdp, policy)
+        pairs = {(s, n.action) for n in policy.nodes if n.action is not None for s in n.support}
+        arrivals = {(s2, a) for s, a in pairs for s2, _ in pomdp.transitions[(s, a)]}
+        assert self._pairs(tables.transitions, tables.stride) == pairs
+        assert self._pairs(tables.observations, tables.stride) == arrivals
+        return pairs
+
+    def test_fixture_flows(self, scenario):
+        sizes = {}
+        for flow in scenario.flows:
+            pomdp = build_pomdp(flow, scenario.network, scenario.ti)
+            pairs = self._assert_graph_pairs(pomdp, value_iteration(pomdp).policy)
+            sizes[flow.id] = (len(pairs), len(pomdp.transitions))
+        # of every (state, action) pair the model has, the graph lists six
+        assert sizes == {"credential_chain": (6, 420), "dns_injection": (6, 4_695)}
+
+    def test_random_scenarios(self):
+        rng = random.Random(2929)
+        for _ in range(50):
+            inputs = random_scenario(rng)
+            pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+            self._assert_graph_pairs(pomdp, value_iteration(pomdp).policy)
+
+    def test_key_outside_the_graph_raises(self, monkeypatch):
+        # a zero-probability trailing entry is never in a belief's support,
+        # but a uniform at or above the row's total falls through to it; the
+        # next step's key then has no row, and no other row stands in for it
+        lottery = _reward_lottery()
+        pomdp = dataclasses.replace(
+            lottery,
+            transitions=lottery.transitions | {(0, 0): ((1, 0.5), (2, 0.4999999999), (3, 0.0))},
+            horizon=2,
+        )
+        pomdp.validate()
+        policy = fixed_policy(pomdp, 0, 2)
+        assert self._assert_graph_pairs(pomdp, policy) == {(0, 0), (1, 0), (2, 0)}
+        script = [0.0, 0.99999999995, 0.0, 0.0, 0.0]
+        assert simulate_episode(pomdp, policy, _Scripted(script)).steps[0].state_after == 3
+        monkeypatch.setattr(
+            cri.simulate, "block_uniforms", lambda seed, start, count, draws: np.array([script])
+        )
+        with pytest.raises(KeyError):
+            estimate_expected_reward(pomdp, policy, 1, 0)
+
+
 def _substream_rows(seed, start, count, draws):
     rows = [substream(seed, start + j).random(draws) for j in range(count)]
     return np.array(rows).reshape(count, draws)
@@ -427,7 +470,8 @@ class TestBruteForce:
             pomdp, _ = single_step(p_success=p, p_detect=rng.choice([0.0, 0.4]), horizon=2)
             result = value_iteration(pomdp)
             _, exact = brute_force_value(pomdp)
-            _, (lo, hi) = estimate_p_n(pomdp, result.policy, 1, 300, seed=rng.randrange(10**6))
+            summary = estimate_expected_reward(pomdp, result.policy, 300, rng.randrange(10**6))
+            lo, hi = summary.p_n_intervals[1]
             if lo <= exact[1] <= hi:
                 hits += 1
         assert 0.92 * 200 <= hits <= 0.98 * 200

@@ -11,7 +11,7 @@ from cri.pomdp import (
     value_iteration,
 )
 from cri.pomdp.lump import lump
-from cri.pomdp.solve import expected_rewards, qmdp_bounds
+from cri.pomdp.solve import qmdp_bounds
 from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp, support_key
 from cri.simulate import brute_force_value
 from cri.toys import and_chain, single_step
@@ -385,13 +385,14 @@ class TestLumpedSolve:
             applicable={0: (0,), 1: (0,), 2: (0,)},
             milestones=pomdp.milestones,
         )
-        expected = expected_rewards(copied)
-        quotient, _ = lump(copied, expected)
+        quotient = lump(copied)
         assert quotient.states == pomdp.states
         assert quotient.initial_belief == (0.5, 0.5)
         assert quotient.transitions == pomdp.transitions
         # one subnormal apart is enough to keep the copy apart
-        quotient, _ = lump(copied, expected | {(2, 0): 5e-324})
+        quotient = lump(
+            dataclasses.replace(copied, branch_rewards=copied.branch_rewards | {(2, 0, 2): 5e-324})
+        )
         assert quotient.states == copied.states
 
 
@@ -400,6 +401,43 @@ def _scaled(pomdp, factor):
     return dataclasses.replace(
         pomdp, branch_rewards={k: r * factor for k, r in pomdp.branch_rewards.items()}
     )
+
+
+def _folded_rewards(pomdp):
+    """R(s, a) as hex strings, folded left to right over each transition
+    row from the branch rewards, so that -0.0 and every last bit count."""
+    folded = {}
+    for (s, a), row in pomdp.transitions.items():
+        total = 0.0
+        for s2, p in row:
+            total += p * pomdp.branch_rewards[(s, a, s2)]
+        folded[(s, a)] = total.hex()
+    return folded
+
+
+class TestModelRewards:
+    """`Pomdp.rewards` is R(s, a) summed from the model's own branch
+    rewards, and the quotient's blocks carry their representative's."""
+
+    def _assert_rewards(self, pomdp):
+        assert {k: r.hex() for k, r in pomdp.rewards.items()} == _folded_rewards(pomdp)
+        quotient = lump(pomdp)
+        for (b, a), r in quotient.rewards.items():
+            rep = pomdp.states.index(quotient.states[b])
+            assert r == pomdp.rewards[(rep, a)]
+        # read above, so a stale cache would show here
+        doubled = _scaled(pomdp, 2.0)
+        assert doubled.rewards == {k: 2.0 * r for k, r in pomdp.rewards.items()}
+
+    def test_fixture_flows(self, scenario):
+        for flow in scenario.flows:
+            self._assert_rewards(build_pomdp(flow, scenario.network, scenario.ti))
+
+    def test_random_scenarios(self):
+        rng = random.Random(4141)
+        for _ in range(100):
+            inputs = random_scenario(rng)
+            self._assert_rewards(build_pomdp(inputs.flows[0], inputs.network, inputs.ti))
 
 
 def _forced_wasted_move():
@@ -538,7 +576,7 @@ class TestPrunedSolve:
         # ulp lower, so a bound without slack would skip `a0`
         gamble, _, _ = unpruned_solve(_tied_gamble(0.0))
         pomdp = _tied_gamble(gamble)
-        assert qmdp_bounds(pomdp, expected_rewards(pomdp))[2][0][0] < gamble
+        assert qmdp_bounds(pomdp)[2][0][0] < gamble
         result = self._assert_same_as_unpruned(pomdp)
         assert result.policy.root.action == 0
         assert result.value == gamble
