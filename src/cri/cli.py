@@ -160,8 +160,8 @@ def _require_out_dir(value: str, what: str = "out") -> str:
 
 def _prepare(kwargs, writes_ledger: bool) -> tuple:
     """Resolve flags over the config file, check the paths a run writes to
-    (the ledger's directory only when `writes_ledger`), then read and
-    validate the inputs."""
+    (the ledger's directory only when `writes_ledger`) and the run settings,
+    then read and validate the inputs."""
     config = _read_config_file(kwargs.get("config"))
     seed = _resolve(config, kwargs.get("seed"), "seed", 0, int)
     if seed < 0:
@@ -181,7 +181,6 @@ def _prepare(kwargs, writes_ledger: bool) -> tuple:
     if policies:
         _require_path(policies, "policies")
     ti = _require_path(_resolve(config, kwargs.get("ti"), "ti"), "ti")
-    inputs, digests = _load_bundle(network, flows, policies, ti, allow_defaults)
     cfg = EngineConfig(
         mode=_resolve(config, kwargs.get("mode"), "mode", "exact"),
         episodes=_resolve(config, kwargs.get("episodes"), "episodes", 10_000, int),
@@ -189,8 +188,8 @@ def _prepare(kwargs, writes_ledger: bool) -> tuple:
         horizon=horizon,
         naive_check=naive_check,
         campaign_id=_resolve(config, kwargs.get("campaign_id"), "campaign", "campaign"),
-        provenance=digests,
     )
+    inputs, cfg.provenance = _load_bundle(network, flows, policies, ti, allow_defaults)
     return inputs, cfg, out_dir, ledger_path
 
 

@@ -9,7 +9,6 @@ class ParseError(CriError):
     """A document could not be parsed at all (malformed XML/JSON/CSV)."""
 
     def __init__(self, reason: str, line: int | None = None):
-        self.reason = reason
         self.line = line
         if line is not None:
             super().__init__(f"line {line}: {reason}")
@@ -31,10 +30,6 @@ class CapacityError(CriError):
     def __init__(self, message: str, estimate: int):
         self.estimate = estimate
         super().__init__(f"{message} (estimated size {estimate})")
-
-
-class InconsistentObservation(CriError):
-    """Belief update received an observation with zero probability mass."""
 
 
 class UsageError(CriError):

@@ -84,8 +84,8 @@ class CampaignResult:
     provenance: dict[str, str]
     timestamp: str | None = None
 
-    def as_dict(self, include_timestamp: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "campaign_id": self.campaign_id,
             "q_campaign": self.q_campaign,
             "index": self.index,
@@ -101,9 +101,6 @@ class CampaignResult:
             ],
             "provenance": dict(sorted(self.provenance.items())),
         }
-        if include_timestamp:
-            out["timestamp"] = self.timestamp
-        return out
 
 
 def campaign_cri(

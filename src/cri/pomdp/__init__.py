@@ -11,14 +11,12 @@ from .solve import (
     Policy,
     PolicyNode,
     SolveResult,
-    belief_update,
     compile_policy,
     milestone_probabilities,
     value_iteration,
 )
 from .types import (
     AttackerAction,
-    Belief,
     ComplexityEstimate,
     NetworkState,
     OBSERVATIONS,
@@ -28,7 +26,6 @@ from .types import (
 
 __all__ = [
     "AttackerAction",
-    "Belief",
     "ComplexityEstimate",
     "NetworkState",
     "OBSERVATIONS",
@@ -37,7 +34,6 @@ __all__ = [
     "Pomdp",
     "SolveResult",
     "analyze_targets",
-    "belief_update",
     "build_pomdp",
     "compile_policy",
     "complexity_from_sizes",

@@ -32,10 +32,7 @@ def natural_state_count(num_nodes: int, inventory_size: int) -> int:
 
 
 def complexity_from_sizes(
-    num_nodes: int,
-    max_inventory: int,
-    num_actions: int,
-    num_observations: int = len(OBSERVATIONS),
+    num_nodes: int, max_inventory: int, num_actions: int
 ) -> ComplexityEstimate:
     if num_nodes >= 1 and max_inventory >= 1:
         worst = state_space_size(num_nodes, max_inventory)
@@ -43,6 +40,7 @@ def complexity_from_sizes(
     else:
         worst = 0
         natural = 0
+    num_observations = len(OBSERVATIONS)
     return ComplexityEstimate(
         num_nodes=num_nodes,
         max_inventory=max_inventory,

@@ -47,28 +47,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ..errors import CapacityError, InconsistentObservation, ModelError
+from ..errors import CapacityError
 from .lump import lump
-from .types import Belief, Pomdp, Support, support_key
-
-
-def belief_update(pomdp: Pomdp, belief: Belief, a: int, o: int) -> Belief:
-    """b'(s') = w * Z(o|s',a) * sum_s T(s,a,s') b(s); raises
-    InconsistentObservation when the observation has zero mass."""
-    if not 0 <= a < len(pomdp.actions):
-        raise ModelError(f"action index {a} out of range")
-    if not 0 <= o < len(pomdp.observations):
-        raise ModelError(f"observation index {o} out of range")
-    for label, _, child in _successors(pomdp, belief.support(), a):
-        if label == o:
-            vec = [0.0] * len(pomdp.states)
-            for s, p in child.items():
-                vec[s] = p
-            return Belief(tuple(vec))
-    raise InconsistentObservation(
-        f"observation {pomdp.observations[o]} impossible after action "
-        f"{pomdp.actions[a].id}"
-    )
+from .types import Pomdp, Support, support_key
 
 
 def _successors(pomdp: Pomdp, support: Support, a: int) -> list[tuple[int, float, Support]]:

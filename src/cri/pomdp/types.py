@@ -71,23 +71,6 @@ class AttackerAction:
             raise ValidationError(f"action {self.id}: cost must be >= 0")
 
 
-@dataclass(frozen=True)
-class Belief:
-    """Probability vector over the model's state indices."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        if any(p < -PROB_TOL for p in self.probs):
-            raise ValidationError("belief entries must be >= 0")
-        total = sum(self.probs)
-        if abs(total - 1.0) > 1e-6:
-            raise ValidationError(f"belief must sum to 1, got {total}")
-
-    def support(self) -> dict[int, float]:
-        return {i: p for i, p in enumerate(self.probs) if p > 0.0}
-
-
 # Sparse belief used internally: state index -> probability.
 Support = dict[int, float]
 

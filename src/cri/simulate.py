@@ -1,14 +1,13 @@
-"""Monte Carlo episodes under a fixed policy, plus a brute-force oracle.
+"""Monte Carlo estimates of a fixed policy's reward and milestones.
 
-Episodes are reproducible: each one draws from an independent substream
-derived from (master seed, episode index). `estimate_expected_reward`
-walks episodes in blocks with numpy over the policy graph flattened into
-tables, built once per call with sampling rows for just the (state,
-action) pairs the graph lists, and derives each block's uniforms at once
-in numpy (`block_uniforms`), equal bit for bit to each episode's
-`substream`. Its estimates equal those of per-episode `simulate_episode`
-walks bit for bit. `substream` and `simulate_episode` stay as the audit
-path.
+Episodes are reproducible: episode i of a run with master seed `seed`
+draws its uniforms from numpy's
+`Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,))))`.
+`estimate_expected_reward` walks episodes in blocks with numpy over the
+policy graph flattened into tables, built once per call with sampling
+rows for just the (state, action) pairs the graph lists, and derives each
+block's uniforms at once in numpy (`block_uniforms`), equal bit for bit to
+those of each episode's own generator.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError
 from .pomdp.solve import Policy
-from .pomdp.types import NetworkState, Pomdp, Support
+from .pomdp.types import Pomdp
 
 _Z95 = 1.959963984540054
 
@@ -30,10 +28,11 @@ _Z95 = 1.959963984540054
 BLOCK = 2048
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval; well behaved at p near 0 and 1."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval; well behaved at p near 0 and 1."""
     if n <= 0:
         return (0.0, 1.0)
+    z = _Z95
     phat = successes / n
     denom = 1.0 + z * z / n
     centre = (phat + z * z / (2 * n)) / denom
@@ -41,12 +40,6 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     lo = 0.0 if successes == 0 else max(0.0, centre - half)
     hi = 1.0 if successes == n else min(1.0, centre + half)
     return (lo, hi)
-
-
-def substream(seed: int, episode_index: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(episode_index,)))
-    )
 
 
 # numpy's SeedSequence (a 4-word uint32 pool after O'Neill's seed_seq) and
@@ -129,10 +122,12 @@ def _pcg_uniforms(pool: list, draws: int) -> np.ndarray:
 
 
 def block_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """The first `draws` uniforms of `substream(seed, i)` for episodes i in
-    `start .. start + count - 1`, one row each, equal bit for bit. The pool
-    mixing of the seed is done once; each episode's index words, its PCG64
-    seeding and its draws are done on arrays across the rows."""
+    """The first `draws` uniforms of episode i's generator,
+    `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,))))`, for
+    episodes i in `start .. start + count - 1`, one row each, equal bit for
+    bit to its `random(draws)`. The pool mixing of the seed is done once;
+    each episode's index words, its PCG64 seeding and its draws are done on
+    arrays across the rows."""
     words = _words(seed)
     words += [0] * (4 - len(words))  # padded, as when a spawn key follows
     hashmix = _HashMix(_INIT_A, _MULT_A)
@@ -157,40 +152,6 @@ def block_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
     return out
 
 
-def _draw(rng: np.random.Generator, pairs) -> int:
-    """Sample an index from (index, probability) pairs via one uniform."""
-    u = rng.random()
-    acc = 0.0
-    last = pairs[0][0]
-    for idx, p in pairs:
-        acc += p
-        last = idx
-        if u < acc:
-            return idx
-    return last
-
-
-@dataclass
-class EpisodeStep:
-    belief_before: tuple
-    action: str
-    observation: str
-    reward: float
-    belief_after: tuple
-    state_before: int = 0
-    state_after: int = 0
-
-
-@dataclass
-class Episode:
-    steps: list[EpisodeStep]
-    terminal_state: NetworkState
-    cumulative_reward: float
-    succeeded: dict[int, bool]
-    truncated: bool = False
-    abandoned: bool = False
-
-
 @dataclass
 class SimulationSummary:
     num_episodes: int
@@ -202,55 +163,6 @@ class SimulationSummary:
     seed: int
     truncated_episodes: int = 0
     rewards: list[float] = field(default_factory=list, repr=False)
-
-
-def simulate_episode(pomdp: Pomdp, policy: Policy, rng: np.random.Generator) -> Episode:
-    """Play one episode: hidden state sampled from b0, the policy's action
-    applied at each step, successor/observation sampled, and the policy
-    graph followed to the child for that observation."""
-    node = policy.root
-    state = _draw(rng, sorted(node.support.items()))
-    steps: list[EpisodeStep] = []
-    total = 0.0
-    weight = 1.0
-    abandoned = False
-    for _ in range(policy.horizon):
-        action = node.action
-        if action is None:
-            abandoned = True
-            break
-        nxt = _draw(rng, pomdp.transitions[(state, action)])
-        reward = pomdp.branch_rewards[(state, action, nxt)]
-        obs = _draw(rng, pomdp.observation_probs[(nxt, action)])
-        child = policy.nodes[node.children[obs][1]]
-        total += weight * reward
-        weight *= pomdp.discount
-        steps.append(
-            EpisodeStep(
-                belief_before=node.key,
-                action=pomdp.actions[action].id,
-                observation=pomdp.observations[obs],
-                reward=reward,
-                belief_after=child.key,
-                state_before=state,
-                state_after=nxt,
-            )
-        )
-        node = child
-        state = nxt
-    terminal = pomdp.states[state]
-    succeeded = {
-        step: terminal.has_flag(flag) for step, flag in sorted(pomdp.milestones.items())
-    }
-    truncated = len(steps) == policy.horizon and bool(pomdp.applicable.get(state))
-    return Episode(
-        steps=steps,
-        terminal_state=terminal,
-        cumulative_reward=total,
-        succeeded=succeeded,
-        truncated=truncated,
-        abandoned=abandoned,
-    )
 
 
 class _WalkTables:
@@ -294,9 +206,10 @@ class _WalkTables:
         )
 
     def walk(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Walk one episode per row of uniforms `u` (2 * horizon + 1 each, in
-        `simulate_episode`'s draw order). Returns each episode's cumulative
-        reward and terminal state, and the episodes that took every step."""
+        """Walk one episode per row of uniforms `u` (2 * horizon + 1 each:
+        the initial state's, then a successor's and an observation's per
+        step). Returns each episode's cumulative reward and terminal state,
+        and the episodes that took every step."""
         n = len(u)
         node = np.full(n, self.root)
         state, _ = self.b0.draw(np.zeros(n, dtype=np.intp), u[:, 0])
@@ -324,7 +237,7 @@ class _WalkTables:
 
 class _Rows:
     """Sampling rows of (outcome, probability, value), one per given key.
-    Cumulative sums are built left to right as `_draw` adds them, and
+    Cumulative sums are built left to right over the row's entries, and
     padded with +inf so that every row has a column whose sum exceeds any
     uniform."""
 
@@ -345,7 +258,7 @@ class _Rows:
         self.last = np.array([len(entries) - 1 for entries in rows.values()], dtype=np.intp)
 
     def draw(self, keys: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`_draw`'s outcome and its value in each key's row for its uniform:
+        """The outcome and its value in each key's row for its uniform:
         the first column whose cumulative sum exceeds the uniform, clamped
         to the row's last entry. A key without a row raises KeyError."""
         rows = self.slot[keys]
@@ -360,8 +273,9 @@ def estimate_expected_reward(
 ) -> SimulationSummary:
     """Mean cumulative reward over independent episodes, with standard error
     and per-step milestone frequencies. Episode i draws its uniforms from
-    `substream(seed, i)`; episodes are walked BLOCK at a time, each block's
-    uniforms derived together by `block_uniforms`."""
+    `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,))))`;
+    episodes are walked BLOCK at a time, each block's uniforms derived
+    together by `block_uniforms`."""
     if num_episodes < 1:
         raise ValueError("num_episodes must be >= 1")
     tables = _WalkTables(pomdp, policy)
@@ -396,68 +310,3 @@ def estimate_expected_reward(
         truncated_episodes=truncated,
         rewards=rewards,
     )
-
-
-def brute_force_value(
-    pomdp: Pomdp, horizon: int | None = None, cap: int = 10**6
-) -> tuple[float, dict[int, float]]:
-    """Exhaustive expectimax over every action/observation sequence, with no
-    memoization: an independent oracle for V*(b0) and the exact per-step
-    milestone probabilities under the optimal policy."""
-    depth = horizon if horizon is not None else pomdp.horizon
-    branch = max(1, len(pomdp.actions) * len(pomdp.observations))
-    estimate = sum(branch**d for d in range(1, depth + 1))
-    if estimate > cap:
-        raise CapacityError("brute force enumeration above cap", estimate)
-
-    steps = sorted(pomdp.milestones)
-    flags = [pomdp.milestones[s] for s in steps]
-    flagged = [tuple(f in st.flags for f in flags) for st in pomdp.states]
-
-    def explore(support: Support, d: int) -> tuple[float, tuple[float, ...]]:
-        zeros = tuple(0.0 for _ in flags)
-        if d == 0:
-            return 0.0, zeros
-        offered = sorted({a for s in support for a in pomdp.applicable.get(s, ())})
-        best_q: float | None = None
-        best_pn: tuple[float, ...] = zeros
-        for a in offered:
-            q = 0.0
-            inflow = [0.0] * len(flags)
-            # joint mass over (observation, successor), built independently
-            # of the solver's helpers
-            joint: dict[int, dict[int, float]] = {}
-            for s in sorted(support):
-                bs = support[s]
-                for s2, p in pomdp.transitions[(s, a)]:
-                    w = bs * p
-                    if w <= 0.0:
-                        continue
-                    q += w * pomdp.branch_rewards[(s, a, s2)]
-                    for i in range(len(flags)):
-                        if flagged[s2][i] and not flagged[s][i]:
-                            inflow[i] += w
-                    for o, z in pomdp.observation_probs[(s2, a)]:
-                        if z <= 0.0:
-                            continue
-                        bucket = joint.setdefault(o, {})
-                        bucket[s2] = bucket.get(s2, 0.0) + w * z
-            for o in sorted(joint):
-                dist = joint[o]
-                mass = sum(dist[s] for s in sorted(dist))
-                if mass <= 0.0:
-                    continue
-                child = {s: w / mass for s, w in sorted(dist.items())}
-                sub_v, sub_pn = explore(child, d - 1)
-                q += pomdp.discount * mass * sub_v
-                for i in range(len(flags)):
-                    inflow[i] += mass * sub_pn[i]
-            if best_q is None or q > best_q:
-                best_q = q
-                best_pn = tuple(inflow)
-        if best_q is None or best_q < 0.0:
-            return 0.0, zeros
-        return best_q, best_pn
-
-    value, pn = explore(pomdp.b0_support(), depth)
-    return value, {step: min(1.0, max(0.0, pn[i])) for i, step in enumerate(steps)}

@@ -1,16 +1,20 @@
-"""Unpruned-expectimax oracle for the solver.
+"""Unpruned-expectimax and belief-update oracles for the solver.
 
 `expectimax` in `cri.pomdp.solve` skips every action whose QMDP upper bound
 cannot beat the best action found so far. This module keeps the search it
 must agree with: every offered action is expanded at every belief, in
 ascending index order, and the largest q wins with ties toward the lowest
-index.
+index. `belief_update` gives the single successor of a dense `Belief` for
+one (action, observation), against which the policy graph's children are
+checked.
 """
 
-from cri.errors import CapacityError
+from dataclasses import dataclass
+
+from cri.errors import CapacityError, CriError, ModelError, ValidationError
 from cri.pomdp.lump import lump
 from cri.pomdp.solve import _successors, compile_policy, policy_value
-from cri.pomdp.types import Pomdp, Support, support_key
+from cri.pomdp.types import PROB_TOL, Pomdp, Support, support_key
 
 
 def unpruned_expectimax(pomdp: Pomdp, belief_cap: int = 500_000) -> tuple[float, dict]:
@@ -67,3 +71,43 @@ def unlumped_solve(pomdp: Pomdp):
     (value, policy graph, beliefs expanded)."""
     value, chosen = unpruned_expectimax(pomdp)
     return value, compile_policy(pomdp, chosen.get, pomdp.horizon), len(chosen)
+
+
+class InconsistentObservation(CriError):
+    """Belief update received an observation with zero probability mass."""
+
+
+@dataclass(frozen=True)
+class Belief:
+    """Probability vector over the model's state indices."""
+
+    probs: tuple[float, ...]
+
+    def __post_init__(self):
+        if any(p < -PROB_TOL for p in self.probs):
+            raise ValidationError("belief entries must be >= 0")
+        total = sum(self.probs)
+        if abs(total - 1.0) > 1e-6:
+            raise ValidationError(f"belief must sum to 1, got {total}")
+
+    def support(self) -> dict[int, float]:
+        return {i: p for i, p in enumerate(self.probs) if p > 0.0}
+
+
+def belief_update(pomdp: Pomdp, belief: Belief, a: int, o: int) -> Belief:
+    """b'(s') = w * Z(o|s',a) * sum_s T(s,a,s') b(s); raises
+    InconsistentObservation when the observation has zero mass."""
+    if not 0 <= a < len(pomdp.actions):
+        raise ModelError(f"action index {a} out of range")
+    if not 0 <= o < len(pomdp.observations):
+        raise ModelError(f"observation index {o} out of range")
+    for label, _, child in _successors(pomdp, belief.support(), a):
+        if label == o:
+            vec = [0.0] * len(pomdp.states)
+            for s, p in child.items():
+                vec[s] = p
+            return Belief(tuple(vec))
+    raise InconsistentObservation(
+        f"observation {pomdp.observations[o]} impossible after action "
+        f"{pomdp.actions[a].id}"
+    )

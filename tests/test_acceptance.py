@@ -23,10 +23,11 @@ from cri.ingest import (
     serialize_policy_set,
 )
 from cri.pomdp import build_pomdp, complexity_report, state_space_size, value_iteration
-from cri.simulate import brute_force_value, estimate_expected_reward
+from cri.simulate import estimate_expected_reward
 from cri.threat_intel import load_threat_intel, serialize_threat_intel
-from cri.toys import bundled_toys
 from genscen import random_pomdp, random_scenario
+from simoracle import brute_force_value
+from toys import bundled_toys
 
 
 def _report(criterion: str):
@@ -95,7 +96,7 @@ def test_04_worst_case_formulas(scenario):
     fixtures = [
         (scenario.network, scenario.flows, scenario.ti),
     ]
-    from cri.toys import and_chain, noisy_sensor, single_step
+    from toys import and_chain, noisy_sensor, single_step
 
     for _, inputs in (single_step(), and_chain(), noisy_sensor()):
         fixtures.append((inputs.network, inputs.flows, inputs.ti))

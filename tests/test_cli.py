@@ -84,6 +84,16 @@ class TestCalc:
         assert proc.returncode == 0
         assert proc.stdout.strip().startswith("CRI ")
 
+    @pytest.mark.parametrize("fmt,name", [("json", "campaign_report.json"), ("csv", "flows.csv")])
+    def test_format_writes_only_its_report(self, tmp_path, fmt, name):
+        default, single = tmp_path / "default", tmp_path / fmt
+        ledger = str(tmp_path / "ledger.jsonl")
+        assert run_cli("calc", *calc_args(default, ledger=ledger)).exit_code == 0
+        result = run_cli("calc", *calc_args(single, ledger=ledger), "--format", fmt)
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in single.iterdir()) == [name]
+        assert (single / name).read_bytes() == (default / name).read_bytes()
+
     def test_seeded_monte_carlo_golden(self, tmp_path):
         # pins seeded Monte Carlo on the fixture: a change to the order of
         # random draws or to the policy followed moves these digests
@@ -309,9 +319,10 @@ class TestUnreadableInputs:
 
 
 class TestRunNumbers:
-    """A negative seed, a horizon below 1 and a config value that is not an
-    integer exit 2 in every command that runs a campaign, from a flag or a
-    config file, before any input is read."""
+    """A negative seed, a horizon below 1, an unknown mode, no episodes to
+    simulate and a config value that is not an integer exit 2 in every
+    command that runs a campaign, from a flag or a config file, before any
+    input is read."""
 
     COMMANDS = {
         "calc": [],
@@ -363,6 +374,15 @@ class TestRunNumbers:
     def test_non_integer_horizon_in_config(self, tmp_path, command):
         output = self._run(tmp_path, command, "horizon=2.5")
         assert "config horizon=2.5: expected int" in output
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("config_line,flags,message", [
+        ("mode=bogus", {}, "unknown mode 'bogus'"),
+        ("episodes=abc", {}, "config episodes=abc: expected int"),
+        (None, {"mode": "both", "episodes": "0"}, "episodes must be >= 1 when simulating"),
+    ], ids=["config-mode", "config-episodes", "flag-episodes"])
+    def test_engine_settings(self, tmp_path, command, config_line, flags, message):
+        assert message in self._run(tmp_path, command, config_line, **flags)
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("line", ["naive_check=on", "ti_defaults=ture", "ti_defaults="])
@@ -596,3 +616,17 @@ class TestMalformedInputsSuite:
         if name.endswith(".jsonl"):
             assert (tmp_path / "ledger.jsonl").read_bytes() == source.read_bytes()
             assert not (tmp_path / "out" / "campaign_report.json").exists()
+
+
+def test_import_cli_loads_every_module():
+    # the package ships only modules that a command imports
+    script = (
+        "import pkgutil, sys, cri, cri.cli\n"
+        "for m in pkgutil.walk_packages(cri.__path__, 'cri.'):\n"
+        "    print(m.name, m.name in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = dict(line.split() for line in proc.stdout.splitlines())
+    assert "cri.pomdp.solve" in loaded
+    assert [name for name, seen in loaded.items() if seen != "True"] == []

@@ -9,8 +9,8 @@ from conftest import SCENARIO
 from cri.engine import EngineConfig, assumed_p_n, run_campaign
 from cri.errors import ModelError
 from cri.pomdp import build_pomdp, milestone_flag
-from cri.toys import and_chain, single_step
 from genscen import random_scenario
+from toys import and_chain, single_step
 import random
 
 

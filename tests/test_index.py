@@ -19,7 +19,7 @@ from cri.index import (
     record_index,
 )
 from cri.ingest import ValidatedInputs
-from cri.toys import single_step
+from toys import single_step
 
 GRID = [round(0.05 * i, 2) for i in range(21)]
 

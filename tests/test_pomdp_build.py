@@ -17,8 +17,8 @@ from cri.pomdp import (
 )
 from cri.threat_intel import TiRecord, TiTable
 from cri.pomdp.types import NetworkState, Pomdp
-from cri.toys import and_chain, single_step
 from genscen import random_scenario
+from toys import and_chain, single_step
 
 PROB_TOL = 1e-9
 

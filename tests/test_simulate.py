@@ -9,20 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import fixed_policy
 from cri.errors import CapacityError
-from cri.pomdp import belief_update, build_pomdp, value_iteration
-from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp
+from cri.pomdp import build_pomdp, value_iteration
+from cri.pomdp.types import AttackerAction, NetworkState, Pomdp
 import cri.simulate
-from cri.simulate import (
-    BLOCK,
-    block_uniforms,
-    brute_force_value,
-    estimate_expected_reward,
-    simulate_episode,
-    substream,
-    wilson_interval,
-)
-from cri.toys import and_chain, bundled_toys, noisy_sensor, single_step
+from cri.simulate import BLOCK, block_uniforms, estimate_expected_reward, wilson_interval
 from genscen import random_pomdp, random_scenario
+from simoracle import brute_force_value, simulate_episode, substream
+from solveoracle import Belief, belief_update
+from toys import and_chain, bundled_toys, noisy_sensor, single_step
 
 
 def _reward_lottery():
@@ -335,14 +329,6 @@ class TestBlockWalkOracle:
         assert summary.rewards[:6] == [1.0, 2.0, 3.0, 3.0, 3.0, 3.0]
         hits = sum(e.succeeded[1] for e in episodes)
         assert summary.p_n_estimates == {1: hits / len(scripts)}
-
-    def test_estimation_walks_no_single_episode(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("estimate_expected_reward called simulate_episode")
-
-        monkeypatch.setattr(cri.simulate, "simulate_episode", refuse)
-        pomdp, _ = noisy_sensor()
-        estimate_expected_reward(pomdp, value_iteration(pomdp).policy, 10, 3)
 
 
 class TestWalkTables:

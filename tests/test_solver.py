@@ -3,20 +3,25 @@ import random
 
 import pytest
 
-from cri.errors import CapacityError, InconsistentObservation
+from cri.errors import CapacityError
 from cri.pomdp import (
-    belief_update,
     build_pomdp,
     milestone_probabilities,
     value_iteration,
 )
 from cri.pomdp.lump import lump
 from cri.pomdp.solve import qmdp_bounds
-from cri.pomdp.types import AttackerAction, Belief, NetworkState, Pomdp, support_key
-from cri.simulate import brute_force_value
-from cri.toys import and_chain, single_step
+from cri.pomdp.types import AttackerAction, NetworkState, Pomdp, support_key
 from genscen import chain_scenario, random_pomdp, random_scenario
-from solveoracle import unlumped_solve, unpruned_solve
+from simoracle import brute_force_value
+from solveoracle import (
+    Belief,
+    InconsistentObservation,
+    belief_update,
+    unlumped_solve,
+    unpruned_solve,
+)
+from toys import and_chain, single_step
 
 CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659", "T1078"]
 

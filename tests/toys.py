@@ -6,8 +6,8 @@ Pomdp (plus its ValidatedInputs) for a miniature network and flow.
 
 from __future__ import annotations
 
-from .ingest import RawBundle, ValidatedInputs, validate_bundle
-from .pomdp import Pomdp, build_pomdp
+from cri.ingest import RawBundle, ValidatedInputs, validate_bundle
+from cri.pomdp import Pomdp, build_pomdp
 
 _NET_ONE = """
 <graphml><graph edgedefault="undirected">
