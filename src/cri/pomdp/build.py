@@ -9,13 +9,21 @@ Success adds the target's inventory and the step milestone; failure leaves
 the state unchanged. An action whose preconditions do not hold in a state
 is a wasted move: a deterministic self-loop that only pays its cost.
 
+While building, a state is an int key: one bit per flag of the sorted
+flag names (milestones and every action's own flag), then one bit per
+(node, item) pair, nodes and their items sorted. Each action's
+preconditions and its success are masks over these bits, so node ids and
+leaf names only label states. Two tree leaves whose flag names coincide
+would label two states alike, and are refused.
+
 One exploration builds the model: each (state, action) pair of the states
-reachable from the initial state (or of the full grid, in naive mode) is
-evaluated once, then indexed over the sorted states, whose order fixes
-every downstream float sum. An observation row depends only on the action
-and on whether its own flag (milestone, or leaf flag for a tree leaf) is
-set, so each action has at most two, shared by every state. They follow
-the path context of the action's target:
+reachable from the initial state (or of every key, in naive mode) is
+evaluated once. Each explored key then becomes its `NetworkState` once,
+and the model is indexed over the sorted `NetworkState`s, whose order
+fixes every downstream float sum. An observation row depends only on the
+action and on whether its own flag (milestone, or leaf flag for a tree
+leaf) is set, so each action has at most two, shared by every state.
+They follow the path context of the action's target:
   - success/failure (o1/o2) always apply;
   - access-denied (o6) when a Deny rule covers the target, blocked (o3)
     when segmentation governs a hop on the way, rejected (o4) when no
@@ -26,8 +34,8 @@ the path context of the action's target:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ..attack_flow import AttackFlow, TtpNode
 from ..attack_tree import AttackTree, TreeLibrary
@@ -47,10 +55,6 @@ def milestone_flag(step: int) -> str:
 
 def leaf_flag(step: int, target: str, leaf_name: str) -> str:
     return f"ttp{step}@{target}#{leaf_name}"
-
-
-def _leaf_prefix(step: int, target: str) -> str:
-    return f"ttp{step}@{target}#"
 
 
 @dataclass(frozen=True)
@@ -149,44 +153,81 @@ def expand_technique(
     return actions
 
 
+class _Masks(NamedTuple):
+    """One action's bits over the state keys. It is offered where no `unset`
+    bit is set, every `seq` bit is set and, unless `alt` is 0, some `alt`
+    bit is set. Success sets `own`, and `gain` unless a tree gate over
+    `leaves`, the (bit, leaf name) pairs of its step and target, fails."""
+
+    own: int
+    unset: int
+    seq: int
+    alt: int
+    gain: int
+    leaves: tuple[tuple[int, str], ...]
+
+
 class _Builder:
     def __init__(self, flow: AttackFlow, net: NetworkModel, ti: TiTable, naive: bool):
         self.flow = flow
         self.net = net
-        self.ti = ti
         self.naive = naive
         self.context = analyze_targets(net)
         self.reachable = {t for t, c in self.context.items() if c.reachable}
         self.milestones = {n.step: milestone_flag(n.step) for n in flow.nodes}
-        self.seq_preds: dict[int, list[int]] = {}
-        self.or_preds: dict[int, list[int]] = {}
-        for node in flow.nodes:
-            incoming = flow.predecessors(node.step)
-            self.seq_preds[node.step] = sorted(
-                e.src for e in incoming if e.relation in ("sequence", "AND")
-            )
-            self.or_preds[node.step] = sorted(e.src for e in incoming if e.relation == "OR")
-        self.trees: dict[int, AttackTree] = {}
-        self.actions = self._make_actions()
+        self.trees: dict[int, AttackTree] = {
+            n.step: flow.trees.get(n.attack_tree_id) for n in flow.nodes if n.attack_tree_id
+        }
+        self.actions = self._make_actions(ti)
         # the flag whose presence means the action itself has succeeded
-        self.own_flags = [
+        own_flags = [
             leaf_flag(a.step, a.target, a.leaf_name) if a.leaf_name is not None
             else self.milestones[a.step]
             for a in self.actions
         ]
+        self.flag_names = sorted(set(self.milestones.values()) | set(own_flags))
+        self.items = [(n, i) for n in sorted(net.nodes) for i in sorted(net.nodes[n].inventory)]
+        # key bits, by flag name or by (node, item) pair
+        bit = {name: 1 << i for i, name in enumerate([*self.flag_names, *self.items])}
+        step_leaves: dict[int, int] = {}
+        leaves: dict[tuple[int, str], list[tuple[int, str]]] = {}
+        for act, flag in zip(self.actions, own_flags):
+            if act.leaf_name is not None:
+                if step_leaves.get(act.step, 0) & bit[flag]:
+                    raise ModelError(
+                        f"tree leaf flag {flag!r} names two actions in flow {self.flow.id!r}"
+                    )
+                step_leaves[act.step] = step_leaves.get(act.step, 0) | bit[flag]
+                leaves.setdefault((act.step, act.target), []).append((bit[flag], act.leaf_name))
+        self.masks: list[_Masks] = []
+        for act, flag in zip(self.actions, own_flags):
+            incoming = self.flow.predecessors(act.step)
+            reached = bit[self.milestones[act.step]]
+            mine = tuple(leaves.get((act.step, act.target), ()))
+            # a tree step is committed to the first target one of its leaves hit
+            others = step_leaves.get(act.step, 0) & ~sum(b for b, _ in mine)
+            # each sum adds distinct bits, so it is their union
+            self.masks.append(_Masks(
+                own=bit[flag],
+                unset=bit[flag] | reached | others,
+                seq=sum({bit[self.milestones[e.src]] for e in incoming if e.relation != "OR"}),
+                alt=sum({bit[self.milestones[e.src]] for e in incoming if e.relation == "OR"}),
+                gain=reached | sum({bit[(act.target, i)] for i in net.nodes[act.target].inventory}),
+                leaves=mine,
+            ))
 
-    def _make_actions(self) -> list[AttackerAction]:
+    def _make_actions(self, ti: TiTable) -> list[AttackerAction]:
         if not self.net.entry_points():
             raise ModelError("network declares no entry_point nodes")
         actions: list[AttackerAction] = []
         for node in self.flow.nodes:
             if not self.naive:
-                targets = candidate_targets(self.net, node, self.ti, self.reachable)
+                targets = candidate_targets(self.net, node, ti, self.reachable)
             else:
                 targets = {
                     nid
                     for nid, asset in self.net.nodes.items()
-                    if self.ti.lookup(node.technique_id, asset.asset_class) is not None
+                    if ti.lookup(node.technique_id, asset.asset_class) is not None
                 }
             if not targets:
                 raise ModelError(
@@ -194,16 +235,12 @@ class _Builder:
                     f"({node.technique_id}) in flow {self.flow.id!r}"
                 )
             pairs = sorted((t, self.net.nodes[t].asset_class) for t in targets)
-            expanded = expand_technique(node, self.flow.trees, self.ti, pairs)
+            expanded = expand_technique(node, self.flow.trees, ti, pairs)
             if not expanded:
                 raise ModelError(
                     f"no parameterizable actions for TTP step {node.step} "
                     f"({node.technique_id})"
                 )
-            if node.attack_tree_id:
-                tree = self.flow.trees.get(node.attack_tree_id)
-                assert tree is not None
-                self.trees[node.step] = tree
             for act in expanded:
                 # No permitted route to the target: the attempt cannot land.
                 if act.target not in self.reachable and act.p_success > 0.0:
@@ -211,53 +248,25 @@ class _Builder:
                 actions.append(act)
         return actions
 
-    def offered(self, flags: tuple[str, ...], act: AttackerAction, own: str) -> bool:
-        milestones = self.milestones
-        step = act.step
-        if own in flags or milestones[step] in flags:
-            return False
-        if any(milestones[p] not in flags for p in self.seq_preds[step]):
-            return False
-        or_preds = self.or_preds[step]
-        if or_preds and not any(milestones[p] in flags for p in or_preds):
-            return False
-        if act.leaf_name is None:
-            return True
-        # not committed to a different target for this step's tree
-        prefix = _leaf_prefix(step, act.target)
-        anystep = f"ttp{step}@"
-        return not any(f.startswith(anystep) and not f.startswith(prefix) for f in flags)
-
-    def _success_state(self, state: NetworkState, act: AttackerAction) -> NetworkState:
-        inventory = set(self.net.nodes[act.target].inventory)
-        if act.leaf_name is None:
-            return state.with_flags({milestone_flag(act.step)}).with_compromise(
-                act.target, inventory
-            )
-        nxt = state.with_flags({leaf_flag(act.step, act.target, act.leaf_name)})
-        prefix = _leaf_prefix(act.step, act.target)
-        achieved = {f[len(prefix):] for f in nxt.flags if f.startswith(prefix)}
-        if self.trees[act.step].gate_satisfied(achieved):
-            nxt = nxt.with_flags({milestone_flag(act.step)}).with_compromise(
-                act.target, inventory
-            )
-        return nxt
-
     def execute(
-        self, state: NetworkState, act: AttackerAction, offered: bool
-    ) -> list[tuple[NetworkState, float, float]]:
-        """(next state, probability, branch reward) rows; probabilities sum to 1."""
+        self, key: int, act: AttackerAction, m: _Masks, offered: bool
+    ) -> list[tuple[int, float, float]]:
+        """(next key, probability, branch reward) rows; probabilities sum to 1."""
         if not offered:
-            return [(state, 1.0, -act.cost)]
+            return [(key, 1.0, -act.cost)]
         p = act.p_success
         if p <= 0.0:
-            return [(state, 1.0, act.penalty_failure - act.cost)]
-        succ = self._success_state(state, act)
+            return [(key, 1.0, act.penalty_failure - act.cost)]
+        succ = key | m.own
+        if not m.leaves or self.trees[act.step].gate_satisfied(
+            {name for b, name in m.leaves if succ & b}
+        ):
+            succ |= m.gain
         if p >= 1.0:
             return [(succ, 1.0, act.reward_success - act.cost)]
         return [
             (succ, p, act.reward_success - act.cost),
-            (state, 1.0 - p, act.penalty_failure - act.cost),
+            (key, 1.0 - p, act.penalty_failure - act.cost),
         ]
 
     def observation_row(self, act: AttackerAction, succeeded: bool) -> dict[str, float]:
@@ -285,61 +294,47 @@ class _Builder:
             dist[muddle] = dist.get(muddle, 0.0) + pd
         return {o: p for o, p in dist.items() if p > 0.0}
 
-    def _rows(self, state: NetworkState) -> list[tuple[list, bool, bool]]:
-        """Per action: its execute rows, whether it is offered in `state`,
+    def _rows(self, key: int) -> list[tuple[list, bool, bool]]:
+        """Per action: its execute rows, whether it is offered at `key`,
         and whether its own flag is set there."""
-        flags = state.flags
         rows = []
-        for act, own in zip(self.actions, self.own_flags):
-            offered = self.offered(flags, act, own)
-            rows.append((self.execute(state, act, offered), offered, own in flags))
+        for act, m in zip(self.actions, self.masks):
+            offered = (not key & m.unset and key & m.seq == m.seq
+                       and (not m.alt or key & m.alt != 0))
+            rows.append((self.execute(key, act, m, offered), offered, key & m.own != 0))
         return rows
 
-    def _explore(self) -> dict[NetworkState, list[tuple[list, bool, bool]]]:
-        """`_rows` of every model state: the naive grid, or the states
-        reachable from the initial state."""
+    def _explore(self) -> dict[int, list[tuple[list, bool, bool]]]:
+        """`_rows` of every model key: all of them in naive mode, else the
+        keys reachable from the initial key 0."""
         if self.naive:
-            return {state: self._rows(state) for state in self._grid_states()}
-        explored: dict[NetworkState, list[tuple[list, bool, bool]]] = {}
-        frontier = [NetworkState.initial()]
+            count = 2 ** (len(self.flag_names) + len(self.items))
+            entries = count * count * len(self.actions) * len(OBSERVATIONS)
+            if entries > NAIVE_CAP:
+                raise CapacityError("naive state space above cap", entries)
+            return {key: self._rows(key) for key in range(count)}
+        explored: dict[int, list[tuple[list, bool, bool]]] = {}
+        frontier = [0]
         while frontier:
-            state = frontier.pop()
-            if state not in explored:
-                explored[state] = rows = self._rows(state)
+            key = frontier.pop()
+            if key not in explored:
+                explored[key] = rows = self._rows(key)
                 frontier.extend(nxt for outcomes, _, _ in rows for nxt, _, _ in outcomes)
         return explored
 
-    def _grid_states(self) -> list[NetworkState]:
-        flags = sorted(set(self.milestones.values()) | set(self.own_flags))
-        node_ids = sorted(self.net.nodes)
-        inventory_counts = [len(self.net.nodes[n].inventory) for n in node_ids]
-        state_count = 2 ** len(flags)
-        for count in inventory_counts:
-            state_count *= 2**count
-        entries = state_count * state_count * len(self.actions) * len(OBSERVATIONS)
-        if entries > NAIVE_CAP:
-            raise CapacityError("naive state space above cap", entries)
-
-        per_node_subsets = []
-        for node_id in node_ids:
-            items = sorted(self.net.nodes[node_id].inventory)
-            subsets = []
-            for r in range(len(items) + 1):
-                subsets.extend(itertools.combinations(items, r))
-            per_node_subsets.append([(node_id, s) for s in subsets])
-        states = []
-        for combo in itertools.product(*per_node_subsets):
-            compromised = tuple(sorted((n, s) for n, s in combo if s))
-            for r in range(len(flags) + 1):
-                for chosen in itertools.combinations(flags, r):
-                    states.append(NetworkState(compromised=compromised, flags=chosen))
-        return states
+    def _state(self, key: int) -> NetworkState:
+        flags = tuple(flag for i, flag in enumerate(self.flag_names) if key >> i & 1)
+        compromised: dict[str, tuple[str, ...]] = {}
+        for i, (node_id, item) in enumerate(self.items, len(self.flag_names)):
+            if key >> i & 1:
+                compromised[node_id] = compromised.get(node_id, ()) + (item,)
+        return NetworkState(compromised=tuple(compromised.items()), flags=flags)
 
     def build(self, horizon: int | None) -> Pomdp:
         explored = self._explore()
-        states = sorted(explored)
-        index = {s: i for i, s in enumerate(states)}
-        initial_idx = index[NetworkState.initial()]
+        named = {key: self._state(key) for key in explored}
+        keys = sorted(explored, key=named.__getitem__)
+        index = {key: i for i, key in enumerate(keys)}
 
         # An observation row depends only on (action, own flag set); o1 and
         # other labels appear only if some state uses a row carrying them.
@@ -359,9 +354,9 @@ class _Builder:
         obs_probs: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         branch_rewards: dict[tuple[int, int, int], float] = {}
         applicable: dict[int, tuple[int, ...]] = {}
-        for s_idx, state in enumerate(states):
+        for s_idx, key in enumerate(keys):
             offered_here = []
-            for a_idx, (outcomes, offered, own) in enumerate(explored[state]):
+            for a_idx, (outcomes, offered, own) in enumerate(explored[key]):
                 # success sets a flag the action needs unset: the outcomes differ
                 rows = [(index[nxt], p, r) for nxt, p, r in outcomes]
                 transitions[(s_idx, a_idx)] = tuple(sorted((n, p) for n, p, _ in rows))
@@ -372,10 +367,10 @@ class _Builder:
                     offered_here.append(a_idx)
             applicable[s_idx] = tuple(offered_here)
 
-        belief = [0.0] * len(states)
-        belief[initial_idx] = 1.0
+        belief = [0.0] * len(keys)
+        belief[index[0]] = 1.0
         pomdp = Pomdp(
-            states=tuple(states),
+            states=tuple(named[key] for key in keys),
             actions=tuple(self.actions),
             observations=observations,
             transitions=transitions,

@@ -248,10 +248,16 @@ def policy_value(pomdp: Pomdp, policy: Policy) -> float:
 def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
     """Solve for the attacker-optimal policy by exact expectimax on the
     model's bisimulation quotient, and compile it into a policy graph over
-    the model's own states."""
+    the model's own states. Both recurse once per step left: a horizon
+    past the interpreter's recursion limit raises CapacityError."""
     quotient = lump(pomdp)
-    chosen, pruned = expectimax(quotient, belief_cap)
-    policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
+    try:
+        chosen, pruned = expectimax(quotient, belief_cap)
+        policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
+    except RecursionError as exc:
+        raise CapacityError(
+            f"horizon {pomdp.horizon} nests the belief search too deeply", pomdp.horizon
+        ) from exc
     return SolveResult(
         policy=policy,
         value=policy_value(pomdp, policy),

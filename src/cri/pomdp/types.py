@@ -18,28 +18,16 @@ OBSERVATIONS = ("o1", "o2", "o3", "o4", "o5", "o6", "o7", "o8")
 @dataclass(frozen=True, order=True)
 class NetworkState:
     """Security posture: per-node compromised inventory subsets plus
-    milestone flags. Canonically sorted so equal states compare equal."""
+    milestone flags, canonically sorted so equal states compare equal.
+    The builder explores int keys (a bit per flag, then per (node, item)
+    pair) and turns each explored key into its NetworkState once; the
+    sorted NetworkStates fix the model's state order."""
 
     compromised: tuple[tuple[str, tuple[str, ...]], ...] = ()
     flags: tuple[str, ...] = ()
 
-    @staticmethod
-    def initial() -> "NetworkState":
-        return NetworkState()
-
     def has_flag(self, flag: str) -> bool:
         return flag in self.flags
-
-    def with_flags(self, new_flags: set[str]) -> "NetworkState":
-        merged = tuple(sorted(set(self.flags) | new_flags))
-        return NetworkState(compromised=self.compromised, flags=merged)
-
-    def with_compromise(self, node_id: str, items: set[str]) -> "NetworkState":
-        existing = dict(self.compromised)
-        merged = tuple(sorted(set(existing.get(node_id, ())) | items))
-        existing[node_id] = merged
-        canonical = tuple(sorted((k, v) for k, v in existing.items() if v))
-        return NetworkState(compromised=canonical, flags=self.flags)
 
     def label(self) -> str:
         comp = ",".join(f"{n}:{'|'.join(items)}" for n, items in self.compromised)

@@ -37,6 +37,7 @@ def random_scenario(
     distinct_classes: bool = False,
     extra_flows: int = 0,
     tree: bool = False,
+    rename: dict[str, str] | None = None,
 ):
     """Random connected network + chain flow + TI table, sized to stay under
     the naive-mode cap. With shared_rewards the reward economics are drawn
@@ -46,7 +47,8 @@ def random_scenario(
     first flow's techniques; `tree` then gives one step of the first flow an
     AND/OR attack tree over 2-3 leaves with random parameter overrides.
     Both are drawn last, so the rest of the scenario does not depend on
-    them."""
+    them. `rename` maps node ids (n0, n1, ...) to the ids the network
+    document uses instead, and changes no draw."""
     num_nodes = rng.randint(2, max_nodes)
     if distinct_classes:
         classes = [f"class{i}" for i in range(num_nodes)]
@@ -72,6 +74,8 @@ def random_scenario(
         + "".join(edges)
         + "</graph></graphml>"
     )
+    for old, new in (rename or {}).items():
+        network_doc = network_doc.replace(f'"{old}"', f'"{new}"')
 
     num_steps = rng.randint(1, max_steps)
     techniques = [f"T9{i:03d}" for i in range(num_steps)]
@@ -134,6 +138,37 @@ def random_scenario(
     return validate_bundle(bundle)
 
 
+def two_target_tree(second: str, leaves: tuple[str, ...] = ("l1", "l2")) -> RawBundle:
+    """An entry gateway in front of node `a` and node `second`, both open to
+    one technique whose attack tree ANDs `leaves`: a tree step with two
+    targets."""
+    network_doc = (
+        '<graphml><graph edgedefault="undirected">'
+        '<node id="gw"><data key="type">firewall</data><data key="entry_point">true</data></node>'
+        '<node id="a"><data key="type">srv</data><data key="inventory">x</data></node>'
+        f'<node id="{second}"><data key="type">srv</data><data key="inventory">y</data></node>'
+        f'<edge source="gw" target="a"/><edge source="gw" target="{second}"/>'
+        "</graph></graphml>"
+    )
+    flow = {
+        "id": "tree",
+        "attackFlow": [
+            {"step": 1, "tactic": {"id": "TA0001"}, "technique": {"id": "T0001"}, "attackTree": "t"}
+        ],
+        "attackTrees": [{
+            "id": "t",
+            "technique_id": "T0001",
+            "root": {"gate": "AND", "children": [{"name": name} for name in leaves]},
+        }],
+    }
+    return RawBundle(
+        network_doc=network_doc,
+        flow_docs=[json.dumps(flow)],
+        policy_docs=[PERMIT_ALL],
+        ti_doc=TI_HEADER + "T0001,srv,0.5,0,10,-1,0.5,1\n",
+    )
+
+
 def _leaf_overrides(rng: random.Random) -> dict[str, float]:
     """A random subset of the tree-leaf parameters, each with a random value."""
     draws = {
@@ -181,7 +216,7 @@ def random_pomdp(
     num_actions = rng.randint(1, max_actions)
     num_obs = rng.randint(1, max_obs)
     states = tuple(
-        NetworkState.initial() if i == 0 else NetworkState(flags=(f"s{i}",))
+        NetworkState() if i == 0 else NetworkState(flags=(f"s{i}",))
         for i in range(num_states)
     )
     actions = tuple(

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from conftest import MALFORMED, REPO_ROOT, SCENARIO
 from cri.cli import main
+from genscen import two_target_tree
 
 NETWORK = str(SCENARIO / "network.graphml")
 FLOWS = str(SCENARIO / "flows")
@@ -178,6 +179,45 @@ class TestModeConsistency:
         n = 100000
         se_bound = 3 * 100 * 2 * (0.25 / n) ** 0.5
         assert abs(index_exact - index_sim) <= se_bound
+
+
+class TestModelRefusals:
+    """Models the engine cannot build or solve exit 2 with an `error:` line
+    and write no report."""
+
+    @pytest.mark.parametrize("command", ["calc", "whatif"])
+    def test_horizon_past_the_recursion_limit(self, tmp_path, command):
+        extra = (
+            ["--countermeasures", str(SCENARIO / "countermeasures.json")] if command == "whatif" else []
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "cri.cli", command,
+             *calc_args(tmp_path / "out", horizon="5000"), *extra],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: horizon 5000 nests the belief search too deeply" in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert not (tmp_path / "out" / "campaign_report.json").exists()
+
+    def test_coinciding_tree_leaf_flags(self, tmp_path):
+        # target a with leaf q#l1 and target a#q with leaf l1 share a flag name
+        bundle = two_target_tree("a#q", leaves=("q#l1", "l1"))
+        scen = tmp_path / "scen"
+        (scen / "flows").mkdir(parents=True)
+        (scen / "policies").mkdir()
+        (scen / "network.graphml").write_text(bundle.network_doc)
+        (scen / "flows" / "tree.json").write_text(bundle.flow_docs[0])
+        (scen / "policies" / "open.xml").write_text(bundle.policy_docs[0])
+        (scen / "ti.csv").write_text(bundle.ti_doc)
+        result = run_cli("calc", *calc_args(
+            tmp_path / "out", network=str(scen / "network.graphml"), flows=str(scen / "flows"),
+            policies=str(scen / "policies"), ti=str(scen / "ti.csv"),
+        ))
+        assert result.exit_code == 2, result.output
+        assert "error: tree leaf flag 'ttp1@a#q#l1' names two actions" in result.output
+        assert "CRI " not in result.output
+        assert not (tmp_path / "out" / "campaign_report.json").exists()
 
 
 class TestOutNamingAFile:

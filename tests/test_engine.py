@@ -93,7 +93,7 @@ class TestModelDump:
         from cri.pomdp import NetworkState
 
         by_index = {i: s for i, s in enumerate(pomdp.states)}
-        initial = pomdp.states.index(NetworkState.initial())
+        initial = pomdp.states.index(NetworkState())
         offered_at_start = {pomdp.actions[a].step for a in pomdp.applicable[initial]}
         assert offered_at_start == {1, 2}
         for idx, state in by_index.items():

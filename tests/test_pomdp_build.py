@@ -5,19 +5,22 @@ import pytest
 
 from cri.attack_flow import TtpNode, parse_attack_flow
 from cri.attack_tree import TreeLibrary, parse_tree_dict
+from cri.engine import run_campaign
 from cri.errors import CapacityError, ModelError, ValidationError
+from cri.ingest import validate_bundle
 from cri.pomdp import (
     build_pomdp,
     complexity_from_sizes,
     complexity_report,
     expand_technique,
     milestone_flag,
+    milestone_probabilities,
     state_space_size,
     value_iteration,
 )
 from cri.threat_intel import TiRecord, TiTable
 from cri.pomdp.types import NetworkState, Pomdp
-from genscen import random_scenario
+from genscen import random_scenario, two_target_tree
 from toys import and_chain, single_step
 
 PROB_TOL = 1e-9
@@ -207,6 +210,59 @@ def _reachable_states(pomdp):
                     seen.add(s2)
                     frontier.append(s2)
     return {pomdp.states[i] for i in seen}
+
+
+class TestNodeNamesOnlyLabel:
+    """Renaming nodes so that one id plus '#' starts another id changes no
+    state count, block count, value, milestone probability or index. No
+    genscen node is IDS-class, so no renamed id picks a muddle label."""
+
+    RENAME = {"n0": "a", "n1": "a#b"}
+
+    @staticmethod
+    def _outcome(inputs):
+        pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+        solved = value_iteration(pomdp)
+        p_n = milestone_probabilities(pomdp, solved.policy)
+        index = run_campaign(inputs).campaign.index
+        return len(pomdp.states), solved.blocks, solved.value, p_n, index
+
+    def _assert_same(self, original, renamed):
+        """Compare the two outcomes and return the renamed one."""
+        states, blocks, value, p_n, index = self._outcome(original)
+        outcome = states2, blocks2, value2, p_n2, index2 = self._outcome(renamed)
+        assert (states2, blocks2) == (states, blocks)
+        assert value2 == pytest.approx(value, rel=0, abs=1e-12)
+        assert p_n2.keys() == p_n.keys()
+        for step, p in p_n.items():
+            assert p_n2[step] == pytest.approx(p, rel=0, abs=1e-12)
+        assert index2 == pytest.approx(index, rel=0, abs=1e-10)
+        return outcome
+
+    def test_genscen_tree_scenarios(self):
+        both_targets = 0
+        for seed in range(40):
+            original = random_scenario(random.Random(seed), max_items=1, tree=True)
+            renamed = random_scenario(
+                random.Random(seed), max_items=1, tree=True, rename=self.RENAME
+            )
+            self._assert_same(original, renamed)
+            pomdp = build_pomdp(renamed.flows[0], renamed.network, renamed.ti)
+            targets = {a.target for a in pomdp.actions if a.kind == "tree-leaf"}
+            both_targets += {"a", "a#b"} <= targets
+        # the renamed ids must meet as targets of one tree step
+        assert both_targets >= 15
+
+    def test_two_target_tree(self):
+        original = validate_bundle(two_target_tree("b"))
+        renamed = validate_bundle(two_target_tree("a#q"))
+        states, _, _, _, index = self._assert_same(original, renamed)
+        assert (states, index) == (7, 50.0)
+
+    def test_coinciding_leaf_flags_are_refused(self):
+        inputs = validate_bundle(two_target_tree("a#q", leaves=("q#l1", "l1")))
+        with pytest.raises(ModelError, match=re.escape("tree leaf flag 'ttp1@a#q#l1'")):
+            build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
 
 
 class TestComplexityReport:

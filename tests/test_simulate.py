@@ -21,7 +21,7 @@ from toys import and_chain, bundled_toys, noisy_sensor, single_step
 
 def _reward_lottery():
     """One action fanning into three absorbing states worth 1, 2, 3."""
-    s0 = NetworkState.initial()
+    s0 = NetworkState()
     branches = tuple(NetworkState(flags=(c,)) for c in "abc")
     act = AttackerAction(
         id="roll", technique_id="T", target="n", kind="tactic-step",

@@ -38,7 +38,7 @@ def _action(idx, **kwargs):
 
 def _two_state_identity(z0=0.8):
     """Identity transitions; observation o0 has probability z0 in state 0."""
-    states = (NetworkState.initial(), NetworkState(flags=("s1",)))
+    states = (NetworkState(), NetworkState(flags=("s1",)))
     return Pomdp(
         states=states,
         actions=(_action(0),),
@@ -64,7 +64,7 @@ class TestBeliefUpdate:
         assert updated.probs[1] == pytest.approx(0.2, abs=1e-12)
 
     def test_point_mass_deterministic_transition(self):
-        states = (NetworkState.initial(), NetworkState(flags=("s1",)))
+        states = (NetworkState(), NetworkState(flags=("s1",)))
         pomdp = Pomdp(
             states=states,
             actions=(_action(0, p_success=1.0),),
@@ -87,7 +87,7 @@ class TestBeliefUpdate:
     def test_three_state_hand_enumeration(self):
         # frozen instance checked against an explicit two-loop evaluation
         states = (
-            NetworkState.initial(),
+            NetworkState(),
             NetworkState(flags=("x",)),
             NetworkState(flags=("y",)),
         )
@@ -144,7 +144,7 @@ class TestBeliefUpdate:
 
 class TestValueIteration:
     def test_degenerate_chain(self):
-        state = (NetworkState.initial(),)
+        state = (NetworkState(),)
         pomdp = Pomdp(
             states=state, actions=(_action(0),), observations=("o1",),
             transitions={(0, 0): ((0, 1.0),)},
@@ -156,7 +156,7 @@ class TestValueIteration:
         assert value_iteration(pomdp).value == pytest.approx(3.0, abs=1e-12)
 
     def test_one_step_argmax(self):
-        states = (NetworkState.initial(), NetworkState(flags=("w",)))
+        states = (NetworkState(), NetworkState(flags=("w",)))
         acts = (
             _action(0, p_success=0.6, reward_success=10.0, penalty_failure=0.0, cost=1.0),
             _action(1, p_success=0.2, reward_success=10.0, penalty_failure=0.0, cost=1.0),
@@ -451,7 +451,7 @@ def _forced_wasted_move():
     where `a0` is not applicable, the wasted move pays 10, so `a0` is worth
     5. A bound that maxes only over applicable actions values s1 at 0 and
     would skip `a0`."""
-    states = (NetworkState.initial(), NetworkState(flags=("x",)), NetworkState(flags=("y",)))
+    states = (NetworkState(), NetworkState(flags=("x",)), NetworkState(flags=("y",)))
     transitions = {
         (0, 0): ((1, 0.5), (2, 0.5)), (0, 1): ((0, 1.0),),
         (1, 0): ((1, 1.0),), (1, 1): ((1, 1.0),),
