@@ -24,11 +24,8 @@ from .canon import canonical_json, sha256_hex
 from .engine import EngineConfig, RunOutput, run_campaign, run_whatif
 from .errors import CriError
 from .index import IndexLedger, parse_countermeasures, record_index
-from .ingest import (
-    RawBundle, parse_bool, parse_network, parse_policy_set, read_input, validate_bundle,
-)
+from .ingest import RawBundle, parse_bool, parse_network, read_input, validate_bundle
 from .pomdp import complexity_report
-from .threat_intel import load_threat_intel
 
 logger = logging.getLogger(__name__)
 
@@ -352,7 +349,9 @@ def whatif(cm_path, **kwargs):
 @main.command()
 @_input_options
 def complexity(**kwargs):
-    """Print worst-case versus actually-built model sizes."""
+    """Print worst-case versus actually-built model sizes. With flows and
+    threat intel the inputs are read and checked as `calc` reads them, and
+    the built models' sizes are reported too; otherwise only the bounds."""
     try:
         config = _read_config_file(kwargs.get("config"))
         network = _require_path(_resolve(config, kwargs.get("network"), "network"), "network")
@@ -361,20 +360,17 @@ def complexity(**kwargs):
             value = _resolve(config, kwargs.get(key), key)
             if value:
                 given[key] = _require_path(value, key)
-        net = parse_network(read_input(network))
-        if "policies" in given:
-            net.policies = parse_policy_set(
-                [read_input(p) for p in _collect(Path(given["policies"]), ".xml")]
+        if "flows" in given and "ti" in given:
+            inputs, _ = _load_bundle(
+                network, given["flows"], given.get("policies"), given["ti"], allow_defaults=False
             )
-        flow_paths = _collect(Path(given["flows"]), ".json") if "flows" in given else []
-        flows_list = [
-            parse_attack_flow(read_input(p), flow_id=p.stem)
-            for p in flow_paths
-        ]
-        ti = load_threat_intel(read_input(given["ti"])) if "ti" in given else None
-        if ti is not None and not net.entry_points():
-            ti = None  # actual model sizes need an entry point; bounds do not
-        report = complexity_report(net, flows_list, ti)
+            report = complexity_report(inputs.network, inputs.flows, inputs.ti)
+        else:
+            flow_paths = _collect(Path(given["flows"]), ".json") if "flows" in given else []
+            report = complexity_report(
+                parse_network(read_input(network)),
+                [parse_attack_flow(read_input(p), flow_id=p.stem) for p in flow_paths],
+            )
         payload = asdict(report)
         payload["worst_states"] = str(payload["worst_states"])
         payload["comp_state_obs"] = str(payload["comp_state_obs"])

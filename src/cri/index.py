@@ -271,9 +271,16 @@ def parse_countermeasures(doc: str) -> list[Countermeasure]:
     if not isinstance(data, list) or not data:
         raise ValidationError("countermeasure document must hold a non-empty list")
     out = []
+    seen: set[str] = set()
     for i, raw in enumerate(data):
         if not isinstance(raw, dict) or "id" not in raw or "d3fend_group" not in raw:
             raise ValidationError(f"countermeasure {i}: requires 'id' and 'd3fend_group'")
+        cm_id = raw["id"]
+        if not isinstance(cm_id, str) or not cm_id:
+            raise ValidationError(f"countermeasure {i}: 'id' must be a non-empty string")
+        if cm_id in seen:
+            raise ValidationError(f"countermeasure {i}: duplicate id {cm_id!r}")
+        seen.add(cm_id)
         for key in ("technique_id", "asset_class"):
             if not isinstance(raw.get(key), (str, type(None))):
                 raise ValidationError(f"countermeasure {i}: {key!r} must be a string or null")
@@ -284,7 +291,7 @@ def parse_countermeasures(doc: str) -> list[Countermeasure]:
                 raise ValidationError(f"countermeasure {i}: {key} must be a finite JSON number")
         out.append(
             Countermeasure(
-                id=str(raw["id"]),
+                id=cm_id,
                 d3fend_group=str(raw["d3fend_group"]),
                 technique_id=raw.get("technique_id"),
                 asset_class=raw.get("asset_class"),

@@ -8,6 +8,9 @@ policy graph flattened into tables, built once per call with sampling
 rows for just the (state, action) pairs the graph lists, and derives each
 block's uniforms at once in numpy (`block_uniforms`), equal bit for bit to
 those of each episode's own generator.
+
+numpy is imported inside the functions that touch arrays, so that only a
+command that walks episodes (`--mode simulate|both`) pays for loading it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .pomdp.solve import Policy
 from .pomdp.types import Pomdp
@@ -103,6 +104,8 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
 def _pcg_uniforms(pool: list, draws: int) -> np.ndarray:
     """`draws` doubles per row from PCG64 seeded by the SeedSequence whose
     final pool (uint32 arrays, one row per stream) is `pool`."""
+    import numpy as np
+
     hashmix = _HashMix(_INIT_B, _MULT_B)
     s = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
     # generate_state(4, uint64) pairs the words little-endian; PCG64 takes
@@ -128,6 +131,8 @@ def block_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
     bit to its `random(draws)`. The pool mixing of the seed is done once;
     each episode's index words, its PCG64 seeding and its draws are done on
     arrays across the rows."""
+    import numpy as np
+
     words = _words(seed)
     words += [0] * (4 - len(words))  # padded, as when a spawn key follows
     hashmix = _HashMix(_INIT_A, _MULT_A)
@@ -173,6 +178,8 @@ class _WalkTables:
     row of every arrival."""
 
     def __init__(self, pomdp: Pomdp, policy: Policy):
+        import numpy as np
+
         self.discount = pomdp.discount
         self.action = np.array([-1 if n.action is None else n.action for n in policy.nodes])
         self.child = np.full((len(policy.nodes), len(pomdp.observations)), -1)
@@ -210,6 +217,8 @@ class _WalkTables:
         the initial state's, then a successor's and an observation's per
         step). Returns each episode's cumulative reward and terminal state,
         and the episodes that took every step."""
+        import numpy as np
+
         n = len(u)
         node = np.full(n, self.root)
         state, _ = self.b0.draw(np.zeros(n, dtype=np.intp), u[:, 0])
@@ -243,6 +252,8 @@ class _Rows:
 
     def __init__(self, keys: int, rows: dict[int, list[tuple[int, float, float]]]):
         """`rows` maps some of the keys in `range(keys)` to their rows."""
+        import numpy as np
+
         width = 1 + max(map(len, rows.values()), default=0)
         outcome, value, acc = [], [], []
         for entries in rows.values():
@@ -261,6 +272,8 @@ class _Rows:
         """The outcome and its value in each key's row for its uniform:
         the first column whose cumulative sum exceeds the uniform, clamped
         to the row's last entry. A key without a row raises KeyError."""
+        import numpy as np
+
         rows = self.slot[keys]
         if (rows < 0).any():
             raise KeyError(int(keys[rows < 0][0]))
@@ -278,6 +291,8 @@ def estimate_expected_reward(
     together by `block_uniforms`."""
     if num_episodes < 1:
         raise ValueError("num_episodes must be >= 1")
+    import numpy as np
+
     tables = _WalkTables(pomdp, policy)
     draws = 2 * policy.horizon + 1
     rewards: list[float] = []

@@ -502,6 +502,19 @@ class TestComplexityCommand:
             assert f"error: {message}" in result.output
         assert complexity.output == calc.output
 
+    def test_missing_threat_intel_exits_2_like_calc(self, tmp_path):
+        ti = tmp_path / "ti.csv"
+        ti.write_text("".join((SCENARIO / "ti.csv").read_text().splitlines(True)[:2]))
+        complexity = run_cli(
+            "complexity", "--network", NETWORK, "--flows", FLOWS,
+            "--policies", POLICIES, "--ti", str(ti),
+        )
+        calc = run_cli("calc", *calc_args(tmp_path / "out", ti=str(ti)))
+        for result in (complexity, calc):
+            assert result.exit_code == 2, result.output
+            assert "technique T1566 has no threat-intel record" in result.output
+        assert complexity.output == calc.output
+
     def test_accepts_only_the_options_it_reads(self):
         assert sorted(p.name for p in main.commands["complexity"].params) == [
             "config", "flows", "network", "policies", "ti",
@@ -570,6 +583,19 @@ class TestWhatif:
             "whatif", *calc_args(tmp_path / "out"), "--countermeasures", str(bad)
         )
         assert result.exit_code == 2
+        assert not (tmp_path / "out" / "whatif_report.json").exists()
+
+    def test_duplicate_id_exits_2(self, tmp_path):
+        measures = json.loads((SCENARIO / "countermeasures.json").read_text())
+        rows = measures["countermeasures"] if isinstance(measures, dict) else measures
+        rows[1]["id"] = rows[0]["id"]
+        bad = tmp_path / "cm.json"
+        bad.write_text(json.dumps(measures))
+        result = run_cli(
+            "whatif", *calc_args(tmp_path / "out"), "--countermeasures", str(bad)
+        )
+        assert result.exit_code == 2
+        assert f"error: countermeasure 1: duplicate id {rows[0]['id']!r}" in result.output
         assert not (tmp_path / "out" / "whatif_report.json").exists()
 
 
@@ -656,6 +682,68 @@ class TestMalformedInputsSuite:
         if name.endswith(".jsonl"):
             assert (tmp_path / "ledger.jsonl").read_bytes() == source.read_bytes()
             assert not (tmp_path / "out" / "campaign_report.json").exists()
+
+
+class TestNumpyDeferred:
+    """numpy is loaded by the first Monte Carlo walk, not by `import cri.cli`:
+    each check runs in a fresh interpreter."""
+
+    SCRIPT = (
+        "import sys\n"
+        "from cri.cli import main\n"
+        "try:\n"
+        "    main(args=sys.argv[1:], prog_name='cri')\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print('numpy' in sys.modules)\n"
+    )
+
+    def _loads_numpy(self, *args) -> bool:
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *args], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    def test_import_cli(self):
+        assert not self._loads_numpy("--version")
+
+    @pytest.mark.parametrize("mode", ["exact", "simulate", "both"])
+    def test_calc(self, tmp_path, mode):
+        loads = self._loads_numpy(
+            "calc", *calc_args(tmp_path / "out"), "--mode", mode, "--episodes", "50",
+        )
+        assert loads == (mode != "exact")
+
+    def test_whatif(self, tmp_path):
+        assert not self._loads_numpy(
+            "whatif", *calc_args(tmp_path / "out"),
+            "--countermeasures", str(SCENARIO / "countermeasures.json"),
+        )
+
+    def test_complexity(self):
+        assert not self._loads_numpy(
+            "complexity", "--network", NETWORK, "--flows", FLOWS,
+            "--policies", POLICIES, "--ti", TI,
+        )
+
+    def test_history(self, tmp_path):
+        assert run_cli("calc", *calc_args(tmp_path / "out")).exit_code == 0
+        assert not self._loads_numpy("history", "--ledger", str(tmp_path / "out" / "ledger.jsonl"))
+
+
+def test_module_import_order_is_deterministic():
+    script = "import sys, cri.cli\nprint(*(m for m in sys.modules if m.split('.')[0] == 'cri'))\n"
+    orders = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        orders.append(proc.stdout.split())
+    assert orders[0] == orders[1]
+    assert orders[0][-1] == "cri.cli"
 
 
 def test_import_cli_loads_every_module():

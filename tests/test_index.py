@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -218,6 +219,22 @@ class TestCountermeasures:
     def test_parse_rejects_malformed(self, raw):
         with pytest.raises(ValidationError):
             parse_countermeasures(raw)
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["a", "a"], "countermeasure 1: duplicate id 'a'"),
+            ([1, "1"], "countermeasure 0: 'id' must be a non-empty string"),
+            (["1", 1], "countermeasure 1: 'id' must be a non-empty string"),
+            ([None], "countermeasure 0: 'id' must be a non-empty string"),
+            ([{"x": 1}], "countermeasure 0: 'id' must be a non-empty string"),
+            ([""], "countermeasure 0: 'id' must be a non-empty string"),
+        ],
+    )
+    def test_ids_are_unique_non_empty_strings(self, ids, message):
+        doc = json.dumps([{"id": i, "d3fend_group": "harden"} for i in ids])
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            parse_countermeasures(doc)
 
     def test_identity_effect_is_zero_delta(self):
         _, inputs = single_step()
