@@ -4,6 +4,7 @@ All diagnostics go to stderr; machine-readable results go to files and
 stdout. Report files carry a provenance block (input digests, seed,
 version) and contain nothing volatile, so identical inputs and flags
 produce byte-identical reports. Timestamps appear only in the ledger.
+A `CriError` from any command prints `error: <message>` and exits 2.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ from .index import IndexLedger, parse_countermeasures, record_index
 from .ingest import RawBundle, parse_bool, parse_network, read_input, validate_bundle
 from .pomdp import complexity_report
 
-logger = logging.getLogger(__name__)
-
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+_INPUTS = ("network", "flows", "policies", "ti")
+_FLOW_COLUMNS = ["flow_id", "step", "p_n", "p_n_exact", "p_n_simulated",
+                 "ci_low", "ci_high", "q_flow", "method"]
 
 
 def _setup_logging():
@@ -37,16 +39,11 @@ def _setup_logging():
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
 
 
-# Every key some command reads from a config file.
-_CONFIG_KEYS = frozenset({
-    "network", "flows", "policies", "ti", "mode", "episodes", "seed", "horizon",
-    "naive_check", "ti_defaults", "campaign", "ledger", "out",
-})
-
-
 def _read_config_file(path: str | None) -> dict[str, str]:
     if not path:
         return {}
+    # any option of `calc`, which reads them all, but the file itself and its report formats
+    keys = {p.name for p in calc.params} - {"config", "formats"}
     out: dict[str, str] = {}
     text = read_input(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -57,7 +54,7 @@ def _read_config_file(path: str | None) -> dict[str, str]:
             raise click.UsageError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise click.UsageError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
@@ -69,20 +66,21 @@ def _collect(path: Path, suffix: str) -> list[Path]:
     return [path]
 
 
-def _load_bundle(network, flows, policies, ti, allow_defaults):
-    network_path = Path(network)
-    flow_paths = _collect(Path(flows), ".json")
-    policy_paths = _collect(Path(policies), ".xml") if policies else []
+def _load_bundle(paths: dict[str, str | None], allow_defaults: bool):
+    network_path, ti_path = Path(paths["network"]), Path(paths["ti"])
+    flow_paths = _collect(Path(paths["flows"]), ".json")
+    policy_paths = _collect(Path(paths["policies"]), ".xml") if paths["policies"] else []
     bundle = RawBundle(
         network_doc=read_input(network_path),
         flow_docs=[read_input(p) for p in flow_paths],
         policy_docs=[read_input(p) for p in policy_paths],
-        ti_doc=read_input(ti) if ti else "",
+        ti_doc=read_input(ti_path),
         flow_names=[p.stem for p in flow_paths],
     )
-    digests = {network_path.name: sha256_hex(network_path.read_bytes())}
-    for p in flow_paths + policy_paths + ([Path(ti)] if ti else []):
-        digests[p.name] = sha256_hex(p.read_bytes())
+    digests = {
+        p.name: sha256_hex(p.read_bytes())
+        for p in [network_path, *flow_paths, *policy_paths, ti_path]
+    }
     return validate_bundle(bundle, allow_ti_defaults=allow_defaults), digests
 
 
@@ -105,7 +103,7 @@ _RUN_OPTIONS = [
                  help="Also build the naive model and verify it agrees."),
     click.option("--ti-defaults", is_flag=True, default=False,
                  help="Fall back to default statistics for missing TI records."),
-    click.option("--campaign", "campaign_id", type=str, default=None, help="Campaign id."),
+    click.option("--campaign", type=str, default=None, help="Campaign id."),
     click.option("--ledger", type=str, default=None, help="Ledger file (JSON lines)."),
     click.option("--out", type=str, default=None, help="Output directory."),
 ]
@@ -123,7 +121,9 @@ _input_options = _options(_INPUT_OPTIONS)
 _common_options = _options(_INPUT_OPTIONS + _RUN_OPTIONS)
 
 
-def _resolve(config: dict[str, str], flag_value, key: str, default=None, cast=str):
+def _resolve(config: dict[str, str], kwargs: dict, key: str, default=None, cast=str):
+    """The flag `key` if given, else its config value cast, else `default`."""
+    flag_value = kwargs.get(key)
     if flag_value is not None and flag_value is not False:
         return flag_value
     if key in config:
@@ -137,12 +137,21 @@ def _resolve(config: dict[str, str], flag_value, key: str, default=None, cast=st
     return default
 
 
-def _require_path(value, what: str) -> str:
+def _require_path(value, what: str) -> None:
     if not value:
         raise click.UsageError(f"missing required input: {what}")
     if not Path(value).exists():
         raise click.UsageError(f"{what} path does not exist: {value}")
-    return value
+
+
+def _input_paths(config: dict[str, str], kwargs: dict, required: tuple[str, ...]) -> dict:
+    """The network, flows, policies and ti paths, flags over the config
+    file; each of `required` must be given, and each one given must exist."""
+    paths = {key: _resolve(config, kwargs, key) or None for key in _INPUTS}
+    for key, value in paths.items():
+        if value or key in required:
+            _require_path(value, key)
+    return paths
 
 
 def _require_out_dir(value: str, what: str = "out") -> str:
@@ -156,65 +165,57 @@ def _require_out_dir(value: str, what: str = "out") -> str:
 
 
 def _prepare(kwargs, writes_ledger: bool) -> tuple:
-    """Resolve flags over the config file, check the paths a run writes to
-    (the ledger's directory only when `writes_ledger`) and the run settings,
-    then read and validate the inputs."""
-    config = _read_config_file(kwargs.get("config"))
-    seed = _resolve(config, kwargs.get("seed"), "seed", 0, int)
-    if seed < 0:
-        raise click.UsageError(f"seed must be non-negative, got {seed}")
-    horizon = _resolve(config, kwargs.get("horizon"), "horizon", None, int)
-    if horizon is not None and horizon < 1:
-        raise click.UsageError(f"horizon must be at least 1, got {horizon}")
-    out_dir = _require_out_dir(_resolve(config, kwargs.get("out"), "out", "cri-out"))
-    ledger_path = _resolve(config, kwargs.get("ledger"), "ledger", None)
+    """Resolve flags over the config file and check the run settings, then
+    the paths a run writes to (the ledger's directory only when
+    `writes_ledger`) and reads from; only then read and validate the inputs."""
+    config = _read_config_file(kwargs["config"])
+    cfg = EngineConfig(
+        mode=_resolve(config, kwargs, "mode", "exact"),
+        episodes=_resolve(config, kwargs, "episodes", 10_000, int),
+        seed=_resolve(config, kwargs, "seed", 0, int),
+        horizon=_resolve(config, kwargs, "horizon", None, int),
+        naive_check=_resolve(config, kwargs, "naive_check", False, bool),
+        campaign_id=_resolve(config, kwargs, "campaign", "campaign"),
+    )
+    allow_defaults = _resolve(config, kwargs, "ti_defaults", False, bool)
+    out_dir = _require_out_dir(_resolve(config, kwargs, "out", "cri-out"))
+    ledger_path = _resolve(config, kwargs, "ledger")
     if ledger_path and writes_ledger:
         _require_out_dir(str(Path(ledger_path).parent), "ledger directory")
-    allow_defaults = _resolve(config, kwargs.get("ti_defaults"), "ti_defaults", False, bool)
-    naive_check = _resolve(config, kwargs.get("naive_check"), "naive_check", False, bool)
-    network = _require_path(_resolve(config, kwargs.get("network"), "network"), "network")
-    flows = _require_path(_resolve(config, kwargs.get("flows"), "flows"), "flows")
-    policies = _resolve(config, kwargs.get("policies"), "policies")
-    if policies:
-        _require_path(policies, "policies")
-    ti = _require_path(_resolve(config, kwargs.get("ti"), "ti"), "ti")
-    cfg = EngineConfig(
-        mode=_resolve(config, kwargs.get("mode"), "mode", "exact"),
-        episodes=_resolve(config, kwargs.get("episodes"), "episodes", 10_000, int),
-        seed=seed,
-        horizon=horizon,
-        naive_check=naive_check,
-        campaign_id=_resolve(config, kwargs.get("campaign_id"), "campaign", "campaign"),
-    )
-    inputs, cfg.provenance = _load_bundle(network, flows, policies, ti, allow_defaults)
+    paths = _input_paths(config, kwargs, required=("network", "flows", "ti"))
+    inputs, cfg.provenance = _load_bundle(paths, allow_defaults)
     return inputs, cfg, out_dir, ledger_path
 
 
-def _flow_rows(output: RunOutput) -> list[dict]:
-    rows = []
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def _flow_rows(output: RunOutput):
+    """`flows.csv` rows, in `_FLOW_COLUMNS` order."""
     for report in output.flow_reports:
         for step in sorted(report.result.p_n):
             interval = (report.p_n_intervals or {}).get(step)
-            rows.append(
-                {
-                    "flow_id": report.flow_id,
-                    "step": step,
-                    "p_n": repr(report.result.p_n[step]),
-                    "p_n_exact": repr((report.p_n_exact or {}).get(step, "")),
-                    "p_n_simulated": repr((report.p_n_simulated or {}).get(step, "")),
-                    "ci_low": repr(interval[0]) if interval else "",
-                    "ci_high": repr(interval[1]) if interval else "",
-                    "q_flow": repr(report.result.q_flow),
-                    "method": report.result.method,
-                }
-            )
-    return rows
+            yield [
+                report.flow_id,
+                step,
+                repr(report.result.p_n[step]),
+                repr((report.p_n_exact or {}).get(step, "")),
+                repr((report.p_n_simulated or {}).get(step, "")),
+                repr(interval[0]) if interval else "",
+                repr(interval[1]) if interval else "",
+                repr(report.result.q_flow),
+                report.result.method,
+            ]
 
 
 def _write_reports(output: RunOutput, out_dir: str, formats: tuple[str, ...] = ("json", "csv")):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     if "json" in formats:
         payload = {
             "campaign": output.campaign.as_dict(),
@@ -237,27 +238,23 @@ def _write_reports(output: RunOutput, out_dir: str, formats: tuple[str, ...] = (
                 for r in output.flow_reports
             ],
         }
-        path = out / "campaign_report.json"
-        path.write_text(canonical_json(payload), encoding="utf-8")
-        written.append(path)
+        (out / "campaign_report.json").write_text(canonical_json(payload), encoding="utf-8")
     if "csv" in formats:
-        rows = _flow_rows(output)
-        buf = io.StringIO()
-        writer = csv.DictWriter(
-            buf,
-            fieldnames=["flow_id", "step", "p_n", "p_n_exact", "p_n_simulated",
-                        "ci_low", "ci_high", "q_flow", "method"],
-            lineterminator="\n",
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        path = out / "flows.csv"
-        path.write_text(buf.getvalue(), encoding="utf-8")
-        written.append(path)
-    return written
+        _write_csv(out / "flows.csv", _FLOW_COLUMNS, _flow_rows(output))
 
 
-@click.group()
+class _Main(click.Group):
+    """Ends any command that raises a `CriError` with `error: ...` and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CriError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="cri")
 def main():
     """Cyber resilience index engine."""
@@ -270,21 +267,14 @@ def main():
               default=("json", "csv"), help="Report formats to emit.")
 def calc(formats, **kwargs):
     """Run the full pipeline and print the campaign index."""
-    try:
-        inputs, cfg, out_dir, ledger_path = _prepare(kwargs, writes_ledger=True)
-        ledger_path = ledger_path or str(Path(out_dir) / "ledger.jsonl")
-        if Path(ledger_path).exists():
-            ledger = IndexLedger.load(ledger_path)
-        else:
-            ledger = IndexLedger(path=ledger_path)
-        output = run_campaign(inputs, cfg)
-        _write_reports(output, out_dir, tuple(formats))
-        Path(ledger_path).parent.mkdir(parents=True, exist_ok=True)
-        record_index(ledger, output.assumed, "assumed", note="base rates")
-        record_index(ledger, output.campaign, "validated", note=f"mode={cfg.mode}")
-    except CriError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    inputs, cfg, out_dir, ledger_path = _prepare(kwargs, writes_ledger=True)
+    ledger_path = ledger_path or str(Path(out_dir) / "ledger.jsonl")
+    ledger = IndexLedger.load(ledger_path) if Path(ledger_path).exists() else IndexLedger(ledger_path)
+    output = run_campaign(inputs, cfg)
+    _write_reports(output, out_dir, tuple(formats))
+    Path(ledger_path).parent.mkdir(parents=True, exist_ok=True)
+    record_index(ledger, output.assumed, "assumed", note="base rates")
+    record_index(ledger, output.campaign, "validated", note=f"mode={cfg.mode}")
     click.echo(f"CRI {output.campaign.index:.6f}")
 
 
@@ -294,51 +284,45 @@ def calc(formats, **kwargs):
               help="Countermeasure JSON file.")
 def whatif(cm_path, **kwargs):
     """Evaluate countermeasure cost/benefit against the campaign index."""
-    try:
-        _require_path(cm_path, "countermeasures")
-        inputs, cfg, out_dir, ledger_path = _prepare(kwargs, writes_ledger=False)
-        if ledger_path:
-            click.echo("warning: whatif writes no ledger; --ledger ignored", err=True)
-        measures = parse_countermeasures(read_input(cm_path))
-        deltas = []
-        for delta in run_whatif(inputs, measures, cfg):
-            if not delta.matched:
-                click.echo(
-                    f"warning: countermeasure {delta.countermeasure.id} matches no technique",
-                    err=True,
-                )
-            deltas.append(delta)
-        groups: dict[str, dict] = {}
-        for d in deltas:
-            g = groups.setdefault(
-                d.countermeasure.d3fend_group,
-                {"delta_index": 0.0, "total_cost": 0.0, "countermeasures": []},
+    _require_path(cm_path, "countermeasures")
+    inputs, cfg, out_dir, ledger_path = _prepare(kwargs, writes_ledger=False)
+    if ledger_path:
+        click.echo("warning: whatif writes no ledger; --ledger ignored", err=True)
+    measures = parse_countermeasures(read_input(cm_path))
+    deltas = []
+    for delta in run_whatif(inputs, measures, cfg):
+        if not delta.matched:
+            click.echo(
+                f"warning: countermeasure {delta.countermeasure.id} matches no technique",
+                err=True,
             )
-            g["delta_index"] += d.delta_index
-            g["total_cost"] += d.countermeasure.total_cost
-            g["countermeasures"].append(d.countermeasure.id)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "groups": {k: groups[k] for k in sorted(groups)},
-            "countermeasures": [d.as_dict() for d in deltas],
-        }
-        (out / "whatif_report.json").write_text(canonical_json(payload), encoding="utf-8")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "d3fend_group", "index_before", "index_after",
-                         "delta_index", "total_cost", "delta_per_cost"])
-        for d in deltas:
-            writer.writerow([
-                d.countermeasure.id, d.countermeasure.d3fend_group,
-                repr(d.index_before), repr(d.index_after), repr(d.delta_index),
-                repr(d.total_cost),
-                repr(d.delta_per_cost) if d.delta_per_cost is not None else "",
-            ])
-        (out / "whatif.csv").write_text(buf.getvalue(), encoding="utf-8")
-    except CriError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        deltas.append(delta)
+    groups: dict[str, dict] = {}
+    for d in deltas:
+        g = groups.setdefault(
+            d.countermeasure.d3fend_group,
+            {"delta_index": 0.0, "total_cost": 0.0, "countermeasures": []},
+        )
+        g["delta_index"] += d.delta_index
+        g["total_cost"] += d.countermeasure.total_cost
+        g["countermeasures"].append(d.countermeasure.id)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    payload = {
+        "groups": {k: groups[k] for k in sorted(groups)},
+        "countermeasures": [d.as_dict() for d in deltas],
+    }
+    (out / "whatif_report.json").write_text(canonical_json(payload), encoding="utf-8")
+    _write_csv(
+        out / "whatif.csv",
+        ["id", "d3fend_group", "index_before", "index_after",
+         "delta_index", "total_cost", "delta_per_cost"],
+        ([d.countermeasure.id, d.countermeasure.d3fend_group,
+          repr(d.index_before), repr(d.index_after), repr(d.delta_index),
+          repr(d.total_cost),
+          repr(d.delta_per_cost) if d.delta_per_cost is not None else ""]
+         for d in deltas),
+    )
     for d in deltas:
         click.echo(
             f"{d.countermeasure.id} [{d.countermeasure.d3fend_group}] "
@@ -352,33 +336,20 @@ def complexity(**kwargs):
     """Print worst-case versus actually-built model sizes. With flows and
     threat intel the inputs are read and checked as `calc` reads them, and
     the built models' sizes are reported too; otherwise only the bounds."""
-    try:
-        config = _read_config_file(kwargs.get("config"))
-        network = _require_path(_resolve(config, kwargs.get("network"), "network"), "network")
-        given = {}
-        for key in ("flows", "policies", "ti"):
-            value = _resolve(config, kwargs.get(key), key)
-            if value:
-                given[key] = _require_path(value, key)
-        if "flows" in given and "ti" in given:
-            inputs, _ = _load_bundle(
-                network, given["flows"], given.get("policies"), given["ti"], allow_defaults=False
-            )
-            report = complexity_report(inputs.network, inputs.flows, inputs.ti)
-        else:
-            flow_paths = _collect(Path(given["flows"]), ".json") if "flows" in given else []
-            report = complexity_report(
-                parse_network(read_input(network)),
-                [parse_attack_flow(read_input(p), flow_id=p.stem) for p in flow_paths],
-            )
-        payload = asdict(report)
-        payload["worst_states"] = str(payload["worst_states"])
-        payload["comp_state_obs"] = str(payload["comp_state_obs"])
-        payload["c_statetrans"] = str(payload["c_statetrans"])
-        payload["natural_states"] = str(payload["natural_states"])
-    except CriError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    config = _read_config_file(kwargs["config"])
+    paths = _input_paths(config, kwargs, required=("network",))
+    if paths["flows"] and paths["ti"]:
+        inputs, _ = _load_bundle(paths, allow_defaults=False)
+        report = complexity_report(inputs.network, inputs.flows, inputs.ti)
+    else:
+        flow_paths = _collect(Path(paths["flows"]), ".json") if paths["flows"] else []
+        report = complexity_report(
+            parse_network(read_input(paths["network"])),
+            [parse_attack_flow(read_input(p), flow_id=p.stem) for p in flow_paths],
+        )
+    payload = asdict(report)
+    for key in ("worst_states", "comp_state_obs", "c_statetrans", "natural_states"):
+        payload[key] = str(payload[key])
     click.echo(canonical_json(payload), nl=False)
 
 
@@ -390,27 +361,20 @@ def complexity(**kwargs):
 @click.option("--csv", "csv_path", type=str, default=None, help="Also export as CSV.")
 def history(ledger_path, campaign_filter, csv_path):
     """Print the assumed/validated index series in time order."""
-    try:
-        ledger = IndexLedger.load(ledger_path)
-    except CriError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     entries = [
-        e for e in ledger.entries
+        e for e in IndexLedger.load(ledger_path).entries
         if campaign_filter is None or e.campaign == campaign_filter
     ]
     entries.sort(key=lambda e: (e.ts, e.kind))
     if csv_path:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["ts", "campaign", "kind", "index", "note"])
-        for e in entries:
-            writer.writerow([e.ts, e.campaign, e.kind, repr(e.index), e.note])
         try:
-            Path(csv_path).write_text(buf.getvalue(), encoding="utf-8")
+            _write_csv(
+                Path(csv_path),
+                ["ts", "campaign", "kind", "index", "note"],
+                ([e.ts, e.campaign, e.kind, repr(e.index), e.note] for e in entries),
+            )
         except OSError as exc:
-            click.echo(f"error: {csv_path}: cannot write: {exc.strerror or exc}", err=True)
-            sys.exit(2)
+            raise CriError(f"{csv_path}: cannot write: {exc.strerror or exc}") from None
     for e in entries:
         click.echo(f"{e.ts}\t{e.campaign}\t{e.kind}\t{e.index:.6f}\t{e.note}")
 

@@ -60,6 +60,10 @@ class EngineConfig:
             raise ModelError(f"unknown mode {self.mode!r}")
         if self.mode in ("simulate", "both") and self.episodes < 1:
             raise ModelError("episodes must be >= 1 when simulating")
+        if self.seed < 0:
+            raise ModelError(f"seed must be non-negative, got {self.seed}")
+        if self.horizon is not None and self.horizon < 1:
+            raise ModelError(f"horizon must be at least 1, got {self.horizon}")
 
 
 @dataclass

@@ -308,39 +308,22 @@ def serialize_policy_set(policies: PolicySet) -> str:
     for rule in policies.rules:
         lines.append(f'  <Rule RuleID="{rule.rule_id}" Effect="{rule.effect}">')
         lines.append("    <Target>")
-        if rule.subject.value is not None:
-            lines.append("      <Subject>")
-            lines.append('        <SubjectMatch MatchID="urn:cri:function:string-equal">')
-            lines.append(f"          <AttributeValue>{rule.subject.value}</AttributeValue>")
-            lines.append(
-                f'          <SubjectAttributeDesignator AttributeID="urn:cri:subject-{rule.subject.key}"/>'
-            )
-            lines.append("        </SubjectMatch>")
-            lines.append("      </Subject>")
-        else:
-            lines.append("      <Subject><AnySubject/></Subject>")
-        if rule.resource.value is not None:
-            lines.append("      <Resource>")
-            lines.append('        <ResourceMatch MatchID="urn:cri:function:string-equal">')
-            lines.append(f"          <AttributeValue>{rule.resource.value}</AttributeValue>")
-            lines.append(
-                '          <ResourceAttributeDesignator AttributeID="urn:cri:resource-id"/>'
-            )
-            lines.append("        </ResourceMatch>")
-            lines.append("      </Resource>")
-        else:
-            lines.append("      <Resource><AnyResource/></Resource>")
-        if rule.action.value is not None:
-            lines.append("      <Action>")
-            lines.append('        <ActionMatch MatchID="urn:cri:function:string-equal">')
-            lines.append(f"          <AttributeValue>{rule.action.value}</AttributeValue>")
-            lines.append(
-                '          <ActionAttributeDesignator AttributeID="urn:cri:action-id"/>'
-            )
-            lines.append("        </ActionMatch>")
-            lines.append("      </Action>")
-        else:
-            lines.append("      <Action><AnyAction/></Action>")
+        for tag, matcher, attribute_id in (
+            ("Subject", rule.subject, f"urn:cri:subject-{rule.subject.key}"),
+            ("Resource", rule.resource, "urn:cri:resource-id"),
+            ("Action", rule.action, "urn:cri:action-id"),
+        ):
+            if matcher.value is None:
+                lines.append(f"      <{tag}><Any{tag}/></{tag}>")
+                continue
+            lines += [
+                f"      <{tag}>",
+                f'        <{tag}Match MatchID="urn:cri:function:string-equal">',
+                f"          <AttributeValue>{matcher.value}</AttributeValue>",
+                f'          <{tag}AttributeDesignator AttributeID="{attribute_id}"/>',
+                f"        </{tag}Match>",
+                f"      </{tag}>",
+            ]
         lines.append("    </Target>")
         lines.append("  </Rule>")
     for zone in policies.segmentation:

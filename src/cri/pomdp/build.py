@@ -34,6 +34,7 @@ They follow the path context of the action's target:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -61,18 +62,18 @@ def leaf_flag(step: int, target: str, leaf_name: str) -> str:
 class TargetContext:
     """Path-derived facts about one target node."""
 
-    reachable: bool
     ids_on_path: bool
     seg_on_path: bool
     policy_deny: bool
 
 
-def analyze_targets(net: NetworkModel) -> dict[str, TargetContext]:
+def analyze_targets(net: NetworkModel, targets: Iterable[str]) -> dict[str, TargetContext]:
+    """Path facts for each of `targets`, over the simple paths to it from
+    every entry point."""
     entries = net.entry_points()
-    reachable = reachable_targets(net)
     zone_of = net.policies.zone_of
     out: dict[str, TargetContext] = {}
-    for target in sorted(net.nodes):
+    for target in sorted(set(targets)):
         paths: list[list[str]] = []
         for entry in entries:
             paths.extend(physical_paths(net, entry, target))
@@ -88,7 +89,6 @@ def analyze_targets(net: NetworkModel) -> dict[str, TargetContext]:
             for r in net.policies.rules
         )
         out[target] = TargetContext(
-            reachable=target in reachable,
             ids_on_path=ids_on_path,
             seg_on_path=seg_on_path,
             policy_deny=policy_deny,
@@ -107,6 +107,7 @@ def expand_technique(
     With an attack tree, every leaf becomes an action per target (the gate
     structure is evaluated over leaf flags at transition time); otherwise
     each target yields a single action parameterized from threat intel.
+    A leaf's own parameters override the threat-intel record's.
     """
     tree = trees.get(ttp.attack_tree_id) if ttp.attack_tree_id else None
     actions: list[AttackerAction] = []
@@ -114,40 +115,25 @@ def expand_technique(
         record = ti.lookup(ttp.technique_id, asset_class)
         if record is None:
             continue
-        if tree is None:
-            actions.append(
-                AttackerAction(
-                    id=f"s{ttp.step}:{ttp.technique_id}@{target}",
-                    technique_id=ttp.technique_id,
-                    target=target,
-                    kind="tactic-step",
-                    p_success=record.p_success_base,
-                    p_detect=record.p_detect,
-                    reward_success=record.reward_success,
-                    penalty_failure=record.penalty_failure,
-                    cost=record.action_cost,
-                    step=ttp.step,
-                )
-            )
-            continue
-        for leaf in tree.leaves():
+        for leaf in tree.leaves() if tree is not None else [None]:
             def pick(key: str, fallback: float) -> float:
-                value = leaf.param(key)
+                value = leaf.param(key) if leaf is not None else None
                 return fallback if value is None else value
 
             actions.append(
                 AttackerAction(
-                    id=f"s{ttp.step}:{ttp.technique_id}@{target}#{leaf.name}",
+                    id=f"s{ttp.step}:{ttp.technique_id}@{target}"
+                    + (f"#{leaf.name}" if leaf is not None else ""),
                     technique_id=ttp.technique_id,
                     target=target,
-                    kind="tree-leaf",
+                    kind="tree-leaf" if leaf is not None else "tactic-step",
                     p_success=pick("p_success", record.p_success_base),
                     p_detect=pick("p_detect", record.p_detect),
                     reward_success=pick("reward_success", record.reward_success),
                     penalty_failure=pick("penalty_failure", record.penalty_failure),
                     cost=pick("cost", record.action_cost),
                     step=ttp.step,
-                    leaf_name=leaf.name,
+                    leaf_name=leaf.name if leaf is not None else None,
                 )
             )
     return actions
@@ -172,13 +158,13 @@ class _Builder:
         self.flow = flow
         self.net = net
         self.naive = naive
-        self.context = analyze_targets(net)
-        self.reachable = {t for t, c in self.context.items() if c.reachable}
+        self.reachable = reachable_targets(net)
         self.milestones = {n.step: milestone_flag(n.step) for n in flow.nodes}
         self.trees: dict[int, AttackTree] = {
             n.step: flow.trees.get(n.attack_tree_id) for n in flow.nodes if n.attack_tree_id
         }
         self.actions = self._make_actions(ti)
+        self.context = analyze_targets(net, (a.target for a in self.actions))
         # the flag whose presence means the action itself has succeeded
         own_flags = [
             leaf_flag(a.step, a.target, a.leaf_name) if a.leaf_name is not None
@@ -279,7 +265,7 @@ class _Builder:
                 denies.append("o6")
             if ctx.seg_on_path:
                 denies.append("o3")
-            if not ctx.reachable:
+            if act.target not in self.reachable:
                 denies.append("o4")
             if denies:
                 dist = {"o2": 0.5}
@@ -377,7 +363,7 @@ class _Builder:
             observation_probs=obs_probs,
             branch_rewards=branch_rewards,
             initial_belief=tuple(belief),
-            horizon=horizon or (len(self.flow.nodes) + 2),
+            horizon=len(self.flow.nodes) + 2 if horizon is None else horizon,
             applicable=applicable,
             milestones=dict(self.milestones),
             flow_id=self.flow.id,

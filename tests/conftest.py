@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -9,6 +10,11 @@ from cri.pomdp import compile_policy
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = REPO_ROOT / "fixtures" / "scenario"
 MALFORMED = REPO_ROOT / "fixtures" / "malformed"
+
+# the commands the tests start in fresh interpreters import `cri` from here too
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def load_scenario(policy_dir: str = "policies", flow_names: list[str] | None = None):

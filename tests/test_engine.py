@@ -23,6 +23,23 @@ class TestEngineConfig:
         with pytest.raises(ModelError):
             EngineConfig(mode="quantum")
 
+    @pytest.mark.parametrize("mode", ["exact", "simulate"])
+    def test_negative_seed_rejected(self, mode):
+        with pytest.raises(ModelError, match="seed must be non-negative, got -1"):
+            EngineConfig(mode=mode, seed=-1)
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(ModelError, match=f"horizon must be at least 1, got {horizon}"):
+            EngineConfig(horizon=horizon)
+
+
+class TestBuildHorizon:
+    def test_only_a_missing_horizon_falls_back(self):
+        _, inputs = single_step()
+        pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, horizon=0)
+        assert pomdp.horizon == 0
+
 
 class TestAssumedSeries:
     def test_uses_best_base_rate_across_present_classes(self, scenario):

@@ -194,6 +194,24 @@ class TestBuildPomdp:
         assert checked == 100
         assert leaf_states > 50  # the trees are exercised, not only offered
 
+    def test_paths_are_analysed_only_for_action_targets(self, scenario, monkeypatch):
+        from cri.pomdp import build
+
+        calls = []
+        original = build.physical_paths
+
+        def counting(net, src, dst, *args):
+            calls.append(dst)
+            return original(net, src, dst, *args)
+
+        monkeypatch.setattr(build, "physical_paths", counting)
+        pomdp = build_pomdp(scenario.flows[0], scenario.network, scenario.ti)
+        # one call per (entry point, action target), not per network node
+        assert len(scenario.network.entry_points()) == 1
+        assert len(scenario.network.nodes) == 12
+        assert sorted(calls) == sorted({a.target for a in pomdp.actions})
+        assert len(calls) == 6
+
     def test_default_horizon_is_flow_length_plus_two(self, scenario):
         pomdp = build_pomdp(scenario.flows[0], scenario.network, scenario.ti)
         assert pomdp.horizon == len(scenario.flows[0].nodes) + 2
