@@ -7,7 +7,10 @@ series runs the attacker emulation (solver and/or Monte Carlo) first and
 combines the resulting milestone probabilities.
 
 `run_whatif` evaluates countermeasures against one baseline run: it
-re-solves only the flows whose threat-intel reads a countermeasure changes.
+re-solves only the flows whose threat-intel reads a countermeasure changes,
+each on its baseline model re-weighted with the scaled probabilities
+(`reweight_pomdp`), which builds the model afresh only where its structure
+could move.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from .index import (
 from .ingest import ValidatedInputs
 from .netmodel import NetworkModel
 from .pomdp import (
+    Pomdp,
     build_pomdp,
     complexity_report,
     milestone_probabilities,
+    reweight_pomdp,
     value_iteration,
 )
 from .simulate import SimulationSummary, estimate_expected_reward
@@ -163,10 +168,16 @@ def _reachable_under(pomdp) -> set:
     return {pomdp.states[i] for i in seen}
 
 
-def _run_flow(flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig) -> FlowReport:
-    """Build, solve and read out (and/or simulate) one flow's model."""
+def _build(flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig) -> Pomdp:
     logger.info("building model for flow %s", flow.id)
-    pomdp = build_pomdp(flow, net, ti, horizon=cfg.horizon)
+    return build_pomdp(flow, net, ti, horizon=cfg.horizon)
+
+
+def _run_flow(
+    flow: AttackFlow, net: NetworkModel, ti: TiTable, pomdp: Pomdp, cfg: EngineConfig
+) -> FlowReport:
+    """Solve and read out (and/or simulate) `pomdp`, the model of `flow`
+    over `net` and `ti`."""
     solved = value_iteration(pomdp)
     logger.info(
         "flow %s: %d states in %d blocks, %d actions, %d reachable beliefs, "
@@ -225,7 +236,8 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
     flow_reports: list[FlowReport] = []
     assumed_results: list[FlowResult] = []
     for flow in inputs.flows:
-        flow_reports.append(_run_flow(flow, net, inputs.ti, cfg))
+        # no name holds the model, so it is freed before the next is built
+        flow_reports.append(_run_flow(flow, net, inputs.ti, _build(flow, net, inputs.ti, cfg), cfg))
         base = assumed_p_n(flow, net, inputs.ti)
         assumed_results.append(
             FlowResult(
@@ -272,13 +284,20 @@ def _ti_view(flow: AttackFlow, classes: list[str], ti: TiTable) -> tuple:
 def run_whatif(
     inputs: ValidatedInputs, measures: list[Countermeasure], cfg: EngineConfig | None = None
 ) -> Iterator[CountermeasureDelta]:
-    """Yield one delta per countermeasure, in order. The baseline flows are
-    solved once; under each countermeasure only the flows whose TI view
-    changes are run again, and the rest reuse their baseline result."""
+    """Yield one delta per countermeasure, in order. Each flow's model is
+    built and solved once. Under each countermeasure only the flows whose
+    TI view changes are solved again, each on its baseline model
+    re-weighted under the scaled table (`reweight_pomdp`, which rebuilds
+    where p_success moves to or from 0 or 1, or an observation row gains
+    or loses a label); the rest reuse their baseline result."""
     cfg = cfg or EngineConfig()
     net = inputs.network
     classes = _asset_classes(net)
-    baseline = [_run_flow(flow, net, inputs.ti, cfg).result for flow in inputs.flows]
+    models = [_build(flow, net, inputs.ti, cfg) for flow in inputs.flows]
+    baseline = [
+        _run_flow(flow, net, inputs.ti, model, cfg).result
+        for flow, model in zip(inputs.flows, models)
+    ]
     views = [_ti_view(flow, classes, inputs.ti) for flow in inputs.flows]
     index_before = campaign_cri(baseline, cfg.campaign_id).index
     for cm in measures:
@@ -290,8 +309,8 @@ def run_whatif(
         )
         results = [
             before if _ti_view(flow, classes, ti) == view
-            else _run_flow(flow, net, ti, cfg).result
-            for flow, view, before in zip(inputs.flows, views, baseline)
+            else _run_flow(flow, net, ti, reweight_pomdp(model, ti), cfg).result
+            for flow, model, view, before in zip(inputs.flows, models, views, baseline)
         ]
         index_after = campaign_cri(results, cfg.campaign_id).index
         yield evaluate_countermeasure(cm, inputs.ti, index_before, index_after)

@@ -1,6 +1,13 @@
 """Attacker decision model: construction, solving, and size estimates."""
 
-from .build import analyze_targets, build_pomdp, expand_technique, leaf_flag, milestone_flag
+from .build import (
+    analyze_targets,
+    build_pomdp,
+    expand_technique,
+    leaf_flag,
+    milestone_flag,
+    reweight_pomdp,
+)
 from .complexity import (
     complexity_from_sizes,
     complexity_report,
@@ -43,6 +50,7 @@ __all__ = [
     "milestone_flag",
     "milestone_probabilities",
     "natural_state_count",
+    "reweight_pomdp",
     "state_space_size",
     "support_key",
     "value_iteration",

@@ -16,6 +16,10 @@ preconditions and its success are masks over these bits, so node ids and
 leaf names only label states. Two tree leaves whose flag names coincide
 would label two states alike, and are refused.
 
+`reweight_pomdp` derives the model under another table from a built one:
+a countermeasure moves only probabilities, so it rewrites only the rows
+they reach, and builds afresh where the structure could move.
+
 One exploration builds the model: each (state, action) pair of the states
 reachable from the initial state (or of every key, in naive mode) is
 evaluated once. Each explored key then becomes its `NetworkState` once,
@@ -166,7 +170,7 @@ class _Builder:
         self.actions = self._make_actions(ti)
         self.context = analyze_targets(net, (a.target for a in self.actions))
         # the flag whose presence means the action itself has succeeded
-        own_flags = [
+        self.own_flags = own_flags = [
             leaf_flag(a.step, a.target, a.leaf_name) if a.leaf_name is not None
             else self.milestones[a.step]
             for a in self.actions
@@ -367,9 +371,75 @@ class _Builder:
             applicable=applicable,
             milestones=dict(self.milestones),
             flow_id=self.flow.id,
+            builder=self,
         )
         pomdp.validate()
         return pomdp
+
+    def reweight(self, base: Pomdp, ti: TiTable) -> Pomdp:
+        """`reweight_pomdp` of `base`, the model this builder made."""
+        actions = self._make_actions(ti)
+        if [_shape(a) for a in actions] != [_shape(a) for a in base.actions]:
+            return self._rebuild(base, ti)
+        moved = {
+            a for a, (new, old) in enumerate(zip(actions, base.actions))
+            if new.p_success != old.p_success
+        }
+        # at 0 or 1 `execute` gives one outcome where it otherwise gives two
+        if any(not (0.0 < act.p_success < 1.0) for a in moved
+               for act in (actions[a], base.actions[a])):
+            return self._rebuild(base, ti)
+
+        obs_index = {o: i for i, o in enumerate(base.observations)}
+        obs_rows: dict[tuple[int, bool], tuple[tuple[int, float], ...]] = {}
+        for a, (new, old) in enumerate(zip(actions, base.actions)):
+            if new.p_detect == old.p_detect:
+                continue
+            for own in {self.own_flags[a] in state.flags for state in base.states}:
+                row, was = self.observation_row(new, own), self.observation_row(old, own)
+                if row.keys() != was.keys():
+                    # a label can appear or vanish: a fresh build would
+                    # list other observations
+                    return self._rebuild(base, ti)
+                if row != was:
+                    obs_rows[(a, own)] = tuple(sorted((obs_index[o], p) for o, p in row.items()))
+        observation_probs = base.observation_probs
+        if obs_rows:
+            observation_probs = dict(observation_probs)
+            for s, state in enumerate(base.states):
+                for a, own in obs_rows:
+                    if (self.own_flags[a] in state.flags) == own:
+                        observation_probs[(s, a)] = obs_rows[(a, own)]
+
+        # an offered move with 0 < p < 1 lands on its success state or stays
+        changed = [(s, a) for s, offered in base.applicable.items() for a in offered if a in moved]
+        transitions = base.transitions
+        if changed:
+            transitions = dict(transitions)
+            for s, a in changed:
+                p = actions[a].p_success
+                succ = next(n for n, _ in transitions[(s, a)] if n != s)
+                transitions[(s, a)] = tuple(sorted(((succ, p), (s, 1.0 - p))))
+
+        pomdp = replace(
+            base,
+            actions=tuple(actions),
+            transitions=transitions,
+            observation_probs=observation_probs,
+        )
+        pomdp.rewards = (
+            {**base.rewards, **pomdp.expected_rewards(changed)} if changed else base.rewards
+        )
+        pomdp.validate()
+        return pomdp
+
+    def _rebuild(self, base: Pomdp, ti: TiTable) -> Pomdp:
+        return build_pomdp(self.flow, self.net, ti, horizon=base.horizon, naive=self.naive)
+
+
+def _shape(act: AttackerAction) -> tuple:
+    """What of an action a re-weight keeps: all but its two probabilities."""
+    return (act.id, act.reward_success, act.penalty_failure, act.cost)
 
 
 def build_pomdp(
@@ -385,3 +455,20 @@ def build_pomdp(
     `naive` enumerates the full combination grid and refuses above
     NAIVE_CAP table entries. `horizon` defaults to the flow length + 2."""
     return _Builder(flow, net, ti, naive).build(horizon)
+
+
+def reweight_pomdp(base: Pomdp, ti: TiTable) -> Pomdp:
+    """The model `build_pomdp` makes of `base`'s flow, network and horizon
+    under `ti`, derived from `base`, a model `build_pomdp` made, without
+    analysing paths again. A countermeasure (`TiTable.with_multiplier`)
+    moves only probabilities, so the actions are derived again from `ti`
+    and the rest is `base`'s: its states, `applicable`, branch rewards and
+    observation labels are the same objects. Only the offered (s, a) rows
+    of an action whose p_success moved, and the observation rows of an
+    action whose p_detect moved, are written again, and `rewards` is
+    `base`'s unless a transition row changed. Where the structure could
+    move, the model is built afresh: actions that differ in more than
+    their probabilities, a p_success at 0 or 1 before or after, or an
+    observation row that gains or loses a label (p_detect to or from 0 or
+    1 behind an IDS)."""
+    return base.builder.reweight(base, ti)

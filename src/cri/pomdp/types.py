@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..errors import ValidationError
@@ -93,15 +94,22 @@ class Pomdp:
     # TTP step -> milestone flag marking that node's success
     milestones: dict[int, str] = field(default_factory=dict)
     flow_id: str = ""
+    # what made the model, so `build.reweight_pomdp` can re-weight it; not
+    # part of the model's value
+    builder: object = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def rewards(self) -> dict[tuple[int, int], float]:
         """Expected immediate reward R(s, a) of every (state, action) pair.
         Cached on the instance, so a model made by `dataclasses.replace`
         sums its own branch rewards."""
+        return self.expected_rewards(self.transitions)
+
+    def expected_rewards(self, keys: Iterable[tuple[int, int]]) -> dict[tuple[int, int], float]:
+        """R(s, a) of each (state, action) pair of `keys`."""
         return {
-            (s, a): sum(p * self.branch_rewards[(s, a, s2)] for s2, p in row)
-            for (s, a), row in self.transitions.items()
+            (s, a): sum(p * self.branch_rewards[(s, a, s2)] for s2, p in self.transitions[(s, a)])
+            for s, a in keys
         }
 
     def b0_support(self) -> Support:
@@ -146,12 +154,13 @@ class Pomdp:
 
 def _check_rows(kind: str, rows: dict[tuple[int, int], tuple[tuple[int, float], ...]]) -> None:
     """Check that every row is a distribution, naming the first key that
-    uses a bad one. A row object shared by many keys is checked once."""
-    checked: set[int] = set()
+    uses a bad one. The check reads only a row's probabilities, so each
+    distinct list of them is checked once; the keys are walked only to
+    name a bad row."""
+    distinct = {tuple([p for _, p in row]) for row in set(rows.values())}
+    if all(abs(sum(probs) - 1.0) <= PROB_TOL and min(probs) >= 0 for probs in distinct):
+        return
     for (s, a), row in rows.items():
-        if id(row) in checked:
-            continue
-        checked.add(id(row))
         probs = [p for _, p in row]
         total = sum(probs)
         if abs(total - 1.0) > PROB_TOL:

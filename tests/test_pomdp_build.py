@@ -349,6 +349,16 @@ class TestValidate:
         with pytest.raises(ValidationError, match=r"Z row \(1,1\) sums to 0.5"):
             pomdp.validate()
 
+    def test_first_key_with_any_bad_row_is_named(self):
+        pomdp = _shared_rows(((0, 1.0),))
+        pomdp.observation_probs[(1, 0)] = ((0, -0.5), (1, 1.5))
+        pomdp.observation_probs[(1, 1)] = ((0, 0.5),)
+        with pytest.raises(ValidationError, match=r"Z row \(1,0\) has a negative entry"):
+            pomdp.validate()
+        pomdp.observation_probs[(1, 0)] = ((0, 1.0),)
+        with pytest.raises(ValidationError, match=r"Z row \(1,1\) sums to 0.5"):
+            pomdp.validate()
+
     def test_shared_bad_transition_row_raises(self):
         pomdp = _shared_rows(((0, 1.0),), t_row=((0, 0.5), (1, 0.25)))
         with pytest.raises(ValidationError, match=r"T row \(0,0\) sums to 0.75"):

@@ -4,27 +4,32 @@
 import ast
 import random
 
+import pytest
+
 import cri.engine
 from conftest import SCENARIO
 from cri.engine import EngineConfig, run_campaign, run_whatif
 from cri.index import Countermeasure, CountermeasureDelta, parse_countermeasures
 from cri.ingest import ValidatedInputs
+from cri.pomdp import build_pomdp, reweight_pomdp
 from genscen import random_scenario
+
+MULTIPLIERS = (0.0, 0.5, 1.0, 1.4, 2.0, 3.0)
+
+
+def scaled(ti, cm):
+    return ti.with_multiplier(
+        cm.technique_id,
+        cm.asset_class,
+        p_success_multiplier=cm.p_success_multiplier,
+        p_detect_multiplier=cm.p_detect_multiplier,
+    )
 
 
 def rerun_delta(inputs, cm, cfg):
     """The delta from two full pipeline runs, without and with `cm`."""
     before = run_campaign(inputs, cfg).campaign.index
-    hardened = ValidatedInputs(
-        network=inputs.network,
-        flows=inputs.flows,
-        ti=inputs.ti.with_multiplier(
-            cm.technique_id,
-            cm.asset_class,
-            p_success_multiplier=cm.p_success_multiplier,
-            p_detect_multiplier=cm.p_detect_multiplier,
-        ),
-    )
+    hardened = ValidatedInputs(network=inputs.network, flows=inputs.flows, ti=scaled(inputs.ti, cm))
     after = run_campaign(hardened, cfg).campaign.index
     matched = any(
         (cm.technique_id is None or rec.technique_id == cm.technique_id)
@@ -125,24 +130,27 @@ class TestRunWhatifOracle:
         assert reused > 0
 
     def test_generator_runs_lazily_in_order(self, scenario, monkeypatch):
-        counter = CallCounter(monkeypatch, "build_pomdp")
+        counter = CallCounter(monkeypatch, "build_pomdp", "reweight_pomdp")
         deltas = run_whatif(scenario, fixture_measures(), EngineConfig(mode="exact"))
-        assert counter.calls["build_pomdp"] == 0
+        assert counter.calls == {"build_pomdp": 0, "reweight_pomdp": 0}
         assert next(deltas).countermeasure.id == "cm-mfa-rollout"
-        assert counter.calls["build_pomdp"] == len(scenario.flows) + 1
+        assert counter.calls == {"build_pomdp": len(scenario.flows), "reweight_pomdp": 1}
 
 
 class TestRunWhatifWork:
     def test_fixture_solves_each_changed_flow_once(self, scenario, monkeypatch):
         counter = CallCounter(
-            monkeypatch, "build_pomdp", "value_iteration", "complexity_report", "run_campaign"
+            monkeypatch, "build_pomdp", "reweight_pomdp", "value_iteration",
+            "complexity_report", "run_campaign",
         )
         measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
         deltas = list(run_whatif(scenario, measures, EngineConfig(mode="exact")))
         assert len(deltas) == 3
-        # 2 baseline flows; mfa touches one flow, noop none, sensor tuning both
+        # 2 baseline flows, each built once; mfa touches one flow, noop
+        # none, sensor tuning both, and each touched flow is re-weighted
         assert counter.calls == {
-            "build_pomdp": 5, "value_iteration": 5, "complexity_report": 0, "run_campaign": 0,
+            "build_pomdp": 2, "reweight_pomdp": 3, "value_iteration": 5,
+            "complexity_report": 0, "run_campaign": 0,
         }
 
     def test_identity_and_unmatched_reuse_the_baseline(self, scenario, monkeypatch):
@@ -155,6 +163,130 @@ class TestRunWhatifWork:
         assert [d.delta_index for d in deltas] == [0.0, 0.0]
         assert [d.matched for d in deltas] == [True, False]
         assert counter.calls["build_pomdp"] == len(scenario.flows)
+
+
+def reweighted(base, flow, net, new_ti):
+    """`base`, a model of `flow`, re-weighted under `new_ti` and checked
+    against a fresh build under `new_ti`."""
+    derived = reweight_pomdp(base, new_ti)
+    fresh = build_pomdp(flow, net, new_ti)
+    assert derived.dump() == fresh.dump()
+    assert derived.rewards == fresh.rewards
+    return derived
+
+
+def shares_skeleton(base, derived):
+    """Whether `derived` was re-weighted from `base` rather than rebuilt."""
+    kept = [
+        getattr(derived, name) is getattr(base, name)
+        for name in ("states", "applicable", "branch_rewards", "observations")
+    ]
+    assert all(kept) or not any(kept)
+    return all(kept)
+
+
+class TestReweightPomdp:
+    """`reweight_pomdp` against a fresh `build_pomdp` under the scaled table."""
+
+    @pytest.fixture(scope="class")
+    def fixture_models(self, scenario):
+        return [build_pomdp(flow, scenario.network, scenario.ti) for flow in scenario.flows]
+
+    def test_fixture_measures_reweight_every_flow(self, scenario, fixture_models):
+        for cm in fixture_measures():
+            for flow, base in zip(scenario.flows, fixture_models):
+                derived = reweighted(base, flow, scenario.network, scaled(scenario.ti, cm))
+                assert shares_skeleton(base, derived), (cm.id, flow.id)
+        # re-weighting leaves the baseline models as built
+        for flow, base in zip(scenario.flows, fixture_models):
+            assert base.dump() == build_pomdp(flow, scenario.network, scenario.ti).dump()
+
+    def test_random_scenarios(self):
+        rng = random.Random(1515)
+        paths = {True: 0, False: 0}
+        for _ in range(300):
+            inputs = random_scenario(rng, max_steps=3, extra_flows=1, tree=rng.random() < 0.5)
+            techniques = sorted({n.technique_id for f in inputs.flows for n in f.nodes})
+            classes = sorted({n.asset_class for n in inputs.network.nodes.values()})
+            cm = Countermeasure(
+                id="cm",
+                d3fend_group="harden",
+                technique_id=rng.choice([None, *techniques]),
+                asset_class=rng.choice([None, *classes]),
+                p_success_multiplier=rng.choice(MULTIPLIERS),
+                p_detect_multiplier=rng.choice(MULTIPLIERS),
+            )
+            for flow in inputs.flows:
+                base = build_pomdp(flow, inputs.network, inputs.ti)
+                derived = reweighted(base, flow, inputs.network, scaled(inputs.ti, cm))
+                paths[shares_skeleton(base, derived)] += 1
+        assert paths[True] > 100 and paths[False] > 100
+
+    def test_random_fixture_measures(self, scenario, fixture_models):
+        """The fixture puts an IDS on some paths, so p_detect moves reach
+        the observation rows."""
+        rng = random.Random(1516)
+        techniques = sorted({n.technique_id for f in scenario.flows for n in f.nodes})
+        classes = sorted({n.asset_class for n in scenario.network.nodes.values()})
+        paths = {True: 0, False: 0}
+        for _ in range(8):
+            cm = Countermeasure(
+                id="cm",
+                d3fend_group="detect",
+                technique_id=rng.choice([None, *techniques]),
+                asset_class=rng.choice([None, *classes]),
+                p_success_multiplier=rng.choice(MULTIPLIERS),
+                p_detect_multiplier=rng.choice(MULTIPLIERS),
+            )
+            for flow, base in zip(scenario.flows, fixture_models):
+                derived = reweighted(base, flow, scenario.network, scaled(scenario.ti, cm))
+                paths[shares_skeleton(base, derived)] += 1
+        assert paths[True] > 0 and paths[False] > 0
+
+    @pytest.mark.parametrize(
+        "base_cm, cm",
+        [
+            (None, Countermeasure(id="to-zero", d3fend_group="harden",
+                                  technique_id="T1078", p_success_multiplier=0.0)),
+            (None, Countermeasure(id="clamped", d3fend_group="harden",
+                                  asset_class="server", p_success_multiplier=3.0)),
+            (None, Countermeasure(id="undetected", d3fend_group="detect",
+                                  p_detect_multiplier=0.0)),
+            (Countermeasure(id="undetected", d3fend_group="detect", p_detect_multiplier=0.0),
+             Countermeasure(id="detected", d3fend_group="detect")),
+            (None, Countermeasure(id="always", d3fend_group="detect",
+                                  p_detect_multiplier=3.0)),
+        ],
+        ids=["p_success-to-0", "p_success-clamped-to-1", "p_detect-to-0",
+             "p_detect-from-0", "p_detect-clamped-to-1"],
+    )
+    def test_structural_moves_rebuild(self, scenario, base_cm, cm):
+        ti = scenario.ti if base_cm is None else scaled(scenario.ti, base_cm)
+        new_ti = scaled(scenario.ti, cm)
+        rebuilt = []
+        for flow in scenario.flows:
+            base = build_pomdp(flow, scenario.network, ti)
+            derived = reweighted(base, flow, scenario.network, new_ti)
+            rebuilt.append(not shares_skeleton(base, derived))
+        assert any(rebuilt)
+
+    def test_rewards_are_reused_only_when_no_transition_moves(self, scenario, fixture_models):
+        sensor, mfa = (
+            next(cm for cm in fixture_measures() if cm.id == name)
+            for name in ("cm-sensor-tuning", "cm-mfa-rollout")
+        )
+        pairs = list(zip(scenario.flows, fixture_models))
+        for flow, base in pairs:
+            derived = reweighted(base, flow, scenario.network, scaled(scenario.ti, sensor))
+            assert derived.transitions is base.transitions
+            assert derived.rewards is base.rewards
+        moved = 0
+        for flow, base in pairs:
+            derived = reweighted(base, flow, scenario.network, scaled(scenario.ti, mfa))
+            if derived.transitions != base.transitions:
+                assert derived.rewards is not base.rewards
+                moved += 1
+        assert moved == 1
 
 
 def test_index_does_not_import_engine():
