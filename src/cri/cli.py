@@ -213,6 +213,12 @@ def _flow_rows(output: RunOutput):
             ]
 
 
+def _complexity_json(fields: dict) -> dict:
+    """`ComplexityEstimate` fields as both commands write them: a count
+    above 2**63 becomes a string, so JSON readers keep it exact."""
+    return {k: str(v) if isinstance(v, int) and v > 2**63 else v for k, v in fields.items()}
+
+
 def _write_reports(output: RunOutput, out_dir: str, formats: tuple[str, ...] = ("json", "csv")):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,8 +226,7 @@ def _write_reports(output: RunOutput, out_dir: str, formats: tuple[str, ...] = (
         payload = {
             "campaign": output.campaign.as_dict(),
             "assumed": output.assumed.as_dict(),
-            "complexity": {k: str(v) if isinstance(v, int) and v > 2**63 else v
-                           for k, v in output.complexity.items()},
+            "complexity": _complexity_json(output.complexity),
             "flows": [
                 {
                     "flow_id": r.flow_id,
@@ -347,10 +352,7 @@ def complexity(**kwargs):
             parse_network(read_input(paths["network"])),
             [parse_attack_flow(read_input(p), flow_id=p.stem) for p in flow_paths],
         )
-    payload = asdict(report)
-    for key in ("worst_states", "comp_state_obs", "c_statetrans", "natural_states"):
-        payload[key] = str(payload[key])
-    click.echo(canonical_json(payload), nl=False)
+    click.echo(canonical_json(_complexity_json(asdict(report))), nl=False)
 
 
 @main.command()

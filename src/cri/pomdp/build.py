@@ -14,7 +14,10 @@ flag names (milestones and every action's own flag), then one bit per
 (node, item) pair, nodes and their items sorted. Each action's
 preconditions and its success are masks over these bits, so node ids and
 leaf names only label states. Two tree leaves whose flag names coincide
-would label two states alike, and are refused.
+would label two states alike, and are refused. No mask, observation row
+or reward reads an inventory bit, and a successor's flags are its
+state's plus the action's, so the states with the same flag bits make
+one of the model's `blocks`.
 
 `reweight_pomdp` derives the model under another table from a built one:
 a countermeasure moves only probabilities, so it rewrites only the rows
@@ -359,6 +362,8 @@ class _Builder:
 
         belief = [0.0] * len(keys)
         belief[index[0]] = 1.0
+        flag_bits = (1 << len(self.flag_names)) - 1
+        numbers: dict[int, int] = {}
         pomdp = Pomdp(
             states=tuple(named[key] for key in keys),
             actions=tuple(self.actions),
@@ -371,6 +376,7 @@ class _Builder:
             applicable=applicable,
             milestones=dict(self.milestones),
             flow_id=self.flow.id,
+            blocks=tuple(numbers.setdefault(key & flag_bits, len(numbers)) for key in keys),
             builder=self,
         )
         pomdp.validate()
@@ -462,13 +468,13 @@ def reweight_pomdp(base: Pomdp, ti: TiTable) -> Pomdp:
     under `ti`, derived from `base`, a model `build_pomdp` made, without
     analysing paths again. A countermeasure (`TiTable.with_multiplier`)
     moves only probabilities, so the actions are derived again from `ti`
-    and the rest is `base`'s: its states, `applicable`, branch rewards and
-    observation labels are the same objects. Only the offered (s, a) rows
-    of an action whose p_success moved, and the observation rows of an
-    action whose p_detect moved, are written again, and `rewards` is
-    `base`'s unless a transition row changed. Where the structure could
-    move, the model is built afresh: actions that differ in more than
-    their probabilities, a p_success at 0 or 1 before or after, or an
-    observation row that gains or loses a label (p_detect to or from 0 or
-    1 behind an IDS)."""
+    and the rest is `base`'s: its states, `applicable`, `blocks`, branch
+    rewards and observation labels are the same objects. Only the offered
+    (s, a) rows of an action whose p_success moved, and the observation
+    rows of an action whose p_detect moved, are written again, and
+    `rewards` is `base`'s unless a transition row changed. Where the
+    structure could move, the model is built afresh: actions that differ
+    in more than their probabilities, a p_success at 0 or 1 before or
+    after, or an observation row that gains or loses a label (p_detect to
+    or from 0 or 1 behind an IDS)."""
     return base.builder.reweight(base, ti)

@@ -6,11 +6,12 @@ stop (walk away), worth zero: an action is taken only when its expected
 value is non-negative. Ties between equally valued actions break toward
 the lowest action index.
 
-The expectimax runs on the model's coarsest exact bisimulation quotient
-(`lump`): states that differ only in what no action, observation or reward
-reads, such as compromised inventory, share one block, so far fewer
-beliefs are expanded. Every stage reads immediate rewards as R(s, a) from
-its model's `rewards`, the quotient's included.
+The expectimax runs on the model's quotient over its `blocks`
+(`_quotient`): the builder puts states that differ only in what no
+action, observation or reward reads, compromised inventory, in one block,
+so far fewer beliefs are expanded. A model without blocks is searched as
+it is. Every stage reads immediate rewards as R(s, a) from its model's
+`rewards`, the quotient's included.
 
 The expectimax is exact branch-and-bound. Before it starts, `qmdp_bounds`
 tabulates Q_d(s, a), the finite-horizon Q-value of the quotient treated as
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import CapacityError
-from .lump import lump
 from .types import Pomdp, Support, support_key
 
 
@@ -106,14 +106,61 @@ class Policy:
 @dataclass
 class SolveResult:
     """`reachable_beliefs` counts the beliefs the expectimax expanded over
-    the `blocks` states of the quotient, and `pruned` the actions it
-    skipped at them because their bound could not win."""
+    the `blocks` states of the quotient (the model's own states when it
+    has no `blocks`), and `pruned` the actions it skipped at them because
+    their bound could not win."""
 
     policy: Policy
     value: float
     reachable_beliefs: int
     blocks: int
     pruned: int
+
+
+def _quotient(pomdp: Pomdp) -> Pomdp:
+    """The model with each of its `blocks` as one state, or the model
+    itself when it has none. A block's representative, its lowest-index
+    state, lends the block its rows and its R(s, a) as `rewards`; its
+    transition probabilities are summed into blocks, and the quotient has
+    no branch rewards of its own."""
+    block = pomdp.blocks
+    if block is None:
+        return pomdp
+    reps: list[int] = []
+    for s, b in enumerate(block):
+        if b == len(reps):
+            reps.append(s)
+    actions = range(len(pomdp.actions))
+    transitions = {}
+    for b, s in enumerate(reps):
+        for a in actions:
+            into: dict[int, float] = {}
+            for s2, p in pomdp.transitions[(s, a)]:
+                into[block[s2]] = into.get(block[s2], 0.0) + p
+            transitions[(b, a)] = tuple(sorted(into.items()))
+    initial = [0.0] * len(reps)
+    for s, p in enumerate(pomdp.initial_belief):
+        initial[block[s]] += p
+    quotient = Pomdp(
+        states=tuple(pomdp.states[s] for s in reps),
+        actions=pomdp.actions,
+        observations=pomdp.observations,
+        transitions=transitions,
+        observation_probs={
+            (b, a): pomdp.observation_probs[(s, a)] for b, s in enumerate(reps) for a in actions
+        },
+        branch_rewards={},
+        initial_belief=tuple(initial),
+        horizon=pomdp.horizon,
+        discount=pomdp.discount,
+        applicable={b: pomdp.applicable.get(s, ()) for b, s in enumerate(reps)},
+        milestones=pomdp.milestones,
+        flow_id=pomdp.flow_id,
+    )
+    quotient.rewards = {
+        (b, a): pomdp.rewards[(s, a)] for b, s in enumerate(reps) for a in actions
+    }
+    return quotient
 
 
 def compile_policy(
@@ -247,10 +294,10 @@ def policy_value(pomdp: Pomdp, policy: Policy) -> float:
 
 def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
     """Solve for the attacker-optimal policy by exact expectimax on the
-    model's bisimulation quotient, and compile it into a policy graph over
-    the model's own states. Both recurse once per step left: a horizon
+    model's quotient over its `blocks`, and compile it into a policy graph
+    over the model's own states. Both recurse once per step left: a horizon
     past the interpreter's recursion limit raises CapacityError."""
-    quotient = lump(pomdp)
+    quotient = _quotient(pomdp)
     try:
         chosen, pruned = expectimax(quotient, belief_cap)
         policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)

@@ -78,6 +78,14 @@ class Pomdp:
     observation_probs[(s', a)] lists (o, p); branch_rewards[(s, a, s')] is
     the realized reward on that branch, and `rewards` folds those into
     R(s, a).
+
+    `blocks[s]` numbers the block of state s in a partition the solver may
+    merge states by: the states of one block offer the same actions, have
+    the same observation rows and rewards, and move with equal probability
+    into every block. Blocks are numbered in order of their lowest state
+    index. The builder gives each set of flag bits a block, since no
+    action, observation or reward reads inventory; None means each state
+    is its own block. `dump()` leaves it out.
     """
 
     states: tuple[NetworkState, ...]
@@ -94,6 +102,7 @@ class Pomdp:
     # TTP step -> milestone flag marking that node's success
     milestones: dict[int, str] = field(default_factory=dict)
     flow_id: str = ""
+    blocks: tuple[int, ...] | None = None
     # what made the model, so `build.reweight_pomdp` can re-weight it; not
     # part of the model's value
     builder: object = field(default=None, repr=False, compare=False)

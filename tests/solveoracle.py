@@ -1,4 +1,5 @@
-"""Unpruned-expectimax and belief-update oracles for the solver.
+"""Unpruned-expectimax, model-minimization and belief-update oracles for
+the solver.
 
 `expectimax` in `cri.pomdp.solve` skips every action whose QMDP upper bound
 cannot beat the best action found so far. This module keeps the search it
@@ -7,12 +8,25 @@ ascending index order, and the largest q wins with ties toward the lowest
 index. `belief_update` gives the single successor of a dense `Belief` for
 one (action, observation), against which the policy graph's children are
 checked.
+
+`value_iteration` searches the quotient over the blocks the builder
+numbers by flag bits. `lump` finds the coarsest bisimulation quotient of
+any model without being told a partition. Two states are bisimilar when
+they offer the same actions, emit the same observation row on arrival
+under every action, earn the same expected reward under every action,
+and move with equal probability into every block of bisimilar states
+(Givan, Dean & Greig 2003, "Equivalence notions and model minimization in
+Markov decision processes", AIJ 147). The partition is refined until its
+block count stops changing. Floats are compared for exact equality, so
+two states are merged only when every number the solver would read from
+them is the same number. The quotient is a model in its own right: each
+block takes its representative's R(s, a) as its `rewards`, and has no
+branch rewards of its own.
 """
 
 from dataclasses import dataclass
 
 from cri.errors import CapacityError, CriError, ModelError, ValidationError
-from cri.pomdp.lump import lump
 from cri.pomdp.solve import _successors, compile_policy, policy_value
 from cri.pomdp.types import PROB_TOL, Pomdp, Support, support_key
 
@@ -57,9 +71,101 @@ def unpruned_expectimax(pomdp: Pomdp, belief_cap: int = 500_000) -> tuple[float,
     return solve(pomdp.b0_support(), pomdp.horizon), chosen
 
 
+def _refine(pomdp: Pomdp) -> tuple[list[int], list[tuple]]:
+    """The coarsest bisimulation's block of every state, blocks numbered in
+    order of their lowest state index, and each block's rows into blocks,
+    measured at that state."""
+    n = len(pomdp.states)
+    rewards = pomdp.rewards
+    actions = range(len(pomdp.actions))
+    seeds: dict[tuple, int] = {}
+    block = [
+        seeds.setdefault(
+            (
+                pomdp.applicable.get(s, ()),
+                tuple(pomdp.observation_probs[(s, a)] for a in actions),
+                tuple(rewards[(s, a)] for a in actions),
+            ),
+            len(seeds),
+        )
+        for s in range(n)
+    ]
+    count = len(seeds)
+    while True:
+        signatures: dict[tuple, int] = {}
+        refined = []
+        rows_of: list[tuple] = []
+        for s in range(n):
+            rows = []
+            for a in actions:
+                into: dict[int, float] = {}
+                for s2, p in pomdp.transitions[(s, a)]:
+                    into[block[s2]] = into.get(block[s2], 0.0) + p
+                rows.append(tuple(sorted(into.items())))
+            signature = (block[s], tuple(rows))
+            if signature not in signatures:
+                signatures[signature] = len(signatures)
+                rows_of.append(signature[1])
+            refined.append(signatures[signature])
+        block = refined
+        # A round that splits no block numbers the blocks as the round
+        # before it did, so the rows it measured are the quotient's rows.
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    return block, rows_of
+
+
+def lump_blocks(pomdp: Pomdp) -> tuple[int, ...]:
+    """The coarsest bisimulation as a `Pomdp.blocks` partition."""
+    return tuple(_refine(pomdp)[0])
+
+
+def lump(pomdp: Pomdp) -> Pomdp:
+    """The quotient model. Blocks are numbered in order of their lowest
+    state index, and that state, the block's representative, lends the
+    block its rows and its rewards."""
+    block, rows_of = _refine(pomdp)
+    count = len(rows_of)
+    rewards = pomdp.rewards
+    actions = range(len(pomdp.actions))
+    reps: list[int] = []
+    for s, b in enumerate(block):
+        if b == len(reps):
+            reps.append(s)
+    initial = [0.0] * count
+    for s, p in enumerate(pomdp.initial_belief):
+        initial[block[s]] += p
+    quotient = Pomdp(
+        states=tuple(pomdp.states[s] for s in reps),
+        actions=pomdp.actions,
+        observations=pomdp.observations,
+        transitions={
+            (b, a): rows_of[b][a] for b in range(count) for a in actions
+        },
+        observation_probs={
+            (b, a): pomdp.observation_probs[(s, a)]
+            for b, s in enumerate(reps)
+            for a in actions
+        },
+        branch_rewards={},
+        initial_belief=tuple(initial),
+        horizon=pomdp.horizon,
+        discount=pomdp.discount,
+        applicable={b: pomdp.applicable.get(s, ()) for b, s in enumerate(reps)},
+        milestones=pomdp.milestones,
+        flow_id=pomdp.flow_id,
+    )
+    quotient.rewards = {
+        (b, a): rewards[(s, a)] for b, s in enumerate(reps) for a in actions
+    }
+    return quotient
+
+
 def unpruned_solve(pomdp: Pomdp):
-    """`value_iteration` with the unpruned search: (value, policy graph,
-    beliefs expanded) from the expectimax on the model's quotient."""
+    """`value_iteration` with the unpruned search on the model's `lump`
+    quotient, whatever its `blocks`: (value, policy graph, beliefs
+    expanded)."""
     quotient = lump(pomdp)
     _, chosen = unpruned_expectimax(quotient)
     policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)

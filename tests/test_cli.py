@@ -457,8 +457,19 @@ class TestComplexityCommand:
         )
         assert result.exit_code == 0, result.output
         payload = json.loads(result.stdout)
-        assert payload["worst_states"] == str(15**12)
+        assert payload["worst_states"] == 15**12
         assert int(payload["reduced_states"]) < 10**4
+
+    def test_prints_the_reports_complexity_block(self, tmp_path):
+        result = run_cli(
+            "complexity", "--network", NETWORK, "--flows", FLOWS,
+            "--policies", POLICIES, "--ti", TI,
+        )
+        assert result.exit_code == 0, result.output
+        calc = run_cli("calc", *calc_args(tmp_path / "out"))
+        assert calc.exit_code == 0, calc.output
+        report = json.loads((tmp_path / "out" / "campaign_report.json").read_text())
+        assert json.loads(result.stdout) == report["complexity"]
 
     def test_two_node_toy(self, tmp_path):
         net = tmp_path / "toy.graphml"
@@ -472,7 +483,7 @@ class TestComplexityCommand:
         result = run_cli("complexity", "--network", str(net))
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
-        assert payload["worst_states"] == "9"
+        assert payload["worst_states"] == 9
         assert payload["num_actions"] == 0
 
     @pytest.mark.parametrize("option", ["--flows", "--ti", "--policies"])

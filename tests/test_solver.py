@@ -3,24 +3,30 @@ import random
 
 import pytest
 
-from cri.errors import CapacityError
+from cri.errors import CapacityError, CriError
+from cri.index import parse_countermeasures
 from cri.pomdp import (
     build_pomdp,
     milestone_probabilities,
+    reweight_pomdp,
     value_iteration,
 )
-from cri.pomdp.lump import lump
-from cri.pomdp.solve import qmdp_bounds
+from cri.pomdp.solve import _quotient, qmdp_bounds
 from cri.pomdp.types import AttackerAction, NetworkState, Pomdp, support_key
+from conftest import SCENARIO
 from genscen import chain_scenario, random_pomdp, random_scenario
 from simoracle import brute_force_value
 from solveoracle import (
     Belief,
     InconsistentObservation,
     belief_update,
+    lump,
+    lump_blocks,
     unlumped_solve,
     unpruned_solve,
 )
+from test_build_pins import _cases as pinned_cases
+from test_whatif import scaled
 from toys import and_chain, single_step
 
 CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659", "T1078"]
@@ -367,7 +373,11 @@ class TestLumpedSolve:
             pomdp = random_pomdp(rng)
             twinned = _with_twin(pomdp, rng.randrange(len(pomdp.states)))
             result = self._assert_same_as_unlumped(twinned)
-            assert result.blocks < len(twinned.states)
+            # a hand-built model has no `blocks`, so only `lump` merges the twin
+            assert result.blocks == len(twinned.states)
+            assert len(lump(twinned).states) < len(twinned.states)
+            value, policy, _ = unpruned_solve(twinned)
+            assert (value, _graph(policy)) == (result.value, _graph(result.policy))
 
     def test_five_step_chain_solves_under_cap(self):
         # unlumped, this chain raises CapacityError at the default cap
@@ -399,6 +409,53 @@ class TestLumpedSolve:
             dataclasses.replace(copied, branch_rewards=copied.branch_rewards | {(2, 0, 2): 5e-324})
         )
         assert quotient.states == copied.states
+
+
+def _assert_quotients_alike(pomdp):
+    quotient, lumped = _quotient(pomdp), lump(pomdp)
+    assert quotient == lumped
+    assert quotient.rewards == lumped.rewards
+
+
+def _pinned_models(naive):
+    """The models of `test_build_pins` that build in the given mode."""
+    for _, inputs, flow in pinned_cases():
+        try:
+            yield build_pomdp(flow, inputs.network, inputs.ti, naive=naive)
+        except CriError:
+            pass
+
+
+class TestBuilderPartition:
+    """The builder's `blocks`, one per set of flag bits, against `lump`'s
+    coarsest bisimulation, which is found without them."""
+
+    def test_reduced_models_quotient_as_lump_does(self, scenario):
+        models = list(_pinned_models(naive=False))
+        fixture = [build_pomdp(flow, scenario.network, scenario.ti) for flow in scenario.flows]
+        for cm in parse_countermeasures((SCENARIO / "countermeasures.json").read_text()):
+            models += [reweight_pomdp(base, scaled(scenario.ti, cm)) for base in fixture]
+        for pomdp in models:
+            _assert_quotients_alike(pomdp)
+        assert len(models) == 412
+
+    def test_naive_blocks_lie_inside_lump_blocks(self):
+        finer = beliefs = 0
+        for pomdp in _pinned_models(naive=True):
+            coarsest = lump_blocks(pomdp)
+            if pomdp.blocks == coarsest:
+                _assert_quotients_alike(pomdp)
+                continue
+            # the naive grid holds flag sets no state reaches, which `lump`
+            # may merge with others
+            finer += 1
+            assert len(set(zip(pomdp.blocks, coarsest))) == len(set(pomdp.blocks))
+            result = value_iteration(pomdp)
+            lumped = value_iteration(dataclasses.replace(pomdp, blocks=coarsest))
+            assert result.value == lumped.value
+            assert result.reachable_beliefs == lumped.reachable_beliefs
+            beliefs += result.reachable_beliefs
+        assert (finer, beliefs) == (99, 962)
 
 
 def _scaled(pomdp, factor):

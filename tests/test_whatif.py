@@ -172,6 +172,7 @@ def reweighted(base, flow, net, new_ti):
     fresh = build_pomdp(flow, net, new_ti)
     assert derived.dump() == fresh.dump()
     assert derived.rewards == fresh.rewards
+    assert derived.blocks == fresh.blocks
     return derived
 
 
@@ -179,7 +180,7 @@ def shares_skeleton(base, derived):
     """Whether `derived` was re-weighted from `base` rather than rebuilt."""
     kept = [
         getattr(derived, name) is getattr(base, name)
-        for name in ("states", "applicable", "branch_rewards", "observations")
+        for name in ("states", "applicable", "blocks", "branch_rewards", "observations")
     ]
     assert all(kept) or not any(kept)
     return all(kept)
