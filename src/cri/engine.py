@@ -7,10 +7,10 @@ series runs the attacker emulation (solver and/or Monte Carlo) first and
 combines the resulting milestone probabilities.
 
 `run_whatif` evaluates countermeasures against one baseline run: it
-re-solves only the flows whose threat-intel reads a countermeasure changes,
-each on its baseline model re-weighted with the scaled probabilities
-(`reweight_pomdp`), which builds the model afresh only where its structure
-could move.
+re-weights each flow's baseline model with the scaled probabilities
+(`reweight_pomdp`, which builds the model afresh only where its structure
+could move) and re-solves only the flows whose model the countermeasure
+changes.
 """
 
 from __future__ import annotations
@@ -273,32 +273,23 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
     )
 
 
-def _ti_view(flow: AttackFlow, classes: list[str], ti: TiTable) -> tuple:
-    """Every threat-intel record the engine can read for `flow`: one lookup
-    per (TTP node, asset class present in the network). Builds, solves and
-    seeded simulations read TI only through these lookups, so two tables
-    with equal views give the flow identical results."""
-    return tuple(ti.lookup(node.technique_id, c) for node in flow.nodes for c in classes)
-
-
 def run_whatif(
     inputs: ValidatedInputs, measures: list[Countermeasure], cfg: EngineConfig | None = None
 ) -> Iterator[CountermeasureDelta]:
     """Yield one delta per countermeasure, in order. Each flow's model is
-    built and solved once. Under each countermeasure only the flows whose
-    TI view changes are solved again, each on its baseline model
-    re-weighted under the scaled table (`reweight_pomdp`, which rebuilds
+    built and solved once. Under each countermeasure every baseline model
+    is re-weighted under the scaled table (`reweight_pomdp`, which rebuilds
     where p_success moves to or from 0 or 1, or an observation row gains
-    or loses a label); the rest reuse their baseline result."""
+    or loses a label). A flow whose re-weighted model is its baseline
+    model, because no action's probabilities moved, reuses its baseline
+    result; the others are solved again."""
     cfg = cfg or EngineConfig()
     net = inputs.network
-    classes = _asset_classes(net)
     models = [_build(flow, net, inputs.ti, cfg) for flow in inputs.flows]
     baseline = [
         _run_flow(flow, net, inputs.ti, model, cfg).result
         for flow, model in zip(inputs.flows, models)
     ]
-    views = [_ti_view(flow, classes, inputs.ti) for flow in inputs.flows]
     index_before = campaign_cri(baseline, cfg.campaign_id).index
     for cm in measures:
         ti = inputs.ti.with_multiplier(
@@ -308,9 +299,9 @@ def run_whatif(
             p_detect_multiplier=cm.p_detect_multiplier,
         )
         results = [
-            before if _ti_view(flow, classes, ti) == view
-            else _run_flow(flow, net, ti, reweight_pomdp(model, ti), cfg).result
-            for flow, model, view, before in zip(inputs.flows, models, views, baseline)
+            before if (moved := reweight_pomdp(model, ti)) is model
+            else _run_flow(flow, net, ti, moved, cfg).result
+            for flow, model, before in zip(inputs.flows, models, baseline)
         ]
         index_after = campaign_cri(results, cfg.campaign_id).index
         yield evaluate_countermeasure(cm, inputs.ti, index_before, index_after)

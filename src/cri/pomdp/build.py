@@ -21,7 +21,8 @@ one of the model's `blocks`.
 
 `reweight_pomdp` derives the model under another table from a built one:
 a countermeasure moves only probabilities, so it rewrites only the rows
-they reach, and builds afresh where the structure could move.
+they reach, builds afresh where the structure could move, and returns the
+built model itself when no action moves.
 
 One exploration builds the model: each (state, action) pair of the states
 reachable from the initial state (or of every key, in naive mode) is
@@ -133,7 +134,6 @@ def expand_technique(
                     + (f"#{leaf.name}" if leaf is not None else ""),
                     technique_id=ttp.technique_id,
                     target=target,
-                    kind="tree-leaf" if leaf is not None else "tactic-step",
                     p_success=pick("p_success", record.p_success_base),
                     p_detect=pick("p_detect", record.p_detect),
                     reward_success=pick("reward_success", record.reward_success),
@@ -385,6 +385,8 @@ class _Builder:
     def reweight(self, base: Pomdp, ti: TiTable) -> Pomdp:
         """`reweight_pomdp` of `base`, the model this builder made."""
         actions = self._make_actions(ti)
+        if tuple(actions) == base.actions:
+            return base
         if [_shape(a) for a in actions] != [_shape(a) for a in base.actions]:
             return self._rebuild(base, ti)
         moved = {
@@ -467,9 +469,10 @@ def reweight_pomdp(base: Pomdp, ti: TiTable) -> Pomdp:
     """The model `build_pomdp` makes of `base`'s flow, network and horizon
     under `ti`, derived from `base`, a model `build_pomdp` made, without
     analysing paths again. A countermeasure (`TiTable.with_multiplier`)
-    moves only probabilities, so the actions are derived again from `ti`
-    and the rest is `base`'s: its states, `applicable`, `blocks`, branch
-    rewards and observation labels are the same objects. Only the offered
+    moves only probabilities, so the actions are derived again from `ti`.
+    When they equal `base`'s, the result is `base` itself. Otherwise the
+    rest is `base`'s: its states, `applicable`, `blocks`, branch rewards
+    and observation labels are the same objects. Only the offered
     (s, a) rows of an action whose p_success moved, and the observation
     rows of an action whose p_detect moved, are written again, and
     `rewards` is `base`'s unless a transition row changed. Where the

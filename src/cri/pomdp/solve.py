@@ -14,15 +14,15 @@ it is. Every stage reads immediate rewards as R(s, a) from its model's
 `rewards`, the quotient's included.
 
 The expectimax is exact branch-and-bound. Before it starts, `qmdp_bounds`
-tabulates Q_d(s, a), the finite-horizon Q-value of the quotient treated as
-fully observable, with the stop option (QMDP: Littman, Cassandra &
-Kaelbling 1995; Hauskrecht 2000): V_0 = 0, Q_d(s, a) = R(s, a) +
-discount * sum_s' T(s, a, s') V_{d-1}(s'), and V_d(s) = max(0, max over
-every action of Q_d(s, a)). Every action counts, not only the applicable
-ones, because a belief offers the union of its states' actions and so can
-force a state through a wasted move, which may pay. At a belief b with d
-steps left, UB(b, a) = sum_s b(s) Q_d(s, a) bounds the value of taking a.
-The offered actions are visited in decreasing UB, ties toward the lower
+tabulates Q_d(s, a), the finite-horizon Q-value of the quotient treated
+as fully observable, with the stop option (QMDP: Littman, Cassandra &
+Kaelbling 1995; Hauskrecht 2000): V_0 = 0, Q_d(s, a) = R(s, a) + sum_s'
+T(s, a, s') V_{d-1}(s'), undiscounted, and V_d(s) = max(0, max over every
+action of Q_d(s, a)). Every action counts, not only the applicable ones,
+because a belief offers the union of its states' actions and so can force
+a state through a wasted move, which may pay. At a belief b with d steps
+left, UB(b, a) = sum_s b(s) Q_d(s, a) bounds the value of taking a. The
+offered actions are visited in decreasing UB, ties toward the lower
 index, and an action is skipped when UB < max(best q so far, 0) - eps.
 The largest q is chosen, exact ties going to the lowest index, so the
 choice does not depend on the visit order and the policy is the one an
@@ -30,15 +30,16 @@ unpruned search picks. eps = 1e-9 * max |Q_d(s, a)| covers only float
 rounding in the bound: it scales with the model's rewards, and it keeps a
 skipped action's q strictly below the best q, since an equal q would win
 the tie on a lower index. No bound is passed down to the children, so
-every memoized value is exact.
+every memoized value is exact, and the value of b0 with the horizon left
+is V*.
 
 The solved policy is then compiled into a policy graph (Kaelbling,
 Littman & Cassandra 1998) over the original model's states: one node per
 (belief, steps left) the policy can reach from the initial belief,
 holding the chosen action and one child per possible observation. The
 milestone readout and the Monte Carlo simulator walk this graph instead
-of recomputing beliefs, and the attacker's value is summed over it on the
-original model. `_successors` is the only place
+of recomputing beliefs. The graph earns V* by construction, so the value
+is not summed over it a second time. `_successors` is the only place
 belief successors are computed.
 """
 
@@ -105,7 +106,8 @@ class Policy:
 
 @dataclass
 class SolveResult:
-    """`reachable_beliefs` counts the beliefs the expectimax expanded over
+    """`value` is V*, the expectimax's value of b0 with the horizon left.
+    `reachable_beliefs` counts the beliefs the expectimax expanded over
     the `blocks` states of the quotient (the model's own states when it
     has no `blocks`), and `pruned` the actions it skipped at them because
     their bound could not win."""
@@ -152,7 +154,6 @@ def _quotient(pomdp: Pomdp) -> Pomdp:
         branch_rewards={},
         initial_belief=tuple(initial),
         horizon=pomdp.horizon,
-        discount=pomdp.discount,
         applicable={b: pomdp.applicable.get(s, ()) for b, s in enumerate(reps)},
         milestones=pomdp.milestones,
         flow_id=pomdp.flow_id,
@@ -212,7 +213,7 @@ def qmdp_bounds(pomdp: Pomdp) -> list[list[list[float]]]:
     v = [0.0] * len(rows)
     for _ in range(pomdp.horizon):
         q = [
-            [r + pomdp.discount * sum([p * v[s2] for s2, p in row]) for r, row in state_rows]
+            [r + sum([p * v[s2] for s2, p in row]) for r, row in state_rows]
             for state_rows in rows
         ]
         v = [max([0.0, *row]) for row in q]
@@ -220,12 +221,12 @@ def qmdp_bounds(pomdp: Pomdp) -> list[list[list[float]]]:
     return table
 
 
-def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[dict[tuple, int | None], int]:
+def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | None], int]:
     """Memoized expectimax to the model's horizon from b0, with every
-    action bounded by `qmdp_bounds`. Returns the action chosen at every
-    expanded (belief key, steps left), None meaning stop, and the number
-    of actions the bound skipped; raises CapacityError past `belief_cap`
-    beliefs."""
+    action bounded by `qmdp_bounds`. Returns V*, the value of b0; the
+    action chosen at every expanded (belief key, steps left), None meaning
+    stop; and the number of actions the bound skipped. Raises
+    CapacityError past `belief_cap` beliefs."""
     rewards = pomdp.rewards
     bounds = qmdp_bounds(pomdp)
     # covers float rounding in the bound, at the scale of the model's values
@@ -260,7 +261,7 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[dict[tuple, int | None], 
                 break
             q = sum(support[s] * rewards[(s, a)] for s in sorted(support))
             for _, mass, child in _successors(pomdp, support, a):
-                q += pomdp.discount * mass * solve(child, depth - 1)
+                q += mass * solve(child, depth - 1)
             if q > best_q or (q == best_q and a < best_a):
                 best_q = q
                 best_a = a
@@ -272,34 +273,17 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[dict[tuple, int | None], 
             chosen[key] = best_a
         return values[key]
 
-    solve(pomdp.b0_support(), pomdp.horizon)
-    return chosen, pruned
-
-
-def policy_value(pomdp: Pomdp, policy: Policy) -> float:
-    """Expected cumulative reward of following `policy` from b0, summed in
-    the expectimax's order so an optimal policy yields V* to the bit."""
-    values: list[float] = []
-    for node in policy.nodes:
-        if node.action is None:
-            values.append(0.0)
-            continue
-        support = node.support
-        q = sum(support[s] * pomdp.rewards[(s, node.action)] for s in sorted(support))
-        for mass, child in node.children.values():
-            q += pomdp.discount * mass * values[child]
-        values.append(q)
-    return values[-1]
+    return solve(pomdp.b0_support(), pomdp.horizon), chosen, pruned
 
 
 def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
-    """Solve for the attacker-optimal policy by exact expectimax on the
-    model's quotient over its `blocks`, and compile it into a policy graph
-    over the model's own states. Both recurse once per step left: a horizon
-    past the interpreter's recursion limit raises CapacityError."""
+    """Solve for V* and the attacker-optimal policy by exact expectimax on
+    the model's quotient over its `blocks`, and compile the policy into a
+    graph over the model's own states. Both recurse once per step left: a
+    horizon past the interpreter's recursion limit raises CapacityError."""
     quotient = _quotient(pomdp)
     try:
-        chosen, pruned = expectimax(quotient, belief_cap)
+        value, chosen, pruned = expectimax(quotient, belief_cap)
         policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
     except RecursionError as exc:
         raise CapacityError(
@@ -307,7 +291,7 @@ def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
         ) from exc
     return SolveResult(
         policy=policy,
-        value=policy_value(pomdp, policy),
+        value=value,
         reachable_beliefs=len(chosen),
         blocks=len(quotient.states),
         pruned=pruned,

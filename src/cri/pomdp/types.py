@@ -42,7 +42,6 @@ class AttackerAction:
     id: str
     technique_id: str
     target: str
-    kind: str  # "tactic-step" | "tree-leaf"
     p_success: float
     p_detect: float
     reward_success: float
@@ -77,7 +76,7 @@ class Pomdp:
     (actions whose preconditions fail in s are wasted moves that self-loop);
     observation_probs[(s', a)] lists (o, p); branch_rewards[(s, a, s')] is
     the realized reward on that branch, and `rewards` folds those into
-    R(s, a).
+    R(s, a). Rewards are summed undiscounted over `horizon` steps.
 
     `blocks[s]` numbers the block of state s in a partition the solver may
     merge states by: the states of one block offer the same actions, have
@@ -96,7 +95,6 @@ class Pomdp:
     branch_rewards: dict[tuple[int, int, int], float]
     initial_belief: tuple[float, ...]
     horizon: int
-    discount: float = 1.0
     # state index -> action indices whose preconditions hold there
     applicable: dict[int, tuple[int, ...]] = field(default_factory=dict)
     # TTP step -> milestone flag marking that node's success
@@ -126,8 +124,6 @@ class Pomdp:
 
     def validate(self) -> None:
         """Assert simplex invariants on every row; raises ValidationError."""
-        if not (0.0 < self.discount <= 1.0):
-            raise ValidationError(f"discount must be in (0,1], got {self.discount}")
         total = sum(self.initial_belief)
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError(f"initial belief sums to {total}")
@@ -139,7 +135,6 @@ class Pomdp:
         payload = {
             "flow": self.flow_id,
             "horizon": self.horizon,
-            "discount": self.discount,
             "states": [s.label() for s in self.states],
             "actions": [a.id for a in self.actions],
             "observations": list(self.observations),

@@ -180,7 +180,6 @@ class _WalkTables:
     def __init__(self, pomdp: Pomdp, policy: Policy):
         import numpy as np
 
-        self.discount = pomdp.discount
         self.action = np.array([-1 if n.action is None else n.action for n in policy.nodes])
         self.child = np.full((len(policy.nodes), len(pomdp.observations)), -1)
         for i, node in enumerate(policy.nodes):
@@ -223,7 +222,6 @@ class _WalkTables:
         node = np.full(n, self.root)
         state, _ = self.b0.draw(np.zeros(n, dtype=np.intp), u[:, 0])
         total = np.zeros(n)
-        weight = 1.0
         live = np.arange(n)
         for t in range((u.shape[1] - 1) // 2):
             action = self.action[node[live]]
@@ -237,8 +235,7 @@ class _WalkTables:
             child = self.child[node[live], obs]
             if (child < 0).any():
                 raise KeyError(int(obs[child < 0][0]))
-            total[live] += weight * reward
-            weight *= self.discount
+            total[live] += reward
             node[live] = child
             state[live] = nxt
         return total, state, live

@@ -66,7 +66,6 @@ def simulate_episode(pomdp: Pomdp, policy: Policy, rng: np.random.Generator) -> 
     state = _draw(rng, sorted(node.support.items()))
     steps: list[EpisodeStep] = []
     total = 0.0
-    weight = 1.0
     abandoned = False
     for _ in range(policy.horizon):
         action = node.action
@@ -77,8 +76,7 @@ def simulate_episode(pomdp: Pomdp, policy: Policy, rng: np.random.Generator) -> 
         reward = pomdp.branch_rewards[(state, action, nxt)]
         obs = _draw(rng, pomdp.observation_probs[(nxt, action)])
         child = policy.nodes[node.children[obs][1]]
-        total += weight * reward
-        weight *= pomdp.discount
+        total += reward
         steps.append(
             EpisodeStep(
                 belief_before=node.key,
@@ -158,7 +156,7 @@ def brute_force_value(
                     continue
                 child = {s: w / mass for s, w in sorted(dist.items())}
                 sub_v, sub_pn = explore(child, d - 1)
-                q += pomdp.discount * mass * sub_v
+                q += mass * sub_v
                 for i in range(len(flags)):
                     inflow[i] += mass * sub_pn[i]
             if best_q is None or q > best_q:

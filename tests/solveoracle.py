@@ -7,7 +7,9 @@ must agree with: every offered action is expanded at every belief, in
 ascending index order, and the largest q wins with ties toward the lowest
 index. `belief_update` gives the single successor of a dense `Belief` for
 one (action, observation), against which the policy graph's children are
-checked.
+checked. `policy_value` sums what a policy graph earns on the model's own
+states; the graph `value_iteration` compiles must earn the V* its
+expectimax found on the quotient.
 
 `value_iteration` searches the quotient over the blocks the builder
 numbers by flag bits. `lump` finds the coarsest bisimulation quotient of
@@ -27,7 +29,7 @@ branch rewards of its own.
 from dataclasses import dataclass
 
 from cri.errors import CapacityError, CriError, ModelError, ValidationError
-from cri.pomdp.solve import _successors, compile_policy, policy_value
+from cri.pomdp.solve import Policy, _successors, compile_policy
 from cri.pomdp.types import PROB_TOL, Pomdp, Support, support_key
 
 
@@ -56,7 +58,7 @@ def unpruned_expectimax(pomdp: Pomdp, belief_cap: int = 500_000) -> tuple[float,
         for a in offered:
             q = sum(support[s] * pomdp.rewards[(s, a)] for s in sorted(support))
             for _, mass, child in _successors(pomdp, support, a):
-                q += pomdp.discount * mass * solve(child, depth - 1)
+                q += mass * solve(child, depth - 1)
             if best_q is None or q > best_q:
                 best_q = q
                 best_a = a
@@ -151,7 +153,6 @@ def lump(pomdp: Pomdp) -> Pomdp:
         branch_rewards={},
         initial_belief=tuple(initial),
         horizon=pomdp.horizon,
-        discount=pomdp.discount,
         applicable={b: pomdp.applicable.get(s, ()) for b, s in enumerate(reps)},
         milestones=pomdp.milestones,
         flow_id=pomdp.flow_id,
@@ -160,6 +161,23 @@ def lump(pomdp: Pomdp) -> Pomdp:
         (b, a): rewards[(s, a)] for b, s in enumerate(reps) for a in actions
     }
     return quotient
+
+
+def policy_value(pomdp: Pomdp, policy: Policy) -> float:
+    """Expected cumulative reward of following `policy` from b0 on `pomdp`,
+    summed over the graph in the expectimax's order, so the graph of an
+    optimal policy earns V* to the bit."""
+    values: list[float] = []
+    for node in policy.nodes:
+        if node.action is None:
+            values.append(0.0)
+            continue
+        support = node.support
+        q = sum(support[s] * pomdp.rewards[(s, node.action)] for s in sorted(support))
+        for mass, child in node.children.values():
+            q += mass * values[child]
+        values.append(q)
+    return values[-1]
 
 
 def unpruned_solve(pomdp: Pomdp):

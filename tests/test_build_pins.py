@@ -7,6 +7,9 @@ state order and every row bit-identical. The digests in
 `build_digests.json` were produced by the two-pass builder of commit
 4bd2599 (reachable-state search, then a second table pass) over exactly
 the cases `_cases()` lists; a build that raised pins its `CriError` text.
+When `dump()` lost its `"discount": 1.0` line, every digest was re-derived
+and checked to be the sha256 of commit 9ed2b0e's dump with that one line
+removed.
 """
 
 import hashlib

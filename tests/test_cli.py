@@ -54,6 +54,22 @@ class TestCalc:
         assert last.startswith("CRI ")
         float(last.split()[1])
 
+    def test_flows_file_runs_like_a_directory_holding_only_it(self, tmp_path):
+        flow = SCENARIO / "flows" / "dns_injection.json"
+        alone = tmp_path / "flows"
+        alone.mkdir()
+        shutil.copy(flow, alone)
+        outputs = []
+        for name, flows in (("file", flow), ("dir", alone), ("both", FLOWS)):
+            result = run_cli("calc", *calc_args(tmp_path / name, flows=str(flows)))
+            assert result.exit_code == 0, result.output
+            outputs.append(result.stdout.splitlines()[-1])
+        from_file, from_dir, both = outputs
+        assert from_file.startswith("CRI ")
+        assert from_file == from_dir != both
+        for name in ("campaign_report.json", "flows.csv"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "dir" / name).read_bytes()
+
     def test_missing_ti_file_exits_2(self, tmp_path):
         result = run_cli("calc", *calc_args(tmp_path / "out", ti=str(tmp_path / "nope.csv")))
         assert result.exit_code == 2
@@ -575,6 +591,23 @@ class TestWhatif:
             seen[where] = (result.stdout, [(out / n).read_bytes() for n in sorted(os.listdir(out))])
         assert seen["flag"] == seen[None] == seen["config"] == seen["under-a-file"]
         assert existing.read_text() == "keep me\n"
+
+    def test_countermeasure_matching_no_technique_warns(self, tmp_path):
+        ghost = tmp_path / "cm.json"
+        ghost.write_text(json.dumps(
+            [{"id": "cm-ghost", "d3fend_group": "deceive", "technique_id": "T0000", "capex": 3}]
+        ))
+        result = run_cli(
+            "whatif", *calc_args(tmp_path / "out"), "--countermeasures", str(ghost)
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            "warning: countermeasure cm-ghost matches no technique"
+        ]
+        payload = json.loads((tmp_path / "out" / "whatif_report.json").read_text())
+        assert [(r["id"], r["delta_index"]) for r in payload["countermeasures"]] == [
+            ("cm-ghost", 0.0)
+        ]
 
     def test_malformed_file_exits_2(self, tmp_path):
         bad = tmp_path / "cm.json"

@@ -7,7 +7,7 @@ from cri.attack_flow import TtpNode, parse_attack_flow
 from cri.attack_tree import TreeLibrary, parse_tree_dict
 from cri.engine import run_campaign
 from cri.errors import CapacityError, ModelError, ValidationError
-from cri.ingest import validate_bundle
+from cri.ingest import RawBundle, validate_bundle
 from cri.pomdp import (
     build_pomdp,
     complexity_from_sizes,
@@ -20,7 +20,8 @@ from cri.pomdp import (
 )
 from cri.threat_intel import TiRecord, TiTable
 from cri.pomdp.types import NetworkState, Pomdp
-from genscen import random_scenario, two_target_tree
+from conftest import SCENARIO
+from genscen import PERMIT_ALL, TI_HEADER, random_scenario, two_target_tree
 from toys import and_chain, single_step
 
 PROB_TOL = 1e-9
@@ -69,7 +70,7 @@ class TestExpandTechnique:
         actions = expand_technique(self._ttp(), TreeLibrary(), ti, [("srv", "server")])
         assert len(actions) == 1
         act = actions[0]
-        assert act.kind == "tactic-step"
+        assert act.leaf_name is None
         assert act.target == "srv"
         assert act.p_success == 0.5
 
@@ -217,6 +218,92 @@ class TestBuildPomdp:
         assert pomdp.horizon == len(scenario.flows[0].nodes) + 2
 
 
+# A Deny rule after the baseline Permit: first-applicable evaluation still
+# permits the node, but the rule names it, so failing there may read "denied".
+DENY_FILESERVER = """  <Rule RuleID="FileServerDenyRule" Effect="Deny">
+    <Target>
+      <Subject><AnySubject/></Subject>
+      <Resource>
+        <ResourceMatch MatchID="urn:oasis:names:tc:xacml:1.0:function:string-equal">
+          <AttributeValue>FileServer</AttributeValue>
+          <ResourceAttributeDesignator AttributeID="urn:oasis:names:tc:xacml:1.0:resource-resource-id"/>
+        </ResourceMatch>
+      </Resource>
+      <Action><AnyAction/></Action>
+    </Target>
+  </Rule>
+</Policy>"""
+
+
+def _failure_rows(pomdp):
+    """Each action's observation row, by label, at the initial state, where
+    no action has succeeded: the row a failed attempt emits."""
+    s0 = pomdp.initial_belief.index(1.0)
+    return {
+        act.id: {pomdp.observations[o]: p for o, p in pomdp.observation_probs[(s0, a)]}
+        for a, act in enumerate(pomdp.actions)
+    }
+
+
+class TestDenyLabels:
+    """A failed attempt at a target that may have refused it reads o2 half
+    the time and, in equal shares of the other half, each reason it may
+    have been refused."""
+
+    def test_deny_rule_on_a_reachable_target_adds_o6(self):
+        access = (SCENARIO / "policies" / "access.xml").read_text()
+        inputs = validate_bundle(RawBundle(
+            network_doc=(SCENARIO / "network.graphml").read_text(),
+            flow_docs=[(SCENARIO / "flows" / "dns_injection.json").read_text()],
+            policy_docs=[
+                access.replace("</Policy>", DENY_FILESERVER),
+                (SCENARIO / "policies" / "segmentation.xml").read_text(),
+            ],
+            ti_doc=(SCENARIO / "ti.csv").read_text(),
+            flow_names=["dns_injection"],
+        ))
+        pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+        assert "o6" in pomdp.observations
+        rows = _failure_rows(pomdp)
+        # the tree leaves have p_detect 0, so no IDS label muddles their rows
+        leaves = {act.id: act.target for act in pomdp.actions if act.leaf_name is not None}
+        assert set(leaves.values()) == {"FileServer", "MailServer", "WebServer"}
+        for act_id, target in leaves.items():
+            if target == "FileServer":
+                assert rows[act_id] == {"o2": 0.5, "o6": 0.25, "o3": 0.25}
+            else:
+                assert rows[act_id] == {"o2": 0.5, "o3": 0.5}
+
+    def test_unreachable_target_in_naive_mode_adds_o4(self):
+        network = (
+            '<graphml><graph edgedefault="undirected">'
+            '<node id="gw"><data key="type">firewall</data><data key="entry_point">true</data></node>'
+            '<node id="a"><data key="type">srv</data><data key="inventory">x</data></node>'
+            '<node id="b"><data key="type">srv</data><data key="inventory">y</data></node>'
+            '<edge source="gw" target="a"/>'
+            "</graph></graphml>"
+        )
+        flow = ('{"id": "f", "attackFlow": [{"step": 1, "tactic": {"id": "TA0001"},'
+                ' "technique": {"id": "T0001"}}]}')
+        inputs = validate_bundle(RawBundle(
+            network_doc=network,
+            flow_docs=[flow],
+            policy_docs=[PERMIT_ALL],
+            ti_doc=TI_HEADER + "T0001,srv,0.5,0,10,-1,0.5,1\n",
+        ))
+        reduced = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+        assert [a.target for a in reduced.actions] == ["a"]
+        assert "o4" not in reduced.observations
+        naive = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, naive=True)
+        assert "o4" in naive.observations
+        assert _failure_rows(naive) == {
+            "s1:T0001@a": {"o2": 1.0},
+            "s1:T0001@b": {"o2": 0.5, "o4": 0.5},
+        }
+        # no entry point reaches b, so an attempt there cannot land
+        assert next(a for a in naive.actions if a.target == "b").p_success == 0.0
+
+
 def _reachable_states(pomdp):
     seen = {i for i, p in enumerate(pomdp.initial_belief) if p > 0}
     frontier = list(seen)
@@ -266,7 +353,7 @@ class TestNodeNamesOnlyLabel:
             )
             self._assert_same(original, renamed)
             pomdp = build_pomdp(renamed.flows[0], renamed.network, renamed.ti)
-            targets = {a.target for a in pomdp.actions if a.kind == "tree-leaf"}
+            targets = {a.target for a in pomdp.actions if a.leaf_name is not None}
             both_targets += {"a", "a#b"} <= targets
         # the renamed ids must meet as targets of one tree step
         assert both_targets >= 15

@@ -24,7 +24,7 @@ def _reward_lottery():
     s0 = NetworkState()
     branches = tuple(NetworkState(flags=(c,)) for c in "abc")
     act = AttackerAction(
-        id="roll", technique_id="T", target="n", kind="tactic-step",
+        id="roll", technique_id="T", target="n",
         p_success=1.0, p_detect=0.0, reward_success=0.0, penalty_failure=0.0,
         cost=0.0, step=1,
     )
@@ -236,13 +236,9 @@ class _Scripted:
 
 
 def _spread(pomdp, rng):
-    """`pomdp` with b0 spread over every state and a discount below 1."""
+    """`pomdp` with b0 spread over every state."""
     weights = [rng.uniform(0.1, 1.0) for _ in pomdp.states]
-    return dataclasses.replace(
-        pomdp,
-        initial_belief=tuple(w / sum(weights) for w in weights),
-        discount=rng.choice((0.5, 0.9, 0.97)),
-    )
+    return dataclasses.replace(pomdp, initial_belief=tuple(w / sum(weights) for w in weights))
 
 
 class TestBlockWalkOracle:
@@ -274,7 +270,7 @@ class TestBlockWalkOracle:
                 pomdp, policy, self.SIZES[i % len(self.SIZES)], seed=rng.randrange(10**6)
             )
 
-    def test_random_models_with_spread_belief_and_discount(self, monkeypatch):
+    def test_random_models_with_spread_belief(self, monkeypatch):
         monkeypatch.setattr(cri.simulate, "BLOCK", self.SMALL_BLOCK)
         rng = random.Random(9090)
         for i in range(100):

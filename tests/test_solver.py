@@ -22,6 +22,7 @@ from solveoracle import (
     belief_update,
     lump,
     lump_blocks,
+    policy_value,
     unlumped_solve,
     unpruned_solve,
 )
@@ -34,7 +35,7 @@ CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659", "T1078"]
 
 def _action(idx, **kwargs):
     defaults = dict(
-        id=f"a{idx}", technique_id=f"T{idx}", target="n0", kind="tactic-step",
+        id=f"a{idx}", technique_id=f"T{idx}", target="n0",
         p_success=0.5, p_detect=0.0, reward_success=1.0, penalty_failure=0.0,
         cost=0.0, step=idx + 1,
     )
@@ -426,15 +427,22 @@ def _pinned_models(naive):
             pass
 
 
+def _reduced_corpus(scenario):
+    """The reduced-mode models of `test_build_pins` and the fixture flows
+    re-weighted under each fixture countermeasure."""
+    models = list(_pinned_models(naive=False))
+    fixture = [build_pomdp(flow, scenario.network, scenario.ti) for flow in scenario.flows]
+    for cm in parse_countermeasures((SCENARIO / "countermeasures.json").read_text()):
+        models += [reweight_pomdp(base, scaled(scenario.ti, cm)) for base in fixture]
+    return models
+
+
 class TestBuilderPartition:
     """The builder's `blocks`, one per set of flag bits, against `lump`'s
     coarsest bisimulation, which is found without them."""
 
     def test_reduced_models_quotient_as_lump_does(self, scenario):
-        models = list(_pinned_models(naive=False))
-        fixture = [build_pomdp(flow, scenario.network, scenario.ti) for flow in scenario.flows]
-        for cm in parse_countermeasures((SCENARIO / "countermeasures.json").read_text()):
-            models += [reweight_pomdp(base, scaled(scenario.ti, cm)) for base in fixture]
+        models = _reduced_corpus(scenario)
         for pomdp in models:
             _assert_quotients_alike(pomdp)
         assert len(models) == 412
@@ -456,6 +464,18 @@ class TestBuilderPartition:
             assert result.reachable_beliefs == lumped.reachable_beliefs
             beliefs += result.reachable_beliefs
         assert (finer, beliefs) == (99, 962)
+
+
+class TestSolveValue:
+    """`value_iteration` reads V* off the expectimax over the quotient; the
+    graph it compiles over the model's own states must earn that value."""
+
+    def test_policy_graph_earns_v_star_on_pinned_models(self, scenario):
+        models = _reduced_corpus(scenario)
+        for pomdp in models:
+            result = value_iteration(pomdp)
+            assert policy_value(pomdp, result.policy) == result.value
+        assert len(models) == 412
 
 
 def _scaled(pomdp, factor):

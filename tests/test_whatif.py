@@ -2,6 +2,7 @@
 `run_campaign` runs per countermeasure, and the work it saves."""
 
 import ast
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from cri.engine import EngineConfig, run_campaign, run_whatif
 from cri.index import Countermeasure, CountermeasureDelta, parse_countermeasures
 from cri.ingest import ValidatedInputs
 from cri.pomdp import build_pomdp, reweight_pomdp
+from cri.threat_intel import TiTable
 from genscen import random_scenario
 
 MULTIPLIERS = (0.0, 0.5, 1.0, 1.4, 2.0, 3.0)
@@ -134,7 +136,10 @@ class TestRunWhatifOracle:
         deltas = run_whatif(scenario, fixture_measures(), EngineConfig(mode="exact"))
         assert counter.calls == {"build_pomdp": 0, "reweight_pomdp": 0}
         assert next(deltas).countermeasure.id == "cm-mfa-rollout"
-        assert counter.calls == {"build_pomdp": len(scenario.flows), "reweight_pomdp": 1}
+        # every flow is re-weighted; only the one the measure moves is solved again
+        assert counter.calls == {
+            "build_pomdp": len(scenario.flows), "reweight_pomdp": len(scenario.flows),
+        }
 
 
 class TestRunWhatifWork:
@@ -146,10 +151,11 @@ class TestRunWhatifWork:
         measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
         deltas = list(run_whatif(scenario, measures, EngineConfig(mode="exact")))
         assert len(deltas) == 3
-        # 2 baseline flows, each built once; mfa touches one flow, noop
-        # none, sensor tuning both, and each touched flow is re-weighted
+        # 2 baseline flows, each built once and re-weighted under each
+        # measure; mfa moves one flow's model, noop none, sensor tuning
+        # both, and only the moved models are solved again
         assert counter.calls == {
-            "build_pomdp": 2, "reweight_pomdp": 3, "value_iteration": 5,
+            "build_pomdp": 2, "reweight_pomdp": 6, "value_iteration": 5,
             "complexity_report": 0, "run_campaign": 0,
         }
 
@@ -270,6 +276,21 @@ class TestReweightPomdp:
             derived = reweighted(base, flow, scenario.network, new_ti)
             rebuilt.append(not shares_skeleton(base, derived))
         assert any(rebuilt)
+
+    @pytest.mark.parametrize("column", ["action_cost", "reward_success"])
+    def test_records_moving_more_than_probabilities_rebuild(
+        self, scenario, fixture_models, column
+    ):
+        # only credential_chain reads T1078
+        new_ti = TiTable([
+            dataclasses.replace(rec, **{column: getattr(rec, column) + 1.0})
+            if rec.technique_id == "T1078" else rec
+            for rec in scenario.ti.records
+        ])
+        (chain, dns), (chain_base, dns_base) = scenario.flows, fixture_models
+        derived = reweighted(chain_base, chain, scenario.network, new_ti)
+        assert not shares_skeleton(chain_base, derived)
+        assert reweighted(dns_base, dns, scenario.network, new_ti) is dns_base
 
     def test_rewards_are_reused_only_when_no_transition_moves(self, scenario, fixture_models):
         sensor, mfa = (
