@@ -135,9 +135,11 @@ def _normalized_reward(pomdp, value: float) -> float | None:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
-def _naive_check(flow, net, ti, horizon, reduced, reduced_value) -> str:
+def _naive_check(flow, net, ti, cfg, reduced, reduced_value) -> str:
     try:
-        naive = build_pomdp(flow, net, ti, horizon=horizon, naive=True)
+        naive = build_pomdp(
+            flow, net, ti, horizon=cfg.horizon, naive=True, inventory=_walks(cfg)
+        )
     except CapacityError as exc:
         return f"skipped: {exc}"
     reduced_set = set(reduced.states)
@@ -168,9 +170,17 @@ def _reachable_under(pomdp) -> set:
     return {pomdp.states[i] for i in seen}
 
 
+def _walks(cfg: EngineConfig) -> bool:
+    """Whether the run walks Monte Carlo episodes. Only a walk is built
+    over the model that tracks compromised inventory, whose rows its
+    seeded draws follow; an exact run solves the flag model, which gives
+    the same V* and milestone probabilities from fewer states."""
+    return cfg.mode != "exact"
+
+
 def _build(flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig) -> Pomdp:
     logger.info("building model for flow %s", flow.id)
-    return build_pomdp(flow, net, ti, horizon=cfg.horizon)
+    return build_pomdp(flow, net, ti, horizon=cfg.horizon, inventory=_walks(cfg))
 
 
 def _run_flow(
@@ -207,7 +217,7 @@ def _run_flow(
 
     naive_note = None
     if cfg.naive_check:
-        naive_note = _naive_check(flow, net, ti, cfg.horizon, pomdp, solved.value)
+        naive_note = _naive_check(flow, net, ti, cfg, pomdp, solved.value)
 
     return FlowReport(
         flow_id=flow.id,

@@ -1,13 +1,15 @@
 """Attacker model construction from a flow, a network, and threat intel.
 
-States track which inventory items are compromised per node plus milestone
-flags; one flag per TTP step marks that step's success, and per-leaf flags
-track progress inside a technique's attack tree. Actions are technique
-applications bound to concrete targets (or tree leaves bound to targets).
+States hold milestone flags and, unless built with `inventory=False`,
+which inventory items are compromised per node; one flag per TTP step
+marks that step's success, and per-leaf flags track progress inside a
+technique's attack tree. Actions are technique applications bound to
+concrete targets (or tree leaves bound to targets).
 
-Success adds the target's inventory and the step milestone; failure leaves
-the state unchanged. An action whose preconditions do not hold in a state
-is a wasted move: a deterministic self-loop that only pays its cost.
+Success sets the step milestone and adds the target's inventory; failure
+leaves the state unchanged. An action whose preconditions do not hold in
+a state is a wasted move: a deterministic self-loop that only pays its
+cost.
 
 While building, a state is an int key: one bit per flag of the sorted
 flag names (milestones and every action's own flag), then one bit per
@@ -17,7 +19,10 @@ leaf names only label states. Two tree leaves whose flag names coincide
 would label two states alike, and are refused. No mask, observation row
 or reward reads an inventory bit, and a successor's flags are its
 state's plus the action's, so the states with the same flag bits make
-one of the model's `blocks`.
+one of the model's `blocks`. Built with `inventory=False`, the model has
+no inventory bits: it is the one those blocks make, no `blocks` of its
+own, and what an exact run solves. A Monte Carlo walk follows the rows
+of the model that tracks inventory, so it keeps that one.
 
 `reweight_pomdp` derives the model under another table from a built one:
 a countermeasure moves only probabilities, so it rewrites only the rows
@@ -161,10 +166,13 @@ class _Masks(NamedTuple):
 
 
 class _Builder:
-    def __init__(self, flow: AttackFlow, net: NetworkModel, ti: TiTable, naive: bool):
+    def __init__(
+        self, flow: AttackFlow, net: NetworkModel, ti: TiTable, naive: bool, inventory: bool
+    ):
         self.flow = flow
         self.net = net
         self.naive = naive
+        self.inventory = inventory
         self.reachable = reachable_targets(net)
         self.milestones = {n.step: milestone_flag(n.step) for n in flow.nodes}
         self.trees: dict[int, AttackTree] = {
@@ -179,9 +187,14 @@ class _Builder:
             for a in self.actions
         ]
         self.flag_names = sorted(set(self.milestones.values()) | set(own_flags))
-        self.items = [(n, i) for n in sorted(net.nodes) for i in sorted(net.nodes[n].inventory)]
+        self.items = [
+            (n, i) for n in sorted(net.nodes) for i in sorted(net.nodes[n].inventory)
+        ] if inventory else []
         # key bits, by flag name or by (node, item) pair
         bit = {name: 1 << i for i, name in enumerate([*self.flag_names, *self.items])}
+        held: dict[str, int] = {}  # node -> the bits of its inventory
+        for node, item in self.items:
+            held[node] = held.get(node, 0) | bit[(node, item)]
         step_leaves: dict[int, int] = {}
         leaves: dict[tuple[int, str], list[tuple[int, str]]] = {}
         for act, flag in zip(self.actions, own_flags):
@@ -205,7 +218,7 @@ class _Builder:
                 unset=bit[flag] | reached | others,
                 seq=sum({bit[self.milestones[e.src]] for e in incoming if e.relation != "OR"}),
                 alt=sum({bit[self.milestones[e.src]] for e in incoming if e.relation == "OR"}),
-                gain=reached | sum({bit[(act.target, i)] for i in net.nodes[act.target].inventory}),
+                gain=reached | held.get(act.target, 0),
                 leaves=mine,
             ))
 
@@ -376,7 +389,9 @@ class _Builder:
             applicable=applicable,
             milestones=dict(self.milestones),
             flow_id=self.flow.id,
-            blocks=tuple(numbers.setdefault(key & flag_bits, len(numbers)) for key in keys),
+            blocks=tuple(
+                numbers.setdefault(key & flag_bits, len(numbers)) for key in keys
+            ) if self.inventory else None,
             builder=self,
         )
         pomdp.validate()
@@ -442,7 +457,10 @@ class _Builder:
         return pomdp
 
     def _rebuild(self, base: Pomdp, ti: TiTable) -> Pomdp:
-        return build_pomdp(self.flow, self.net, ti, horizon=base.horizon, naive=self.naive)
+        return build_pomdp(
+            self.flow, self.net, ti,
+            horizon=base.horizon, naive=self.naive, inventory=self.inventory,
+        )
 
 
 def _shape(act: AttackerAction) -> tuple:
@@ -457,12 +475,20 @@ def build_pomdp(
     *,
     horizon: int | None = None,
     naive: bool = False,
+    inventory: bool = True,
 ) -> Pomdp:
     """Construct the attacker POMDP for one flow. By default only states
     reachable from the initial state over candidate targets are enumerated;
     `naive` enumerates the full combination grid and refuses above
-    NAIVE_CAP table entries. `horizon` defaults to the flow length + 2."""
-    return _Builder(flow, net, ti, naive).build(horizon)
+    NAIVE_CAP table entries. `horizon` defaults to the flow length + 2.
+
+    By default a state also tracks the compromised inventory, and `blocks`
+    merges the states with equal flags; a seeded Monte Carlo walk follows
+    this model's rows. With `inventory=False` success sets only flags:
+    each state is its own flag set, the model is the quotient the solver
+    would merge the full one into, up to state order, and `blocks` is
+    None."""
+    return _Builder(flow, net, ti, naive, inventory).build(horizon)
 
 
 def reweight_pomdp(base: Pomdp, ti: TiTable) -> Pomdp:

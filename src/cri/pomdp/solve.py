@@ -9,9 +9,11 @@ the lowest action index.
 The expectimax runs on the model's quotient over its `blocks`
 (`_quotient`): the builder puts states that differ only in what no
 action, observation or reward reads, compromised inventory, in one block,
-so far fewer beliefs are expanded. A model without blocks is searched as
-it is. Every stage reads immediate rewards as R(s, a) from its model's
-`rewards`, the quotient's included.
+so far fewer beliefs are expanded. A model without blocks, such as the
+flag model an exact run builds (`build_pomdp(..., inventory=False)`), is
+searched as it is, and its policy compiled without a guide. Every stage
+reads immediate rewards as R(s, a) from its model's `rewards`, the
+quotient's included.
 
 The expectimax is exact branch-and-bound. Before it starts, `qmdp_bounds`
 tabulates Q_d(s, a), the finite-horizon Q-value of the quotient treated
@@ -188,8 +190,11 @@ def compile_policy(
         action = choose((support_key(guide_support), depth)) if depth > 0 else None
         children = {}
         if action is not None:
-            guided = {o: child for o, _, child in _successors(guide, guide_support, action)}
-            for o, mass, child in _successors(pomdp, support, action):
+            successors = _successors(pomdp, support, action)
+            guided = {o: child for o, _, child in (
+                successors if quotient is None else _successors(quotient, guide_support, action)
+            )}
+            for o, mass, child in successors:
                 children[o] = (mass, visit(child, guided[o], depth - 1))
         ids[key] = len(nodes)
         nodes.append(PolicyNode(action, key[0], support, children))
@@ -278,13 +283,15 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | 
 
 def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
     """Solve for V* and the attacker-optimal policy by exact expectimax on
-    the model's quotient over its `blocks`, and compile the policy into a
-    graph over the model's own states. Both recurse once per step left: a
-    horizon past the interpreter's recursion limit raises CapacityError."""
+    the model's quotient over its `blocks` (the model itself when it has
+    none), and compile the policy into a graph over the model's own
+    states. Both recurse once per step left: a horizon past the
+    interpreter's recursion limit raises CapacityError."""
     quotient = _quotient(pomdp)
     try:
         value, chosen, pruned = expectimax(quotient, belief_cap)
-        policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
+        guide = None if quotient is pomdp else quotient
+        policy = compile_policy(pomdp, chosen.get, pomdp.horizon, guide)
     except RecursionError as exc:
         raise CapacityError(
             f"horizon {pomdp.horizon} nests the belief search too deeply", pomdp.horizon

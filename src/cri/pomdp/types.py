@@ -84,7 +84,8 @@ class Pomdp:
     into every block. Blocks are numbered in order of their lowest state
     index. The builder gives each set of flag bits a block, since no
     action, observation or reward reads inventory; None means each state
-    is its own block. `dump()` leaves it out.
+    is its own block, as in a model built with `inventory=False`, whose
+    states are their flag sets. `dump()` leaves it out.
     """
 
     states: tuple[NetworkState, ...]

@@ -141,10 +141,30 @@ class TestCalc:
         assert "CRI " not in result.stdout
 
     def test_naive_check_flag_skips_gracefully_at_scale(self, tmp_path):
+        # exact mode checks the flag models: a grid of 2^|flags| states
         result = run_cli("calc", *calc_args(tmp_path / "out"), "--naive-check")
         assert result.exit_code == 0
         report = json.loads((tmp_path / "out" / "campaign_report.json").read_text())
-        assert all(f["naive_check"].startswith("skipped") for f in report["flows"])
+        assert {f["flow_id"]: f["naive_check"] for f in report["flows"]} == {
+            "credential_chain": "ok",
+            "dns_injection": "skipped: naive state space above cap "
+                             "(estimated size 2013265920)",
+        }
+
+    def test_naive_check_in_both_mode_compares_the_full_models(self, tmp_path):
+        # a walk needs the model that tracks inventory, and its naive grid
+        # spans every inventory subset too
+        result = run_cli(
+            "calc", *calc_args(tmp_path / "out", mode="both", episodes="200"), "--naive-check"
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "campaign_report.json").read_text())
+        assert {f["flow_id"]: f["naive_check"] for f in report["flows"]} == {
+            "credential_chain": "skipped: naive state space above cap "
+                                "(estimated size 28334198897217871282176)",
+            "dns_injection": "skipped: naive state space above cap "
+                             "(estimated size 9284550294640352061743431680)",
+        }
 
 
 class TestModeConsistency:

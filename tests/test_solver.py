@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cri.engine import _normalized_reward
 from cri.errors import CapacityError, CriError
 from cri.index import parse_countermeasures
 from cri.pomdp import (
@@ -464,6 +465,63 @@ class TestBuilderPartition:
             assert result.reachable_beliefs == lumped.reachable_beliefs
             beliefs += result.reachable_beliefs
         assert (finer, beliefs) == (99, 962)
+
+
+def _assert_renumbered(quotient, flags):
+    """`quotient` and `flags` are one model up to the order of their
+    states, which are matched by their flags."""
+    where = {state.flags: i for i, state in enumerate(flags.states)}
+    new = [where[state.flags] for state in quotient.states]
+    assert sorted(new) == list(range(len(flags.states)))
+    assert all(state.compromised == () for state in flags.states)
+    assert (quotient.actions, quotient.observations, quotient.horizon, quotient.milestones) == (
+        flags.actions, flags.observations, flags.horizon, flags.milestones
+    )
+    assert [flags.initial_belief[new[b]] for b in range(len(new))] == list(quotient.initial_belief)
+    assert quotient.transitions.keys() == {(new[b], a) for b, a in flags.transitions}
+    for (b, a), row in quotient.transitions.items():
+        assert tuple(sorted((new[n], p) for n, p in row)) == flags.transitions[(new[b], a)]
+        assert quotient.observation_probs[(b, a)] == flags.observation_probs[(new[b], a)]
+        assert quotient.rewards[(b, a)].hex() == flags.rewards[(new[b], a)].hex()
+    assert {b: quotient.applicable[b] for b in range(len(new))} == {
+        b: flags.applicable[new[b]] for b in range(len(new))
+    }
+
+
+def _hex(probabilities):
+    return {step: p.hex() for step, p in probabilities.items()}
+
+
+class TestFlagModel:
+    """`build_pomdp(..., inventory=False)`, the model an exact run solves,
+    against `_quotient` of the model that tracks inventory."""
+
+    def test_pinned_models_are_the_quotient_and_solve_alike(self):
+        compared = smaller = 0
+        for _, inputs, flow in pinned_cases():
+            for naive in (False, True):
+                try:
+                    full = build_pomdp(flow, inputs.network, inputs.ti, naive=naive)
+                except CriError:
+                    continue
+                flags = build_pomdp(flow, inputs.network, inputs.ti, naive=naive, inventory=False)
+                assert flags.blocks is None
+                _assert_renumbered(_quotient(full), flags)
+                solved, flag_solved = value_iteration(full), value_iteration(flags)
+                assert flag_solved.value.hex() == solved.value.hex()
+                assert (flag_solved.reachable_beliefs, flag_solved.pruned, flag_solved.blocks) == (
+                    solved.reachable_beliefs, solved.pruned, solved.blocks
+                )
+                assert _hex(milestone_probabilities(flags, flag_solved.policy)) == _hex(
+                    milestone_probabilities(full, solved.policy)
+                )
+                assert repr(_normalized_reward(flags, flag_solved.value)) == repr(
+                    _normalized_reward(full, solved.value)
+                )
+                assert policy_value(flags, flag_solved.policy) == flag_solved.value
+                compared += 1
+                smaller += len(flag_solved.policy.nodes) < len(solved.policy.nodes)
+        assert (compared, smaller) == (704, 13)
 
 
 class TestSolveValue:

@@ -117,6 +117,28 @@ class TestRunWhatifOracle:
         expected = [rerun_delta(scenario, cm, cfg) for cm in measures]
         assert list(run_whatif(scenario, measures, cfg)) == expected
 
+    @pytest.mark.parametrize("mode, after", [
+        ("both", [42.2164, 38.91228230892706, 39.191623584227685, 68.66114087319494,
+                  38.91228230892706]),
+        # the walk's index: on the flag model the first would read 40.6972
+        ("simulate", [37.58759999999999, 32.8966208, 32.8966208, 68.9602016,
+                      32.8966208]),
+    ])
+    def test_walking_modes_keep_the_inventory_model(self, scenario, monkeypatch, mode, after):
+        built = []
+
+        def recorded(*args, **kwargs):
+            model = build_pomdp(*args, **kwargs)
+            built.append(len(model.states))
+            return model
+
+        monkeypatch.setattr(cri.engine, "build_pomdp", recorded)
+        cfg = EngineConfig(mode=mode, episodes=500, seed=7)
+        deltas = list(run_whatif(scenario, fixture_measures(), cfg))
+        # pinned before exact runs moved to the flag model
+        assert [d.index_after for d in deltas] == after
+        assert built == [35, 313]
+
     def test_random_scenarios(self, monkeypatch):
         rng = random.Random(5150)
         reused = 0
@@ -171,11 +193,11 @@ class TestRunWhatifWork:
         assert counter.calls["build_pomdp"] == len(scenario.flows)
 
 
-def reweighted(base, flow, net, new_ti):
-    """`base`, a model of `flow`, re-weighted under `new_ti` and checked
-    against a fresh build under `new_ti`."""
+def reweighted(base, flow, net, new_ti, inventory=True):
+    """`base`, a model of `flow` built with `inventory`, re-weighted under
+    `new_ti` and checked against a fresh build under `new_ti`."""
     derived = reweight_pomdp(base, new_ti)
-    fresh = build_pomdp(flow, net, new_ti)
+    fresh = build_pomdp(flow, net, new_ti, inventory=inventory)
     assert derived.dump() == fresh.dump()
     assert derived.rewards == fresh.rewards
     assert derived.blocks == fresh.blocks
@@ -184,10 +206,10 @@ def reweighted(base, flow, net, new_ti):
 
 def shares_skeleton(base, derived):
     """Whether `derived` was re-weighted from `base` rather than rebuilt."""
-    kept = [
-        getattr(derived, name) is getattr(base, name)
-        for name in ("states", "applicable", "blocks", "branch_rewards", "observations")
-    ]
+    names = ["states", "applicable", "branch_rewards", "observations"]
+    if base.blocks is not None:
+        names.append("blocks")
+    kept = [getattr(derived, name) is getattr(base, name) for name in names]
     assert all(kept) or not any(kept)
     return all(kept)
 
@@ -291,6 +313,22 @@ class TestReweightPomdp:
         derived = reweighted(chain_base, chain, scenario.network, new_ti)
         assert not shares_skeleton(chain_base, derived)
         assert reweighted(dns_base, dns, scenario.network, new_ti) is dns_base
+
+    def test_flag_models_reweight_and_rebuild_as_flag_models(self, scenario):
+        """An exact run re-weights flag models; where the structure can
+        move, the fallback must build a flag model again."""
+        to_zero = Countermeasure(id="to-zero", d3fend_group="harden",
+                                 technique_id="T1078", p_success_multiplier=0.0)
+        paths = {True: 0, False: 0}
+        for flow in scenario.flows:
+            base = build_pomdp(flow, scenario.network, scenario.ti, inventory=False)
+            assert base.blocks is None
+            for cm in [*fixture_measures(), to_zero]:
+                new_ti = scaled(scenario.ti, cm)
+                derived = reweighted(base, flow, scenario.network, new_ti, inventory=False)
+                assert derived.blocks is None
+                paths[shares_skeleton(base, derived)] += 1
+        assert paths[True] > 0 and paths[False] > 0
 
     def test_rewards_are_reused_only_when_no_transition_moves(self, scenario, fixture_models):
         sensor, mfa = (
