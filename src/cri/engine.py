@@ -6,10 +6,16 @@ raw threat-intel base rates straight through the flow DAG; the "validated"
 series runs the attacker emulation (solver and/or Monte Carlo) first and
 combines the resulting milestone probabilities.
 
+Every run solves each flow's flag model (`build_pomdp(..., inventory=False)`),
+whose states are their flag sets. A run that walks Monte Carlo episodes
+also builds the model that tracks inventory, whose rows the seeded draws
+follow, and walks the policy graph compiled over it from the flag model's
+choices.
+
 `run_whatif` evaluates countermeasures against one baseline run: it
-re-weights each flow's baseline model with the scaled probabilities
-(`reweight_pomdp`, which builds the model afresh only where its structure
-could move) and re-solves only the flows whose model the countermeasure
+re-weights each flow's baseline models with the scaled probabilities
+(`reweight_pomdp`, which builds a model afresh only where its structure
+could move) and re-solves only the flows whose models the countermeasure
 changes.
 """
 
@@ -37,6 +43,7 @@ from .netmodel import NetworkModel
 from .pomdp import (
     Pomdp,
     build_pomdp,
+    compile_policy,
     complexity_report,
     milestone_probabilities,
     reweight_pomdp,
@@ -136,6 +143,10 @@ def _normalized_reward(pomdp, value: float) -> float | None:
 
 
 def _naive_check(flow, net, ti, cfg, reduced, reduced_value) -> str:
+    """Check `reduced`, the run's walk model or else its flag model,
+    against the naive grid of its kind, which gives the reachable set and
+    the size a skip reports. V* is checked on the naive flag grid, since
+    a model that tracks inventory would be solved unreduced."""
     try:
         naive = build_pomdp(
             flow, net, ti, horizon=cfg.horizon, naive=True, inventory=_walks(cfg)
@@ -149,6 +160,8 @@ def _naive_check(flow, net, ti, cfg, reduced, reduced_value) -> str:
             f"flow {flow.id}: naive reachable set ({len(naive_reachable)}) differs "
             f"from reduced state set ({len(reduced_set)})"
         )
+    if _walks(cfg):
+        naive = build_pomdp(flow, net, ti, horizon=cfg.horizon, naive=True, inventory=False)
     naive_value = value_iteration(naive).value
     if abs(naive_value - reduced_value) > 1e-9:
         raise ModelError(
@@ -171,28 +184,34 @@ def _reachable_under(pomdp) -> set:
 
 
 def _walks(cfg: EngineConfig) -> bool:
-    """Whether the run walks Monte Carlo episodes. Only a walk is built
-    over the model that tracks compromised inventory, whose rows its
-    seeded draws follow; an exact run solves the flag model, which gives
-    the same V* and milestone probabilities from fewer states."""
+    """Whether the run walks Monte Carlo episodes, and so builds the model
+    that tracks compromised inventory, whose rows its seeded draws follow,
+    next to the flag model every run solves."""
     return cfg.mode != "exact"
 
 
-def _build(flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig) -> Pomdp:
+def _build(
+    flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig
+) -> tuple[Pomdp, Pomdp | None]:
+    """The flag model of `flow`, and its walk model when the run walks."""
     logger.info("building model for flow %s", flow.id)
-    return build_pomdp(flow, net, ti, horizon=cfg.horizon, inventory=_walks(cfg))
+    flags = build_pomdp(flow, net, ti, horizon=cfg.horizon, inventory=False)
+    walk = build_pomdp(flow, net, ti, horizon=cfg.horizon) if _walks(cfg) else None
+    return flags, walk
 
 
 def _run_flow(
-    flow: AttackFlow, net: NetworkModel, ti: TiTable, pomdp: Pomdp, cfg: EngineConfig
+    flow: AttackFlow, net: NetworkModel, ti: TiTable,
+    flags: Pomdp, walk: Pomdp | None, cfg: EngineConfig,
 ) -> FlowReport:
-    """Solve and read out (and/or simulate) `pomdp`, the model of `flow`
-    over `net` and `ti`."""
-    solved = value_iteration(pomdp)
+    """Solve `flags`, the flag model of `flow` over `net` and `ti`, read
+    out its milestones and/or walk `walk`, the flow's model that tracks
+    inventory, under the same choices."""
+    solved = value_iteration(flags)
     logger.info(
-        "flow %s: %d states in %d blocks, %d actions, %d reachable beliefs, "
+        "flow %s: %d states, %d actions, %d reachable beliefs, "
         "%d actions pruned, V*=%.6f",
-        flow.id, len(pomdp.states), solved.blocks, len(pomdp.actions),
+        flow.id, len(flags.states), len(flags.actions),
         solved.reachable_beliefs, solved.pruned, solved.value,
     )
 
@@ -201,9 +220,10 @@ def _run_flow(
     intervals = None
     summary = None
     if cfg.mode in ("exact", "both"):
-        p_exact = milestone_probabilities(pomdp, solved.policy)
-    if cfg.mode in ("simulate", "both"):
-        summary = estimate_expected_reward(pomdp, solved.policy, cfg.episodes, cfg.seed)
+        p_exact = milestone_probabilities(flags, solved.policy)
+    if walk is not None:
+        policy = compile_policy(walk, solved.chosen.get, walk.horizon, flags)
+        summary = estimate_expected_reward(walk, policy, cfg.episodes, cfg.seed)
         p_sim = summary.p_n_estimates
         intervals = summary.p_n_intervals
 
@@ -217,7 +237,7 @@ def _run_flow(
 
     naive_note = None
     if cfg.naive_check:
-        naive_note = _naive_check(flow, net, ti, cfg, pomdp, solved.value)
+        naive_note = _naive_check(flow, net, ti, cfg, walk or flags, solved.value)
 
     return FlowReport(
         flow_id=flow.id,
@@ -233,7 +253,7 @@ def _run_flow(
         p_n_intervals=intervals,
         solver_value=solved.value,
         simulation=summary,
-        normalized_reward=_normalized_reward(pomdp, reward),
+        normalized_reward=_normalized_reward(flags, reward),
         naive_check=naive_note,
     )
 
@@ -246,8 +266,8 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
     flow_reports: list[FlowReport] = []
     assumed_results: list[FlowResult] = []
     for flow in inputs.flows:
-        # no name holds the model, so it is freed before the next is built
-        flow_reports.append(_run_flow(flow, net, inputs.ti, _build(flow, net, inputs.ti, cfg), cfg))
+        # no name holds the models, so they are freed before the next are built
+        flow_reports.append(_run_flow(flow, net, inputs.ti, *_build(flow, net, inputs.ti, cfg), cfg))
         base = assumed_p_n(flow, net, inputs.ti)
         assumed_results.append(
             FlowResult(
@@ -286,19 +306,20 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
 def run_whatif(
     inputs: ValidatedInputs, measures: list[Countermeasure], cfg: EngineConfig | None = None
 ) -> Iterator[CountermeasureDelta]:
-    """Yield one delta per countermeasure, in order. Each flow's model is
-    built and solved once. Under each countermeasure every baseline model
-    is re-weighted under the scaled table (`reweight_pomdp`, which rebuilds
-    where p_success moves to or from 0 or 1, or an observation row gains
-    or loses a label). A flow whose re-weighted model is its baseline
-    model, because no action's probabilities moved, reuses its baseline
-    result; the others are solved again."""
+    """Yield one delta per countermeasure, in order. Each flow's flag
+    model, and its walk model when the run walks, is built once and solved
+    once. Under each countermeasure every baseline model is re-weighted
+    under the scaled table (`reweight_pomdp`, which rebuilds where
+    p_success moves to or from 0 or 1, or an observation row gains or
+    loses a label). A flow whose re-weighted flag model is its baseline
+    flag model, because no action's probabilities moved, reuses its
+    baseline result; the others are solved again."""
     cfg = cfg or EngineConfig()
     net = inputs.network
     models = [_build(flow, net, inputs.ti, cfg) for flow in inputs.flows]
     baseline = [
-        _run_flow(flow, net, inputs.ti, model, cfg).result
-        for flow, model in zip(inputs.flows, models)
+        _run_flow(flow, net, inputs.ti, flags, walk, cfg).result
+        for flow, (flags, walk) in zip(inputs.flows, models)
     ]
     index_before = campaign_cri(baseline, cfg.campaign_id).index
     for cm in measures:
@@ -309,9 +330,11 @@ def run_whatif(
             p_detect_multiplier=cm.p_detect_multiplier,
         )
         results = [
-            before if (moved := reweight_pomdp(model, ti)) is model
-            else _run_flow(flow, net, ti, moved, cfg).result
-            for flow, model, before in zip(inputs.flows, models, baseline)
+            before if (moved := reweight_pomdp(flags, ti)) is flags
+            else _run_flow(
+                flow, net, ti, moved, None if walk is None else reweight_pomdp(walk, ti), cfg
+            ).result
+            for flow, (flags, walk), before in zip(inputs.flows, models, baseline)
         ]
         index_after = campaign_cri(results, cfg.campaign_id).index
         yield evaluate_countermeasure(cm, inputs.ti, index_before, index_after)

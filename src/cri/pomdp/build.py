@@ -18,11 +18,12 @@ preconditions and its success are masks over these bits, so node ids and
 leaf names only label states. Two tree leaves whose flag names coincide
 would label two states alike, and are refused. No mask, observation row
 or reward reads an inventory bit, and a successor's flags are its
-state's plus the action's, so the states with the same flag bits make
-one of the model's `blocks`. Built with `inventory=False`, the model has
-no inventory bits: it is the one those blocks make, no `blocks` of its
-own, and what an exact run solves. A Monte Carlo walk follows the rows
-of the model that tracks inventory, so it keeps that one.
+state's plus the action's. So a model built with `inventory=False`, which
+has no inventory bits and whose states are their flag sets, is the model
+that tracks inventory with the states of equal flags merged, up to state
+order. Every run solves that flag model. A Monte Carlo walk follows the
+rows of the model that tracks inventory, so a run that walks builds that
+one too.
 
 `reweight_pomdp` derives the model under another table from a built one:
 a countermeasure moves only probabilities, so it rewrites only the rows
@@ -375,8 +376,6 @@ class _Builder:
 
         belief = [0.0] * len(keys)
         belief[index[0]] = 1.0
-        flag_bits = (1 << len(self.flag_names)) - 1
-        numbers: dict[int, int] = {}
         pomdp = Pomdp(
             states=tuple(named[key] for key in keys),
             actions=tuple(self.actions),
@@ -389,9 +388,6 @@ class _Builder:
             applicable=applicable,
             milestones=dict(self.milestones),
             flow_id=self.flow.id,
-            blocks=tuple(
-                numbers.setdefault(key & flag_bits, len(numbers)) for key in keys
-            ) if self.inventory else None,
             builder=self,
         )
         pomdp.validate()
@@ -482,12 +478,11 @@ def build_pomdp(
     `naive` enumerates the full combination grid and refuses above
     NAIVE_CAP table entries. `horizon` defaults to the flow length + 2.
 
-    By default a state also tracks the compromised inventory, and `blocks`
-    merges the states with equal flags; a seeded Monte Carlo walk follows
-    this model's rows. With `inventory=False` success sets only flags:
-    each state is its own flag set, the model is the quotient the solver
-    would merge the full one into, up to state order, and `blocks` is
-    None."""
+    By default a state also tracks the compromised inventory; a seeded
+    Monte Carlo walk follows this model's rows. With `inventory=False`
+    success sets only flags: each state is its own flag set, and the model
+    is the one with the default model's states of equal flags merged, up
+    to state order. That is the model every run solves."""
     return _Builder(flow, net, ti, naive, inventory).build(horizon)
 
 
@@ -497,7 +492,7 @@ def reweight_pomdp(base: Pomdp, ti: TiTable) -> Pomdp:
     analysing paths again. A countermeasure (`TiTable.with_multiplier`)
     moves only probabilities, so the actions are derived again from `ti`.
     When they equal `base`'s, the result is `base` itself. Otherwise the
-    rest is `base`'s: its states, `applicable`, `blocks`, branch rewards
+    rest is `base`'s: its states, `applicable`, branch rewards
     and observation labels are the same objects. Only the offered
     (s, a) rows of an action whose p_success moved, and the observation
     rows of an action whose p_detect moved, are written again, and

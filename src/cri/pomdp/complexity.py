@@ -62,8 +62,8 @@ def complexity_report(
     """Worst-case bounds for the scenario; when threat intel is supplied the
     reduced models are built and their actual sizes reported side by side.
     `reduced_states` counts the states of the model that tracks compromised
-    inventory, which only a Monte Carlo walk builds now: an exact run
-    solves the smaller flag model (`build_pomdp(..., inventory=False)`).
+    inventory, which only a Monte Carlo walk builds now: every run solves
+    the smaller flag model (`build_pomdp(..., inventory=False)`).
     A flow that cannot be built raises its `CriError`, as it does in `calc`."""
     max_inventory = max((len(n.inventory) for n in net.nodes.values()), default=0)
     num_actions = sum(len(f.nodes) for f in flows)

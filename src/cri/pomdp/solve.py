@@ -6,17 +6,16 @@ stop (walk away), worth zero: an action is taken only when its expected
 value is non-negative. Ties between equally valued actions break toward
 the lowest action index.
 
-The expectimax runs on the model's quotient over its `blocks`
-(`_quotient`): the builder puts states that differ only in what no
-action, observation or reward reads, compromised inventory, in one block,
-so far fewer beliefs are expanded. A model without blocks, such as the
-flag model an exact run builds (`build_pomdp(..., inventory=False)`), is
-searched as it is, and its policy compiled without a guide. Every stage
-reads immediate rewards as R(s, a) from its model's `rewards`, the
-quotient's included.
+The engine hands the expectimax the flag model
+(`build_pomdp(..., inventory=False)`), whose states are their flag sets.
+No action, observation or reward reads compromised inventory, so this is
+the model that tracks inventory minimized by bisimulation (Givan, Dean &
+Greig 2003), and far fewer beliefs are expanded. The solver itself
+searches whatever model it is given, as it is. Every stage reads
+immediate rewards as R(s, a) from its model's `rewards`.
 
 The expectimax is exact branch-and-bound. Before it starts, `qmdp_bounds`
-tabulates Q_d(s, a), the finite-horizon Q-value of the quotient treated
+tabulates Q_d(s, a), the finite-horizon Q-value of the model treated
 as fully observable, with the stop option (QMDP: Littman, Cassandra &
 Kaelbling 1995; Hauskrecht 2000): V_0 = 0, Q_d(s, a) = R(s, a) + sum_s'
 T(s, a, s') V_{d-1}(s'), undiscounted, and V_d(s) = max(0, max over every
@@ -36,13 +35,15 @@ every memoized value is exact, and the value of b0 with the horizon left
 is V*.
 
 The solved policy is then compiled into a policy graph (Kaelbling,
-Littman & Cassandra 1998) over the original model's states: one node per
-(belief, steps left) the policy can reach from the initial belief,
-holding the chosen action and one child per possible observation. The
-milestone readout and the Monte Carlo simulator walk this graph instead
-of recomputing beliefs. The graph earns V* by construction, so the value
-is not summed over it a second time. `_successors` is the only place
-belief successors are computed.
+Littman & Cassandra 1998) over the model's states: one node per (belief,
+steps left) the policy can reach from the initial belief, holding the
+chosen action and one child per possible observation. The milestone
+readout walks this graph instead of recomputing beliefs. A Monte Carlo
+walk follows the rows of the model that tracks inventory, so its graph is
+compiled over that model from the flag model's choices (`compile_policy`
+with a `guide`). The graph earns V* by construction, so the value is not
+summed over it a second time. `_successors` is the only place belief
+successors are computed.
 """
 
 from __future__ import annotations
@@ -109,77 +110,33 @@ class Policy:
 @dataclass
 class SolveResult:
     """`value` is V*, the expectimax's value of b0 with the horizon left.
-    `reachable_beliefs` counts the beliefs the expectimax expanded over
-    the `blocks` states of the quotient (the model's own states when it
-    has no `blocks`), and `pruned` the actions it skipped at them because
-    their bound could not win."""
+    `chosen` maps every (belief key, steps left) the expectimax expanded
+    to its action, None meaning stop; `reachable_beliefs` counts them, and
+    `pruned` the actions skipped at them because their bound could not
+    win."""
 
     policy: Policy
     value: float
     reachable_beliefs: int
-    blocks: int
+    chosen: dict[tuple, int | None]
     pruned: int
-
-
-def _quotient(pomdp: Pomdp) -> Pomdp:
-    """The model with each of its `blocks` as one state, or the model
-    itself when it has none. A block's representative, its lowest-index
-    state, lends the block its rows and its R(s, a) as `rewards`; its
-    transition probabilities are summed into blocks, and the quotient has
-    no branch rewards of its own."""
-    block = pomdp.blocks
-    if block is None:
-        return pomdp
-    reps: list[int] = []
-    for s, b in enumerate(block):
-        if b == len(reps):
-            reps.append(s)
-    actions = range(len(pomdp.actions))
-    transitions = {}
-    for b, s in enumerate(reps):
-        for a in actions:
-            into: dict[int, float] = {}
-            for s2, p in pomdp.transitions[(s, a)]:
-                into[block[s2]] = into.get(block[s2], 0.0) + p
-            transitions[(b, a)] = tuple(sorted(into.items()))
-    initial = [0.0] * len(reps)
-    for s, p in enumerate(pomdp.initial_belief):
-        initial[block[s]] += p
-    quotient = Pomdp(
-        states=tuple(pomdp.states[s] for s in reps),
-        actions=pomdp.actions,
-        observations=pomdp.observations,
-        transitions=transitions,
-        observation_probs={
-            (b, a): pomdp.observation_probs[(s, a)] for b, s in enumerate(reps) for a in actions
-        },
-        branch_rewards={},
-        initial_belief=tuple(initial),
-        horizon=pomdp.horizon,
-        applicable={b: pomdp.applicable.get(s, ()) for b, s in enumerate(reps)},
-        milestones=pomdp.milestones,
-        flow_id=pomdp.flow_id,
-    )
-    quotient.rewards = {
-        (b, a): pomdp.rewards[(s, a)] for b, s in enumerate(reps) for a in actions
-    }
-    return quotient
 
 
 def compile_policy(
     pomdp: Pomdp,
     choose: Callable[[tuple], int | None],
     horizon: int,
-    quotient: Pomdp | None = None,
+    guide: Pomdp | None = None,
 ) -> Policy:
     """Follow `choose((belief key, steps left))` from b0 through every
     observation and number the beliefs reached. `choose` returns an action
     index or None to stop; a node with no steps left always stops.
 
-    With a `quotient` of `pomdp`, the walk tracks the matching quotient
-    belief alongside each belief, child for child by observation, and
-    `choose` is asked about the quotient belief's key."""
-    guide = quotient or pomdp
+    With a `guide`, a model whose beliefs split by observation as
+    `pomdp`'s do (the flag model of a model that tracks inventory), the
+    walk tracks the matching guide belief alongside each belief, child for
+    child by observation, and `choose` is asked about the guide belief's
+    key."""
     nodes: list[PolicyNode] = []
     ids: dict[tuple, int] = {}
 
@@ -192,7 +149,7 @@ def compile_policy(
         if action is not None:
             successors = _successors(pomdp, support, action)
             guided = {o: child for o, _, child in (
-                successors if quotient is None else _successors(quotient, guide_support, action)
+                successors if guide is None else _successors(guide, guide_support, action)
             )}
             for o, mass, child in successors:
                 children[o] = (mass, visit(child, guided[o], depth - 1))
@@ -200,7 +157,7 @@ def compile_policy(
         nodes.append(PolicyNode(action, key[0], support, children))
         return ids[key]
 
-    visit(pomdp.b0_support(), guide.b0_support(), horizon)
+    visit(pomdp.b0_support(), (guide or pomdp).b0_support(), horizon)
     return Policy(nodes=nodes, horizon=horizon)
 
 
@@ -283,15 +240,12 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | 
 
 def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
     """Solve for V* and the attacker-optimal policy by exact expectimax on
-    the model's quotient over its `blocks` (the model itself when it has
-    none), and compile the policy into a graph over the model's own
-    states. Both recurse once per step left: a horizon past the
-    interpreter's recursion limit raises CapacityError."""
-    quotient = _quotient(pomdp)
+    the model's own states, and compile the policy into a graph over them.
+    Both recurse once per step left: a horizon past the interpreter's
+    recursion limit raises CapacityError."""
     try:
-        value, chosen, pruned = expectimax(quotient, belief_cap)
-        guide = None if quotient is pomdp else quotient
-        policy = compile_policy(pomdp, chosen.get, pomdp.horizon, guide)
+        value, chosen, pruned = expectimax(pomdp, belief_cap)
+        policy = compile_policy(pomdp, chosen.get, pomdp.horizon)
     except RecursionError as exc:
         raise CapacityError(
             f"horizon {pomdp.horizon} nests the belief search too deeply", pomdp.horizon
@@ -300,7 +254,7 @@ def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
         policy=policy,
         value=value,
         reachable_beliefs=len(chosen),
-        blocks=len(quotient.states),
+        chosen=chosen,
         pruned=pruned,
     )
 

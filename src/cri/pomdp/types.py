@@ -77,15 +77,9 @@ class Pomdp:
     observation_probs[(s', a)] lists (o, p); branch_rewards[(s, a, s')] is
     the realized reward on that branch, and `rewards` folds those into
     R(s, a). Rewards are summed undiscounted over `horizon` steps.
-
-    `blocks[s]` numbers the block of state s in a partition the solver may
-    merge states by: the states of one block offer the same actions, have
-    the same observation rows and rewards, and move with equal probability
-    into every block. Blocks are numbered in order of their lowest state
-    index. The builder gives each set of flag bits a block, since no
-    action, observation or reward reads inventory; None means each state
-    is its own block, as in a model built with `inventory=False`, whose
-    states are their flag sets. `dump()` leaves it out.
+    States carry their flags and, unless the model was built with
+    `inventory=False`, the compromised inventory; the solver is handed the
+    model without inventory, whose states are their flag sets.
     """
 
     states: tuple[NetworkState, ...]
@@ -101,7 +95,6 @@ class Pomdp:
     # TTP step -> milestone flag marking that node's success
     milestones: dict[int, str] = field(default_factory=dict)
     flow_id: str = ""
-    blocks: tuple[int, ...] | None = None
     # what made the model, so `build.reweight_pomdp` can re-weight it; not
     # part of the model's value
     builder: object = field(default=None, repr=False, compare=False)

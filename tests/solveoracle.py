@@ -9,21 +9,25 @@ index. `belief_update` gives the single successor of a dense `Belief` for
 one (action, observation), against which the policy graph's children are
 checked. `policy_value` sums what a policy graph earns on the model's own
 states; the graph `value_iteration` compiles must earn the V* its
-expectimax found on the quotient.
+expectimax found.
 
-`value_iteration` searches the quotient over the blocks the builder
-numbers by flag bits. `lump` finds the coarsest bisimulation quotient of
-any model without being told a partition. Two states are bisimilar when
-they offer the same actions, emit the same observation row on arrival
-under every action, earn the same expected reward under every action,
-and move with equal probability into every block of bisimilar states
-(Givan, Dean & Greig 2003, "Equivalence notions and model minimization in
-Markov decision processes", AIJ 147). The partition is refined until its
-block count stops changing. Floats are compared for exact equality, so
-two states are merged only when every number the solver would read from
-them is the same number. The quotient is a model in its own right: each
-block takes its representative's R(s, a) as its `rewards`, and has no
-branch rewards of its own.
+The engine solves the flag model (`build_pomdp(..., inventory=False)`),
+the model that tracks inventory with its states of equal flags merged,
+and compiles the walk's graph over the model that tracks inventory from
+the flag model's choices. `flag_blocks` is that partition, read off each
+state's flags, and `quotient` merges a model by a given partition. `lump`
+finds the coarsest bisimulation quotient of any model without being told
+a partition. Two states are bisimilar when they offer the same actions,
+emit the same observation row on arrival under every action, earn the
+same expected reward under every action, and move with equal probability
+into every block of bisimilar states (Givan, Dean & Greig 2003,
+"Equivalence notions and model minimization in Markov decision
+processes", AIJ 147). The partition is refined until its block count
+stops changing. Floats are compared for exact equality, so two states are
+merged only when every number the solver would read from them is the
+same number. A quotient is a model in its own right: each block takes its
+representative's rows and R(s, a) as its `rewards`, and has no branch
+rewards of its own.
 """
 
 from dataclasses import dataclass
@@ -73,10 +77,9 @@ def unpruned_expectimax(pomdp: Pomdp, belief_cap: int = 500_000) -> tuple[float,
     return solve(pomdp.b0_support(), pomdp.horizon), chosen
 
 
-def _refine(pomdp: Pomdp) -> tuple[list[int], list[tuple]]:
-    """The coarsest bisimulation's block of every state, blocks numbered in
-    order of their lowest state index, and each block's rows into blocks,
-    measured at that state."""
+def lump_blocks(pomdp: Pomdp) -> tuple[int, ...]:
+    """The coarsest bisimulation's block of every state, blocks numbered
+    in order of their lowest state index."""
     n = len(pomdp.states)
     rewards = pomdp.rewards
     actions = range(len(pomdp.actions))
@@ -96,7 +99,6 @@ def _refine(pomdp: Pomdp) -> tuple[list[int], list[tuple]]:
     while True:
         signatures: dict[tuple, int] = {}
         refined = []
-        rows_of: list[tuple] = []
         for s in range(n):
             rows = []
             for a in actions:
@@ -104,51 +106,49 @@ def _refine(pomdp: Pomdp) -> tuple[list[int], list[tuple]]:
                 for s2, p in pomdp.transitions[(s, a)]:
                     into[block[s2]] = into.get(block[s2], 0.0) + p
                 rows.append(tuple(sorted(into.items())))
-            signature = (block[s], tuple(rows))
-            if signature not in signatures:
-                signatures[signature] = len(signatures)
-                rows_of.append(signature[1])
-            refined.append(signatures[signature])
+            refined.append(signatures.setdefault((block[s], tuple(rows)), len(signatures)))
+        # a round that splits no block numbers the blocks as the round
+        # before it did
         block = refined
-        # A round that splits no block numbers the blocks as the round
-        # before it did, so the rows it measured are the quotient's rows.
         if len(signatures) == count:
-            break
+            return tuple(block)
         count = len(signatures)
-    return block, rows_of
 
 
-def lump_blocks(pomdp: Pomdp) -> tuple[int, ...]:
-    """The coarsest bisimulation as a `Pomdp.blocks` partition."""
-    return tuple(_refine(pomdp)[0])
+def flag_blocks(pomdp: Pomdp) -> tuple[int, ...]:
+    """Each state's block when the states of equal flags are merged,
+    blocks numbered in order of their lowest state index."""
+    numbers: dict[tuple, int] = {}
+    return tuple(numbers.setdefault(state.flags, len(numbers)) for state in pomdp.states)
 
 
-def lump(pomdp: Pomdp) -> Pomdp:
-    """The quotient model. Blocks are numbered in order of their lowest
-    state index, and that state, the block's representative, lends the
-    block its rows and its rewards."""
-    block, rows_of = _refine(pomdp)
-    count = len(rows_of)
-    rewards = pomdp.rewards
-    actions = range(len(pomdp.actions))
+def quotient(pomdp: Pomdp, block: tuple[int, ...]) -> Pomdp:
+    """The model with each block of `block` as one state, blocks numbered
+    in order of their lowest state index. That state, the block's
+    representative, lends the block its rows and its R(s, a); its
+    transition probabilities are summed into blocks."""
     reps: list[int] = []
     for s, b in enumerate(block):
         if b == len(reps):
             reps.append(s)
-    initial = [0.0] * count
+    actions = range(len(pomdp.actions))
+    transitions = {}
+    for b, s in enumerate(reps):
+        for a in actions:
+            into: dict[int, float] = {}
+            for s2, p in pomdp.transitions[(s, a)]:
+                into[block[s2]] = into.get(block[s2], 0.0) + p
+            transitions[(b, a)] = tuple(sorted(into.items()))
+    initial = [0.0] * len(reps)
     for s, p in enumerate(pomdp.initial_belief):
         initial[block[s]] += p
-    quotient = Pomdp(
+    merged = Pomdp(
         states=tuple(pomdp.states[s] for s in reps),
         actions=pomdp.actions,
         observations=pomdp.observations,
-        transitions={
-            (b, a): rows_of[b][a] for b in range(count) for a in actions
-        },
+        transitions=transitions,
         observation_probs={
-            (b, a): pomdp.observation_probs[(s, a)]
-            for b, s in enumerate(reps)
-            for a in actions
+            (b, a): pomdp.observation_probs[(s, a)] for b, s in enumerate(reps) for a in actions
         },
         branch_rewards={},
         initial_belief=tuple(initial),
@@ -157,10 +157,15 @@ def lump(pomdp: Pomdp) -> Pomdp:
         milestones=pomdp.milestones,
         flow_id=pomdp.flow_id,
     )
-    quotient.rewards = {
-        (b, a): rewards[(s, a)] for b, s in enumerate(reps) for a in actions
+    merged.rewards = {
+        (b, a): pomdp.rewards[(s, a)] for b, s in enumerate(reps) for a in actions
     }
-    return quotient
+    return merged
+
+
+def lump(pomdp: Pomdp) -> Pomdp:
+    """The quotient by the coarsest bisimulation."""
+    return quotient(pomdp, lump_blocks(pomdp))
 
 
 def policy_value(pomdp: Pomdp, policy: Policy) -> float:
@@ -181,12 +186,12 @@ def policy_value(pomdp: Pomdp, policy: Policy) -> float:
 
 
 def unpruned_solve(pomdp: Pomdp):
-    """`value_iteration` with the unpruned search on the model's `lump`
-    quotient, whatever its `blocks`: (value, policy graph, beliefs
-    expanded)."""
-    quotient = lump(pomdp)
-    _, chosen = unpruned_expectimax(quotient)
-    policy = compile_policy(pomdp, chosen.get, pomdp.horizon, quotient)
+    """The unpruned search on the model's `lump` quotient, its choices
+    compiled into a graph over the model's own states: (value, policy
+    graph, beliefs expanded)."""
+    lumped = lump(pomdp)
+    _, chosen = unpruned_expectimax(lumped)
+    policy = compile_policy(pomdp, chosen.get, pomdp.horizon, lumped)
     return policy_value(pomdp, policy), policy, len(chosen)
 
 

@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
+import cri.engine
 from conftest import SCENARIO
-from cri.engine import EngineConfig, assumed_p_n, run_campaign
+from cri.engine import MODES, EngineConfig, assumed_p_n, run_campaign, run_whatif
 from cri.errors import ModelError
-from cri.pomdp import build_pomdp, milestone_flag
+from cri.index import parse_countermeasures
+from cri.pomdp import build_pomdp, milestone_flag, value_iteration
 from genscen import random_scenario
 from toys import and_chain, single_step
 import random
@@ -79,6 +81,18 @@ class TestRunCampaign:
         out = run_campaign(inputs, EngineConfig(mode="exact", naive_check=True))
         assert out.flow_reports[0].naive_check == "ok"
 
+    def test_naive_check_passes_on_small_scenarios_in_both_mode(self):
+        # the walk model's naive grid gives the reachable set, the flag
+        # model's naive grid gives V*
+        rng = random.Random(1919)
+        notes = []
+        for _ in range(12):
+            out = run_campaign(
+                random_scenario(rng), EngineConfig(mode="both", episodes=50, naive_check=True)
+            )
+            notes.append(out.flow_reports[0].naive_check)
+        assert notes == ["ok"] * 12
+
     def test_simulated_method_recorded(self):
         _, inputs = single_step()
         out = run_campaign(inputs, EngineConfig(mode="simulate", episodes=500, seed=3))
@@ -137,7 +151,51 @@ class TestLogging:
         assert "building model for flow" in proc.stderr
         assert "building model" not in proc.stdout
         assert (
-            # an exact run solves the flag model: one state per flag set
-            "flow credential_chain: 4 states in 4 blocks, 12 actions, "
+            # every run solves the flag model: one state per flag set
+            "flow credential_chain: 4 states, 12 actions, "
             "87 reachable beliefs, 180 actions pruned, V*=11.946275"
         ) in proc.stderr
+
+
+class TestSolvesOnlyFlagModels:
+    """Every model the engine hands `value_iteration` has one state per
+    flag set and no inventory: the model that tracks inventory is only
+    walked, never solved."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        models = []
+
+        def recorded(pomdp, *args, **kwargs):
+            models.append(pomdp)
+            return value_iteration(pomdp, *args, **kwargs)
+
+        monkeypatch.setattr(cri.engine, "value_iteration", recorded)
+        return models
+
+    @staticmethod
+    def _assert_flag_models(models, count):
+        assert len(models) == count
+        for pomdp in models:
+            assert len({state.flags for state in pomdp.states}) == len(pomdp.states)
+            assert not any(state.compromised for state in pomdp.states)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_calc(self, scenario, solved, mode):
+        run_campaign(scenario, EngineConfig(mode=mode, episodes=50, seed=7))
+        self._assert_flag_models(solved, len(scenario.flows))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_whatif(self, scenario, solved, mode):
+        measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
+        list(run_whatif(scenario, measures, EngineConfig(mode=mode, episodes=50, seed=7)))
+        # 2 baseline flows, then the 3 models the measures move
+        self._assert_flag_models(solved, 5)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_naive_check(self, solved, mode):
+        inputs = random_scenario(random.Random(1919))
+        out = run_campaign(inputs, EngineConfig(mode=mode, episodes=50, naive_check=True))
+        assert out.flow_reports[0].naive_check == "ok"
+        # the flow's model and its naive grid
+        self._assert_flag_models(solved, 2)

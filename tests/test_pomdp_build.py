@@ -319,7 +319,7 @@ def _reachable_states(pomdp):
 
 class TestNodeNamesOnlyLabel:
     """Renaming nodes so that one id plus '#' starts another id changes no
-    state count, block count, value, milestone probability or index. No
+    state count of either model, value, milestone probability or index. No
     genscen node is IDS-class, so no renamed id picks a muddle label."""
 
     RENAME = {"n0": "a", "n1": "a#b"}
@@ -327,16 +327,17 @@ class TestNodeNamesOnlyLabel:
     @staticmethod
     def _outcome(inputs):
         pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
-        solved = value_iteration(pomdp)
-        p_n = milestone_probabilities(pomdp, solved.policy)
+        flags = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, inventory=False)
+        solved = value_iteration(flags)
+        p_n = milestone_probabilities(flags, solved.policy)
         index = run_campaign(inputs).campaign.index
-        return len(pomdp.states), solved.blocks, solved.value, p_n, index
+        return len(pomdp.states), len(flags.states), solved.value, p_n, index
 
     def _assert_same(self, original, renamed):
         """Compare the two outcomes and return the renamed one."""
-        states, blocks, value, p_n, index = self._outcome(original)
-        outcome = states2, blocks2, value2, p_n2, index2 = self._outcome(renamed)
-        assert (states2, blocks2) == (states, blocks)
+        states, flag_sets, value, p_n, index = self._outcome(original)
+        outcome = states2, flag_sets2, value2, p_n2, index2 = self._outcome(renamed)
+        assert (states2, flag_sets2) == (states, flag_sets)
         assert value2 == pytest.approx(value, rel=0, abs=1e-12)
         assert p_n2.keys() == p_n.keys()
         for step, p in p_n.items():

@@ -8,11 +8,13 @@ from cri.errors import CapacityError, CriError
 from cri.index import parse_countermeasures
 from cri.pomdp import (
     build_pomdp,
+    compile_policy,
     milestone_probabilities,
     reweight_pomdp,
     value_iteration,
 )
-from cri.pomdp.solve import _quotient, qmdp_bounds
+from cri.pomdp.solve import qmdp_bounds
+from cri.simulate import estimate_expected_reward
 from cri.pomdp.types import AttackerAction, NetworkState, Pomdp, support_key
 from conftest import SCENARIO
 from genscen import chain_scenario, random_pomdp, random_scenario
@@ -21,9 +23,11 @@ from solveoracle import (
     Belief,
     InconsistentObservation,
     belief_update,
+    flag_blocks,
     lump,
     lump_blocks,
     policy_value,
+    quotient,
     unlumped_solve,
     unpruned_solve,
 )
@@ -333,23 +337,43 @@ def _graph(policy):
     return [(n.action, n.key, n.children) for n in policy.nodes]
 
 
+def _models(inputs, flow=None, **kwargs):
+    """The model of `flow` (by default the first) that tracks inventory,
+    and its flag model."""
+    flow = flow or inputs.flows[0]
+    return (
+        build_pomdp(flow, inputs.network, inputs.ti, **kwargs),
+        build_pomdp(flow, inputs.network, inputs.ti, inventory=False, **kwargs),
+    )
+
+
+def _walk_graph(full, flags, solved):
+    """The graph a walk follows: `solved`'s choices on the flag model,
+    compiled over the model that tracks inventory."""
+    return compile_policy(full, solved.chosen.get, full.horizon, flags)
+
+
 class TestLumpedSolve:
-    def _assert_same_as_unlumped(self, pomdp):
-        result = value_iteration(pomdp)
-        value, policy, _ = unlumped_solve(pomdp)
+    """The flag model's solve, with its choices compiled over the model
+    that tracks inventory, against the unpruned search on that model's own
+    states."""
+
+    def _assert_same_as_unlumped(self, full, flags):
+        result = value_iteration(flags)
+        value, policy, _ = unlumped_solve(full)
         assert result.value == value
-        assert _graph(result.policy) == _graph(policy)
-        assert milestone_probabilities(pomdp, result.policy) == milestone_probabilities(
-            pomdp, policy
+        assert _graph(_walk_graph(full, flags, result)) == _graph(policy)
+        assert milestone_probabilities(flags, result.policy) == milestone_probabilities(
+            full, policy
         )
         return result
 
     def test_fixture_flows_match_unlumped_solve(self, scenario):
         counts = {}
         for flow in scenario.flows:
-            pomdp = build_pomdp(flow, scenario.network, scenario.ti)
-            result = self._assert_same_as_unlumped(pomdp)
-            counts[flow.id] = (len(pomdp.states), result.blocks, unpruned_solve(pomdp)[2])
+            full, flags = _models(scenario, flow)
+            self._assert_same_as_unlumped(full, flags)
+            counts[flow.id] = (len(full.states), len(flags.states), unpruned_solve(flags)[2])
         # unlumped: 22,139 and 5,421 beliefs
         assert counts == {
             "credential_chain": (35, 4, 608),
@@ -359,34 +383,30 @@ class TestLumpedSolve:
     def test_random_scenarios_match_unlumped_solve(self):
         rng = random.Random(3131)
         for _ in range(100):
-            inputs = random_scenario(rng)
-            self._assert_same_as_unlumped(
-                build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
-            )
+            self._assert_same_as_unlumped(*_models(random_scenario(rng)))
 
     def test_random_models_match_unlumped_solve(self):
         rng = random.Random(5151)
         for _ in range(100):
-            self._assert_same_as_unlumped(random_pomdp(rng))
+            pomdp = random_pomdp(rng)
+            self._assert_same_as_unlumped(pomdp, pomdp)
 
     def test_random_models_with_a_twin_state_match_unlumped_solve(self):
         rng = random.Random(6161)
         for _ in range(100):
             pomdp = random_pomdp(rng)
             twinned = _with_twin(pomdp, rng.randrange(len(pomdp.states)))
-            result = self._assert_same_as_unlumped(twinned)
-            # a hand-built model has no `blocks`, so only `lump` merges the twin
-            assert result.blocks == len(twinned.states)
+            result = self._assert_same_as_unlumped(twinned, twinned)
+            # the solver searches the twin as it is; only `lump` merges it
             assert len(lump(twinned).states) < len(twinned.states)
             value, policy, _ = unpruned_solve(twinned)
             assert (value, _graph(policy)) == (result.value, _graph(result.policy))
 
     def test_five_step_chain_solves_under_cap(self):
         # unlumped, this chain raises CapacityError at the default cap
-        inputs = chain_scenario(CHAIN[:5])
-        pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
-        result = value_iteration(pomdp)
-        assert (len(pomdp.states), result.blocks, unpruned_solve(pomdp)[2]) == (105, 6, 12_524)
+        full, flags = _models(chain_scenario(CHAIN[:5]))
+        value_iteration(flags)
+        assert (len(full.states), len(flags.states), unpruned_solve(flags)[2]) == (105, 6, 12_524)
 
     def test_copies_merge_only_on_exact_equality(self):
         pomdp = _two_state_identity()
@@ -402,88 +422,96 @@ class TestLumpedSolve:
             applicable={0: (0,), 1: (0,), 2: (0,)},
             milestones=pomdp.milestones,
         )
-        quotient = lump(copied)
-        assert quotient.states == pomdp.states
-        assert quotient.initial_belief == (0.5, 0.5)
-        assert quotient.transitions == pomdp.transitions
+        lumped = lump(copied)
+        assert lumped.states == pomdp.states
+        assert lumped.initial_belief == (0.5, 0.5)
+        assert lumped.transitions == pomdp.transitions
         # one subnormal apart is enough to keep the copy apart
-        quotient = lump(
+        lumped = lump(
             dataclasses.replace(copied, branch_rewards=copied.branch_rewards | {(2, 0, 2): 5e-324})
         )
-        assert quotient.states == copied.states
+        assert lumped.states == copied.states
 
 
-def _assert_quotients_alike(pomdp):
-    quotient, lumped = _quotient(pomdp), lump(pomdp)
-    assert quotient == lumped
-    assert quotient.rewards == lumped.rewards
+@pytest.fixture(scope="module")
+def pinned_pairs():
+    """The models of `test_build_pins` that build, reduced and naive:
+    (naive, the model that tracks inventory, its flag model)."""
+    pairs = []
+    for _, inputs, flow in pinned_cases():
+        for naive in (False, True):
+            try:
+                pairs.append((naive, *_models(inputs, flow, naive=naive)))
+            except CriError:
+                pass
+    return pairs
 
 
-def _pinned_models(naive):
-    """The models of `test_build_pins` that build in the given mode."""
+def _reduced_corpus(scenario, inventory):
+    """The reduced-mode models of `test_build_pins` and the fixture flows
+    re-weighted under each fixture countermeasure, built with
+    `inventory`."""
+    models = []
     for _, inputs, flow in pinned_cases():
         try:
-            yield build_pomdp(flow, inputs.network, inputs.ti, naive=naive)
+            models.append(build_pomdp(flow, inputs.network, inputs.ti, inventory=inventory))
         except CriError:
             pass
-
-
-def _reduced_corpus(scenario):
-    """The reduced-mode models of `test_build_pins` and the fixture flows
-    re-weighted under each fixture countermeasure."""
-    models = list(_pinned_models(naive=False))
-    fixture = [build_pomdp(flow, scenario.network, scenario.ti) for flow in scenario.flows]
+    fixture = [
+        build_pomdp(flow, scenario.network, scenario.ti, inventory=inventory)
+        for flow in scenario.flows
+    ]
     for cm in parse_countermeasures((SCENARIO / "countermeasures.json").read_text()):
         models += [reweight_pomdp(base, scaled(scenario.ti, cm)) for base in fixture]
     return models
 
 
-class TestBuilderPartition:
-    """The builder's `blocks`, one per set of flag bits, against `lump`'s
-    coarsest bisimulation, which is found without them."""
+class TestFlagPartition:
+    """`flag_blocks`, the partition the flag model merges the model that
+    tracks inventory by, against `lump`'s coarsest bisimulation, which is
+    found without it."""
 
-    def test_reduced_models_quotient_as_lump_does(self, scenario):
-        models = _reduced_corpus(scenario)
+    def test_reduced_models_partition_as_lump_does(self, scenario):
+        models = _reduced_corpus(scenario, inventory=True)
         for pomdp in models:
-            _assert_quotients_alike(pomdp)
+            assert flag_blocks(pomdp) == lump_blocks(pomdp)
         assert len(models) == 412
 
-    def test_naive_blocks_lie_inside_lump_blocks(self):
+    def test_naive_flag_blocks_lie_inside_lump_blocks(self, pinned_pairs):
         finer = beliefs = 0
-        for pomdp in _pinned_models(naive=True):
-            coarsest = lump_blocks(pomdp)
-            if pomdp.blocks == coarsest:
-                _assert_quotients_alike(pomdp)
+        for full in (full for naive, full, _ in pinned_pairs if naive):
+            blocks, coarsest = flag_blocks(full), lump_blocks(full)
+            if blocks == coarsest:
                 continue
             # the naive grid holds flag sets no state reaches, which `lump`
             # may merge with others
             finer += 1
-            assert len(set(zip(pomdp.blocks, coarsest))) == len(set(pomdp.blocks))
-            result = value_iteration(pomdp)
-            lumped = value_iteration(dataclasses.replace(pomdp, blocks=coarsest))
+            assert len(set(zip(blocks, coarsest))) == len(set(blocks))
+            result = value_iteration(quotient(full, blocks))
+            lumped = value_iteration(quotient(full, coarsest))
             assert result.value == lumped.value
             assert result.reachable_beliefs == lumped.reachable_beliefs
             beliefs += result.reachable_beliefs
         assert (finer, beliefs) == (99, 962)
 
 
-def _assert_renumbered(quotient, flags):
-    """`quotient` and `flags` are one model up to the order of their
+def _assert_renumbered(merged, flags):
+    """`merged` and `flags` are one model up to the order of their
     states, which are matched by their flags."""
     where = {state.flags: i for i, state in enumerate(flags.states)}
-    new = [where[state.flags] for state in quotient.states]
+    new = [where[state.flags] for state in merged.states]
     assert sorted(new) == list(range(len(flags.states)))
     assert all(state.compromised == () for state in flags.states)
-    assert (quotient.actions, quotient.observations, quotient.horizon, quotient.milestones) == (
+    assert (merged.actions, merged.observations, merged.horizon, merged.milestones) == (
         flags.actions, flags.observations, flags.horizon, flags.milestones
     )
-    assert [flags.initial_belief[new[b]] for b in range(len(new))] == list(quotient.initial_belief)
-    assert quotient.transitions.keys() == {(new[b], a) for b, a in flags.transitions}
-    for (b, a), row in quotient.transitions.items():
+    assert [flags.initial_belief[new[b]] for b in range(len(new))] == list(merged.initial_belief)
+    assert merged.transitions.keys() == {(new[b], a) for b, a in flags.transitions}
+    for (b, a), row in merged.transitions.items():
         assert tuple(sorted((new[n], p) for n, p in row)) == flags.transitions[(new[b], a)]
-        assert quotient.observation_probs[(b, a)] == flags.observation_probs[(new[b], a)]
-        assert quotient.rewards[(b, a)].hex() == flags.rewards[(new[b], a)].hex()
-    assert {b: quotient.applicable[b] for b in range(len(new))} == {
+        assert merged.observation_probs[(b, a)] == flags.observation_probs[(new[b], a)]
+        assert merged.rewards[(b, a)].hex() == flags.rewards[(new[b], a)].hex()
+    assert {b: merged.applicable[b] for b in range(len(new))} == {
         b: flags.applicable[new[b]] for b in range(len(new))
     }
 
@@ -493,43 +521,61 @@ def _hex(probabilities):
 
 
 class TestFlagModel:
-    """`build_pomdp(..., inventory=False)`, the model an exact run solves,
-    against `_quotient` of the model that tracks inventory."""
+    """`build_pomdp(..., inventory=False)`, the model every run solves,
+    against the model that tracks inventory merged by `flag_blocks`; and
+    the walk's graph, compiled over the model that tracks inventory from
+    the flag model's choices."""
 
-    def test_pinned_models_are_the_quotient_and_solve_alike(self):
+    def test_pinned_models_are_the_flag_quotient_and_solve_alike(self, pinned_pairs):
         compared = smaller = 0
-        for _, inputs, flow in pinned_cases():
-            for naive in (False, True):
-                try:
-                    full = build_pomdp(flow, inputs.network, inputs.ti, naive=naive)
-                except CriError:
-                    continue
-                flags = build_pomdp(flow, inputs.network, inputs.ti, naive=naive, inventory=False)
-                assert flags.blocks is None
-                _assert_renumbered(_quotient(full), flags)
-                solved, flag_solved = value_iteration(full), value_iteration(flags)
-                assert flag_solved.value.hex() == solved.value.hex()
-                assert (flag_solved.reachable_beliefs, flag_solved.pruned, flag_solved.blocks) == (
-                    solved.reachable_beliefs, solved.pruned, solved.blocks
-                )
-                assert _hex(milestone_probabilities(flags, flag_solved.policy)) == _hex(
-                    milestone_probabilities(full, solved.policy)
-                )
-                assert repr(_normalized_reward(flags, flag_solved.value)) == repr(
-                    _normalized_reward(full, solved.value)
-                )
-                assert policy_value(flags, flag_solved.policy) == flag_solved.value
-                compared += 1
-                smaller += len(flag_solved.policy.nodes) < len(solved.policy.nodes)
+        for _, full, flags in pinned_pairs:
+            merged = quotient(full, flag_blocks(full))
+            _assert_renumbered(merged, flags)
+            solved, flag_solved = value_iteration(merged), value_iteration(flags)
+            assert flag_solved.value.hex() == solved.value.hex()
+            assert (flag_solved.reachable_beliefs, flag_solved.pruned) == (
+                solved.reachable_beliefs, solved.pruned
+            )
+            walk = _walk_graph(full, flags, flag_solved)
+            assert _hex(milestone_probabilities(flags, flag_solved.policy)) == _hex(
+                milestone_probabilities(full, walk)
+            )
+            assert repr(_normalized_reward(flags, flag_solved.value)) == repr(
+                _normalized_reward(full, flag_solved.value)
+            )
+            assert policy_value(flags, flag_solved.policy) == flag_solved.value
+            assert policy_value(full, walk) == flag_solved.value
+            compared += 1
+            smaller += len(flag_solved.policy.nodes) < len(walk.nodes)
         assert (compared, smaller) == (704, 13)
 
 
+class TestWalkGuide:
+    """The walk's graph, guided by the flag model, against the oracle's
+    graph over the same model guided by `lump`'s quotient."""
+
+    def test_pinned_models_compile_the_lump_guided_graph(self, pinned_pairs):
+        compared = walked = 0
+        for i, (_, full, flags) in enumerate(pinned_pairs):
+            walk = _walk_graph(full, flags, value_iteration(flags))
+            _, oracle, _ = unpruned_solve(full)
+            assert walk.nodes == oracle.nodes
+            compared += 1
+            if i % 20 == 0:
+                seeded = estimate_expected_reward(full, walk, 64, seed=i)
+                again = estimate_expected_reward(full, oracle, 64, seed=i)
+                assert [r.hex() for r in seeded.rewards] == [r.hex() for r in again.rewards]
+                assert seeded.p_n_estimates == again.p_n_estimates
+                walked += 1
+        assert (compared, walked) == (704, 36)
+
+
 class TestSolveValue:
-    """`value_iteration` reads V* off the expectimax over the quotient; the
-    graph it compiles over the model's own states must earn that value."""
+    """`value_iteration` reads V* off the expectimax; the graph it
+    compiles over the model's own states must earn that value."""
 
     def test_policy_graph_earns_v_star_on_pinned_models(self, scenario):
-        models = _reduced_corpus(scenario)
+        models = _reduced_corpus(scenario, inventory=False)
         for pomdp in models:
             result = value_iteration(pomdp)
             assert policy_value(pomdp, result.policy) == result.value
@@ -561,9 +607,9 @@ class TestModelRewards:
 
     def _assert_rewards(self, pomdp):
         assert {k: r.hex() for k, r in pomdp.rewards.items()} == _folded_rewards(pomdp)
-        quotient = lump(pomdp)
-        for (b, a), r in quotient.rewards.items():
-            rep = pomdp.states.index(quotient.states[b])
+        lumped = lump(pomdp)
+        for (b, a), r in lumped.rewards.items():
+            rep = pomdp.states.index(lumped.states[b])
             assert r == pomdp.rewards[(rep, a)]
         # read above, so a stale cache would show here
         doubled = _scaled(pomdp, 2.0)
@@ -651,7 +697,7 @@ class TestPrunedSolve:
         counts = {}
         for inputs in (scenario, scenario_isolated):
             for flow in inputs.flows:
-                pomdp = build_pomdp(flow, inputs.network, inputs.ti)
+                pomdp = build_pomdp(flow, inputs.network, inputs.ti, inventory=False)
                 result = self._assert_same_as_unpruned(pomdp)
                 counts[flow.id, inputs is scenario] = result.reachable_beliefs
         # unpruned: 608, 385 and 351 beliefs
@@ -666,7 +712,7 @@ class TestPrunedSolve:
         for _ in range(200):
             inputs = random_scenario(rng)
             self._assert_same_as_unpruned(
-                build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+                build_pomdp(inputs.flows[0], inputs.network, inputs.ti, inventory=False)
             )
 
     def test_tree_scenarios_match_unpruned_solve(self):
@@ -674,7 +720,7 @@ class TestPrunedSolve:
         for _ in range(100):
             inputs = random_scenario(rng, tree=True)
             self._assert_same_as_unpruned(
-                build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+                build_pomdp(inputs.flows[0], inputs.network, inputs.ti, inventory=False)
             )
 
     @pytest.mark.parametrize("factor", [1.0, 1e9, 1e-9])
@@ -701,7 +747,9 @@ class TestPrunedSolve:
     @pytest.mark.parametrize("steps", [3, 4, 5])
     def test_chains_match_unpruned_solve(self, steps):
         inputs = chain_scenario(CHAIN[:steps])
-        self._assert_same_as_unpruned(build_pomdp(inputs.flows[0], inputs.network, inputs.ti))
+        self._assert_same_as_unpruned(
+            build_pomdp(inputs.flows[0], inputs.network, inputs.ti, inventory=False)
+        )
 
     def test_bound_covers_wasted_moves(self):
         pomdp = _forced_wasted_move()
@@ -724,8 +772,12 @@ class TestPrunedSolve:
     def test_chain_belief_counts(self):
         counts = {}
         for steps in (5, 6):
-            inputs = chain_scenario(CHAIN[:steps])
-            result = value_iteration(build_pomdp(inputs.flows[0], inputs.network, inputs.ti))
-            counts[steps] = (result.blocks, result.reachable_beliefs, len(result.policy.nodes))
-        # unpruned: 12,524 and 52,918 beliefs
-        assert counts == {5: (6, 903, 52), 6: (7, 3_392, 68)}
+            full, flags = _models(chain_scenario(CHAIN[:steps]))
+            result = value_iteration(flags)
+            counts[steps] = (
+                len(flags.states), result.reachable_beliefs,
+                len(result.policy.nodes), len(_walk_graph(full, flags, result).nodes),
+            )
+        # unpruned: 12,524 and 52,918 beliefs; the walk's graph is over the
+        # model that tracks inventory
+        assert counts == {5: (6, 903, 50, 52), 6: (7, 3_392, 66, 68)}

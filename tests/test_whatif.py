@@ -137,7 +137,8 @@ class TestRunWhatifOracle:
         deltas = list(run_whatif(scenario, fixture_measures(), cfg))
         # pinned before exact runs moved to the flag model
         assert [d.index_after for d in deltas] == after
-        assert built == [35, 313]
+        # each flow's flag model, then the model its walk follows
+        assert built == [4, 35, 75, 313]
 
     def test_random_scenarios(self, monkeypatch):
         rng = random.Random(5150)
@@ -200,15 +201,12 @@ def reweighted(base, flow, net, new_ti, inventory=True):
     fresh = build_pomdp(flow, net, new_ti, inventory=inventory)
     assert derived.dump() == fresh.dump()
     assert derived.rewards == fresh.rewards
-    assert derived.blocks == fresh.blocks
     return derived
 
 
 def shares_skeleton(base, derived):
     """Whether `derived` was re-weighted from `base` rather than rebuilt."""
     names = ["states", "applicable", "branch_rewards", "observations"]
-    if base.blocks is not None:
-        names.append("blocks")
     kept = [getattr(derived, name) is getattr(base, name) for name in names]
     assert all(kept) or not any(kept)
     return all(kept)
@@ -315,18 +313,16 @@ class TestReweightPomdp:
         assert reweighted(dns_base, dns, scenario.network, new_ti) is dns_base
 
     def test_flag_models_reweight_and_rebuild_as_flag_models(self, scenario):
-        """An exact run re-weights flag models; where the structure can
-        move, the fallback must build a flag model again."""
+        """Every run re-weights flag models; where the structure can move,
+        the fallback must build a flag model again."""
         to_zero = Countermeasure(id="to-zero", d3fend_group="harden",
                                  technique_id="T1078", p_success_multiplier=0.0)
         paths = {True: 0, False: 0}
         for flow in scenario.flows:
             base = build_pomdp(flow, scenario.network, scenario.ti, inventory=False)
-            assert base.blocks is None
             for cm in [*fixture_measures(), to_zero]:
                 new_ti = scaled(scenario.ti, cm)
                 derived = reweighted(base, flow, scenario.network, new_ti, inventory=False)
-                assert derived.blocks is None
                 paths[shares_skeleton(base, derived)] += 1
         assert paths[True] > 0 and paths[False] > 0
 
