@@ -26,7 +26,7 @@ from .engine import EngineConfig, RunOutput, run_campaign, run_whatif
 from .errors import CriError
 from .index import IndexLedger, parse_countermeasures, record_index
 from .ingest import RawBundle, parse_bool, parse_network, read_input, validate_bundle
-from .pomdp import complexity_report
+from .pomdp import build_pomdp, complexity_report
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 _INPUTS = ("network", "flows", "policies", "ti")
@@ -340,12 +340,14 @@ def whatif(cm_path, **kwargs):
 def complexity(**kwargs):
     """Print worst-case versus actually-built model sizes. With flows and
     threat intel the inputs are read and checked as `calc` reads them, and
-    the built models' sizes are reported too; otherwise only the bounds."""
+    the sizes of the models that track inventory are reported too (`calc`
+    reports those it built); otherwise only the bounds."""
     config = _read_config_file(kwargs["config"])
     paths = _input_paths(config, kwargs, required=("network",))
     if paths["flows"] and paths["ti"]:
         inputs, _ = _load_bundle(paths, allow_defaults=False)
-        report = complexity_report(inputs.network, inputs.flows, inputs.ti)
+        models = [build_pomdp(f, inputs.network, inputs.ti) for f in inputs.flows]
+        report = complexity_report(inputs.network, inputs.flows, models)
     else:
         flow_paths = _collect(Path(paths["flows"]), ".json") if paths["flows"] else []
         report = complexity_report(

@@ -6,14 +6,15 @@ raw threat-intel base rates straight through the flow DAG; the "validated"
 series runs the attacker emulation (solver and/or Monte Carlo) first and
 combines the resulting milestone probabilities.
 
-Every run solves each flow's flag model (`build_pomdp(..., inventory=False)`),
-whose states are their flag sets. A run that walks Monte Carlo episodes
-also builds the model that tracks inventory, whose rows the seeded draws
-follow, and walks the policy graph compiled over it from the flag model's
-choices.
+`run_campaign` builds each flow's flag model (`build_pomdp(...,
+inventory=False)`), whose states are their flag sets, and solves it. It
+also builds the model that tracks inventory, whose sizes the complexity
+report reads; a run that walks Monte Carlo episodes walks the policy
+graph compiled over it from the flag model's choices.
 
-`run_whatif` evaluates countermeasures against one baseline run: it
-re-weights each flow's baseline models with the scaled probabilities
+`run_whatif` evaluates countermeasures against one baseline run, building
+inventory models only to walk them: it re-weights each flow's baseline
+models with the scaled probabilities
 (`reweight_pomdp`, which builds a model afresh only where its structure
 could move) and re-solves only the flows whose models the countermeasure
 changes.
@@ -142,62 +143,62 @@ def _normalized_reward(pomdp, value: float) -> float | None:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
-def _naive_check(flow, net, ti, cfg, reduced, reduced_value) -> str:
-    """Check `reduced`, the run's walk model or else its flag model,
-    against the naive grid of its kind, which gives the reachable set and
-    the size a skip reports. V* is checked on the naive flag grid, since
-    a model that tracks inventory would be solved unreduced."""
+def _naive_check(flow, net, ti, cfg, flags, walk, value) -> str:
+    """Check `flags`, the flow's flag model, against its naive flag grid:
+    the reachable set and V* (`value`). Then check the reachable set of
+    `walk`, the model the run walks, if any, against the naive grid that
+    tracks inventory. A grid above the size cap skips its comparison; the
+    flag grid's skips the walk model's too, whose grid is no smaller."""
     try:
-        naive = build_pomdp(
-            flow, net, ti, horizon=cfg.horizon, naive=True, inventory=_walks(cfg)
-        )
+        naive = build_pomdp(flow, net, ti, horizon=cfg.horizon, naive=True, inventory=False)
     except CapacityError as exc:
         return f"skipped: {exc}"
-    reduced_set = set(reduced.states)
-    naive_reachable = _reachable_under(naive)
-    if naive_reachable != reduced_set:
-        raise ModelError(
-            f"flow {flow.id}: naive reachable set ({len(naive_reachable)}) differs "
-            f"from reduced state set ({len(reduced_set)})"
-        )
-    if _walks(cfg):
-        naive = build_pomdp(flow, net, ti, horizon=cfg.horizon, naive=True, inventory=False)
+    _check_reachable(flow, naive, flags)
     naive_value = value_iteration(naive).value
-    if abs(naive_value - reduced_value) > 1e-9:
-        raise ModelError(
-            f"flow {flow.id}: naive value {naive_value} != reduced {reduced_value}"
-        )
+    if abs(naive_value - value) > 1e-9:
+        raise ModelError(f"flow {flow.id}: naive value {naive_value} != reduced {value}")
+    if walk is None:
+        return "ok"
+    try:
+        naive = build_pomdp(flow, net, ti, horizon=cfg.horizon, naive=True)
+    except CapacityError as exc:
+        return f"flag model ok; walk model skipped: {exc}"
+    _check_reachable(flow, naive, walk)
     return "ok"
 
 
-def _reachable_under(pomdp) -> set:
-    seen = {i for i, p in enumerate(pomdp.initial_belief) if p > 0.0}
+def _check_reachable(flow, naive, reduced) -> None:
+    """Raise unless the states reachable in `naive` are those of `reduced`."""
+    seen = {i for i, p in enumerate(naive.initial_belief) if p > 0.0}
     frontier = list(seen)
     while frontier:
         s = frontier.pop()
-        for a in pomdp.applicable.get(s, ()):
-            for s2, p in pomdp.transitions[(s, a)]:
+        for a in naive.applicable.get(s, ()):
+            for s2, p in naive.transitions[(s, a)]:
                 if p > 0.0 and s2 not in seen:
                     seen.add(s2)
                     frontier.append(s2)
-    return {pomdp.states[i] for i in seen}
+    if {naive.states[i] for i in seen} != set(reduced.states):
+        raise ModelError(
+            f"flow {flow.id}: naive reachable set ({len(seen)}) differs "
+            f"from reduced state set ({len(reduced.states)})"
+        )
 
 
 def _walks(cfg: EngineConfig) -> bool:
-    """Whether the run walks Monte Carlo episodes, and so builds the model
-    that tracks compromised inventory, whose rows its seeded draws follow,
-    next to the flag model every run solves."""
+    """Whether the run walks Monte Carlo episodes over the inventory model."""
     return cfg.mode != "exact"
 
 
 def _build(
-    flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig
+    flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig, inventory: bool
 ) -> tuple[Pomdp, Pomdp | None]:
-    """The flag model of `flow`, and its walk model when the run walks."""
+    """The flag model of `flow`, which every run solves, and its model
+    that tracks inventory when `inventory`."""
     logger.info("building model for flow %s", flow.id)
     flags = build_pomdp(flow, net, ti, horizon=cfg.horizon, inventory=False)
-    walk = build_pomdp(flow, net, ti, horizon=cfg.horizon) if _walks(cfg) else None
-    return flags, walk
+    full = build_pomdp(flow, net, ti, horizon=cfg.horizon) if inventory else None
+    return flags, full
 
 
 def _run_flow(
@@ -237,7 +238,7 @@ def _run_flow(
 
     naive_note = None
     if cfg.naive_check:
-        naive_note = _naive_check(flow, net, ti, cfg, walk or flags, solved.value)
+        naive_note = _naive_check(flow, net, ti, cfg, flags, walk, solved.value)
 
     return FlowReport(
         flow_id=flow.id,
@@ -265,9 +266,11 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
 
     flow_reports: list[FlowReport] = []
     assumed_results: list[FlowResult] = []
+    full_models: list[Pomdp] = []
     for flow in inputs.flows:
-        # no name holds the models, so they are freed before the next are built
-        flow_reports.append(_run_flow(flow, net, inputs.ti, *_build(flow, net, inputs.ti, cfg), cfg))
+        flags, full = _build(flow, net, inputs.ti, cfg, inventory=True)
+        flow_reports.append(_run_flow(flow, net, inputs.ti, flags, full if _walks(cfg) else None, cfg))
+        full_models.append(full)
         base = assumed_p_n(flow, net, inputs.ti)
         assumed_results.append(
             FlowResult(
@@ -294,7 +297,7 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
         [fr.result for fr in flow_reports], cfg.campaign_id, provenance
     )
     assumed = campaign_cri(assumed_results, cfg.campaign_id, dict(provenance, series="assumed"))
-    complexity = asdict(complexity_report(net, inputs.flows, inputs.ti))
+    complexity = asdict(complexity_report(net, inputs.flows, full_models))
     return RunOutput(
         campaign=campaign,
         assumed=assumed,
@@ -316,7 +319,7 @@ def run_whatif(
     baseline result; the others are solved again."""
     cfg = cfg or EngineConfig()
     net = inputs.network
-    models = [_build(flow, net, inputs.ti, cfg) for flow in inputs.flows]
+    models = [_build(flow, net, inputs.ti, cfg, _walks(cfg)) for flow in inputs.flows]
     baseline = [
         _run_flow(flow, net, inputs.ti, flags, walk, cfg).result
         for flow, (flags, walk) in zip(inputs.flows, models)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ..attack_flow import AttackFlow
 from ..errors import ValidationError
 from ..netmodel import NetworkModel
-from ..threat_intel import TiTable
-from .build import build_pomdp
-from .types import ComplexityEstimate, OBSERVATIONS
+from .types import ComplexityEstimate, OBSERVATIONS, Pomdp
 
 _NOTE = (
     "worst_states counts (2^|I|-1) inventory subsets per node (the "
@@ -57,23 +57,18 @@ def complexity_from_sizes(
 def complexity_report(
     net: NetworkModel,
     flows: list[AttackFlow],
-    ti: TiTable | None = None,
+    models: Sequence[Pomdp] = (),
 ) -> ComplexityEstimate:
-    """Worst-case bounds for the scenario; when threat intel is supplied the
-    reduced models are built and their actual sizes reported side by side.
-    `reduced_states` counts the states of the model that tracks compromised
-    inventory, which only a Monte Carlo walk builds now: every run solves
-    the smaller flag model (`build_pomdp(..., inventory=False)`).
-    A flow that cannot be built raises its `CriError`, as it does in `calc`."""
+    """Worst-case bounds for the scenario; when the flows' built models are
+    supplied their actual sizes are reported side by side. `models` are
+    the models that track compromised inventory (`build_pomdp(flow, net,
+    ti)`), so `reduced_states` counts their states, not those of the
+    smaller flag models every run solves."""
     max_inventory = max((len(n.inventory) for n in net.nodes.values()), default=0)
     num_actions = sum(len(f.nodes) for f in flows)
     estimate = complexity_from_sizes(len(net.nodes), max_inventory, num_actions)
-    if ti is not None and flows:
-        models = [build_pomdp(f, net, ti) for f in flows]
+    if models:
         estimate.reduced_states = sum(len(m.states) for m in models)
         estimate.reduced_actions = sum(len(m.actions) for m in models)
-        labels = set()
-        for m in models:
-            labels.update(m.observations)
-        estimate.reduced_observations = len(labels)
+        estimate.reduced_observations = len({o for m in models for o in m.observations})
     return estimate

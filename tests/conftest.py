@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import cri.engine
 from cri.ingest import RawBundle, validate_bundle
 from cri.pomdp import compile_policy
 
@@ -52,3 +53,20 @@ def rng():
 def fixed_policy(pomdp, action: int | None, horizon: int):
     """Test helper: play one action index at every belief."""
     return compile_policy(pomdp, lambda key: action, horizon)
+
+
+class CallCounter:
+    """Counts calls through `module`'s references to layer functions
+    (`cri.engine`'s by default)."""
+
+    def __init__(self, monkeypatch, *names, module=cri.engine):
+        self.calls = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(module, name, self._wrap(name, getattr(module, name)))
+
+    def _wrap(self, name, fn):
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted

@@ -101,7 +101,7 @@ def test_04_worst_case_formulas(scenario):
     for _, inputs in (single_step(), and_chain(), noisy_sensor()):
         fixtures.append((inputs.network, inputs.flows, inputs.ti))
     for net, flows, ti in fixtures:
-        est = complexity_report(net, flows, ti)
+        est = complexity_report(net, flows, [build_pomdp(f, net, ti) for f in flows])
         assert est.comp_state_obs == est.worst_states * est.num_actions * est.worst_states * est.num_observations
         assert est.c_statetrans == est.worst_states * est.num_actions * est.worst_states
     _report("4 worst-case-formulas (state_space_size + complexity identities)")

@@ -152,18 +152,18 @@ class TestCalc:
         }
 
     def test_naive_check_in_both_mode_compares_the_full_models(self, tmp_path):
-        # a walk needs the model that tracks inventory, and its naive grid
-        # spans every inventory subset too
+        # the flag model is checked as in exact mode; the walk model's naive
+        # grid spans every inventory subset too, and is skipped above the cap
         result = run_cli(
             "calc", *calc_args(tmp_path / "out", mode="both", episodes="200"), "--naive-check"
         )
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "out" / "campaign_report.json").read_text())
         assert {f["flow_id"]: f["naive_check"] for f in report["flows"]} == {
-            "credential_chain": "skipped: naive state space above cap "
-                                "(estimated size 28334198897217871282176)",
+            "credential_chain": "flag model ok; walk model skipped: naive state space "
+                                "above cap (estimated size 28334198897217871282176)",
             "dns_injection": "skipped: naive state space above cap "
-                             "(estimated size 9284550294640352061743431680)",
+                             "(estimated size 2013265920)",
         }
 
 
@@ -506,6 +506,22 @@ class TestComplexityCommand:
         assert calc.exit_code == 0, calc.output
         report = json.loads((tmp_path / "out" / "campaign_report.json").read_text())
         assert json.loads(result.stdout) == report["complexity"]
+
+    @pytest.mark.parametrize(
+        "flags", [["--mode", "exact"], ["--mode", "both", "--episodes", "200"], ["--horizon", "9"]]
+    )
+    def test_agrees_with_calc_on_the_config(self, tmp_path, monkeypatch, flags):
+        # calc reports the models it built with its --horizon; the command
+        # builds its own with the default horizon, which sets no size
+        monkeypatch.chdir(REPO_ROOT)
+        config = "fixtures/scenario/config.txt"
+        printed = run_cli("complexity", "--config", config)
+        assert printed.exit_code == 0, printed.output
+        calc = run_cli("calc", "--config", config, "--out", str(tmp_path / "out"), *flags)
+        assert calc.exit_code == 0, calc.output
+        block = json.loads((tmp_path / "out" / "campaign_report.json").read_text())["complexity"]
+        assert block["reduced_states"] is not None
+        assert json.loads(printed.stdout) == block
 
     def test_two_node_toy(self, tmp_path):
         net = tmp_path / "toy.graphml"

@@ -6,11 +6,12 @@ import sys
 import pytest
 
 import cri.engine
-from conftest import SCENARIO
+import cri.pomdp.build
+from conftest import SCENARIO, CallCounter
 from cri.engine import MODES, EngineConfig, assumed_p_n, run_campaign, run_whatif
 from cri.errors import ModelError
 from cri.index import parse_countermeasures
-from cri.pomdp import build_pomdp, milestone_flag, value_iteration
+from cri.pomdp import build_pomdp, complexity_report, milestone_flag, value_iteration
 from genscen import random_scenario
 from toys import and_chain, single_step
 import random
@@ -108,6 +109,29 @@ class TestRunCampaign:
         report = out.flow_reports[0]
         assert report.result.method == "exact"
         assert report.p_n_exact is not None and report.p_n_simulated is not None
+
+
+class TestRunCampaignWork:
+    """Each flow's flag model and its model that tracks inventory are built
+    once per run, in every mode; the complexity report reads the latter."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_builds_each_flow_twice(self, scenario, monkeypatch, mode):
+        engine = CallCounter(monkeypatch, "build_pomdp", "complexity_report")
+        paths = CallCounter(monkeypatch, "analyze_targets", module=cri.pomdp.build)
+        run_campaign(scenario, EngineConfig(mode=mode, episodes=50, seed=7))
+        builds = 2 * len(scenario.flows)
+        assert engine.calls == {"build_pomdp": builds, "complexity_report": 1}
+        # every build analyses paths, so a third build anywhere would show here
+        assert paths.calls == {"analyze_targets": builds}
+
+    def test_complexity_report_builds_nothing(self, scenario, monkeypatch):
+        models = [build_pomdp(f, scenario.network, scenario.ti) for f in scenario.flows]
+        paths = CallCounter(monkeypatch, "analyze_targets", module=cri.pomdp.build)
+        est = complexity_report(scenario.network, scenario.flows, models)
+        assert paths.calls == {"analyze_targets": 0}
+        assert est.reduced_states == sum(len(m.states) for m in models)
+        assert est.reduced_actions == sum(len(m.actions) for m in models)
 
 
 class TestModelDump:

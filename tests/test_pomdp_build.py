@@ -384,7 +384,8 @@ class TestComplexityReport:
         assert est.comp_state_obs == 0
 
     def test_reference_reduction(self, scenario):
-        est = complexity_report(scenario.network, scenario.flows, scenario.ti)
+        models = [build_pomdp(f, scenario.network, scenario.ti) for f in scenario.flows]
+        est = complexity_report(scenario.network, scenario.flows, models)
         assert est.worst_states == 15**12
         assert est.reduced_states is not None
         assert est.reduced_states < 10**4

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import cri.engine
-from conftest import SCENARIO
+from conftest import SCENARIO, CallCounter
 from cri.engine import EngineConfig, run_campaign, run_whatif
 from cri.index import Countermeasure, CountermeasureDelta, parse_countermeasures
 from cri.ingest import ValidatedInputs
@@ -86,22 +86,6 @@ def random_measures(rng, inputs):
             )
         )
     return measures
-
-
-class CallCounter:
-    """Counts calls through `cri.engine`'s references to layer functions."""
-
-    def __init__(self, monkeypatch, *names):
-        self.calls = dict.fromkeys(names, 0)
-        for name in names:
-            monkeypatch.setattr(cri.engine, name, self._wrap(name, getattr(cri.engine, name)))
-
-    def _wrap(self, name, fn):
-        def counted(*args, **kwargs):
-            self.calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
 
 
 class TestRunWhatifOracle:
