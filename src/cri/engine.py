@@ -7,10 +7,10 @@ series runs the attacker emulation (solver and/or Monte Carlo) first and
 combines the resulting milestone probabilities.
 
 `run_campaign` builds each flow's flag model (`build_pomdp(...,
-inventory=False)`), whose states are their flag sets, and solves it. It
-also builds the model that tracks inventory, whose sizes the complexity
-report reads; a run that walks Monte Carlo episodes walks the policy
-graph compiled over it from the flag model's choices.
+inventory=False)`), whose states are their flag sets, and solves it into
+one policy graph. It also builds the model that tracks inventory, whose
+sizes the complexity report reads; a run that walks Monte Carlo episodes
+samples that model's rows while it follows the flag model's graph.
 
 `run_whatif` evaluates countermeasures against one baseline run, building
 inventory models only to walk them: it re-weights each flow's baseline
@@ -44,7 +44,6 @@ from .netmodel import NetworkModel
 from .pomdp import (
     Pomdp,
     build_pomdp,
-    compile_policy,
     complexity_report,
     milestone_probabilities,
     reweight_pomdp,
@@ -205,9 +204,9 @@ def _run_flow(
     flow: AttackFlow, net: NetworkModel, ti: TiTable,
     flags: Pomdp, walk: Pomdp | None, cfg: EngineConfig,
 ) -> FlowReport:
-    """Solve `flags`, the flag model of `flow` over `net` and `ti`, read
-    out its milestones and/or walk `walk`, the flow's model that tracks
-    inventory, under the same choices."""
+    """Solve `flags`, the flag model of `flow` over `net` and `ti`, and
+    read its milestones off the policy graph and/or walk that graph on
+    `walk`, the flow's model that tracks inventory."""
     solved = value_iteration(flags)
     logger.info(
         "flow %s: %d states, %d actions, %d reachable beliefs, "
@@ -223,8 +222,7 @@ def _run_flow(
     if cfg.mode in ("exact", "both"):
         p_exact = milestone_probabilities(flags, solved.policy)
     if walk is not None:
-        policy = compile_policy(walk, solved.chosen.get, walk.horizon, flags)
-        summary = estimate_expected_reward(walk, policy, cfg.episodes, cfg.seed)
+        summary = estimate_expected_reward(walk, solved.policy, cfg.episodes, cfg.seed)
         p_sim = summary.p_n_estimates
         intervals = summary.p_n_intervals
 

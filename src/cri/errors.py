@@ -25,11 +25,13 @@ class ModelError(CriError):
 
 
 class CapacityError(CriError):
-    """A requested computation exceeds a configured size cap."""
+    """A requested computation exceeds a configured size cap. `estimate`,
+    when given, is the size the cap was checked against before the work
+    began; the message then ends with it."""
 
-    def __init__(self, message: str, estimate: int):
+    def __init__(self, message: str, estimate: int | None = None):
         self.estimate = estimate
-        super().__init__(f"{message} (estimated size {estimate})")
+        super().__init__(message if estimate is None else f"{message} (estimated size {estimate})")
 
 
 class UsageError(CriError):

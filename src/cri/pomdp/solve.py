@@ -38,12 +38,12 @@ The solved policy is then compiled into a policy graph (Kaelbling,
 Littman & Cassandra 1998) over the model's states: one node per (belief,
 steps left) the policy can reach from the initial belief, holding the
 chosen action and one child per possible observation. The milestone
-readout walks this graph instead of recomputing beliefs. A Monte Carlo
-walk follows the rows of the model that tracks inventory, so its graph is
-compiled over that model from the flag model's choices (`compile_policy`
-with a `guide`). The graph earns V* by construction, so the value is not
-summed over it a second time. `_successors` is the only place belief
-successors are computed.
+readout walks this graph instead of recomputing beliefs, and so does a
+Monte Carlo walk: the flag model is the quotient of the model that tracks
+inventory, so the graph is a policy for that model too, which the walk
+samples. The graph earns V* by construction, so the value is not summed
+over it a second time. `_successors` is the only place belief successors
+are computed.
 """
 
 from __future__ import annotations
@@ -109,55 +109,38 @@ class Policy:
 
 @dataclass
 class SolveResult:
-    """`value` is V*, the expectimax's value of b0 with the horizon left.
-    `chosen` maps every (belief key, steps left) the expectimax expanded
-    to its action, None meaning stop; `reachable_beliefs` counts them, and
-    `pruned` the actions skipped at them because their bound could not
-    win."""
+    """`value` is V*, the expectimax's value of b0 with the horizon left;
+    `reachable_beliefs` counts the (belief, steps left) pairs the
+    expectimax expanded, and `pruned` the actions skipped at them because
+    their bound could not win."""
 
     policy: Policy
     value: float
     reachable_beliefs: int
-    chosen: dict[tuple, int | None]
     pruned: int
 
 
-def compile_policy(
-    pomdp: Pomdp,
-    choose: Callable[[tuple], int | None],
-    horizon: int,
-    guide: Pomdp | None = None,
-) -> Policy:
+def compile_policy(pomdp: Pomdp, choose: Callable[[tuple], int | None], horizon: int) -> Policy:
     """Follow `choose((belief key, steps left))` from b0 through every
     observation and number the beliefs reached. `choose` returns an action
-    index or None to stop; a node with no steps left always stops.
-
-    With a `guide`, a model whose beliefs split by observation as
-    `pomdp`'s do (the flag model of a model that tracks inventory), the
-    walk tracks the matching guide belief alongside each belief, child for
-    child by observation, and `choose` is asked about the guide belief's
-    key."""
+    index or None to stop; a node with no steps left always stops."""
     nodes: list[PolicyNode] = []
     ids: dict[tuple, int] = {}
 
-    def visit(support: Support, guide_support: Support, depth: int) -> int:
+    def visit(support: Support, depth: int) -> int:
         key = (support_key(support), depth)
         if key in ids:
             return ids[key]
-        action = choose((support_key(guide_support), depth)) if depth > 0 else None
+        action = choose(key) if depth > 0 else None
         children = {}
         if action is not None:
-            successors = _successors(pomdp, support, action)
-            guided = {o: child for o, _, child in (
-                successors if guide is None else _successors(guide, guide_support, action)
-            )}
-            for o, mass, child in successors:
-                children[o] = (mass, visit(child, guided[o], depth - 1))
+            for o, mass, child in _successors(pomdp, support, action):
+                children[o] = (mass, visit(child, depth - 1))
         ids[key] = len(nodes)
         nodes.append(PolicyNode(action, key[0], support, children))
         return ids[key]
 
-    visit(pomdp.b0_support(), (guide or pomdp).b0_support(), horizon)
+    visit(pomdp.b0_support(), horizon)
     return Policy(nodes=nodes, horizon=horizon)
 
 
@@ -203,7 +186,7 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | 
         if key in values:
             return values[key]
         if len(values) >= belief_cap:
-            raise CapacityError("reachable belief tree above cap", len(values))
+            raise CapacityError(f"reachable belief tree above its cap of {belief_cap} beliefs")
         if depth == 0:
             values[key] = 0.0
             chosen[key] = None
@@ -247,16 +230,8 @@ def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
         value, chosen, pruned = expectimax(pomdp, belief_cap)
         policy = compile_policy(pomdp, chosen.get, pomdp.horizon)
     except RecursionError as exc:
-        raise CapacityError(
-            f"horizon {pomdp.horizon} nests the belief search too deeply", pomdp.horizon
-        ) from exc
-    return SolveResult(
-        policy=policy,
-        value=value,
-        reachable_beliefs=len(chosen),
-        chosen=chosen,
-        pruned=pruned,
-    )
+        raise CapacityError(f"horizon {pomdp.horizon} nests the belief search too deeply") from exc
+    return SolveResult(policy=policy, value=value, reachable_beliefs=len(chosen), pruned=pruned)
 
 
 def milestone_probabilities(pomdp: Pomdp, policy: Policy) -> dict[int, float]:

@@ -5,9 +5,11 @@ draws its uniforms from numpy's
 `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,))))`.
 `estimate_expected_reward` walks episodes in blocks with numpy over the
 policy graph flattened into tables, built once per call with sampling
-rows for just the (state, action) pairs the graph lists, and derives each
-block's uniforms at once in numpy (`block_uniforms`), equal bit for bit to
-those of each episode's own generator.
+rows for just the (state, action) pairs the graph reaches, and derives
+each block's uniforms at once in numpy (`block_uniforms`), equal bit for
+bit to those of each episode's own generator. The walk moves between
+nodes by observation alone, so the graph may be compiled over a quotient
+of the walked model, as the engine's is over the flag model.
 
 numpy is imported inside the functions that touch arrays, so that only a
 command that walks episodes (`--mode simulate|both`) pays for loading it.
@@ -174,8 +176,11 @@ class _WalkTables:
     """The model and a policy graph flattened into arrays for `walk`: per
     policy node its action (-1 = stop) and its child per observation, and
     the sampling rows (see `_Rows`) of what the graph can reach: each
-    node's action from every state in its support, and the observation
-    row of every arrival."""
+    node's action from every state the walk can hold there, and the
+    observation row of every arrival. These are found by replaying the
+    graph on the model from its own b0 along positive-probability
+    transitions and observations, so the graph may be compiled over this
+    model or over a quotient of it with the same observations."""
 
     def __init__(self, pomdp: Pomdp, policy: Policy):
         import numpy as np
@@ -189,7 +194,20 @@ class _WalkTables:
         # key s * stride + a stands for (state s, action a)
         self.stride = len(pomdp.actions)
         keys = len(pomdp.states) * self.stride
-        pairs = {(s, n.action) for n in policy.nodes if n.action is not None for s in n.support}
+        pairs, seen = set(), set()
+        stack = [(self.root, s) for s in pomdp.b0_support()]
+        while stack:
+            step = stack.pop()
+            node, s = policy.nodes[step[0]], step[1]
+            if step in seen or node.action is None:
+                continue
+            seen.add(step)
+            pairs.add((s, node.action))
+            stack += [
+                (node.children[o][1], s2)
+                for s2, p in pomdp.transitions[(s, node.action)] if p > 0.0
+                for o, z in pomdp.observation_probs[(s2, node.action)] if z > 0.0
+            ]
         arrivals = {(s2, a) for s, a in pairs for s2, _ in pomdp.transitions[(s, a)]}
         self.transitions = _Rows(keys, {
             s * self.stride + a: [
@@ -201,7 +219,7 @@ class _WalkTables:
             s2 * self.stride + a: [(o, p, 0.0) for o, p in pomdp.observation_probs[(s2, a)]]
             for s2, a in arrivals
         })
-        self.b0 = _Rows(1, {0: [(s, p, 0.0) for s, p in sorted(policy.root.support.items())]})
+        self.b0 = _Rows(1, {0: [(s, p, 0.0) for s, p in sorted(pomdp.b0_support().items())]})
         steps = sorted(pomdp.milestones)
         self.flagged = np.array(
             [[st.has_flag(pomdp.milestones[m]) for m in steps] for st in pomdp.states],

@@ -13,9 +13,11 @@ expectimax found.
 
 The engine solves the flag model (`build_pomdp(..., inventory=False)`),
 the model that tracks inventory with its states of equal flags merged,
-and compiles the walk's graph over the model that tracks inventory from
-the flag model's choices. `flag_blocks` is that partition, read off each
-state's flags, and `quotient` merges a model by a given partition. `lump`
+and walks the flag model's policy graph on the model that tracks
+inventory. `flag_blocks` is that partition, read off each state's flags,
+and `quotient` merges a model by a given partition. `guided_policy`
+compiles a quotient's choices into a graph over the model's own states,
+against which the flag model's graph is checked. `lump`
 finds the coarsest bisimulation quotient of any model without being told
 a partition. Two states are bisimilar when they offer the same actions,
 emit the same observation row on arrival under every action, earn the
@@ -33,7 +35,7 @@ rewards of its own.
 from dataclasses import dataclass
 
 from cri.errors import CapacityError, CriError, ModelError, ValidationError
-from cri.pomdp.solve import Policy, _successors, compile_policy
+from cri.pomdp.solve import Policy, PolicyNode, _successors, compile_policy
 from cri.pomdp.types import PROB_TOL, Pomdp, Support, support_key
 
 
@@ -49,7 +51,7 @@ def unpruned_expectimax(pomdp: Pomdp, belief_cap: int = 500_000) -> tuple[float,
         if key in values:
             return values[key]
         if len(values) >= belief_cap:
-            raise CapacityError("reachable belief tree above cap", len(values))
+            raise CapacityError(f"reachable belief tree above its cap of {belief_cap} beliefs")
         if depth == 0:
             values[key] = 0.0
             chosen[key] = None
@@ -185,13 +187,39 @@ def policy_value(pomdp: Pomdp, policy: Policy) -> float:
     return values[-1]
 
 
+def guided_policy(pomdp: Pomdp, choose, horizon: int, guide: Pomdp) -> Policy:
+    """`compile_policy` over `pomdp`, with `choose` asked about the beliefs
+    of `guide`, a model whose beliefs split by observation as `pomdp`'s do
+    (a quotient of it): the compile tracks the matching guide belief
+    alongside each belief, child for child by observation."""
+    nodes: list[PolicyNode] = []
+    ids: dict[tuple, int] = {}
+
+    def visit(support: Support, guide_support: Support, depth: int) -> int:
+        key = (support_key(support), depth)
+        if key in ids:
+            return ids[key]
+        action = choose((support_key(guide_support), depth)) if depth > 0 else None
+        children = {}
+        if action is not None:
+            guided = {o: child for o, _, child in _successors(guide, guide_support, action)}
+            for o, mass, child in _successors(pomdp, support, action):
+                children[o] = (mass, visit(child, guided[o], depth - 1))
+        ids[key] = len(nodes)
+        nodes.append(PolicyNode(action, key[0], support, children))
+        return ids[key]
+
+    visit(pomdp.b0_support(), guide.b0_support(), horizon)
+    return Policy(nodes=nodes, horizon=horizon)
+
+
 def unpruned_solve(pomdp: Pomdp):
     """The unpruned search on the model's `lump` quotient, its choices
     compiled into a graph over the model's own states: (value, policy
     graph, beliefs expanded)."""
     lumped = lump(pomdp)
     _, chosen = unpruned_expectimax(lumped)
-    policy = compile_policy(pomdp, chosen.get, pomdp.horizon, lumped)
+    policy = guided_policy(pomdp, chosen.get, pomdp.horizon, lumped)
     return policy_value(pomdp, policy), policy, len(chosen)
 
 

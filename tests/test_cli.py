@@ -233,6 +233,8 @@ class TestModelRefusals:
         )
         assert proc.returncode == 2, proc.stderr
         assert "error: horizon 5000 nests the belief search too deeply" in proc.stderr
+        # the horizon is no size estimate
+        assert "estimated size" not in proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
         assert not (tmp_path / "out" / "campaign_report.json").exists()
 

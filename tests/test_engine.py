@@ -7,6 +7,7 @@ import pytest
 
 import cri.engine
 import cri.pomdp.build
+import cri.pomdp.solve
 from conftest import SCENARIO, CallCounter
 from cri.engine import MODES, EngineConfig, assumed_p_n, run_campaign, run_whatif
 from cri.errors import ModelError
@@ -124,6 +125,14 @@ class TestRunCampaignWork:
         assert engine.calls == {"build_pomdp": builds, "complexity_report": 1}
         # every build analyses paths, so a third build anywhere would show here
         assert paths.calls == {"analyze_targets": builds}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_compiles_one_policy_graph_per_flow(self, scenario, monkeypatch, mode):
+        # every graph is a `Policy`, whoever compiles it; a walk follows
+        # the graph the solve compiled on the flag model
+        graphs = CallCounter(monkeypatch, "Policy", module=cri.pomdp.solve)
+        run_campaign(scenario, EngineConfig(mode=mode, episodes=50, seed=7))
+        assert graphs.calls == {"Policy": len(scenario.flows)}
 
     def test_complexity_report_builds_nothing(self, scenario, monkeypatch):
         models = [build_pomdp(f, scenario.network, scenario.ti) for f in scenario.flows]

@@ -327,27 +327,33 @@ class TestBlockWalkOracle:
         assert summary.p_n_estimates == {1: hits / len(scripts)}
 
 
+def _row_pairs(rows, stride):
+    return {divmod(int(key), stride) for key in np.flatnonzero(rows.slot >= 0)}
+
+
+def assert_graph_rows(pomdp, policy, listed=None):
+    """`_WalkTables(pomdp, policy)` builds rows for exactly the (state,
+    action) pairs that `listed`, a graph over `pomdp`'s own states (by
+    default `policy`), lists, and for the states they arrive in. Returns
+    the pairs."""
+    tables = cri.simulate._WalkTables(pomdp, policy)
+    listed = listed or policy
+    pairs = {(s, n.action) for n in listed.nodes if n.action is not None for s in n.support}
+    arrivals = {(s2, a) for s, a in pairs for s2, _ in pomdp.transitions[(s, a)]}
+    assert _row_pairs(tables.transitions, tables.stride) == pairs
+    assert _row_pairs(tables.observations, tables.stride) == arrivals
+    return pairs
+
+
 class TestWalkTables:
     """The walk's sampling rows are built once, for exactly the (state,
     action) pairs the policy graph lists and the states they arrive in."""
-
-    @staticmethod
-    def _pairs(rows, stride):
-        return {divmod(int(key), stride) for key in np.flatnonzero(rows.slot >= 0)}
-
-    def _assert_graph_pairs(self, pomdp, policy):
-        tables = cri.simulate._WalkTables(pomdp, policy)
-        pairs = {(s, n.action) for n in policy.nodes if n.action is not None for s in n.support}
-        arrivals = {(s2, a) for s, a in pairs for s2, _ in pomdp.transitions[(s, a)]}
-        assert self._pairs(tables.transitions, tables.stride) == pairs
-        assert self._pairs(tables.observations, tables.stride) == arrivals
-        return pairs
 
     def test_fixture_flows(self, scenario):
         sizes = {}
         for flow in scenario.flows:
             pomdp = build_pomdp(flow, scenario.network, scenario.ti)
-            pairs = self._assert_graph_pairs(pomdp, value_iteration(pomdp).policy)
+            pairs = assert_graph_rows(pomdp, value_iteration(pomdp).policy)
             sizes[flow.id] = (len(pairs), len(pomdp.transitions))
         # of every (state, action) pair the model has, the graph lists six
         assert sizes == {"credential_chain": (6, 420), "dns_injection": (6, 4_695)}
@@ -357,7 +363,7 @@ class TestWalkTables:
         for _ in range(50):
             inputs = random_scenario(rng)
             pomdp = build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
-            self._assert_graph_pairs(pomdp, value_iteration(pomdp).policy)
+            assert_graph_rows(pomdp, value_iteration(pomdp).policy)
 
     def test_key_outside_the_graph_raises(self, monkeypatch):
         # a zero-probability trailing entry is never in a belief's support,
@@ -371,7 +377,7 @@ class TestWalkTables:
         )
         pomdp.validate()
         policy = fixed_policy(pomdp, 0, 2)
-        assert self._assert_graph_pairs(pomdp, policy) == {(0, 0), (1, 0), (2, 0)}
+        assert assert_graph_rows(pomdp, policy) == {(0, 0), (1, 0), (2, 0)}
         script = [0.0, 0.99999999995, 0.0, 0.0, 0.0]
         assert simulate_episode(pomdp, policy, _Scripted(script)).steps[0].state_after == 3
         monkeypatch.setattr(

@@ -8,12 +8,11 @@ from cri.errors import CapacityError, CriError
 from cri.index import parse_countermeasures
 from cri.pomdp import (
     build_pomdp,
-    compile_policy,
     milestone_probabilities,
     reweight_pomdp,
     value_iteration,
 )
-from cri.pomdp.solve import qmdp_bounds
+from cri.pomdp.solve import expectimax, qmdp_bounds
 from cri.simulate import estimate_expected_reward
 from cri.pomdp.types import AttackerAction, NetworkState, Pomdp, support_key
 from conftest import SCENARIO
@@ -24,6 +23,7 @@ from solveoracle import (
     InconsistentObservation,
     belief_update,
     flag_blocks,
+    guided_policy,
     lump,
     lump_blocks,
     policy_value,
@@ -32,6 +32,7 @@ from solveoracle import (
     unpruned_solve,
 )
 from test_build_pins import _cases as pinned_cases
+from test_simulate import assert_graph_rows
 from test_whatif import scaled
 from toys import and_chain, single_step
 
@@ -230,7 +231,7 @@ class TestValueIteration:
 
     def test_belief_cap_raises(self, scenario):
         pomdp = build_pomdp(scenario.flows[0], scenario.network, scenario.ti)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"above its cap of 10 beliefs$"):
             value_iteration(pomdp, belief_cap=10)
 
 
@@ -347,10 +348,11 @@ def _models(inputs, flow=None, **kwargs):
     )
 
 
-def _walk_graph(full, flags, solved):
-    """The graph a walk follows: `solved`'s choices on the flag model,
-    compiled over the model that tracks inventory."""
-    return compile_policy(full, solved.chosen.get, full.horizon, flags)
+def _guided_graph(full, flags):
+    """The flag model's choices compiled over the model that tracks
+    inventory."""
+    _, chosen, _ = expectimax(flags, 500_000)
+    return guided_policy(full, chosen.get, full.horizon, flags)
 
 
 class TestLumpedSolve:
@@ -362,7 +364,7 @@ class TestLumpedSolve:
         result = value_iteration(flags)
         value, policy, _ = unlumped_solve(full)
         assert result.value == value
-        assert _graph(_walk_graph(full, flags, result)) == _graph(policy)
+        assert _graph(_guided_graph(full, flags)) == _graph(policy)
         assert milestone_probabilities(flags, result.policy) == milestone_probabilities(
             full, policy
         )
@@ -523,8 +525,8 @@ def _hex(probabilities):
 class TestFlagModel:
     """`build_pomdp(..., inventory=False)`, the model every run solves,
     against the model that tracks inventory merged by `flag_blocks`; and
-    the walk's graph, compiled over the model that tracks inventory from
-    the flag model's choices."""
+    the flag model's choices compiled over the model that tracks
+    inventory."""
 
     def test_pinned_models_are_the_flag_quotient_and_solve_alike(self, pinned_pairs):
         compared = smaller = 0
@@ -536,38 +538,60 @@ class TestFlagModel:
             assert (flag_solved.reachable_beliefs, flag_solved.pruned) == (
                 solved.reachable_beliefs, solved.pruned
             )
-            walk = _walk_graph(full, flags, flag_solved)
+            guided = _guided_graph(full, flags)
             assert _hex(milestone_probabilities(flags, flag_solved.policy)) == _hex(
-                milestone_probabilities(full, walk)
+                milestone_probabilities(full, guided)
             )
             assert repr(_normalized_reward(flags, flag_solved.value)) == repr(
                 _normalized_reward(full, flag_solved.value)
             )
             assert policy_value(flags, flag_solved.policy) == flag_solved.value
-            assert policy_value(full, walk) == flag_solved.value
+            assert policy_value(full, guided) == flag_solved.value
             compared += 1
-            smaller += len(flag_solved.policy.nodes) < len(walk.nodes)
+            smaller += len(flag_solved.policy.nodes) < len(guided.nodes)
         assert (compared, smaller) == (704, 13)
 
 
-class TestWalkGuide:
-    """The walk's graph, guided by the flag model, against the oracle's
-    graph over the same model guided by `lump`'s quotient."""
+def _assert_walks_alike(pomdp, policy, oracle, seed):
+    """Seeded walks on `pomdp` over `policy` and over `oracle` agree bit
+    for bit."""
+    walked = estimate_expected_reward(pomdp, policy, 32, seed)
+    again = estimate_expected_reward(pomdp, oracle, 32, seed)
+    assert [r.hex() for r in walked.rewards] == [r.hex() for r in again.rewards]
+    assert _hex(walked.p_n_estimates) == _hex(again.p_n_estimates)
+    assert walked.truncated_episodes == again.truncated_episodes
 
-    def test_pinned_models_compile_the_lump_guided_graph(self, pinned_pairs):
-        compared = walked = 0
+
+class TestWalkFlagGraph:
+    """A walk follows the flag model's graph on the model that tracks
+    inventory. It must walk as the oracle's graph over that model's own
+    states, compiled from `lump`'s quotient, does."""
+
+    def test_pinned_models_walk_as_the_lump_guided_graph(self, pinned_pairs):
+        compared = smaller = 0
         for i, (_, full, flags) in enumerate(pinned_pairs):
-            walk = _walk_graph(full, flags, value_iteration(flags))
+            # the walk reads the flag graph's children by the walked
+            # model's observation indices
+            assert full.observations == flags.observations
+            policy = value_iteration(flags).policy
             _, oracle, _ = unpruned_solve(full)
-            assert walk.nodes == oracle.nodes
+            # no row is built that the oracle's graph does not list
+            assert_graph_rows(full, policy, oracle)
+            _assert_walks_alike(full, policy, oracle, seed=i)
             compared += 1
-            if i % 20 == 0:
-                seeded = estimate_expected_reward(full, walk, 64, seed=i)
-                again = estimate_expected_reward(full, oracle, 64, seed=i)
-                assert [r.hex() for r in seeded.rewards] == [r.hex() for r in again.rewards]
-                assert seeded.p_n_estimates == again.p_n_estimates
-                walked += 1
-        assert (compared, walked) == (704, 36)
+            smaller += len(policy.nodes) < len(oracle.nodes)
+        assert (compared, smaller) == (704, 13)
+
+    def test_twinned_models_walk_as_the_lump_guided_graph(self):
+        # b0 splits its mass on a state with its twin, so the walk must
+        # draw its first state from the walked model's b0, not the graph's
+        rng = random.Random(6262)
+        for i in range(100):
+            pomdp = random_pomdp(rng)
+            twinned = _with_twin(pomdp, rng.randrange(len(pomdp.states)))
+            policy = value_iteration(lump(twinned)).policy
+            _, oracle, _ = unpruned_solve(twinned)
+            _assert_walks_alike(twinned, policy, oracle, seed=i)
 
 
 class TestSolveValue:
@@ -772,12 +796,11 @@ class TestPrunedSolve:
     def test_chain_belief_counts(self):
         counts = {}
         for steps in (5, 6):
-            full, flags = _models(chain_scenario(CHAIN[:steps]))
+            inputs = chain_scenario(CHAIN[:steps])
+            flags = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, inventory=False)
             result = value_iteration(flags)
             counts[steps] = (
-                len(flags.states), result.reachable_beliefs,
-                len(result.policy.nodes), len(_walk_graph(full, flags, result).nodes),
+                len(flags.states), result.reachable_beliefs, len(result.policy.nodes),
             )
-        # unpruned: 12,524 and 52,918 beliefs; the walk's graph is over the
-        # model that tracks inventory
-        assert counts == {5: (6, 903, 50, 52), 6: (7, 3_392, 66, 68)}
+        # unpruned: 12,524 and 52,918 beliefs; a walk follows the same graph
+        assert counts == {5: (6, 903, 50), 6: (7, 3_392, 66)}

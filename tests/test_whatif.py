@@ -188,6 +188,14 @@ def reweighted(base, flow, net, new_ti, inventory=True):
     return derived
 
 
+def assert_observations_agree(derived, flags, new_ti):
+    """`derived`, a re-weighted model that tracks inventory, and `flags`,
+    its flow's flag model, re-weighted under the same `new_ti`, keep equal
+    observation tuples: a walk reads the flag model's policy graph by the
+    walked model's observation indices."""
+    assert reweight_pomdp(flags, new_ti).observations == derived.observations
+
+
 def shares_skeleton(base, derived):
     """Whether `derived` was re-weighted from `base` rather than rebuilt."""
     names = ["states", "applicable", "branch_rewards", "observations"]
@@ -203,11 +211,20 @@ class TestReweightPomdp:
     def fixture_models(self, scenario):
         return [build_pomdp(flow, scenario.network, scenario.ti) for flow in scenario.flows]
 
-    def test_fixture_measures_reweight_every_flow(self, scenario, fixture_models):
+    @pytest.fixture(scope="class")
+    def flag_models(self, scenario):
+        return [
+            build_pomdp(flow, scenario.network, scenario.ti, inventory=False)
+            for flow in scenario.flows
+        ]
+
+    def test_fixture_measures_reweight_every_flow(self, scenario, fixture_models, flag_models):
         for cm in fixture_measures():
-            for flow, base in zip(scenario.flows, fixture_models):
-                derived = reweighted(base, flow, scenario.network, scaled(scenario.ti, cm))
+            for flow, base, flags in zip(scenario.flows, fixture_models, flag_models):
+                new_ti = scaled(scenario.ti, cm)
+                derived = reweighted(base, flow, scenario.network, new_ti)
                 assert shares_skeleton(base, derived), (cm.id, flow.id)
+                assert_observations_agree(derived, flags, new_ti)
         # re-weighting leaves the baseline models as built
         for flow, base in zip(scenario.flows, fixture_models):
             assert base.dump() == build_pomdp(flow, scenario.network, scenario.ti).dump()
@@ -227,13 +244,16 @@ class TestReweightPomdp:
                 p_success_multiplier=rng.choice(MULTIPLIERS),
                 p_detect_multiplier=rng.choice(MULTIPLIERS),
             )
+            new_ti = scaled(inputs.ti, cm)
             for flow in inputs.flows:
                 base = build_pomdp(flow, inputs.network, inputs.ti)
-                derived = reweighted(base, flow, inputs.network, scaled(inputs.ti, cm))
+                derived = reweighted(base, flow, inputs.network, new_ti)
                 paths[shares_skeleton(base, derived)] += 1
+                flags = build_pomdp(flow, inputs.network, inputs.ti, inventory=False)
+                assert_observations_agree(derived, flags, new_ti)
         assert paths[True] > 100 and paths[False] > 100
 
-    def test_random_fixture_measures(self, scenario, fixture_models):
+    def test_random_fixture_measures(self, scenario, fixture_models, flag_models):
         """The fixture puts an IDS on some paths, so p_detect moves reach
         the observation rows."""
         rng = random.Random(1516)
@@ -249,9 +269,11 @@ class TestReweightPomdp:
                 p_success_multiplier=rng.choice(MULTIPLIERS),
                 p_detect_multiplier=rng.choice(MULTIPLIERS),
             )
-            for flow, base in zip(scenario.flows, fixture_models):
-                derived = reweighted(base, flow, scenario.network, scaled(scenario.ti, cm))
+            new_ti = scaled(scenario.ti, cm)
+            for flow, base, flags in zip(scenario.flows, fixture_models, flag_models):
+                derived = reweighted(base, flow, scenario.network, new_ti)
                 paths[shares_skeleton(base, derived)] += 1
+                assert_observations_agree(derived, flags, new_ti)
         assert paths[True] > 0 and paths[False] > 0
 
     @pytest.mark.parametrize(
