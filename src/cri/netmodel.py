@@ -11,6 +11,9 @@ MAX_PATH_LEN hops, each hop allowed by segmentation, and the first
 applicable rule permits the attacker's access to it. A shortest route is
 a simple path, so one breadth-first search over the hop-allowed edges
 answers this without listing paths.
+
+A `NetworkModel` also holds the path facts `analyze_targets` computed on
+it, so each network lists a target's paths once.
 """
 
 from __future__ import annotations
@@ -141,6 +144,9 @@ class NetworkModel:
             self._adjacency[b].append(a)
         for neighbours in self._adjacency.values():
             neighbours.sort()
+        # `analyze_targets`' memo: the policy set it was filled under, and
+        # its facts per target node
+        self._target_facts: tuple[PolicySet, dict[str, object]] = (self.policies, {})
 
     def neighbours(self, node_id: str) -> list[str]:
         return self._adjacency[node_id]

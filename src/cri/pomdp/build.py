@@ -44,6 +44,8 @@ They follow the path context of the action's target:
     permitted route exists at all;
   - one of delayed/no-response/error (o5/o7/o8) replaces the crisp outcome
     with probability p_detect when an IDS-class node sits on the path.
+A target's path context is computed once per network and kept on it, so
+every model built on that network reuses it (see `analyze_targets`).
 """
 
 from __future__ import annotations
@@ -82,12 +84,28 @@ class TargetContext:
 
 
 def analyze_targets(net: NetworkModel, targets: Iterable[str]) -> dict[str, TargetContext]:
-    """Path facts for each of `targets`, over the simple paths to it from
-    every entry point."""
+    """Path facts for each of `targets`, in sorted order, over the simple
+    paths to it from every entry point.
+
+    The facts depend only on the network and its policies, so each
+    target's are kept on `net`, and a call computes only the targets no
+    earlier call on `net` did: every build, walk model and what-if rebuild
+    on one network lists a target's paths once. The memo lives as long as
+    `net` and starts over when `net.policies` is another object than the
+    one it was filled under (`validate_bundle` assigns it after building
+    the network); a network or policy set changed in place is not seen.
+    There is no module-level cache, so each validated network pays for its
+    own first analysis, and no facts outlive the network they describe."""
+    policies, known = net._target_facts
+    if policies is not net.policies:
+        known = {}
+        net._target_facts = (net.policies, known)
+    wanted = sorted(set(targets))
     entries = net.entry_points()
     zone_of = net.policies.zone_of
-    out: dict[str, TargetContext] = {}
-    for target in sorted(set(targets)):
+    for target in wanted:
+        if target in known:
+            continue
         paths: list[list[str]] = []
         for entry in entries:
             paths.extend(physical_paths(net, entry, target))
@@ -102,12 +120,12 @@ def analyze_targets(net: NetworkModel, targets: Iterable[str]) -> dict[str, Targ
             r.effect == "Deny" and r.resource.matches_label(target)
             for r in net.policies.rules
         )
-        out[target] = TargetContext(
+        known[target] = TargetContext(
             ids_on_path=ids_on_path,
             seg_on_path=seg_on_path,
             policy_deny=policy_deny,
         )
-    return out
+    return {target: known[target] for target in wanted}
 
 
 def expand_technique(

@@ -1,9 +1,13 @@
-"""Path-enumeration oracle for reachability.
+"""Path-enumeration oracles for reachability and per-target path facts.
 
 `reachable_targets` answers reachability with one bounded breadth-first
 search. This module keeps the slow definition it must agree with: list
 every simple path from every entry point, keep those whose hops all pass
 segmentation, and keep the targets the attacker's access is permitted to.
+
+`analyze_targets` keeps each target's facts on the network it analysed.
+`target_facts_by_enumeration` computes them anew on every call,
+from the paths and the policies alone.
 """
 
 from cri.netmodel import (
@@ -14,6 +18,7 @@ from cri.netmodel import (
     physical_paths,
     policy_permits,
 )
+from cri.pomdp.build import IDS_CLASSES, TargetContext
 
 
 def logical_paths(
@@ -44,3 +49,23 @@ def reachable_by_enumeration(net: NetworkModel, max_len: int = MAX_PATH_LEN) -> 
             for entry in net.entry_points()
         )
     }
+
+
+def target_facts_by_enumeration(
+    net: NetworkModel, target: str, max_len: int = MAX_PATH_LEN
+) -> TargetContext:
+    """`target`'s path facts over every simple path of at most `max_len`
+    hops to it from every entry point: whether an IDS-class node sits on
+    one, whether one hop joins nodes of two different zones (peered or
+    not), and whether some Deny rule names the target (or any resource)."""
+    paths = [p for entry in net.entry_points() for p in physical_paths(net, entry, target, max_len)]
+    zone = {m: z.label for z in net.policies.segmentation for m in z.members}
+    return TargetContext(
+        ids_on_path=any(net.nodes[n].asset_class in IDS_CLASSES for p in paths for n in p),
+        seg_on_path=any(
+            a in zone and b in zone and zone[a] != zone[b] for p in paths for a, b in zip(p, p[1:])
+        ),
+        policy_deny=any(
+            r.effect == "Deny" and r.resource.value in (None, target) for r in net.policies.rules
+        ),
+    )

@@ -8,7 +8,7 @@ import pytest
 import cri.engine
 import cri.pomdp.build
 import cri.pomdp.solve
-from conftest import SCENARIO, CallCounter
+from conftest import SCENARIO, CallCounter, load_scenario
 from cri.engine import MODES, EngineConfig, assumed_p_n, run_campaign, run_whatif
 from cri.errors import ModelError
 from cri.index import parse_countermeasures
@@ -117,14 +117,27 @@ class TestRunCampaignWork:
     once per run, in every mode; the complexity report reads the latter."""
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_builds_each_flow_twice(self, scenario, monkeypatch, mode):
+    def test_builds_each_flow_twice(self, monkeypatch, mode):
+        # a fresh network: the shared `scenario` fixture already holds its path facts
+        scenario = load_scenario()
         engine = CallCounter(monkeypatch, "build_pomdp", "complexity_report")
-        paths = CallCounter(monkeypatch, "analyze_targets", module=cri.pomdp.build)
+        paths = CallCounter(
+            monkeypatch, "analyze_targets", "physical_paths", module=cri.pomdp.build
+        )
         run_campaign(scenario, EngineConfig(mode=mode, episodes=50, seed=7))
         builds = 2 * len(scenario.flows)
         assert engine.calls == {"build_pomdp": builds, "complexity_report": 1}
-        # every build analyses paths, so a third build anywhere would show here
-        assert paths.calls == {"analyze_targets": builds}
+        # every build asks for its targets' path facts, so a third build
+        # anywhere would show here; only the first ask per target lists
+        # paths: one listing per (entry point, target) of the run
+        assert paths.calls == {"analyze_targets": builds, "physical_paths": 6}
+
+    def test_naive_check_lists_no_path_again(self, monkeypatch):
+        scenario = load_scenario()
+        paths = CallCounter(monkeypatch, "physical_paths", module=cri.pomdp.build)
+        run_campaign(scenario, EngineConfig(mode="exact", naive_check=True))
+        # the naive grids' targets were all analysed for the reduced builds
+        assert paths.calls == {"physical_paths": 6}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_compiles_one_policy_graph_per_flow(self, scenario, monkeypatch, mode):

@@ -18,8 +18,10 @@ from cri.netmodel import (
     policy_permits,
     reachable_targets,
 )
+from cri.pomdp import analyze_targets
+from cri.pomdp.build import TargetContext
 from cri.threat_intel import TiRecord, TiTable
-from pathoracle import logical_paths, reachable_by_enumeration
+from pathoracle import logical_paths, reachable_by_enumeration, target_facts_by_enumeration
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 import meshgen  # noqa: E402
@@ -264,6 +266,65 @@ class TestReachableTargets:
         names = [f"n{i:02d}" for i in range(14)]
         net = _net(names, list(zip(names, names[1:])), PolicySet(rules=[PERMIT_ALL]), entries=("n00",))
         assert reachable_targets(net) == set(names[:13])
+
+
+def _with_classes(net: NetworkModel, rng: random.Random) -> NetworkModel:
+    """`net` with each node's asset class drawn anew, IDS-like ones among them."""
+    classes = {n: rng.choice(["endpoint", "server", "ids", "ips", "idps"]) for n in net.nodes}
+    return _net(sorted(net.nodes), net.edges, net.policies, classes, net.entry_points())
+
+
+class TestAnalyzeTargets:
+    """`analyze_targets`, which keeps its facts on the network, against the
+    enumeration that computes them anew."""
+
+    def assert_matches_oracle(self, net, rng):
+        names = sorted(net.nodes)
+        oracle = {t: target_facts_by_enumeration(net, t) for t in names}
+        for _ in range(4):
+            # overlapping subsets, in shuffled order and with repeats
+            asked = rng.choices(names, k=rng.randint(1, len(names)))
+            facts = analyze_targets(net, asked)
+            assert list(facts) == sorted(set(asked))
+            assert facts == {t: oracle[t] for t in facts}
+
+    def test_matches_oracle_on_random_graphs(self):
+        rng = random.Random(6)
+        for _ in range(300):
+            self.assert_matches_oracle(_with_classes(_random_net(rng), rng), rng)
+
+    @pytest.mark.parametrize("seed,sizes", [
+        (meshgen.DEFAULT_SEED, {}),
+        (1, {"nodes": 14, "chords": 8}),
+        (2, {"nodes": 14, "chords": 8}),
+        (3, {"nodes": 14, "chords": 8}),
+    ])
+    def test_matches_oracle_on_meshes(self, seed, sizes):
+        self.assert_matches_oracle(_mesh(seed, **sizes), random.Random(seed))
+
+    def test_new_policies_get_new_facts(self):
+        net = _net(["a", "b", "c"], [("a", "b"), ("b", "c")], PolicySet(rules=[PERMIT_ALL]), entries=("a",))
+        before = TargetContext(ids_on_path=False, seg_on_path=False, policy_deny=False)
+        assert analyze_targets(net, ["c"]) == {"c": target_facts_by_enumeration(net, "c")}
+        assert analyze_targets(net, ["c"]) == {"c": before}
+        # a zone split between a and b and a Deny rule on c: both facts flip
+        deny_c = PolicyRule("deny-c", Matcher(), Matcher(value="c"), Matcher(), "Deny")
+        zones = [Zone("left", ("a",), ("right",)), Zone("right", ("b", "c"), ())]
+        net.policies = PolicySet(rules=[deny_c, PERMIT_ALL], segmentation=zones)
+        after = TargetContext(ids_on_path=False, seg_on_path=True, policy_deny=True)
+        assert analyze_targets(net, ["c"]) == {"c": target_facts_by_enumeration(net, "c")}
+        assert analyze_targets(net, ["c"]) == {"c": after}
+
+    @pytest.mark.parametrize("policy_dir", ["policies", "policies_isolated"])
+    def test_matches_oracle_on_fixture(self, policy_dir):
+        self.assert_matches_oracle(load_scenario(policy_dir).network, random.Random(7))
+
+    def test_analysis_leaves_equality_and_repr(self):
+        net, twin = load_scenario().network, load_scenario().network
+        before = repr(net)
+        analyze_targets(net, net.nodes)
+        assert net == twin
+        assert repr(net) == before == repr(twin)
 
 
 class TestCandidateTargets:

@@ -20,7 +20,7 @@ from cri.pomdp import (
 )
 from cri.threat_intel import TiRecord, TiTable
 from cri.pomdp.types import NetworkState, Pomdp
-from conftest import SCENARIO
+from conftest import SCENARIO, load_scenario
 from genscen import PERMIT_ALL, TI_HEADER, random_scenario, two_target_tree
 from toys import and_chain, single_step
 
@@ -195,9 +195,12 @@ class TestBuildPomdp:
         assert checked == 100
         assert leaf_states > 50  # the trees are exercised, not only offered
 
-    def test_paths_are_analysed_only_for_action_targets(self, scenario, monkeypatch):
+    def test_paths_are_analysed_only_for_action_targets(self, monkeypatch):
         from cri.pomdp import build
 
+        # a fresh network: the shared `scenario` fixture keeps the facts that
+        # earlier tests' builds analysed, so it would list no path here
+        scenario = load_scenario()
         calls = []
         original = build.physical_paths
 
@@ -211,6 +214,9 @@ class TestBuildPomdp:
         assert len(scenario.network.entry_points()) == 1
         assert len(scenario.network.nodes) == 12
         assert sorted(calls) == sorted({a.target for a in pomdp.actions})
+        assert len(calls) == 6
+        # the flag model of the same flow and network lists no path again
+        build_pomdp(scenario.flows[0], scenario.network, scenario.ti, inventory=False)
         assert len(calls) == 6
 
     def test_default_horizon_is_flow_length_plus_two(self, scenario):

@@ -8,7 +8,8 @@ import random
 import pytest
 
 import cri.engine
-from conftest import SCENARIO, CallCounter
+import cri.pomdp.build
+from conftest import SCENARIO, CallCounter, load_scenario
 from cri.engine import EngineConfig, run_campaign, run_whatif
 from cri.index import Countermeasure, CountermeasureDelta, parse_countermeasures
 from cri.ingest import ValidatedInputs
@@ -165,6 +166,17 @@ class TestRunWhatifWork:
             "build_pomdp": 2, "reweight_pomdp": 6, "value_iteration": 5,
             "complexity_report": 0, "run_campaign": 0,
         }
+
+    def test_fixture_lists_each_targets_paths_once(self, monkeypatch):
+        # a fresh network: the shared `scenario` fixture already holds its path facts
+        scenario = load_scenario()
+        paths = CallCounter(monkeypatch, "physical_paths", module=cri.pomdp.build)
+        measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
+        deltas = list(run_whatif(scenario, measures, EngineConfig(mode="exact")))
+        assert len(deltas) == 3
+        # one listing per (entry point, target): the two baseline flows
+        # have the same 6 targets, so the second flow's build lists none
+        assert paths.calls == {"physical_paths": 6}
 
     def test_identity_and_unmatched_reuse_the_baseline(self, scenario, monkeypatch):
         counter = CallCounter(monkeypatch, "build_pomdp")
