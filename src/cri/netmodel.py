@@ -12,6 +12,11 @@ applicable rule permits the attacker's access to it. A shortest route is
 a simple path, so one breadth-first search over the hop-allowed edges
 answers this without listing paths.
 
+`physical_paths` lists simple paths by a depth-first search that extends
+a prefix only while its last node's hop distance to the destination,
+found by one breadth-first search, fits in the hops left. No simple path
+is shorter than that distance, so the bound drops no path.
+
 A `NetworkModel` also holds the path facts `analyze_targets` computed on
 it, so each network lists a target's paths once.
 """
@@ -159,7 +164,14 @@ def physical_paths(
     net: NetworkModel, src: str, dst: str, max_len: int = MAX_PATH_LEN
 ) -> list[list[str]]:
     """All simple paths src->dst with at most max_len edges, in lexicographic
-    order. src == dst yields the single zero-length path [src]."""
+    order. src == dst yields the single zero-length path [src].
+
+    One breadth-first search from dst gives every node's hop distance to
+    it, and the depth-first listing takes a neighbour only when that
+    distance fits in the hops left after taking it. A simple path from
+    the neighbour that avoids the prefix is a path of the whole graph, so
+    it is never shorter than the distance: every prefix skipped has no
+    completion, and the list is the one the unbounded search returns."""
     for node_id in (src, dst):
         if node_id not in net.nodes:
             raise LookupError(f"unknown node {node_id!r}")
@@ -168,26 +180,36 @@ def physical_paths(
     if src == dst:
         return [[src]]
 
+    hops = {dst: 0}
+    frontier = deque([dst])
+    while frontier:
+        node = frontier.popleft()
+        for nxt in net.neighbours(node):
+            if nxt not in hops:
+                hops[nxt] = hops[node] + 1
+                frontier.append(nxt)
+    if src not in hops:
+        return []
+
     paths: list[list[str]] = []
     visited = {src}
     stack = [src]
 
-    def dfs(current: str):
-        if len(stack) - 1 >= max_len:
-            return
+    def dfs(current: str, left: int):
+        # `left` hops remain after `current`
         for nxt in net.neighbours(current):
-            if nxt in visited:
+            if nxt in visited or hops[nxt] >= left:
                 continue
             stack.append(nxt)
             if nxt == dst:
                 paths.append(list(stack))
             else:
                 visited.add(nxt)
-                dfs(nxt)
+                dfs(nxt, left - 1)
                 visited.discard(nxt)
             stack.pop()
 
-    dfs(src)
+    dfs(src, max_len)
     return paths
 
 

@@ -109,8 +109,7 @@ def analyze_targets(net: NetworkModel, targets: Iterable[str]) -> dict[str, Targ
         paths: list[list[str]] = []
         for entry in entries:
             paths.extend(physical_paths(net, entry, target))
-        path_nodes = {n for p in paths for n in p}
-        ids_on_path = any(net.nodes[n].asset_class in IDS_CLASSES for n in path_nodes)
+        ids_on_path = any(net.nodes[n].asset_class in IDS_CLASSES for p in paths for n in p)
         seg_on_path = any(
             zone_of(a) is not None and zone_of(b) is not None and zone_of(a) != zone_of(b)
             for p in paths

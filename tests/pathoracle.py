@@ -1,4 +1,9 @@
-"""Path-enumeration oracles for reachability and per-target path facts.
+"""Path-enumeration oracles for path listing, reachability and per-target
+path facts.
+
+`physical_paths` bounds its search by each node's hop distance to the
+destination. `simple_paths_by_dfs` is the unbounded depth-first search it
+must agree with, list for list; the other oracles here build on it.
 
 `reachable_targets` answers reachability with one bounded breadth-first
 search. This module keeps the slow definition it must agree with: list
@@ -15,10 +20,41 @@ from cri.netmodel import (
     ATTACKER_SUBJECT,
     MAX_PATH_LEN,
     NetworkModel,
-    physical_paths,
     policy_permits,
 )
 from cri.pomdp.build import IDS_CLASSES, TargetContext
+
+
+def simple_paths_by_dfs(
+    net: NetworkModel, src: str, dst: str, max_len: int = MAX_PATH_LEN
+) -> list[list[str]]:
+    """All simple paths src->dst with at most max_len edges, in lexicographic
+    order, by a depth-first search that extends every simple prefix up to
+    max_len hops. src == dst yields the single zero-length path [src]."""
+    if src == dst:
+        return [[src]]
+
+    paths: list[list[str]] = []
+    visited = {src}
+    stack = [src]
+
+    def dfs(current: str):
+        if len(stack) - 1 >= max_len:
+            return
+        for nxt in net.neighbours(current):
+            if nxt in visited:
+                continue
+            stack.append(nxt)
+            if nxt == dst:
+                paths.append(list(stack))
+            else:
+                visited.add(nxt)
+                dfs(nxt)
+                visited.discard(nxt)
+            stack.pop()
+
+    dfs(src)
+    return paths
 
 
 def logical_paths(
@@ -31,7 +67,7 @@ def logical_paths(
 ) -> list[list[str]]:
     """Physical paths that the policies admit: the destination must be
     permitted for (subject, action) and no hop may cross unpeered zones."""
-    physical = physical_paths(net, src, dst, max_len)
+    physical = simple_paths_by_dfs(net, src, dst, max_len)
     if policy_permits(net.policies, subject, dst, action) != "Permit":
         return []
     return [
@@ -58,7 +94,9 @@ def target_facts_by_enumeration(
     hops to it from every entry point: whether an IDS-class node sits on
     one, whether one hop joins nodes of two different zones (peered or
     not), and whether some Deny rule names the target (or any resource)."""
-    paths = [p for entry in net.entry_points() for p in physical_paths(net, entry, target, max_len)]
+    paths = [
+        p for entry in net.entry_points() for p in simple_paths_by_dfs(net, entry, target, max_len)
+    ]
     zone = {m: z.label for z in net.policies.segmentation for m in z.members}
     return TargetContext(
         ids_on_path=any(net.nodes[n].asset_class in IDS_CLASSES for p in paths for n in p),

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import REPO_ROOT, load_scenario
 from cri.attack_flow import TtpNode
+from cri.errors import ValidationError
 from cri.ingest import RawBundle, validate_bundle
 from cri.netmodel import (
     AssetNode,
@@ -21,7 +22,12 @@ from cri.netmodel import (
 from cri.pomdp import analyze_targets
 from cri.pomdp.build import TargetContext
 from cri.threat_intel import TiRecord, TiTable
-from pathoracle import logical_paths, reachable_by_enumeration, target_facts_by_enumeration
+from pathoracle import (
+    logical_paths,
+    reachable_by_enumeration,
+    simple_paths_by_dfs,
+    target_facts_by_enumeration,
+)
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 import meshgen  # noqa: E402
@@ -73,6 +79,80 @@ class TestPhysicalPaths:
         net = _net(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("b", "c")])
         for path in physical_paths(net, "a", "d", 6):
             assert len(path) == len(set(path))
+
+    def test_max_len_below_one_raises(self):
+        net = _net(["a", "b"], [("a", "b")])
+        for src, dst in (("a", "b"), ("a", "a")):
+            for max_len in (0, -1):
+                with pytest.raises(ValidationError):
+                    physical_paths(net, src, dst, max_len)
+
+    def test_matches_oracle_on_random_graphs(self):
+        # every ordered pair, in order and list for list: the hop bound
+        # drops no path and reorders none
+        rng = random.Random(23)
+        for _ in range(300):
+            net = _random_net(rng)
+            for src in net.nodes:
+                for dst in net.nodes:
+                    for max_len in range(1, 10):
+                        assert physical_paths(net, src, dst, max_len) == simple_paths_by_dfs(
+                            net, src, dst, max_len
+                        )
+
+    @pytest.mark.parametrize("seed,sizes", [
+        (meshgen.DEFAULT_SEED, {}),
+        (1, {"nodes": 14, "chords": 8}),
+        (2, {"nodes": 14, "chords": 8}),
+        (3, {"nodes": 14, "chords": 8}),
+    ])
+    def test_matches_oracle_on_meshes(self, seed, sizes):
+        net = _mesh(seed, **sizes)
+        for entry in net.entry_points():
+            for dst in net.nodes:
+                for max_len in range(1, 13):
+                    assert physical_paths(net, entry, dst, max_len) == simple_paths_by_dfs(
+                        net, entry, dst, max_len
+                    )
+
+    @pytest.mark.parametrize("src,dst,max_len", [
+        ("a", "x", 5),  # another component
+        ("a", "e", 2),  # three hops away
+        ("a", "e", 3),  # the route over the chord fits, the chain does not
+        ("c", "c", 1),
+        ("a", "d", 12),
+    ])
+    def test_matches_oracle_on_edge_cases(self, src, dst, max_len):
+        # a chain a-b-c-d-e with a chord b-d, and an edge x-y apart from it
+        net = _net(
+            ["a", "b", "c", "d", "e", "x", "y"],
+            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "d"), ("x", "y")],
+        )
+        assert physical_paths(net, src, dst, max_len) == simple_paths_by_dfs(net, src, dst, max_len)
+
+    def test_cluster_past_the_hop_bound_is_not_searched(self):
+        # s-a-b-t is the one path; a 6-clique hangs off s, 4 hops from t.
+        # The unbounded search reads neighbours 159 times, walking the
+        # clique's prefixes to 4 hops. The bounded one reads them 13 times:
+        # once per node in its breadth-first search from t, then at s, a, b.
+        clique = [f"c{i}" for i in range(6)]
+        edges = [("a", "s"), ("a", "b"), ("b", "t")]
+        edges += [(c, "s") for c in clique]
+        edges += [(c, d) for i, c in enumerate(clique) for d in clique[i + 1:]]
+        net = _net(["s", "a", "b", "t", *clique], edges)
+        adjacency = net.neighbours
+        reads = []
+
+        def counting(node_id):
+            reads.append(node_id)
+            return adjacency(node_id)
+
+        net.neighbours = counting
+        assert simple_paths_by_dfs(net, "s", "t", 4) == [["s", "a", "b", "t"]]
+        assert len(reads) == 159
+        reads.clear()
+        assert physical_paths(net, "s", "t", 4) == [["s", "a", "b", "t"]]
+        assert len(reads) == 13
 
 
 class TestPolicyPermits:
