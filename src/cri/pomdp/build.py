@@ -30,14 +30,20 @@ a countermeasure moves only probabilities, so it rewrites only the rows
 they reach, builds afresh where the structure could move, and returns the
 built model itself when no action moves.
 
-One exploration builds the model: each (state, action) pair of the states
-reachable from the initial state (or of every key, in naive mode) is
-evaluated once. Each explored key then becomes its `NetworkState` once,
-and the model is indexed over the sorted `NetworkState`s, whose order
-fixes every downstream float sum. An observation row depends only on the
-action and on whether its own flag (milestone, or leaf flag for a tree
-leaf) is set, so each action has at most two, shared by every state.
-They follow the path context of the action's target:
+One exploration builds the model: at each state reachable from the
+initial state (or at every key, in naive mode) each offered move is
+evaluated once, and no wasted move is evaluated at all. Each explored key
+then becomes its `NetworkState` once, and the model is indexed over the
+sorted `NetworkState`s, whose order fixes every downstream float sum. The
+table pass first writes every (state, action) pair of a state as a wasted
+move, all from one shared self-loop row, then overwrites the offered
+pairs; so the rows keep their (state, action) order, and a model of
+mostly wasted moves holds one transition row per state for them. An
+observation row depends only on the action and on whether its own flag
+(milestone, or leaf flag for a tree leaf) is set, so each action has at
+most two, shared by every state, and a state's rows are picked by the
+own-flag bits it has set. They follow the path context of the action's
+target:
   - success/failure (o1/o2) always apply;
   - access-denied (o6) when a Deny rule covers the target, blocked (o3)
     when segmentation governs a hop on the way, rejected (o4) when no
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 from ..attack_flow import AttackFlow, TtpNode
@@ -239,6 +246,8 @@ class _Builder:
                 gain=reached | held.get(act.target, 0),
                 leaves=mine,
             ))
+        # every own-flag bit: a key's share of them picks its observation rows
+        self.own_bits = sum({m.own for m in self.masks})
 
     def _make_actions(self, ti: TiTable) -> list[AttackerAction]:
         if not self.net.entry_points():
@@ -272,12 +281,10 @@ class _Builder:
                 actions.append(act)
         return actions
 
-    def execute(
-        self, key: int, act: AttackerAction, m: _Masks, offered: bool
-    ) -> list[tuple[int, float, float]]:
-        """(next key, probability, branch reward) rows; probabilities sum to 1."""
-        if not offered:
-            return [(key, 1.0, -act.cost)]
+    def execute(self, key: int, act: AttackerAction, m: _Masks) -> list[tuple[int, float, float]]:
+        """(next key, probability, branch reward) rows of `act`, which `key`
+        offers; probabilities sum to 1. A wasted move is never evaluated:
+        `build` writes it as a self-loop that pays the action's cost."""
         p = act.p_success
         if p <= 0.0:
             return [(key, 1.0, act.penalty_failure - act.cost)]
@@ -318,17 +325,19 @@ class _Builder:
             dist[muddle] = dist.get(muddle, 0.0) + pd
         return {o: p for o, p in dist.items() if p > 0.0}
 
-    def _rows(self, key: int) -> list[tuple[list, bool, bool]]:
-        """Per action: its execute rows, whether it is offered at `key`,
-        and whether its own flag is set there."""
-        rows = []
-        for act, m in zip(self.actions, self.masks):
-            offered = (not key & m.unset and key & m.seq == m.seq
-                       and (not m.alt or key & m.alt != 0))
-            rows.append((self.execute(key, act, m, offered), offered, key & m.own != 0))
-        return rows
+    def _rows(self, key: int) -> tuple[int, list[tuple[int, list]]]:
+        """The own-flag bits set at `key`, which pick its observation rows,
+        and the (action index, execute rows) of each action offered there,
+        in action order. Every other action is a wasted move at `key` and
+        is not evaluated."""
+        offered = []
+        for a, (act, m) in enumerate(zip(self.actions, self.masks)):
+            if (not key & m.unset and key & m.seq == m.seq
+                    and (not m.alt or key & m.alt != 0)):
+                offered.append((a, self.execute(key, act, m)))
+        return key & self.own_bits, offered
 
-    def _explore(self) -> dict[int, list[tuple[list, bool, bool]]]:
+    def _explore(self) -> dict[int, tuple[int, list[tuple[int, list]]]]:
         """`_rows` of every model key: all of them in naive mode, else the
         keys reachable from the initial key 0."""
         if self.naive:
@@ -337,32 +346,44 @@ class _Builder:
             if entries > NAIVE_CAP:
                 raise CapacityError("naive state space above cap", entries)
             return {key: self._rows(key) for key in range(count)}
-        explored: dict[int, list[tuple[list, bool, bool]]] = {}
+        explored: dict[int, tuple[int, list[tuple[int, list]]]] = {}
         frontier = [0]
         while frontier:
             key = frontier.pop()
             if key not in explored:
                 explored[key] = rows = self._rows(key)
-                frontier.extend(nxt for outcomes, _, _ in rows for nxt, _, _ in outcomes)
+                frontier.extend(nxt for _, outcomes in rows[1] for nxt, _, _ in outcomes)
         return explored
 
     def _state(self, key: int) -> NetworkState:
-        flags = tuple(flag for i, flag in enumerate(self.flag_names) if key >> i & 1)
+        """The state of `key`, read off its set bits, lowest first: flags in
+        name order, then (node, item) pairs by node and item."""
+        n_flags = len(self.flag_names)
+        flags: list[str] = []
         compromised: dict[str, tuple[str, ...]] = {}
-        for i, (node_id, item) in enumerate(self.items, len(self.flag_names)):
-            if key >> i & 1:
+        while key:
+            low = key & -key
+            key ^= low
+            i = low.bit_length() - 1
+            if i < n_flags:
+                flags.append(self.flag_names[i])
+            else:
+                node_id, item = self.items[i - n_flags]
                 compromised[node_id] = compromised.get(node_id, ()) + (item,)
-        return NetworkState(compromised=tuple(compromised.items()), flags=flags)
+        return NetworkState(compromised=tuple(compromised.items()), flags=tuple(flags))
 
     def build(self, horizon: int | None) -> Pomdp:
         explored = self._explore()
         named = {key: self._state(key) for key in explored}
-        keys = sorted(explored, key=named.__getitem__)
+        # the order NetworkState's generated comparison gives, without its calls
+        keys = sorted(explored, key=lambda key: (named[key].compromised, named[key].flags))
         index = {key: i for i, key in enumerate(keys)}
 
-        # An observation row depends only on (action, own flag set); o1 and
-        # other labels appear only if some state uses a row carrying them.
-        used = {(a, own) for rows in explored.values() for a, (_, _, own) in enumerate(rows)}
+        # An observation row depends only on (action, own flag set), so a
+        # state's rows depend only on its own-flag bits; o1 and other labels
+        # appear only if some state uses a row carrying them.
+        own_masks = {own for own, _ in explored.values()}
+        used = {(a, own & m.own != 0) for own in own_masks for a, m in enumerate(self.masks)}
         obs_rows = {
             key: self.observation_row(self.actions[key[0]], key[1]) for key in used
         }
@@ -374,22 +395,34 @@ class _Builder:
             for key, row in obs_rows.items()
         }
 
+        # per own mask: each action's observation row, in action order
+        obs_lists = {
+            own: [indexed[(a, own & m.own != 0)] for a, m in enumerate(self.masks)]
+            for own in own_masks
+        }
+        costs = [-act.cost for act in self.actions]
+
         transitions: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         obs_probs: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
         branch_rewards: dict[tuple[int, int, int], float] = {}
         applicable: dict[int, tuple[int, ...]] = {}
         for s_idx, key in enumerate(keys):
-            offered_here = []
-            for a_idx, (outcomes, offered, own) in enumerate(explored[key]):
+            own, offered = explored[key]
+            # every pair starts as a wasted move, all sharing one row; the
+            # offered pairs are then overwritten in place, keeping (s, a) order
+            pairs = [(s_idx, a) for a in range(len(costs))]
+            transitions.update(zip(pairs, repeat(((s_idx, 1.0),))))
+            obs_probs.update(zip(pairs, obs_lists[own]))
+            applicable[s_idx] = here = tuple(a for a, _ in offered)
+            branch_rewards.update(
+                {(s_idx, a, s_idx): r for a, r in enumerate(costs) if a not in here}
+            )
+            for a, outcomes in offered:
                 # success sets a flag the action needs unset: the outcomes differ
                 rows = [(index[nxt], p, r) for nxt, p, r in outcomes]
-                transitions[(s_idx, a_idx)] = tuple(sorted((n, p) for n, p, _ in rows))
+                transitions[(s_idx, a)] = tuple(sorted((n, p) for n, p, _ in rows))
                 for n_idx, _, r in rows:
-                    branch_rewards[(s_idx, a_idx, n_idx)] = r
-                obs_probs[(s_idx, a_idx)] = indexed[(a_idx, own)]
-                if offered:
-                    offered_here.append(a_idx)
-            applicable[s_idx] = tuple(offered_here)
+                    branch_rewards[(s_idx, a, n_idx)] = r
 
         belief = [0.0] * len(keys)
         belief[index[0]] = 1.0

@@ -10,6 +10,14 @@ the cases `_cases()` lists; a build that raised pins its `CriError` text.
 When `dump()` lost its `"discount": 1.0` line, every digest was re-derived
 and checked to be the sha256 of commit 9ed2b0e's dump with that one line
 removed.
+
+Every build input is pinned twice: the model that tracks inventory under
+`<case>/<mode>`, and the flag model (`inventory=False`), which every run
+solves, under `<case>/<mode>/flags`. The flag digests were taken at commit
+21ac385, whose builder evaluated every (state, action) pair, before it was
+changed to evaluate only offered moves and to write a state's wasted
+moves from one shared row; every digest, flag and inventory alike, held
+through that change.
 """
 
 import hashlib
@@ -25,6 +33,8 @@ from genscen import chain_scenario, random_scenario
 DIGESTS = Path(__file__).resolve().parent / "build_digests.json"
 CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659"]
 MODES = (("reduced", False), ("naive", True))
+# key suffix of each model: the one that tracks inventory, and the flag model
+MODELS = (("", True), ("/flags", False))
 
 
 def _cases():
@@ -46,9 +56,9 @@ def _cases():
         yield f"tree/{seed}", inputs, inputs.flows[0]
 
 
-def _digest(inputs, flow, naive: bool) -> str:
+def _digest(inputs, flow, naive: bool, inventory: bool) -> str:
     try:
-        pomdp = build_pomdp(flow, inputs.network, inputs.ti, naive=naive)
+        pomdp = build_pomdp(flow, inputs.network, inputs.ti, naive=naive, inventory=inventory)
     except CriError as exc:
         return f"{type(exc).__name__}: {exc}"
     return hashlib.sha256(pomdp.dump().encode()).hexdigest()
@@ -57,9 +67,10 @@ def _digest(inputs, flow, naive: bool) -> str:
 def test_builds_match_pinned_dumps():
     expected = json.loads(DIGESTS.read_text())
     actual = {
-        f"{case}/{mode}": _digest(inputs, flow, naive)
+        f"{case}/{mode}{suffix}": _digest(inputs, flow, naive, inventory)
         for case, inputs, flow in _cases()
         for mode, naive in MODES
+        for suffix, inventory in MODELS
     }
     assert actual.keys() == expected.keys()
     assert [k for k in actual if actual[k] != expected[k]] == []

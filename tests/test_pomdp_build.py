@@ -6,7 +6,7 @@ import pytest
 from cri.attack_flow import TtpNode, parse_attack_flow
 from cri.attack_tree import TreeLibrary, parse_tree_dict
 from cri.engine import run_campaign
-from cri.errors import CapacityError, ModelError, ValidationError
+from cri.errors import CapacityError, CriError, ModelError, ValidationError
 from cri.ingest import RawBundle, validate_bundle
 from cri.pomdp import (
     build_pomdp,
@@ -20,8 +20,10 @@ from cri.pomdp import (
 )
 from cri.threat_intel import TiRecord, TiTable
 from cri.pomdp.types import NetworkState, Pomdp
-from conftest import SCENARIO, load_scenario
-from genscen import PERMIT_ALL, TI_HEADER, random_scenario, two_target_tree
+from cri.pomdp.build import _Builder
+from buildoracle import build_by_pairs
+from conftest import SCENARIO, CallCounter, load_scenario
+from genscen import PERMIT_ALL, TI_HEADER, chain_scenario, random_scenario, two_target_tree
 from toys import and_chain, single_step
 
 PROB_TOL = 1e-9
@@ -458,3 +460,75 @@ class TestValidate:
         pomdp = _shared_rows(((0, 1.0),), t_row=((0, 0.5), (1, 0.25)))
         with pytest.raises(ValidationError, match=r"T row \(0,0\) sums to 0.75"):
             pomdp.validate()
+
+
+def _built(build, inputs, naive, inventory):
+    """A build's model, or the text of the error it raised."""
+    flow = inputs.flows[0]
+    try:
+        return build(flow, inputs.network, inputs.ti, naive=naive, inventory=inventory)
+    except CriError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# the chain ladder repeats techniques past the fifth step
+CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659", "T1078", "T1059", "T1005"]
+
+
+def _oracle_cases():
+    """(case id, inputs): genscen seeds 200-399, plain and with attack
+    trees, and chains of 3 to 8 steps on the reference network."""
+    for seed in range(200, 400):
+        yield f"genscen/{seed}", random_scenario(random.Random(seed), max_steps=1 + seed % 3)
+        yield f"tree/{seed}", random_scenario(
+            random.Random(seed), max_nodes=2, max_items=1, max_steps=2, tree=True
+        )
+    for steps in range(3, 9):
+        yield f"chain/{steps}", chain_scenario(CHAIN[:steps])
+
+
+class TestPerPairOracle:
+    """`build_pomdp` evaluates only offered moves and writes a state's
+    wasted moves from one shared row; the per-pair table pass of
+    `buildoracle` must give the same dump, with the transition and
+    observation rows inserted in the same (state, action) order."""
+
+    def test_matches_per_pair_build(self):
+        built = 0
+        for case, inputs in _oracle_cases():
+            for naive in (False, True):
+                for inventory in (True, False):
+                    got = _built(build_pomdp, inputs, naive, inventory)
+                    want = _built(build_by_pairs, inputs, naive, inventory)
+                    where = (case, naive, inventory)
+                    if isinstance(want, str):
+                        assert got == want, where
+                        continue
+                    built += 1
+                    assert got.dump() == want.dump(), where
+                    assert list(got.transitions) == list(want.transitions), where
+                    assert list(got.observation_probs) == list(want.observation_probs), where
+        # most inputs build in both modes, not only refuse
+        assert built >= 1200
+
+
+class TestOfferedMovesOnly:
+    """The builder evaluates a state's offered moves only: `execute` runs
+    once per offered (state, action) pair, and every wasted move of a state
+    is written from one shared self-loop row. Sharing that row is what
+    keeps a model of mostly wasted moves small in memory."""
+
+    @pytest.mark.parametrize("inventory, pairs, offered", [(True, 4695, 762), (False, 1125, 276)])
+    def test_dns_injection(self, scenario, monkeypatch, inventory, pairs, offered):
+        flow = next(f for f in scenario.flows if f.id == "dns_injection")
+        counter = CallCounter(monkeypatch, "execute", module=_Builder)
+        pomdp = build_pomdp(flow, scenario.network, scenario.ti, inventory=inventory)
+        assert len(pomdp.transitions) == pairs
+        assert sum(map(len, pomdp.applicable.values())) == offered
+        assert counter.calls["execute"] == offered
+        for s, acts in pomdp.applicable.items():
+            wasted = {
+                id(pomdp.transitions[(s, a)]): pomdp.transitions[(s, a)]
+                for a in range(len(pomdp.actions)) if a not in acts
+            }
+            assert list(wasted.values()) == [((s, 1.0),)]
