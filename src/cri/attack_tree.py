@@ -53,28 +53,26 @@ class AttackTree:
     def leaves(self) -> list[TreeLeaf]:
         """Leaves in depth-first order (stable across runs)."""
         out: list[TreeLeaf] = []
-
-        def walk(node):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, TreeLeaf):
                 out.append(node)
             else:
-                for child in node.children:
-                    walk(child)
-
-        walk(self.root)
+                stack.extend(reversed(node.children))
         return out
 
     def gate_satisfied(self, achieved: set[str]) -> bool:
         """Evaluate the gate formula given the set of achieved leaf names."""
+        return _satisfied(self.root, achieved)
 
-        def walk(node) -> bool:
-            if isinstance(node, TreeLeaf):
-                return node.name in achieved
-            if node.kind == "AND":
-                return all(walk(c) for c in node.children)
-            return any(walk(c) for c in node.children)
 
-        return walk(self.root)
+def _satisfied(node: TreeGate | TreeLeaf, achieved: set[str]) -> bool:
+    # module level, not a closure over itself: a call leaves no reference cycle
+    if isinstance(node, TreeLeaf):
+        return node.name in achieved
+    test = all if node.kind == "AND" else any
+    return test(_satisfied(c, achieved) for c in node.children)
 
 
 def success_probability(tree: AttackTree, leaf_probability) -> float:
@@ -84,21 +82,21 @@ def success_probability(tree: AttackTree, leaf_probability) -> float:
     AND combines as the product, OR as 1 - prod(1 - p). `leaf_probability`
     maps a TreeLeaf to its success probability.
     """
+    return _probability(tree.root, leaf_probability)
 
-    def walk(node) -> float:
-        if isinstance(node, TreeLeaf):
-            return float(leaf_probability(node))
-        if node.kind == "AND":
-            prob = 1.0
-            for child in node.children:
-                prob *= walk(child)
-            return prob
-        fail = 1.0
+
+def _probability(node: TreeGate | TreeLeaf, leaf_probability) -> float:
+    if isinstance(node, TreeLeaf):
+        return float(leaf_probability(node))
+    if node.kind == "AND":
+        prob = 1.0
         for child in node.children:
-            fail *= 1.0 - walk(child)
-        return 1.0 - fail
-
-    return walk(tree.root)
+            prob *= _probability(child, leaf_probability)
+        return prob
+    fail = 1.0
+    for child in node.children:
+        fail *= 1.0 - _probability(child, leaf_probability)
+    return 1.0 - fail
 
 
 def parse_tree_dict(obj: dict) -> AttackTree:

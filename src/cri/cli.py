@@ -22,7 +22,7 @@ import click
 from . import __version__
 from .attack_flow import parse_attack_flow
 from .canon import canonical_json, sha256_hex
-from .engine import EngineConfig, RunOutput, run_campaign, run_whatif
+from .engine import MODES, EngineConfig, RunOutput, run_campaign, run_whatif
 from .errors import CriError
 from .index import IndexLedger, parse_countermeasures, record_index
 from .ingest import RawBundle, parse_bool, parse_network, read_input, validate_bundle
@@ -95,7 +95,7 @@ _INPUT_OPTIONS = [
 
 
 _RUN_OPTIONS = [
-    click.option("--mode", type=click.Choice(["exact", "simulate", "both"]), default=None),
+    click.option("--mode", type=click.Choice(MODES), default=None),
     click.option("--episodes", type=int, default=None, help="Monte Carlo episodes."),
     click.option("--seed", type=int, default=None, help="Master RNG seed."),
     click.option("--horizon", type=int, default=None, help="Override the planning horizon."),

@@ -310,10 +310,9 @@ def run_whatif(
     """Yield one delta per countermeasure, in order. Each flow's flag
     model, and its walk model when the run walks, is built once and solved
     once. Under each countermeasure every baseline model is re-weighted
-    under the scaled table (`reweight_pomdp`, which rebuilds where
-    p_success moves to or from 0 or 1, or an observation row gains or
-    loses a label). A flow whose re-weighted flag model is its baseline
-    flag model, because no action's probabilities moved, reuses its
+    under the scaled table (`reweight_pomdp`, which rebuilds where an
+    action's shape moves). A flow whose re-weighted flag model is its
+    baseline flag model, because no action's probabilities moved, reuses its
     baseline result; the others are solved again."""
     cfg = cfg or EngineConfig()
     net = inputs.network

@@ -18,7 +18,7 @@ from .attack_flow import AttackFlow
 from .canon import compact_json, finite_number
 from .errors import ModelError, UsageError, ValidationError
 from .ingest import read_input
-from .threat_intel import TiTable
+from .threat_intel import TiTable, in_scope
 
 D3FEND_GROUPS = ("harden", "detect", "isolate", "deceive", "evict", "restore")
 
@@ -330,11 +330,7 @@ def evaluate_countermeasure(
     """The delta and cost of one countermeasure, given the campaign index
     without it and with its multipliers applied to the threat-intel table
     `ti`; `matched` says whether it scales any row of `ti`."""
-    matched = any(
-        (cm.technique_id is None or rec.technique_id == cm.technique_id)
-        and (cm.asset_class is None or rec.asset_class == cm.asset_class)
-        for rec in ti.records
-    )
+    matched = any(in_scope(rec, cm.technique_id, cm.asset_class) for rec in ti.records)
     delta = index_after - index_before
     cost = cm.total_cost
     return CountermeasureDelta(

@@ -24,6 +24,7 @@ it, so each network lists a target's paths once.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -209,7 +210,10 @@ def physical_paths(
                 visited.discard(nxt)
             stack.pop()
 
-    dfs(src, max_len)
+    try:
+        dfs(src, max_len)
+    finally:
+        del dfs  # it refers to itself; drop the cycle with this call
     return paths
 
 
@@ -249,12 +253,12 @@ def reachable_targets(net: NetworkModel, max_len: int = MAX_PATH_LEN) -> set[str
     }
 
 
-def candidate_targets(net: NetworkModel, ttp, ti: TiTable, reachable: set[str]) -> set[str]:
-    """Likely targets for one TTP node: the nodes of `reachable` (see
-    `reachable_targets`) whose asset class has a threat-intel record for
-    the technique, explicit or default."""
+def candidate_targets(net: NetworkModel, ttp, ti: TiTable, nodes: Iterable[str]) -> set[str]:
+    """Likely targets for one TTP node: those of `nodes` (`reachable_targets`,
+    or every node of `net` in a naive build) whose asset class has a
+    threat-intel record for the technique, explicit or default."""
     return {
         node_id
-        for node_id in reachable
+        for node_id in nodes
         if ti.lookup(ttp.technique_id, net.nodes[node_id].asset_class) is not None
     }

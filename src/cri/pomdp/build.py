@@ -25,10 +25,11 @@ order. Every run solves that flag model. A Monte Carlo walk follows the
 rows of the model that tracks inventory, so a run that walks builds that
 one too.
 
-`reweight_pomdp` derives the model under another table from a built one:
-a countermeasure moves only probabilities, so it rewrites only the rows
-they reach, builds afresh where the structure could move, and returns the
-built model itself when no action moves.
+`reweight_pomdp` derives the model under another table from a built one.
+It returns the built model itself when no action moves. Otherwise one
+test, each action's shape (`_Builder._shape`), decides: if every shape is
+kept it rewrites only the rows the moved probabilities reach, and if any
+moved it builds afresh.
 
 One exploration builds the model: at each state reachable from the
 initial state (or at every key, in naive mode) each offered move is
@@ -254,14 +255,9 @@ class _Builder:
             raise ModelError("network declares no entry_point nodes")
         actions: list[AttackerAction] = []
         for node in self.flow.nodes:
-            if not self.naive:
-                targets = candidate_targets(self.net, node, ti, self.reachable)
-            else:
-                targets = {
-                    nid
-                    for nid, asset in self.net.nodes.items()
-                    if ti.lookup(node.technique_id, asset.asset_class) is not None
-                }
+            targets = candidate_targets(
+                self.net, node, ti, self.net.nodes if self.naive else self.reachable
+            )
             if not targets:
                 raise ModelError(
                     f"no candidate targets for TTP step {node.step} "
@@ -443,75 +439,64 @@ class _Builder:
         pomdp.validate()
         return pomdp
 
+    def _shape(self, act: AttackerAction) -> tuple:
+        """What a re-weight must keep of an action: all but its two
+        probabilities, whether p_success is 0, strictly between 0 and 1 or 1
+        (`execute`'s one outcome or two, and where it lands), and the labels
+        of its two observation rows."""
+        return (
+            act.id, act.reward_success, act.penalty_failure, act.cost,
+            (act.p_success > 0.0) + (act.p_success >= 1.0),
+            *(self.observation_row(act, own).keys() for own in (False, True)),
+        )
+
     def reweight(self, base: Pomdp, ti: TiTable) -> Pomdp:
         """`reweight_pomdp` of `base`, the model this builder made."""
         actions = self._make_actions(ti)
         if tuple(actions) == base.actions:
             return base
-        if [_shape(a) for a in actions] != [_shape(a) for a in base.actions]:
-            return self._rebuild(base, ti)
-        moved = {
-            a for a, (new, old) in enumerate(zip(actions, base.actions))
-            if new.p_success != old.p_success
-        }
-        # at 0 or 1 `execute` gives one outcome where it otherwise gives two
-        if any(not (0.0 < act.p_success < 1.0) for a in moved
-               for act in (actions[a], base.actions[a])):
-            return self._rebuild(base, ti)
-
+        # an unmoved action keeps its shape, but a table that drops the
+        # last actions leaves all the others unmoved
+        moved = [(a, new, old) for a, (new, old) in enumerate(zip(actions, base.actions))
+                 if new != old]
+        if len(actions) != len(base.actions) or any(
+            self._shape(new) != self._shape(old) for _, new, old in moved
+        ):
+            return build_pomdp(
+                self.flow, self.net, ti,
+                horizon=base.horizon, naive=self.naive, inventory=self.inventory,
+            )
+        detect = [a for a, new, old in moved if new.p_detect != old.p_detect]
+        success = {a for a, new, old in moved if new.p_success != old.p_success}
         obs_index = {o: i for i, o in enumerate(base.observations)}
+        # (action, own flag set) -> row, made only for the own-flag values
+        # some state has: no other row's labels need be in `obs_index`
         obs_rows: dict[tuple[int, bool], tuple[tuple[int, float], ...]] = {}
-        for a, (new, old) in enumerate(zip(actions, base.actions)):
-            if new.p_detect == old.p_detect:
-                continue
-            for own in {self.own_flags[a] in state.flags for state in base.states}:
-                row, was = self.observation_row(new, own), self.observation_row(old, own)
-                if row.keys() != was.keys():
-                    # a label can appear or vanish: a fresh build would
-                    # list other observations
-                    return self._rebuild(base, ti)
-                if row != was:
-                    obs_rows[(a, own)] = tuple(sorted((obs_index[o], p) for o, p in row.items()))
-        observation_probs = base.observation_probs
-        if obs_rows:
-            observation_probs = dict(observation_probs)
-            for s, state in enumerate(base.states):
-                for a, own in obs_rows:
-                    if (self.own_flags[a] in state.flags) == own:
-                        observation_probs[(s, a)] = obs_rows[(a, own)]
-
-        # an offered move with 0 < p < 1 lands on its success state or stays
-        changed = [(s, a) for s, offered in base.applicable.items() for a in offered if a in moved]
-        transitions = base.transitions
-        if changed:
-            transitions = dict(transitions)
-            for s, a in changed:
+        obs_probs, transitions = {}, {}
+        for s, state in enumerate(base.states):
+            for a in detect:
+                key = (a, self.own_flags[a] in state.flags)
+                if key not in obs_rows:
+                    row = self.observation_row(actions[a], key[1])
+                    obs_rows[key] = tuple(sorted((obs_index[o], p) for o, p in row.items()))
+                obs_probs[(s, a)] = obs_rows[key]
+            for a in success.intersection(base.applicable[s]):
+                # an offered move with 0 < p < 1 lands on its success state or stays
                 p = actions[a].p_success
-                succ = next(n for n, _ in transitions[(s, a)] if n != s)
+                succ = next(n for n, _ in base.transitions[(s, a)] if n != s)
                 transitions[(s, a)] = tuple(sorted(((succ, p), (s, 1.0 - p))))
-
         pomdp = replace(
             base,
             actions=tuple(actions),
-            transitions=transitions,
-            observation_probs=observation_probs,
+            transitions={**base.transitions, **transitions} if transitions else base.transitions,
+            observation_probs={**base.observation_probs, **obs_probs},
         )
         pomdp.rewards = (
-            {**base.rewards, **pomdp.expected_rewards(changed)} if changed else base.rewards
+            {**base.rewards, **pomdp.expected_rewards(transitions)} if transitions
+            else base.rewards
         )
         pomdp.validate()
         return pomdp
-
-    def _rebuild(self, base: Pomdp, ti: TiTable) -> Pomdp:
-        return build_pomdp(
-            self.flow, self.net, ti,
-            horizon=base.horizon, naive=self.naive, inventory=self.inventory,
-        )
-
-
-def _shape(act: AttackerAction) -> tuple:
-    """What of an action a re-weight keeps: all but its two probabilities."""
-    return (act.id, act.reward_success, act.penalty_failure, act.cost)
 
 
 def build_pomdp(
@@ -539,16 +524,17 @@ def build_pomdp(
 def reweight_pomdp(base: Pomdp, ti: TiTable) -> Pomdp:
     """The model `build_pomdp` makes of `base`'s flow, network and horizon
     under `ti`, derived from `base`, a model `build_pomdp` made, without
-    analysing paths again. A countermeasure (`TiTable.with_multiplier`)
-    moves only probabilities, so the actions are derived again from `ti`.
-    When they equal `base`'s, the result is `base` itself. Otherwise the
-    rest is `base`'s: its states, `applicable`, branch rewards
-    and observation labels are the same objects. Only the offered
-    (s, a) rows of an action whose p_success moved, and the observation
-    rows of an action whose p_detect moved, are written again, and
-    `rewards` is `base`'s unless a transition row changed. Where the
-    structure could move, the model is built afresh: actions that differ
-    in more than their probabilities, a p_success at 0 or 1 before or
-    after, or an observation row that gains or loses a label (p_detect to
-    or from 0 or 1 behind an IDS)."""
+    analysing paths again. The actions are derived again from `ti`; when
+    they equal `base`'s, the result is `base` itself. Otherwise one
+    structural test decides. An action's shape is its id, rewards and
+    cost, whether its p_success is 0, strictly between 0 and 1, or 1, and
+    the labels of its two observation rows. If any action's shape moved
+    (a countermeasure, `TiTable.with_multiplier`, moves only probabilities,
+    but a p_success can reach or leave 0 or 1, and so can a p_detect
+    behind an IDS), the model is built afresh. Otherwise the rest is
+    `base`'s: its states, `applicable`, branch rewards and observation
+    labels are the same objects. Only the offered (s, a) rows of an action
+    whose p_success moved, and the observation rows of an action whose
+    p_detect moved, are written again; `transitions` and `rewards` are
+    `base`'s unless a transition row changed."""
     return base.builder.reweight(base, ti)

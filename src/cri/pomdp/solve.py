@@ -140,7 +140,11 @@ def compile_policy(pomdp: Pomdp, choose: Callable[[tuple], int | None], horizon:
         nodes.append(PolicyNode(action, key[0], support, children))
         return ids[key]
 
-    visit(pomdp.b0_support(), horizon)
+    try:
+        visit(pomdp.b0_support(), horizon)
+    finally:
+        # `visit` refers to itself: drop it, so nothing it holds outlives this call
+        del visit
     return Policy(nodes=nodes, horizon=horizon)
 
 
@@ -218,7 +222,11 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | 
             chosen[key] = best_a
         return values[key]
 
-    return solve(pomdp.b0_support(), pomdp.horizon), chosen, pruned
+    try:
+        return solve(pomdp.b0_support(), pomdp.horizon), chosen, pruned
+    finally:
+        # `solve` refers to itself: drop it, so the memo goes with this call
+        del solve
 
 
 def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .canon import finite_number
 from .errors import ParseError, ValidationError
@@ -114,28 +114,24 @@ class TiTable:
         p_detect_multiplier: float = 1.0,
     ) -> "TiTable":
         """Return a new table with probabilities scaled (clamped to [0,1]) on
-        matching rows. None matches every technique / asset class."""
-        scaled = []
-        for rec in self.records:
-            if technique_id is not None and rec.technique_id != technique_id:
-                scaled.append(rec)
-                continue
-            if asset_class is not None and rec.asset_class != asset_class:
-                scaled.append(rec)
-                continue
-            scaled.append(
-                TiRecord(
-                    rec.technique_id,
-                    rec.asset_class,
-                    min(1.0, max(0.0, rec.p_success_base * p_success_multiplier)),
-                    min(1.0, max(0.0, rec.p_detect * p_detect_multiplier)),
-                    rec.reward_success,
-                    rec.penalty_failure,
-                    rec.action_cost,
-                    rec.historical_frequency,
-                )
-            )
-        return TiTable(scaled, allow_defaults=self.allow_defaults)
+        the records `in_scope`; the others are the same objects."""
+        return TiTable(
+            [
+                replace(
+                    rec,
+                    p_success_base=min(1.0, max(0.0, rec.p_success_base * p_success_multiplier)),
+                    p_detect=min(1.0, max(0.0, rec.p_detect * p_detect_multiplier)),
+                ) if in_scope(rec, technique_id, asset_class) else rec
+                for rec in self.records
+            ],
+            allow_defaults=self.allow_defaults,
+        )
+
+
+def in_scope(rec: TiRecord, technique_id: str | None, asset_class: str | None) -> bool:
+    """Whether a countermeasure scoped to `technique_id` and `asset_class`
+    covers `rec`; None covers every technique / asset class."""
+    return technique_id in (None, rec.technique_id) and asset_class in (None, rec.asset_class)
 
 
 def _record_from_row(row: dict, where: str) -> TiRecord:

@@ -1,9 +1,10 @@
 import dataclasses
+import gc
 import random
 
 import pytest
 
-from cri.engine import _normalized_reward
+from cri.engine import _normalized_reward, assumed_p_n
 from cri.errors import CapacityError, CriError
 from cri.index import parse_countermeasures
 from cri.pomdp import (
@@ -15,7 +16,7 @@ from cri.pomdp import (
 from cri.pomdp.solve import expectimax, qmdp_bounds
 from cri.simulate import estimate_expected_reward
 from cri.pomdp.types import AttackerAction, NetworkState, Pomdp, support_key
-from conftest import SCENARIO
+from conftest import SCENARIO, load_scenario
 from genscen import chain_scenario, random_pomdp, random_scenario
 from simoracle import brute_force_value
 from solveoracle import (
@@ -233,6 +234,34 @@ class TestValueIteration:
         pomdp = build_pomdp(scenario.flows[0], scenario.network, scenario.ti)
         with pytest.raises(CapacityError, match=r"above its cap of 10 beliefs$"):
             value_iteration(pomdp, belief_cap=10)
+
+
+@pytest.mark.parametrize("flow_id", ["credential_chain", "dns_injection"])
+def test_build_and_solve_leave_no_reference_cycles(flow_id):
+    """Nothing the builds, the assumed series or a solve allocates waits for
+    the cyclic collector, also when the solve raises: a stranded belief
+    memo would outlive it."""
+    # a fresh network, so the builds list its paths too
+    scenario = load_scenario()
+    flow = next(f for f in scenario.flows if f.id == flow_id)
+    gc.collect()
+    gc.disable()
+    try:
+        models = [
+            build_pomdp(flow, scenario.network, scenario.ti, inventory=inventory)
+            for inventory in (False, True)
+        ]
+        assumed_p_n(flow, scenario.network, scenario.ti)
+        found = [gc.collect()]
+        for pomdp in models:
+            value_iteration(pomdp)
+            found.append(gc.collect())
+        with pytest.raises(CapacityError):
+            value_iteration(models[0], belief_cap=3)
+        found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found == [0, 0, 0, 0]
 
 
 class TestMilestoneProbabilities:

@@ -11,11 +11,14 @@ import cri.engine
 import cri.pomdp.build
 from conftest import SCENARIO, CallCounter, load_scenario
 from cri.engine import EngineConfig, run_campaign, run_whatif
-from cri.index import Countermeasure, CountermeasureDelta, parse_countermeasures
+from cri.index import (
+    Countermeasure, CountermeasureDelta, evaluate_countermeasure, parse_countermeasures,
+)
 from cri.ingest import ValidatedInputs
 from cri.pomdp import build_pomdp, reweight_pomdp
 from cri.threat_intel import TiTable
 from genscen import random_scenario
+from toys import _NET_ONE, _build, _flow
 
 MULTIPLIERS = (0.0, 0.5, 1.0, 1.4, 2.0, 3.0)
 
@@ -148,6 +151,34 @@ class TestRunWhatifOracle:
         assert counter.calls == {
             "build_pomdp": len(scenario.flows), "reweight_pomdp": len(scenario.flows),
         }
+
+
+def test_scope_is_one_rule(scenario):
+    """`matched` holds exactly when `with_multiplier` replaced some record,
+    and the records out of scope come back as the same objects."""
+    ti = scenario.ti
+    techniques = sorted({rec.technique_id for rec in ti.records})
+    classes = sorted({rec.asset_class for rec in ti.records})
+    seen = set()
+    for technique in [None, *techniques, "T0000"]:
+        for asset_class in [None, *classes, "nowhere"]:
+            cm = Countermeasure(id="cm", d3fend_group="harden", technique_id=technique,
+                                asset_class=asset_class, p_success_multiplier=0.5)
+            new = scaled(ti, cm)
+            replaced = [after is not before for after, before in zip(new.records, ti.records)]
+            assert replaced == [
+                (technique is None or rec.technique_id == technique)
+                and (asset_class is None or rec.asset_class == asset_class)
+                for rec in ti.records
+            ]
+            matched = evaluate_countermeasure(cm, ti, 0.0, 0.0).matched
+            assert matched == any(replaced)
+            seen.add((technique is None, asset_class is None, matched))
+    # None/None, technique only, class only, both, each matching and not
+    assert seen == {
+        (True, True, True), (False, True, True), (True, False, True), (False, False, True),
+        (False, True, False), (True, False, False), (False, False, False),
+    }
 
 
 class TestRunWhatifWork:
@@ -301,9 +332,14 @@ class TestReweightPomdp:
              Countermeasure(id="detected", d3fend_group="detect")),
             (None, Countermeasure(id="always", d3fend_group="detect",
                                   p_detect_multiplier=3.0)),
+            # a class test that only asks "strictly between 0 and 1?" misses this
+            (Countermeasure(id="to-zero", d3fend_group="harden",
+                            technique_id="T1078", p_success_multiplier=0.0),
+             Countermeasure(id="to-one", d3fend_group="harden",
+                            technique_id="T1078", p_success_multiplier=2.0)),
         ],
         ids=["p_success-to-0", "p_success-clamped-to-1", "p_detect-to-0",
-             "p_detect-from-0", "p_detect-clamped-to-1"],
+             "p_detect-from-0", "p_detect-clamped-to-1", "p_success-0-to-1"],
     )
     def test_structural_moves_rebuild(self, scenario, base_cm, cm):
         ti = scenario.ti if base_cm is None else scaled(scenario.ti, base_cm)
@@ -329,6 +365,15 @@ class TestReweightPomdp:
         derived = reweighted(chain_base, chain, scenario.network, new_ti)
         assert not shares_skeleton(chain_base, derived)
         assert reweighted(dns_base, dns, scenario.network, new_ti) is dns_base
+
+    def test_tables_that_drop_the_last_actions_rebuild(self):
+        """The actions left are the baseline's first ones, unchanged."""
+        base, inputs = _build(_NET_ONE, _flow([(1, "T0001")], "toy"), [
+            "T0001,firewall,0.5,0,10,-2,1,1", "T0001,endpoint,0.6,0,10,-2,1,1",
+        ])
+        new_ti = TiTable([rec for rec in inputs.ti.records if rec.asset_class == "firewall"])
+        derived = reweighted(base, inputs.flows[0], inputs.network, new_ti)
+        assert len(derived.actions) == 1 and not shares_skeleton(base, derived)
 
     def test_flag_models_reweight_and_rebuild_as_flag_models(self, scenario):
         """Every run re-weights flag models; where the structure can move,
