@@ -43,6 +43,7 @@ from .ingest import ValidatedInputs
 from .netmodel import NetworkModel
 from .pomdp import (
     Pomdp,
+    SolveResult,
     build_pomdp,
     complexity_report,
     milestone_probabilities,
@@ -142,6 +143,14 @@ def _normalized_reward(pomdp, value: float) -> float | None:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
+def _solve(flow: AttackFlow, pomdp: Pomdp) -> SolveResult:
+    """`value_iteration` of a model of `flow`; a CapacityError names the flow."""
+    try:
+        return value_iteration(pomdp)
+    except CapacityError as exc:
+        raise CapacityError(f"{exc} (flow {flow.id})") from exc
+
+
 def _naive_check(flow, net, ti, cfg, flags, walk, value) -> str:
     """Check `flags`, the flow's flag model, against its naive flag grid:
     the reachable set and V* (`value`). Then check the reachable set of
@@ -153,7 +162,7 @@ def _naive_check(flow, net, ti, cfg, flags, walk, value) -> str:
     except CapacityError as exc:
         return f"skipped: {exc}"
     _check_reachable(flow, naive, flags)
-    naive_value = value_iteration(naive).value
+    naive_value = _solve(flow, naive).value
     if abs(naive_value - value) > 1e-9:
         raise ModelError(f"flow {flow.id}: naive value {naive_value} != reduced {value}")
     if walk is None:
@@ -207,7 +216,7 @@ def _run_flow(
     """Solve `flags`, the flag model of `flow` over `net` and `ti`, and
     read its milestones off the policy graph and/or walk that graph on
     `walk`, the flow's model that tracks inventory."""
-    solved = value_iteration(flags)
+    solved = _solve(flow, flags)
     logger.info(
         "flow %s: %d states, %d actions, %d reachable beliefs, "
         "%d actions pruned, V*=%.6f",

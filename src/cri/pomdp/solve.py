@@ -14,25 +14,34 @@ Greig 2003), and far fewer beliefs are expanded. The solver itself
 searches whatever model it is given, as it is. Every stage reads
 immediate rewards as R(s, a) from its model's `rewards`.
 
-The expectimax is exact branch-and-bound. Before it starts, `qmdp_bounds`
-tabulates Q_d(s, a), the finite-horizon Q-value of the model treated
-as fully observable, with the stop option (QMDP: Littman, Cassandra &
-Kaelbling 1995; Hauskrecht 2000): V_0 = 0, Q_d(s, a) = R(s, a) + sum_s'
-T(s, a, s') V_{d-1}(s'), undiscounted, and V_d(s) = max(0, max over every
-action of Q_d(s, a)). Every action counts, not only the applicable ones,
-because a belief offers the union of its states' actions and so can force
-a state through a wasted move, which may pay. At a belief b with d steps
-left, UB(b, a) = sum_s b(s) Q_d(s, a) bounds the value of taking a. The
-offered actions are visited in decreasing UB, ties toward the lower
-index, and an action is skipped when UB < max(best q so far, 0) - eps.
-The largest q is chosen, exact ties going to the lowest index, so the
-choice does not depend on the visit order and the policy is the one an
-unpruned search picks. eps = 1e-9 * max |Q_d(s, a)| covers only float
-rounding in the bound: it scales with the model's rewards, and it keeps a
-skipped action's q strictly below the best q, since an equal q would win
-the tie on a lower index. No bound is passed down to the children, so
-every memoized value is exact, and the value of b0 with the horizon left
-is V*.
+The expectimax is exact branch-and-bound. Before it starts,
+`informed_bounds` tabulates Q_d(s, a), the fast informed bound (FIB:
+Hauskrecht 2000) with the stop option: Q_0 = 0 and Q_d(s, a) = R(s, a) +
+sum_o max(0, max_a' sum_s' T(s, a, s') Z(s', a, o) Q_{d-1}(s', a')),
+undiscounted. The max runs over every action, not only the applicable
+ones, because a belief offers the union of its states' actions and so can
+force a state through a wasted move, which may pay. FIB grants the
+attacker each observation, where QMDP (Littman, Cassandra & Kaelbling
+1995) grants the state itself, so it is never above QMDP and equals it
+where the observations reveal the state. At a belief b with d steps left,
+UB(b, a) = sum_s b(s) Q_d(s, a) bounds the value of taking a. The offered
+actions are visited in decreasing UB, ties toward the lower index, and an
+action is skipped when UB < max(best q so far, 0) - eps. Once b has a best
+action, each later candidate is bounded again by a one-step lookahead
+(Ross, Pineau, Paquet & Chaib-draa 2008) before any child is expanded:
+R(b, a) + sum_o P(o | b, a) U(b_ao), where U is the child's exact value
+if it is solved, else max(0, max over its offered a' of UB(b_ao, a')) with
+d - 1 steps left. The candidate is skipped when that is below the same
+threshold; otherwise each child is expanded with the UB the lookahead
+computed for it. No other UB is kept, since a memo of every bounded
+belief doubled the memory of a search that runs into the belief cap. The
+largest q is chosen, exact ties going to the lowest index, so the choice
+does not depend on the visit order and the policy is the one an unpruned
+search picks. eps = 1e-9 * max |Q_d(s, a)| covers only float rounding in
+the bounds: it scales with the model's rewards, and it keeps a skipped
+action's q strictly below the best q, since an equal q would win the tie
+on a lower index. No threshold is passed down to the children, so every
+memoized value is exact, and the value of b0 with the horizon left is V*.
 
 The solved policy is then compiled into a policy graph (Kaelbling,
 Littman & Cassandra 1998) over the model's states: one node per (belief,
@@ -112,7 +121,7 @@ class SolveResult:
     """`value` is V*, the expectimax's value of b0 with the horizon left;
     `reachable_beliefs` counts the (belief, steps left) pairs the
     expectimax expanded, and `pruned` the actions skipped at them because
-    their bound could not win."""
+    their bound or their lookahead could not win."""
 
     policy: Policy
     value: float
@@ -148,69 +157,147 @@ def compile_policy(pomdp: Pomdp, choose: Callable[[tuple], int | None], horizon:
     return Policy(nodes=nodes, horizon=horizon)
 
 
-def qmdp_bounds(pomdp: Pomdp) -> list[list[list[float]]]:
-    """Q_d(s, a) for d = 0..horizon, indexed [d][s][a]: the finite-horizon
-    Q-value of the model treated as fully observable, with the stop
-    option. V_d(s) = max(0, max over every action of Q_d(s, a)), since a
-    belief can force any state through any action its other states offer."""
+def _informed_row(pomdp: Pomdp, r: float, row: tuple, a: int) -> tuple:
+    """(R(s, a), singles, shared) of one row of `informed_bounds`. `shared`
+    lists each observation that two or more successors emit, as its (s',
+    T Z) pairs. `singles` lists (s', weight) for the rest: T for a
+    successor none of whose observations is shared, in the row's order,
+    then T Z for each unshared observation of the other successors."""
+    emitted = [pomdp.observation_probs[(s2, a)] for s2, _ in row]
+    labels = [o for pairs in emitted for o, _ in pairs]
+    if len(set(labels)) == len(labels):
+        return r, row, ()
+    groups: dict[int, list[tuple[int, float]]] = {}
+    for (s2, p), pairs in zip(row, emitted):
+        for o, z in pairs:
+            if p * z > 0.0:
+                groups.setdefault(o, []).append((s2, p * z))
+    shared = tuple(tuple(group) for group in groups.values() if len(group) > 1)
+    muddled = {s2 for group in shared for s2, _ in group}
+    singles = [(s2, p) for s2, p in row if s2 not in muddled]
+    singles += [group[0] for group in groups.values() if len(group) == 1 and group[0][0] in muddled]
+    return r, tuple(singles), shared
+
+
+def _shared_value(group: tuple, q: list[list[float]]) -> float:
+    """max(0, max over every action a' of sum (T Z) Q(s', a')) of one
+    shared observation."""
+    (s2, w), *rest = group
+    total = [w * x for x in q[s2]]
+    for s2, w in rest:
+        total = [t + w * x for t, x in zip(total, q[s2])]
+    return max([0.0, *total])
+
+
+def informed_bounds(pomdp: Pomdp) -> list[list[list[float]]]:
+    """Q_d(s, a) for d = 0..horizon, indexed [d][s][a]: the fast informed
+    bound with the stop option, the max taken over every action. With
+    V_d(s) = max(0, max_a Q_d(s, a)), an unshared observation of s'
+    contributes T Z V_{d-1}(s') exactly, and these terms are summed first,
+    as QMDP sums its own, so a model whose observations reveal the state
+    gets the QMDP table to the bit. Only shared observations pay for the max
+    over a'. Equal rows of a state, such as its wasted moves, are summed once."""
     actions = range(len(pomdp.actions))
-    rows = [
-        [(pomdp.rewards[(s, a)], pomdp.transitions[(s, a)]) for a in actions]
-        for s in range(len(pomdp.states))
-    ]
-    table = [[[0.0] * len(actions) for _ in rows]]
-    v = [0.0] * len(rows)
+    rows = []
+    for s in range(len(pomdp.states)):
+        distinct: dict[tuple, int] = {}
+        index = []
+        for a in actions:
+            r = pomdp.rewards[(s, a)]
+            row = pomdp.transitions[(s, a)]
+            terms = (r, row, ()) if len(row) == 1 else _informed_row(pomdp, r, row, a)
+            index.append(distinct.setdefault(terms, len(distinct)))
+        rows.append((list(distinct), index))
+    q = [[0.0] * len(actions) for _ in rows]
+    table = [q]
     for _ in range(pomdp.horizon):
-        q = [
-            [r + sum([p * v[s2] for s2, p in row]) for r, row in state_rows]
-            for state_rows in rows
-        ]
         v = [max([0.0, *row]) for row in q]
+        prev = q
+        q = []
+        for terms, index in rows:
+            sums = [
+                r + sum([w * v[s2] for s2, w in singles])
+                if not shared
+                else r + sum([w * v[s2] for s2, w in singles] + [_shared_value(g, prev) for g in shared])
+                for r, singles, shared in terms
+            ]
+            q.append([sums[i] for i in index])
         table.append(q)
     return table
 
 
 def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | None], int]:
     """Memoized expectimax to the model's horizon from b0, with every
-    action bounded by `qmdp_bounds`. Returns V*, the value of b0; the
+    action bounded by `informed_bounds` and, once a belief has a best
+    action, by a one-step lookahead. Returns V*, the value of b0; the
     action chosen at every expanded (belief key, steps left), None meaning
-    stop; and the number of actions the bound skipped. Raises
+    stop; and the number of actions either bound skipped. Raises
     CapacityError past `belief_cap` beliefs."""
     rewards = pomdp.rewards
-    bounds = qmdp_bounds(pomdp)
+    bounds = informed_bounds(pomdp)
     # covers float rounding in the bound, at the scale of the model's values
     eps = 1e-9 * max((abs(q) for depth in bounds for row in depth for q in row), default=0.0)
     values: dict[tuple, float] = {}
     chosen: dict[tuple, int | None] = {}
     pruned = 0
 
-    def solve(support: Support, depth: int) -> float:
+    def upper(support: Support, depth: int) -> dict[int, float]:
+        bound = bounds[depth]
+        return {
+            a: sum(p * bound[s][a] for s, p in support.items())
+            for a in {a for s in support for a in pomdp.applicable.get(s, ())}
+        }
+
+    def ceiling(support: Support, key: tuple, bounded: dict) -> float:
+        """U of the lookahead: the child's exact value when solved, else its
+        bound, whose UB goes into `bounded` for the child's expansion."""
+        if key in values:
+            return values[key]
+        if key[1] == 0:
+            return 0.0
+        bounded[key] = upper(support, key[1])
+        return max([0.0, *bounded[key].values()])
+
+    def solve(support: Support, key: tuple, bound: dict | None = None) -> float:
         nonlocal pruned
-        key = (support_key(support), depth)
         if key in values:
             return values[key]
         if len(values) >= belief_cap:
-            raise CapacityError(f"reachable belief tree above its cap of {belief_cap} beliefs")
+            raise CapacityError(
+                f"reachable belief tree of horizon {pomdp.horizon} "
+                f"above its cap of {belief_cap} beliefs"
+            )
+        depth = key[1]
         if depth == 0:
             values[key] = 0.0
             chosen[key] = None
             return 0.0
-        bound = bounds[depth]
-        upper = {
-            a: sum(p * bound[s][a] for s, p in support.items())
-            for a in {a for s in support for a in pomdp.applicable.get(s, ())}
-        }
-        order = sorted(upper, key=lambda a: (-upper[a], a))
+        if bound is None:
+            bound = upper(support, depth)
+        order = sorted(bound, key=lambda a: (-bound[a], a))
         best_q = -math.inf
         best_a: int | None = None
         for i, a in enumerate(order):
             # neither this action nor any after it can beat stopping or best_a
-            if upper[a] < max(best_q, 0.0) - eps:
+            if bound[a] < max(best_q, 0.0) - eps:
                 pruned += len(order) - i
                 break
             q = sum(support[s] * rewards[(s, a)] for s in sorted(support))
-            for _, mass, child in _successors(pomdp, support, a):
-                q += mass * solve(child, depth - 1)
+            children = [
+                (mass, child, (support_key(child), depth - 1))
+                for _, mass, child in _successors(pomdp, support, a)
+            ]
+            bounded: dict[tuple, dict[int, float]] = {}
+            if best_a is not None:
+                # summed as q is, so a bound of solved children is q itself
+                ahead = q
+                for mass, child, child_key in children:
+                    ahead += mass * ceiling(child, child_key, bounded)
+                if ahead < max(best_q, 0.0) - eps:
+                    pruned += 1
+                    continue
+            for mass, child, child_key in children:
+                q += mass * solve(child, child_key, bounded.get(child_key))
             if q > best_q or (q == best_q and a < best_a):
                 best_q = q
                 best_a = a
@@ -222,8 +309,9 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | 
             chosen[key] = best_a
         return values[key]
 
+    b0 = pomdp.b0_support()
     try:
-        return solve(pomdp.b0_support(), pomdp.horizon), chosen, pruned
+        return solve(b0, (support_key(b0), pomdp.horizon)), chosen, pruned
     finally:
         # `solve` refers to itself: drop it, so the memo goes with this call
         del solve

@@ -1,12 +1,15 @@
-"""Unpruned-expectimax, model-minimization and belief-update oracles for
-the solver.
+"""Unpruned-expectimax, bound, model-minimization and belief-update
+oracles for the solver.
 
-`expectimax` in `cri.pomdp.solve` skips every action whose QMDP upper bound
-cannot beat the best action found so far. This module keeps the search it
-must agree with: every offered action is expanded at every belief, in
-ascending index order, and the largest q wins with ties toward the lowest
-index. `belief_update` gives the single successor of a dense `Belief` for
-one (action, observation), against which the policy graph's children are
+`expectimax` in `cri.pomdp.solve` skips every action whose fast informed
+bound, or whose one-step lookahead over that bound, cannot beat the best
+action found so far. This module keeps the search it must agree with:
+every offered action is expanded at every belief, in ascending index
+order, and the largest q wins with ties toward the lowest index.
+`qmdp_bounds` is the looser QMDP table, which the fast informed bound
+must never exceed and must equal where observations reveal the state.
+`belief_update` gives the single successor of a dense `Belief` for one
+(action, observation), against which the policy graph's children are
 checked. `policy_value` sums what a policy graph earns on the model's own
 states; the graph `value_iteration` compiles must earn the V* its
 expectimax found.
@@ -77,6 +80,29 @@ def unpruned_expectimax(pomdp: Pomdp, belief_cap: int = 500_000) -> tuple[float,
         return values[key]
 
     return solve(pomdp.b0_support(), pomdp.horizon), chosen
+
+
+def qmdp_bounds(pomdp: Pomdp) -> list[list[list[float]]]:
+    """Q_d(s, a) for d = 0..horizon, indexed [d][s][a]: the QMDP table, the
+    finite-horizon Q-value of the model treated as fully observable, with
+    the stop option (Littman, Cassandra & Kaelbling 1995). V_d(s) = max(0,
+    max over every action of Q_d(s, a)), since a belief can force any state
+    through any action its other states offer."""
+    actions = range(len(pomdp.actions))
+    rows = [
+        [(pomdp.rewards[(s, a)], pomdp.transitions[(s, a)]) for a in actions]
+        for s in range(len(pomdp.states))
+    ]
+    table = [[[0.0] * len(actions) for _ in rows]]
+    v = [0.0] * len(rows)
+    for _ in range(pomdp.horizon):
+        q = [
+            [r + sum([p * v[s2] for s2, p in row]) for r, row in state_rows]
+            for state_rows in rows
+        ]
+        v = [max([0.0, *row]) for row in q]
+        table.append(q)
+    return table
 
 
 def lump_blocks(pomdp: Pomdp) -> tuple[int, ...]:

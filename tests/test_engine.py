@@ -10,7 +10,7 @@ import cri.pomdp.build
 import cri.pomdp.solve
 from conftest import SCENARIO, CallCounter, load_scenario
 from cri.engine import MODES, EngineConfig, assumed_p_n, run_campaign, run_whatif
-from cri.errors import ModelError
+from cri.errors import CapacityError, ModelError
 from cri.index import parse_countermeasures
 from cri.pomdp import build_pomdp, complexity_report, milestone_flag, value_iteration
 from genscen import random_scenario
@@ -199,8 +199,42 @@ class TestLogging:
         assert (
             # every run solves the flag model: one state per flag set
             "flow credential_chain: 4 states, 12 actions, "
-            "87 reachable beliefs, 180 actions pruned, V*=11.946275"
+            "25 reachable beliefs, 35 actions pruned, V*=11.946275"
         ) in proc.stderr
+
+
+class TestCapacityNamesTheFlow:
+    """A solve past its belief cap says which flow and horizon hit it, in
+    `calc` and in a what-if re-solve alike."""
+
+    @staticmethod
+    def _cap_after(monkeypatch, uncapped):
+        """Let the engine's first `uncapped` solves run, then cap each at 3 beliefs."""
+        calls = []
+
+        def capped(pomdp):
+            calls.append(pomdp)
+            return value_iteration(pomdp, belief_cap=500_000 if len(calls) <= uncapped else 3)
+
+        monkeypatch.setattr(cri.engine, "value_iteration", capped)
+
+    def test_calc(self, scenario, monkeypatch):
+        self._cap_after(monkeypatch, 1)
+        with pytest.raises(CapacityError) as info:
+            run_campaign(scenario, EngineConfig(horizon=6))
+        assert str(info.value) == (
+            "reachable belief tree of horizon 6 above its cap of 3 beliefs (flow dns_injection)"
+        )
+
+    def test_whatif_resolve(self, scenario, monkeypatch):
+        measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
+        # both baselines solve; the first measure's re-solve hits the cap
+        self._cap_after(monkeypatch, 2)
+        with pytest.raises(CapacityError) as info:
+            list(run_whatif(scenario, measures, EngineConfig()))
+        assert str(info.value) == (
+            "reachable belief tree of horizon 5 above its cap of 3 beliefs (flow credential_chain)"
+        )
 
 
 class TestSolvesOnlyFlagModels:

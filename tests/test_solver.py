@@ -13,7 +13,7 @@ from cri.pomdp import (
     reweight_pomdp,
     value_iteration,
 )
-from cri.pomdp.solve import expectimax, qmdp_bounds
+from cri.pomdp.solve import expectimax, informed_bounds
 from cri.simulate import estimate_expected_reward
 from cri.pomdp.types import AttackerAction, NetworkState, Pomdp, support_key
 from conftest import SCENARIO, load_scenario
@@ -28,6 +28,7 @@ from solveoracle import (
     lump,
     lump_blocks,
     policy_value,
+    qmdp_bounds,
     quotient,
     unlumped_solve,
     unpruned_solve,
@@ -735,8 +736,9 @@ def _tied_gamble(sure):
 
 
 class TestPrunedSolve:
-    """`value_iteration` skips actions by their QMDP bound; the unpruned
-    search in `solveoracle` must pick the same policy, to the bit."""
+    """`value_iteration` skips actions by their fast informed bound and by
+    a one-step lookahead over it; the unpruned search in `solveoracle` must
+    pick the same policy, to the bit."""
 
     def _assert_same_as_unpruned(self, pomdp):
         result = value_iteration(pomdp)
@@ -755,9 +757,9 @@ class TestPrunedSolve:
                 counts[flow.id, inputs is scenario] = result.reachable_beliefs
         # unpruned: 608, 385 and 351 beliefs
         assert counts == {
-            ("credential_chain", True): 87,
-            ("dns_injection", True): 126,
-            ("credential_chain", False): 73,
+            ("credential_chain", True): 25,
+            ("dns_injection", True): 87,
+            ("credential_chain", False): 21,
         }
 
     def test_random_scenarios_match_unpruned_solve(self):
@@ -817,7 +819,7 @@ class TestPrunedSolve:
         # ulp lower, so a bound without slack would skip `a0`
         gamble, _, _ = unpruned_solve(_tied_gamble(0.0))
         pomdp = _tied_gamble(gamble)
-        assert qmdp_bounds(pomdp)[2][0][0] < gamble
+        assert informed_bounds(pomdp)[2][0][0] < gamble
         result = self._assert_same_as_unpruned(pomdp)
         assert result.policy.root.action == 0
         assert result.value == gamble
@@ -832,4 +834,74 @@ class TestPrunedSolve:
                 len(flags.states), result.reachable_beliefs, len(result.policy.nodes),
             )
         # unpruned: 12,524 and 52,918 beliefs; a walk follows the same graph
-        assert counts == {5: (6, 903, 50), 6: (7, 3_392, 66)}
+        assert counts == {5: (6, 60, 50), 6: (7, 82, 66)}
+
+    def test_deep_ladder(self):
+        # the QMDP bound without the lookahead expanded 3,392, 13,301 and
+        # 53,005 beliefs to the same graphs and values
+        ladder = [*CHAIN, "T1059", "T1005"]
+        found = {}
+        for steps in (6, 7, 8):
+            inputs = chain_scenario(ladder[:steps])
+            flags = build_pomdp(inputs.flows[0], inputs.network, inputs.ti, inventory=False)
+            result = value_iteration(flags)
+            found[steps] = (result.reachable_beliefs, len(result.policy.nodes), repr(result.value))
+        assert found == {
+            6: (82, 66, "18.195722128876284"),
+            7: (102, 84, "20.099370227269397"),
+            8: (131, 108, "22.796987234589032"),
+        }
+
+    def test_long_horizons(self, scenario):
+        # the QMDP bound without the lookahead expanded 19,524 and 265,469
+        # beliefs to the same values
+        flow = scenario.flows[0]
+        found = {}
+        for horizon in (10, 12):
+            flags = build_pomdp(flow, scenario.network, scenario.ti, horizon=horizon, inventory=False)
+            result = value_iteration(flags)
+            found[horizon] = (result.reachable_beliefs, repr(result.value))
+        assert flow.id == "credential_chain"
+        assert found == {10: (55, "14.859363548734926"), 12: (67, "14.9379502623809")}
+
+
+def _revealed(pomdp):
+    """`pomdp` with one observation per state, which the state emits with
+    certainty on arrival under every action."""
+    return dataclasses.replace(
+        pomdp,
+        observations=tuple(f"at{s}" for s in range(len(pomdp.states))),
+        observation_probs={(s, a): ((s, 1.0),) for s, a in pomdp.observation_probs},
+    )
+
+
+class TestInformedBound:
+    """`informed_bounds` never exceeds the QMDP table of `solveoracle`, and
+    equals it to the bit where every observation reveals the state."""
+
+    def _models(self, *scenarios):
+        for inputs in scenarios:
+            for flow in inputs.flows:
+                yield from _models(inputs, flow)
+        rng = random.Random(8181)
+        for _ in range(200):
+            yield random_pomdp(rng)
+
+    def test_never_above_qmdp(self, scenario, scenario_isolated):
+        below = 0
+        for pomdp in self._models(scenario, scenario_isolated):
+            informed, qmdp = informed_bounds(pomdp), qmdp_bounds(pomdp)
+            # summed in another order, two bounds equal in exact arithmetic
+            # can differ in the last bits, far inside the solver's 1e-9 slack
+            slack = 1e-12 * max(abs(q) for depth in qmdp for row in depth for q in row)
+            for depth, depth_qmdp in zip(informed, qmdp):
+                for row, row_qmdp in zip(depth, depth_qmdp):
+                    assert all(q <= q_qmdp + slack for q, q_qmdp in zip(row, row_qmdp))
+                    below += sum(q < q_qmdp - slack for q, q_qmdp in zip(row, row_qmdp))
+        assert below > 0
+
+    def test_equals_qmdp_when_observations_reveal_the_state(self, scenario, scenario_isolated):
+        for pomdp in map(_revealed, self._models(scenario, scenario_isolated)):
+            informed = [[[q.hex() for q in row] for row in depth] for depth in informed_bounds(pomdp)]
+            qmdp = [[[q.hex() for q in row] for row in depth] for depth in qmdp_bounds(pomdp)]
+            assert informed == qmdp
