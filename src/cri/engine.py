@@ -10,7 +10,11 @@ combines the resulting milestone probabilities.
 inventory=False)`), whose states are their flag sets, and solves it into
 one policy graph. It also builds the model that tracks inventory, whose
 sizes the complexity report reads; a run that walks Monte Carlo episodes
-samples that model's rows while it follows the flag model's graph.
+samples that model's rows while it follows the flag model's graph. Flows
+are built and solved one after another; then every flow is walked in one
+call (`estimate_expected_rewards`), which derives each block of the
+episodes' uniforms once for all of them, and the flow reports are put
+together in flow order.
 
 `run_whatif` evaluates countermeasures against one baseline run, building
 inventory models only to walk them: it re-weights each flow's baseline
@@ -42,6 +46,7 @@ from .index import (
 from .ingest import ValidatedInputs
 from .netmodel import NetworkModel
 from .pomdp import (
+    Policy,
     Pomdp,
     SolveResult,
     build_pomdp,
@@ -50,7 +55,7 @@ from .pomdp import (
     reweight_pomdp,
     value_iteration,
 )
-from .simulate import SimulationSummary, estimate_expected_reward
+from .simulate import SimulationSummary, estimate_expected_rewards
 from .threat_intel import TiTable
 
 logger = logging.getLogger(__name__)
@@ -209,13 +214,27 @@ def _build(
     return flags, full
 
 
-def _run_flow(
+@dataclass
+class _Solved:
+    """A flow whose flag model is solved, waiting for its walk, if any:
+    the flow's model that tracks inventory and the policy graph to walk
+    on it."""
+
+    flow: AttackFlow
+    flags: Pomdp
+    value: float
+    p_exact: dict[int, float] | None
+    naive_check: str | None
+    walk: tuple[Pomdp, Policy] | None
+
+
+def _solve_flow(
     flow: AttackFlow, net: NetworkModel, ti: TiTable,
     flags: Pomdp, walk: Pomdp | None, cfg: EngineConfig,
-) -> FlowReport:
+) -> _Solved:
     """Solve `flags`, the flag model of `flow` over `net` and `ti`, and
-    read its milestones off the policy graph and/or walk that graph on
-    `walk`, the flow's model that tracks inventory."""
+    read its milestones off the policy graph; `walk`, the flow's model
+    that tracks inventory, is kept with the graph for `_reports` to walk."""
     solved = _solve(flow, flags)
     logger.info(
         "flow %s: %d states, %d actions, %d reachable beliefs, "
@@ -223,29 +242,37 @@ def _run_flow(
         flow.id, len(flags.states), len(flags.actions),
         solved.reachable_beliefs, solved.pruned, solved.value,
     )
-
     p_exact = None
-    p_sim = None
-    intervals = None
-    summary = None
     if cfg.mode in ("exact", "both"):
         p_exact = milestone_probabilities(flags, solved.policy)
-    if walk is not None:
-        summary = estimate_expected_reward(walk, solved.policy, cfg.episodes, cfg.seed)
-        p_sim = summary.p_n_estimates
-        intervals = summary.p_n_intervals
-
-    if p_exact is not None:
-        p_used, method = p_exact, "exact"
-        reward = solved.value
-    else:
-        assert summary is not None
-        p_used, method = p_sim, "simulated"
-        reward = summary.mean_reward
-
     naive_note = None
     if cfg.naive_check:
         naive_note = _naive_check(flow, net, ti, cfg, flags, walk, solved.value)
+    return _Solved(
+        flow, flags, solved.value, p_exact, naive_note,
+        None if walk is None else (walk, solved.policy),
+    )
+
+
+def _reports(flows: list[_Solved], cfg: EngineConfig) -> list[FlowReport]:
+    """The report of each solved flow, in order. The flows with a walk
+    model are walked in one call, which derives each block of episodes'
+    uniforms once for all of them."""
+    walks = [f.walk for f in flows if f.walk is not None]
+    summaries = iter(estimate_expected_rewards(walks, cfg.episodes, cfg.seed) if walks else ())
+    return [_report(f, next(summaries) if f.walk is not None else None) for f in flows]
+
+
+def _report(done: _Solved, summary: SimulationSummary | None) -> FlowReport:
+    """The report of a solved flow and its walk's summary, if walked."""
+    flow = done.flow
+    if done.p_exact is not None:
+        p_used, method = done.p_exact, "exact"
+        reward = done.value
+    else:
+        assert summary is not None
+        p_used, method = summary.p_n_estimates, "simulated"
+        reward = summary.mean_reward
 
     return FlowReport(
         flow_id=flow.id,
@@ -256,13 +283,13 @@ def _run_flow(
             expected_attacker_reward=reward,
             method=method,
         ),
-        p_n_exact=p_exact,
-        p_n_simulated=p_sim,
-        p_n_intervals=intervals,
-        solver_value=solved.value,
+        p_n_exact=done.p_exact,
+        p_n_simulated=None if summary is None else summary.p_n_estimates,
+        p_n_intervals=None if summary is None else summary.p_n_intervals,
+        solver_value=done.value,
         simulation=summary,
-        normalized_reward=_normalized_reward(flags, reward),
-        naive_check=naive_note,
+        normalized_reward=_normalized_reward(done.flags, reward),
+        naive_check=done.naive_check,
     )
 
 
@@ -271,12 +298,12 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
     cfg = cfg or EngineConfig()
     net = inputs.network
 
-    flow_reports: list[FlowReport] = []
+    solved: list[_Solved] = []
     assumed_results: list[FlowResult] = []
     full_models: list[Pomdp] = []
     for flow in inputs.flows:
         flags, full = _build(flow, net, inputs.ti, cfg, inventory=True)
-        flow_reports.append(_run_flow(flow, net, inputs.ti, flags, full if _walks(cfg) else None, cfg))
+        solved.append(_solve_flow(flow, net, inputs.ti, flags, full if _walks(cfg) else None, cfg))
         full_models.append(full)
         base = assumed_p_n(flow, net, inputs.ti)
         assumed_results.append(
@@ -288,6 +315,8 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
                 method="exact",
             )
         )
+
+    flow_reports = _reports(solved, cfg)
 
     provenance = dict(cfg.provenance)
     provenance.update(
@@ -322,13 +351,21 @@ def run_whatif(
     under the scaled table (`reweight_pomdp`, which rebuilds where an
     action's shape moves). A flow whose re-weighted flag model is its
     baseline flag model, because no action's probabilities moved, reuses its
-    baseline result; the others are solved again."""
+    baseline result; the others are solved again, in order. A run that
+    walks walks the baseline flows in one call, and under each
+    countermeasure the re-solved flows in one call."""
     cfg = cfg or EngineConfig()
     net = inputs.network
     models = [_build(flow, net, inputs.ti, cfg, _walks(cfg)) for flow in inputs.flows]
     baseline = [
-        _run_flow(flow, net, inputs.ti, flags, walk, cfg).result
-        for flow, (flags, walk) in zip(inputs.flows, models)
+        report.result
+        for report in _reports(
+            [
+                _solve_flow(flow, net, inputs.ti, flags, walk, cfg)
+                for flow, (flags, walk) in zip(inputs.flows, models)
+            ],
+            cfg,
+        )
     ]
     index_before = campaign_cri(baseline, cfg.campaign_id).index
     for cm in measures:
@@ -338,12 +375,17 @@ def run_whatif(
             p_success_multiplier=cm.p_success_multiplier,
             p_detect_multiplier=cm.p_detect_multiplier,
         )
-        results = [
-            before if (moved := reweight_pomdp(flags, ti)) is flags
-            else _run_flow(
+        solved = [
+            None if (moved := reweight_pomdp(flags, ti)) is flags
+            else _solve_flow(
                 flow, net, ti, moved, None if walk is None else reweight_pomdp(walk, ti), cfg
-            ).result
-            for flow, (flags, walk), before in zip(inputs.flows, models, baseline)
+            )
+            for flow, (flags, walk) in zip(inputs.flows, models)
+        ]
+        reports = iter(_reports([s for s in solved if s is not None], cfg))
+        results = [
+            before if s is None else next(reports).result
+            for s, before in zip(solved, baseline)
         ]
         index_after = campaign_cri(results, cfg.campaign_id).index
         yield evaluate_countermeasure(cm, inputs.ti, index_before, index_after)

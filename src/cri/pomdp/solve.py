@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 from ..errors import CapacityError
@@ -236,7 +237,7 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | 
     rewards = pomdp.rewards
     bounds = informed_bounds(pomdp)
     # covers float rounding in the bound, at the scale of the model's values
-    eps = 1e-9 * max((abs(q) for depth in bounds for row in depth for q in row), default=0.0)
+    eps = 1e-9 * max(map(abs, chain.from_iterable(chain.from_iterable(bounds))), default=0.0)
     values: dict[tuple, float] = {}
     chosen: dict[tuple, int | None] = {}
     pruned = 0

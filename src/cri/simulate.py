@@ -3,13 +3,18 @@
 Episodes are reproducible: episode i of a run with master seed `seed`
 draws its uniforms from numpy's
 `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,))))`.
-`estimate_expected_reward` walks episodes in blocks with numpy over the
-policy graph flattened into tables, built once per call with sampling
-rows for just the (state, action) pairs the graph reaches, and derives
-each block's uniforms at once in numpy (`block_uniforms`), equal bit for
-bit to those of each episode's own generator. The walk moves between
-nodes by observation alone, so the graph may be compiled over a quotient
-of the walked model, as the engine's is over the flag model.
+`estimate_expected_rewards` walks episodes in blocks with numpy over
+each of several (model, policy graph) walks, the graph flattened into
+tables, built once per call with sampling rows for just the (state,
+action) pairs the graph reaches. It derives each block's uniforms once
+for every walk, in numpy (`block_uniforms`), equal bit for bit to those
+of each episode's own generator: a walk with a shorter horizon reads a
+prefix of each row, which is what its own derivation would draw. So a
+run that walks several flows, as the engine's does, derives each block
+once, and each flow's summary is that of its walk alone
+(`estimate_expected_reward`). The walk moves between nodes by
+observation alone, so the graph may be compiled over a quotient of the
+walked model, as the engine's is over the flag model.
 
 numpy is imported inside the functions that touch arrays, so that only a
 command that walks episodes (`--mode simulate|both`) pays for loading it.
@@ -26,8 +31,9 @@ from .pomdp.types import Pomdp
 
 _Z95 = 1.959963984540054
 
-# Episodes walked together by `estimate_expected_reward`; bounds the
-# uniforms held at once to BLOCK * (2 * horizon + 1).
+# Episodes walked together by `estimate_expected_rewards`; bounds the
+# uniforms held at once to BLOCK * (2 * H_max + 1), H_max the longest
+# horizon of the walks.
 BLOCK = 2048
 
 
@@ -296,30 +302,57 @@ class _Rows:
         return self.outcome[rows, k], self.value[rows, k]
 
 
+def estimate_expected_rewards(
+    walks: list[tuple[Pomdp, Policy]], num_episodes: int, seed: int
+) -> list[SimulationSummary]:
+    """Mean cumulative reward over independent episodes, with standard error
+    and per-step milestone frequencies, of each (model, policy graph) walk.
+    Episode i draws its uniforms from
+    `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,))))` in every
+    walk. Episodes are walked BLOCK at a time, each block's uniforms derived
+    once by `block_uniforms`, as many per row as the longest horizon takes;
+    a walk of horizon h reads the first 2h + 1 columns, which are the draws
+    of a derivation at its own horizon, since PCG64 draws in sequence."""
+    if num_episodes < 1:
+        raise ValueError("num_episodes must be >= 1")
+    if not walks:
+        return []
+    import numpy as np
+
+    tables = [_WalkTables(pomdp, policy) for pomdp, policy in walks]
+    draws = [2 * policy.horizon + 1 for _, policy in walks]
+    rewards: list[list[float]] = [[] for _ in walks]
+    counts = [np.zeros(t.flagged.shape[1], dtype=np.int64) for t in tables]
+    truncated = [0] * len(walks)
+    for start in range(0, num_episodes, BLOCK):
+        count = min(BLOCK, num_episodes - start)
+        u = block_uniforms(seed, start, count, max(draws))
+        for i, t in enumerate(tables):
+            totals, state, full = t.walk(u[:, : draws[i]])
+            rewards[i].extend(totals.tolist())
+            counts[i] += t.flagged[state].sum(axis=0)
+            truncated[i] += int(t.can_act[state[full]].sum())
+        del u  # so that the next block is derived with only itself held
+    return [
+        _summary(sorted(pomdp.milestones), r, c, n, num_episodes, seed)
+        for (pomdp, _), r, c, n in zip(walks, rewards, counts, truncated)
+    ]
+
+
 def estimate_expected_reward(
     pomdp: Pomdp, policy: Policy, num_episodes: int, seed: int
 ) -> SimulationSummary:
-    """Mean cumulative reward over independent episodes, with standard error
-    and per-step milestone frequencies. Episode i draws its uniforms from
-    `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(i,))))`;
-    episodes are walked BLOCK at a time, each block's uniforms derived
-    together by `block_uniforms`."""
-    if num_episodes < 1:
-        raise ValueError("num_episodes must be >= 1")
-    import numpy as np
+    """`estimate_expected_rewards` of the one walk of `policy` on `pomdp`."""
+    return estimate_expected_rewards([(pomdp, policy)], num_episodes, seed)[0]
 
-    tables = _WalkTables(pomdp, policy)
-    draws = 2 * policy.horizon + 1
-    rewards: list[float] = []
-    counts = np.zeros(tables.flagged.shape[1], dtype=np.int64)
-    truncated = 0
-    for start in range(0, num_episodes, BLOCK):
-        count = min(BLOCK, num_episodes - start)
-        totals, state, full = tables.walk(block_uniforms(seed, start, count, draws))
-        rewards.extend(totals.tolist())
-        counts += tables.flagged[state].sum(axis=0)
-        truncated += int(tables.can_act[state[full]].sum())
-    hits = {step: int(c) for step, c in zip(sorted(pomdp.milestones), counts)}
+
+def _summary(
+    steps: list[int], rewards: list[float], counts: np.ndarray, truncated: int,
+    num_episodes: int, seed: int,
+) -> SimulationSummary:
+    """One walk's summary from its episode rewards, its milestone hit
+    counts (in the order of `steps`) and its truncated episode count."""
+    hits = {step: int(c) for step, c in zip(steps, counts)}
     total = math.fsum(rewards)
     mean = total / num_episodes
     if num_episodes > 1:

@@ -8,11 +8,13 @@ import pytest
 import cri.engine
 import cri.pomdp.build
 import cri.pomdp.solve
+import cri.simulate
 from conftest import SCENARIO, CallCounter, load_scenario
 from cri.engine import MODES, EngineConfig, assumed_p_n, run_campaign, run_whatif
 from cri.errors import CapacityError, ModelError
 from cri.index import parse_countermeasures
 from cri.pomdp import build_pomdp, complexity_report, milestone_flag, value_iteration
+from cri.simulate import BLOCK
 from genscen import random_scenario
 from toys import and_chain, single_step
 import random
@@ -146,6 +148,16 @@ class TestRunCampaignWork:
         graphs = CallCounter(monkeypatch, "Policy", module=cri.pomdp.solve)
         run_campaign(scenario, EngineConfig(mode=mode, episodes=50, seed=7))
         assert graphs.calls == {"Policy": len(scenario.flows)}
+
+    @pytest.mark.parametrize("mode", ("simulate", "both"))
+    def test_derives_each_block_once(self, scenario, monkeypatch, mode):
+        # the flows are walked together: ceil(episodes / BLOCK) blocks for
+        # the run, not for each flow
+        blocks = CallCounter(monkeypatch, "block_uniforms", module=cri.simulate)
+        out = run_campaign(scenario, EngineConfig(mode=mode, episodes=BLOCK + 1, seed=7))
+        assert blocks.calls == {"block_uniforms": 2}
+        assert len(out.flow_reports) == 2
+        assert all(fr.simulation.num_episodes == BLOCK + 1 for fr in out.flow_reports)
 
     def test_complexity_report_builds_nothing(self, scenario, monkeypatch):
         models = [build_pomdp(f, scenario.network, scenario.ti) for f in scenario.flows]

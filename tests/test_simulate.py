@@ -12,7 +12,13 @@ from cri.errors import CapacityError
 from cri.pomdp import build_pomdp, value_iteration
 from cri.pomdp.types import AttackerAction, NetworkState, Pomdp
 import cri.simulate
-from cri.simulate import BLOCK, block_uniforms, estimate_expected_reward, wilson_interval
+from cri.simulate import (
+    BLOCK,
+    block_uniforms,
+    estimate_expected_reward,
+    estimate_expected_rewards,
+    wilson_interval,
+)
 from genscen import random_pomdp, random_scenario
 from simoracle import brute_force_value, simulate_episode, substream
 from solveoracle import Belief, belief_update
@@ -327,6 +333,78 @@ class TestBlockWalkOracle:
         assert summary.p_n_estimates == {1: hits / len(scripts)}
 
 
+def _assert_each_walks_alone(walks, num_episodes, seed):
+    """`estimate_expected_rewards` over `walks` gives each walk the
+    summary of its walk alone, bit for bit. Returns the summaries."""
+    together = estimate_expected_rewards(walks, num_episodes, seed)
+    assert len(together) == len(walks)
+    for (pomdp, policy), summary in zip(walks, together):
+        alone = estimate_expected_reward(pomdp, policy, num_episodes, seed)
+        assert [r.hex() for r in summary.rewards] == [r.hex() for r in alone.rewards]
+        assert summary.std_error.hex() == alone.std_error.hex()
+        assert summary == alone
+    return together
+
+
+class TestMultiWalk:
+    """Walks of several horizons share each block's uniforms, derived once
+    at the longest horizon; each walk reads its prefix of every row and
+    must get the summary of its walk alone."""
+
+    @staticmethod
+    def _fixture_walks(scenario):
+        # credential_chain cut to horizon 2, dns_injection at its own 5,
+        # and a toy of horizon 3
+        walks = []
+        for flow, horizon in zip(scenario.flows, (2, None)):
+            pomdp = build_pomdp(flow, scenario.network, scenario.ti, horizon=horizon)
+            walks.append((pomdp, value_iteration(pomdp).policy))
+        pomdp, _ = noisy_sensor()
+        walks.append((pomdp, value_iteration(pomdp).policy))
+        return walks
+
+    @pytest.mark.parametrize("num_episodes", (BLOCK - 1, BLOCK + 1))
+    def test_fixture_flows_at_block_edges(self, scenario, num_episodes):
+        walks = self._fixture_walks(scenario)
+        assert sorted(policy.horizon for _, policy in walks) == [2, 3, 5]
+        _assert_each_walks_alone(walks, num_episodes, seed=7)
+        # the longest walk first, as well as last
+        _assert_each_walks_alone(walks[::-1], num_episodes, seed=7)
+
+    def test_random_models_match_episode_walks(self, monkeypatch):
+        monkeypatch.setattr(cri.simulate, "BLOCK", TestBlockWalkOracle.SMALL_BLOCK)
+        sizes = TestBlockWalkOracle.SIZES
+        rng = random.Random(6060)
+        mixed = 0
+        for i in range(40):
+            pomdps = [_spread(random_pomdp(rng), rng) for _ in range(rng.randint(2, 4))]
+            walks = [(pomdp, value_iteration(pomdp).policy) for pomdp in pomdps]
+            num_episodes, seed = sizes[i % len(sizes)], rng.randrange(10**6)
+            together = _assert_each_walks_alone(walks, num_episodes, seed)
+            for (pomdp, policy), summary in zip(walks, together):
+                folded = _fold(pomdp, policy, num_episodes, seed)
+                assert {key: getattr(summary, key) for key in folded} == folded
+            mixed += len({policy.horizon for _, policy in walks}) > 1
+        # most groups mix horizons
+        assert mixed > 30
+
+    def test_no_walks(self):
+        assert estimate_expected_rewards([], 5, 0) == []
+        with pytest.raises(ValueError, match="num_episodes must be >= 1"):
+            estimate_expected_rewards([], 0, 0)
+
+    def test_each_block_is_derived_once(self, scenario, monkeypatch):
+        derived = []
+
+        def counted(seed, start, count, draws):
+            derived.append((start, count, draws))
+            return block_uniforms(seed, start, count, draws)
+
+        monkeypatch.setattr(cri.simulate, "block_uniforms", counted)
+        estimate_expected_rewards(self._fixture_walks(scenario), 2 * BLOCK + 1, 3)
+        assert derived == [(0, BLOCK, 11), (BLOCK, BLOCK, 11), (2 * BLOCK, 1, 11)]
+
+
 def _row_pairs(rows, stride):
     return {divmod(int(key), stride) for key in np.flatnonzero(rows.slot >= 0)}
 
@@ -419,6 +497,15 @@ class TestBlockUniformsOracle:
 
     def test_empty_block(self):
         assert block_uniforms(7, 0, 0, 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("start", STARTS)
+    def test_column_prefixes_are_narrower_derivations(self, start):
+        # what lets walks of shorter horizons read a wider block's prefix
+        for seed in (0, 7, 2**40 + 3):
+            wide = block_uniforms(seed, start, 9, 21)
+            for draws in range(1, 22):
+                narrow = block_uniforms(seed, start, 9, draws)
+                assert (wide[:, :draws].view(np.uint64) == narrow.view(np.uint64)).all()
 
     def test_negative_seed_raises_like_substream(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):

@@ -14,7 +14,7 @@ from cri.pomdp import (
     value_iteration,
 )
 from cri.pomdp.solve import expectimax, informed_bounds
-from cri.simulate import estimate_expected_reward
+from cri.simulate import BLOCK, estimate_expected_reward, estimate_expected_rewards
 from cri.pomdp.types import AttackerAction, NetworkState, Pomdp, support_key
 from conftest import SCENARIO, load_scenario
 from genscen import chain_scenario, random_pomdp, random_scenario
@@ -245,6 +245,14 @@ def test_build_and_solve_leave_no_reference_cycles(flow_id):
     # a fresh network, so the builds list its paths too
     scenario = load_scenario()
     flow = next(f for f in scenario.flows if f.id == flow_id)
+    # the other flow's walk, as a run walks it beside this one, built on
+    # a network of its own
+    second = load_scenario()
+    other = next(f for f in second.flows if f.id != flow_id)
+    other_walk = (
+        build_pomdp(other, second.network, second.ti),
+        value_iteration(build_pomdp(other, second.network, second.ti, inventory=False)).policy,
+    )
     gc.collect()
     gc.disable()
     try:
@@ -254,15 +262,19 @@ def test_build_and_solve_leave_no_reference_cycles(flow_id):
         ]
         assumed_p_n(flow, scenario.network, scenario.ti)
         found = [gc.collect()]
+        policies = []
         for pomdp in models:
-            value_iteration(pomdp)
+            policies.append(value_iteration(pomdp).policy)
             found.append(gc.collect())
         with pytest.raises(CapacityError):
             value_iteration(models[0], belief_cap=3)
         found.append(gc.collect())
+        # the flow's inventory model walks its flag model's graph
+        estimate_expected_rewards([(models[1], policies[0]), other_walk], BLOCK + 1, 7)
+        found.append(gc.collect())
     finally:
         gc.enable()
-    assert found == [0, 0, 0, 0]
+    assert found == [0, 0, 0, 0, 0]
 
 
 class TestMilestoneProbabilities:
