@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .attack_tree import TreeLibrary, parse_tree_dict, tree_to_dict
+from .attack_tree import AttackTree, parse_tree_dict, tree_to_dict
 from .errors import ParseError, ValidationError
 
 RELATIONS = ("sequence", "AND", "OR")
@@ -43,7 +43,8 @@ class AttackFlow:
     id: str
     nodes: list[TtpNode]
     edges: list[FlowEdge]
-    trees: TreeLibrary = field(default_factory=TreeLibrary)
+    # attack trees by id; TTP nodes refer to them by `attack_tree_id`
+    trees: dict[str, AttackTree] = field(default_factory=dict)
 
     def predecessors(self, step: int) -> list[FlowEdge]:
         return [e for e in self.edges if e.dst == step]
@@ -172,14 +173,17 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
             for a, b in zip(ordered, ordered[1:])
         ]
 
-    trees = TreeLibrary()
+    trees: dict[str, AttackTree] = {}
     raw_trees = data.get("attackTrees") or []
     if not isinstance(raw_trees, list):
         raise ValidationError("'attackTrees' must be an array")
     for raw in raw_trees:
-        trees.add(parse_tree_dict(raw))
+        tree = parse_tree_dict(raw)
+        if tree.id in trees:
+            raise ValidationError(f"duplicate attack tree id {tree.id!r}")
+        trees[tree.id] = tree
     for node in nodes:
-        if node.attack_tree_id is not None and trees.get(node.attack_tree_id) is None:
+        if node.attack_tree_id is not None and node.attack_tree_id not in trees:
             raise ValidationError(
                 f"step {node.step} references unknown attack tree {node.attack_tree_id!r}"
             )
@@ -218,8 +222,6 @@ def serialize_attack_flow(flow: AttackFlow) -> str:
             for e in sorted(flow.edges, key=lambda e: (e.src, e.dst))
         ],
     }
-    if flow.trees.trees:
-        payload["attackTrees"] = [
-            tree_to_dict(t) for _, t in sorted(flow.trees.trees.items())
-        ]
+    if flow.trees:
+        payload["attackTrees"] = [tree_to_dict(t) for _, t in sorted(flow.trees.items())]
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

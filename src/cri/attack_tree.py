@@ -7,7 +7,7 @@ leaf outcomes combine (AND = all children, OR = any child).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .canon import finite_number
 from .errors import ValidationError
@@ -111,74 +111,63 @@ def parse_tree_dict(obj: dict) -> AttackTree:
         raise ValidationError("attack tree 'id' and 'technique_id' must be strings")
     if "root" not in obj:
         raise ValidationError(f"attack tree {tree_id!r} has no 'root'")
+    root = _parse_node(obj["root"], 1, tree_id, set())
+    return AttackTree(id=tree_id, technique_id=technique_id, root=root)
 
-    seen_names: set[str] = set()
 
-    def walk(node, depth: int) -> TreeGate | TreeLeaf:
-        if not isinstance(node, dict):
-            raise ValidationError(f"attack tree {tree_id!r}: node must be an object")
-        if depth > MAX_TREE_DEPTH:
+def _parse_node(node, depth: int, tree_id: str, seen_names: set[str]) -> TreeGate | TreeLeaf:
+    """The gate or leaf of one node object at `depth`; `seen_names` holds
+    the leaf names parsed so far in the tree."""
+    if not isinstance(node, dict):
+        raise ValidationError(f"attack tree {tree_id!r}: node must be an object")
+    if depth > MAX_TREE_DEPTH:
+        raise ValidationError(
+            f"attack tree {tree_id!r}: nested deeper than {MAX_TREE_DEPTH} levels"
+        )
+    if "gate" in node:
+        kind = node["gate"]
+        if kind not in GATES:
+            raise ValidationError(f"attack tree {tree_id!r}: unknown gate {kind!r}")
+        children = node.get("children") or []
+        if not isinstance(children, list) or not children:
             raise ValidationError(
-                f"attack tree {tree_id!r}: nested deeper than {MAX_TREE_DEPTH} levels"
+                f"attack tree {tree_id!r}: gate needs a non-empty 'children' array"
             )
-        if "gate" in node:
-            kind = node["gate"]
-            if kind not in GATES:
-                raise ValidationError(f"attack tree {tree_id!r}: unknown gate {kind!r}")
-            children = node.get("children") or []
-            if not isinstance(children, list) or not children:
+        return TreeGate(
+            kind, tuple(_parse_node(c, depth + 1, tree_id, seen_names) for c in children)
+        )
+    name = node.get("name")
+    if not name:
+        raise ValidationError(f"attack tree {tree_id!r}: leaf without a name")
+    if not isinstance(name, str):
+        raise ValidationError(f"attack tree {tree_id!r}: leaf name must be a string")
+    if name in seen_names:
+        raise ValidationError(f"attack tree {tree_id!r}: duplicate leaf name {name!r}")
+    seen_names.add(name)
+    params = []
+    for key in LEAF_PARAM_KEYS:
+        if key in node:
+            value = finite_number(node[key])
+            if value is None:
                 raise ValidationError(
-                    f"attack tree {tree_id!r}: gate needs a non-empty 'children' array"
+                    f"attack tree {tree_id!r}: leaf {name!r} {key}={node[key]!r} "
+                    "is not a finite number"
                 )
-            return TreeGate(kind, tuple(walk(c, depth + 1) for c in children))
-        name = node.get("name")
-        if not name:
-            raise ValidationError(f"attack tree {tree_id!r}: leaf without a name")
-        if not isinstance(name, str):
-            raise ValidationError(f"attack tree {tree_id!r}: leaf name must be a string")
-        if name in seen_names:
-            raise ValidationError(f"attack tree {tree_id!r}: duplicate leaf name {name!r}")
-        seen_names.add(name)
-        params = []
-        for key in LEAF_PARAM_KEYS:
-            if key in node:
-                value = finite_number(node[key])
-                if value is None:
-                    raise ValidationError(
-                        f"attack tree {tree_id!r}: leaf {name!r} {key}={node[key]!r} "
-                        "is not a finite number"
-                    )
-                if key in ("p_success", "p_detect") and not 0.0 <= value <= 1.0:
-                    raise ValidationError(
-                        f"attack tree {tree_id!r}: leaf {name!r} {key}={value} outside [0,1]"
-                    )
-                params.append((key, value))
-        return TreeLeaf(name, tuple(params))
-
-    return AttackTree(id=tree_id, technique_id=technique_id, root=walk(obj["root"], 1))
+            if key in ("p_success", "p_detect") and not 0.0 <= value <= 1.0:
+                raise ValidationError(
+                    f"attack tree {tree_id!r}: leaf {name!r} {key}={value} outside [0,1]"
+                )
+            params.append((key, value))
+    return TreeLeaf(name, tuple(params))
 
 
 def tree_to_dict(tree: AttackTree) -> dict:
-    def walk(node):
-        if isinstance(node, TreeLeaf):
-            out = {"name": node.name}
-            out.update({k: v for k, v in node.params})
-            return out
-        return {"gate": node.kind, "children": [walk(c) for c in node.children]}
-
-    return {"id": tree.id, "technique_id": tree.technique_id, "root": walk(tree.root)}
+    return {"id": tree.id, "technique_id": tree.technique_id, "root": _node_dict(tree.root)}
 
 
-@dataclass
-class TreeLibrary:
-    """Attack trees indexed by id; a flow may reference them per TTP node."""
-
-    trees: dict[str, AttackTree] = field(default_factory=dict)
-
-    def add(self, tree: AttackTree) -> None:
-        if tree.id in self.trees:
-            raise ValidationError(f"duplicate attack tree id {tree.id!r}")
-        self.trees[tree.id] = tree
-
-    def get(self, tree_id: str) -> AttackTree | None:
-        return self.trees.get(tree_id)
+def _node_dict(node: TreeGate | TreeLeaf) -> dict:
+    if isinstance(node, TreeLeaf):
+        out = {"name": node.name}
+        out.update({k: v for k, v in node.params})
+        return out
+    return {"gate": node.kind, "children": [_node_dict(c) for c in node.children]}

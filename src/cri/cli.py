@@ -198,14 +198,15 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _flow_rows(output: RunOutput):
     """`flows.csv` rows, in `_FLOW_COLUMNS` order."""
     for report in output.flow_reports:
+        sim = report.simulation
         for step in sorted(report.result.p_n):
-            interval = (report.p_n_intervals or {}).get(step)
+            interval = sim.p_n_intervals.get(step) if sim else None
             yield [
-                report.flow_id,
+                report.result.flow_id,
                 step,
                 repr(report.result.p_n[step]),
                 repr((report.p_n_exact or {}).get(step, "")),
-                repr((report.p_n_simulated or {}).get(step, "")),
+                repr(sim.p_n_estimates.get(step, "") if sim else ""),
                 repr(interval[0]) if interval else "",
                 repr(interval[1]) if interval else "",
                 repr(report.result.q_flow),
@@ -229,11 +230,13 @@ def _write_reports(output: RunOutput, out_dir: str, formats: tuple[str, ...] = (
             "complexity": _complexity_json(output.complexity),
             "flows": [
                 {
-                    "flow_id": r.flow_id,
+                    "flow_id": r.result.flow_id,
                     "q_flow": r.result.q_flow,
                     "method": r.result.method,
                     "p_n_exact": {str(k): v for k, v in sorted((r.p_n_exact or {}).items())},
-                    "p_n_simulated": {str(k): v for k, v in sorted((r.p_n_simulated or {}).items())},
+                    "p_n_simulated": {
+                        str(k): v for k, v in sorted(r.simulation.p_n_estimates.items())
+                    } if r.simulation else {},
                     "expected_attacker_reward": r.result.expected_attacker_reward,
                     "normalized_reward": r.normalized_reward,
                     "solver_value": r.solver_value,
@@ -324,14 +327,14 @@ def whatif(cm_path, **kwargs):
          "delta_index", "total_cost", "delta_per_cost"],
         ([d.countermeasure.id, d.countermeasure.d3fend_group,
           repr(d.index_before), repr(d.index_after), repr(d.delta_index),
-          repr(d.total_cost),
+          repr(d.countermeasure.total_cost),
           repr(d.delta_per_cost) if d.delta_per_cost is not None else ""]
          for d in deltas),
     )
     for d in deltas:
         click.echo(
             f"{d.countermeasure.id} [{d.countermeasure.d3fend_group}] "
-            f"delta_index={d.delta_index:.6f} cost={d.total_cost:.2f}"
+            f"delta_index={d.delta_index:.6f} cost={d.countermeasure.total_cost:.2f}"
         )
 
 

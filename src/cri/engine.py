@@ -86,11 +86,13 @@ class EngineConfig:
 
 @dataclass
 class FlowReport:
-    flow_id: str
+    """One flow's result and what it was read from: the policy graph's
+    exact milestone probabilities (`--mode exact|both`) and the Monte
+    Carlo walk's `simulation` (`simulate|both`), whose `p_n_estimates`
+    and `p_n_intervals` the reports write; the flow id is `result`'s."""
+
     result: FlowResult
     p_n_exact: dict[int, float] | None
-    p_n_simulated: dict[int, float] | None
-    p_n_intervals: dict[int, tuple[float, float]] | None
     solver_value: float | None
     simulation: SimulationSummary | None
     normalized_reward: float | None
@@ -275,7 +277,6 @@ def _report(done: _Solved, summary: SimulationSummary | None) -> FlowReport:
         reward = summary.mean_reward
 
     return FlowReport(
-        flow_id=flow.id,
         result=FlowResult(
             flow_id=flow.id,
             p_n=p_used,
@@ -284,8 +285,6 @@ def _report(done: _Solved, summary: SimulationSummary | None) -> FlowReport:
             method=method,
         ),
         p_n_exact=done.p_exact,
-        p_n_simulated=None if summary is None else summary.p_n_estimates,
-        p_n_intervals=None if summary is None else summary.p_n_intervals,
         solver_value=done.value,
         simulation=summary,
         normalized_reward=_normalized_reward(done.flags, reward),

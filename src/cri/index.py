@@ -191,18 +191,15 @@ class IndexLedger:
 
 
 def record_index(
-    ledger: IndexLedger,
-    result: CampaignResult,
-    kind: str,
-    note: str = "",
-    ts: str | None = None,
+    ledger: IndexLedger, result: CampaignResult, kind: str, note: str = ""
 ) -> LedgerEntry:
-    """Append one entry; persists first when the ledger has a path, so a
-    failed write leaves the in-memory ledger unchanged."""
+    """Append one entry, stamped with the result's timestamp; persists
+    first when the ledger has a path, so a failed write leaves the
+    in-memory ledger unchanged."""
     if kind not in ("assumed", "validated"):
         raise UsageError(f"ledger kind must be assumed|validated, got {kind!r}")
     entry = LedgerEntry(
-        ts=ts or result.timestamp or _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        ts=result.timestamp or _dt.datetime.now(_dt.timezone.utc).isoformat(),
         campaign=result.campaign_id,
         index=result.index,
         kind=kind,
@@ -307,7 +304,6 @@ class CountermeasureDelta:
     index_before: float
     index_after: float
     delta_index: float
-    total_cost: float
     delta_per_cost: float | None
     matched: bool
 
@@ -318,7 +314,7 @@ class CountermeasureDelta:
             "index_before": self.index_before,
             "index_after": self.index_after,
             "delta_index": self.delta_index,
-            "total_cost": self.total_cost,
+            "total_cost": self.countermeasure.total_cost,
             "delta_per_cost": self.delta_per_cost,
             "matched": self.matched,
         }
@@ -338,7 +334,6 @@ def evaluate_countermeasure(
         index_before=index_before,
         index_after=index_after,
         delta_index=delta,
-        total_cost=cost,
         delta_per_cost=(delta / cost) if cost > 0 else None,
         matched=matched,
     )

@@ -239,7 +239,10 @@ def _parse_target(target: ET.Element | None) -> dict[str, Matcher]:
 def parse_policy_set(docs: list[str]) -> PolicySet:
     """Parse XACML-subset policy documents, preserving rule document order.
 
-    An empty docs list yields an empty PolicySet (default deny downstream).
+    A policy may hold one policy-level <Target>, wherever it stands among
+    its rules; each rule takes from it every matcher its own target leaves
+    open. An empty docs list yields an empty PolicySet (default deny
+    downstream).
     """
     rules: list[PolicyRule] = []
     zones: list[Zone] = []
@@ -247,14 +250,17 @@ def parse_policy_set(docs: list[str]) -> PolicySet:
         root = _parse_xml(doc, "policy")
         if _local(root.tag) != "Policy":
             raise ValidationError(f"policy document {index}: expected <Policy> root")
-        policy_target = None
+        targets = [c for c in root if _local(c.tag) == "Target"]
+        if len(targets) > 1:
+            raise ValidationError(
+                f"policy document {index}: more than one policy-level <Target>"
+            )
+        inherited = _parse_target(targets[0] if targets else None)
         doc_rules: list[PolicyRule] = []
         doc_zones: list[Zone] = []
         for child in root:
             tag = _local(child.tag)
-            if tag == "Target":
-                policy_target = child
-            elif tag == "Rule":
+            if tag == "Rule":
                 effect = child.get("Effect") or ""
                 if effect not in ("Permit", "Deny"):
                     raise ValidationError(
@@ -263,7 +269,6 @@ def parse_policy_set(docs: list[str]) -> PolicySet:
                 rule_id = child.get("RuleID") or child.get("RuleId") or f"rule-{index}-{len(doc_rules)}"
                 rule_target = next((c for c in child if _local(c.tag) == "Target"), None)
                 matchers = _parse_target(rule_target)
-                inherited = _parse_target(policy_target)
                 for cat in matchers:
                     if matchers[cat].value is None and inherited[cat].value is not None:
                         matchers[cat] = inherited[cat]

@@ -12,10 +12,12 @@ applicable rule permits the attacker's access to it. A shortest route is
 a simple path, so one breadth-first search over the hop-allowed edges
 answers this without listing paths.
 
-`physical_paths` lists simple paths by a depth-first search that extends
-a prefix only while its last node's hop distance to the destination,
-found by one breadth-first search, fits in the hops left. No simple path
-is shorter than that distance, so the bound drops no path.
+`physical_paths` lists the simple paths of at most MAX_PATH_LEN edges by
+a depth-first search that extends a prefix only while its last node's hop
+distance to the destination, found by one breadth-first search, fits in
+the hops left. No simple path is shorter than that distance, so the bound
+drops no path. Both searches read MAX_PATH_LEN when called, not when
+defined, so setting the module constant changes the bound of both.
 
 A `NetworkModel` also holds the path facts `analyze_targets` computed on
 it, so each network lists a target's paths once.
@@ -45,12 +47,6 @@ class AssetNode:
     inventory: tuple[str, ...] = ()
     attributes: tuple[tuple[str, str], ...] = ()
     entry_point: bool = False
-
-    def attribute(self, key: str) -> str | None:
-        for k, v in self.attributes:
-            if k == key:
-                return v
-        return None
 
 
 @dataclass(frozen=True)
@@ -161,11 +157,10 @@ class NetworkModel:
         return sorted(n.id for n in self.nodes.values() if n.entry_point)
 
 
-def physical_paths(
-    net: NetworkModel, src: str, dst: str, max_len: int = MAX_PATH_LEN
-) -> list[list[str]]:
-    """All simple paths src->dst with at most max_len edges, in lexicographic
-    order. src == dst yields the single zero-length path [src].
+def physical_paths(net: NetworkModel, src: str, dst: str) -> list[list[str]]:
+    """All simple paths src->dst with at most MAX_PATH_LEN edges, in
+    lexicographic order. src == dst yields the single zero-length path
+    [src]. MAX_PATH_LEN is read at each call.
 
     One breadth-first search from dst gives every node's hop distance to
     it, and the depth-first listing takes a neighbour only when that
@@ -176,8 +171,6 @@ def physical_paths(
     for node_id in (src, dst):
         if node_id not in net.nodes:
             raise LookupError(f"unknown node {node_id!r}")
-    if max_len < 1:
-        raise ValidationError(f"max_len must be >= 1, got {max_len}")
     if src == dst:
         return [[src]]
 
@@ -211,7 +204,7 @@ def physical_paths(
             stack.pop()
 
     try:
-        dfs(src, max_len)
+        dfs(src, MAX_PATH_LEN)
     finally:
         del dfs  # it refers to itself; drop the cycle with this call
     return paths
@@ -232,15 +225,16 @@ def policy_permits(
     return "Deny"
 
 
-def reachable_targets(net: NetworkModel, max_len: int = MAX_PATH_LEN) -> set[str]:
-    """Nodes the attacker can reach: within max_len segmentation-allowed
+def reachable_targets(net: NetworkModel) -> set[str]:
+    """Nodes the attacker can reach: within MAX_PATH_LEN segmentation-allowed
     hops of some entry point (an entry point is at distance 0), and
-    permitted for the attacker's access by the first applicable rule."""
+    permitted for the attacker's access by the first applicable rule.
+    MAX_PATH_LEN is read at each call."""
     depth = {entry: 0 for entry in net.entry_points()}
     frontier = deque(depth)
     while frontier:
         node = frontier.popleft()
-        if depth[node] >= max_len:
+        if depth[node] >= MAX_PATH_LEN:
             continue
         for nxt in net.neighbours(node):
             if nxt not in depth and net.policies.hop_allowed(node, nxt):

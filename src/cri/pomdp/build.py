@@ -63,7 +63,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from ..attack_flow import AttackFlow, TtpNode
-from ..attack_tree import AttackTree, TreeLibrary
+from ..attack_tree import AttackTree
 from ..errors import CapacityError, ModelError
 from ..netmodel import NetworkModel, candidate_targets, physical_paths, reachable_targets
 from ..threat_intel import TiTable
@@ -137,7 +137,7 @@ def analyze_targets(net: NetworkModel, targets: Iterable[str]) -> dict[str, Targ
 
 def expand_technique(
     ttp: TtpNode,
-    trees: TreeLibrary,
+    trees: dict[str, AttackTree],
     ti: TiTable,
     targets: list[tuple[str, str]],
 ) -> list[AttackerAction]:

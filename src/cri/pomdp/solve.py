@@ -97,7 +97,6 @@ class PolicyNode:
     `children` maps each possible observation to (mass, child node id)."""
 
     action: int | None
-    key: tuple
     support: Support
     children: dict[int, tuple[float, int]]
 
@@ -130,10 +129,11 @@ class SolveResult:
     pruned: int
 
 
-def compile_policy(pomdp: Pomdp, choose: Callable[[tuple], int | None], horizon: int) -> Policy:
-    """Follow `choose((belief key, steps left))` from b0 through every
-    observation and number the beliefs reached. `choose` returns an action
-    index or None to stop; a node with no steps left always stops."""
+def compile_policy(pomdp: Pomdp, choose: Callable[[tuple], int | None]) -> Policy:
+    """Follow `choose((belief key, steps left))` from b0, with the model's
+    horizon left, through every observation and number the beliefs
+    reached. `choose` returns an action index or None to stop; a node with
+    no steps left always stops."""
     nodes: list[PolicyNode] = []
     ids: dict[tuple, int] = {}
 
@@ -147,15 +147,15 @@ def compile_policy(pomdp: Pomdp, choose: Callable[[tuple], int | None], horizon:
             for o, mass, child in _successors(pomdp, support, action):
                 children[o] = (mass, visit(child, depth - 1))
         ids[key] = len(nodes)
-        nodes.append(PolicyNode(action, key[0], support, children))
+        nodes.append(PolicyNode(action, support, children))
         return ids[key]
 
     try:
-        visit(pomdp.b0_support(), horizon)
+        visit(pomdp.b0_support(), pomdp.horizon)
     finally:
         # `visit` refers to itself: drop it, so nothing it holds outlives this call
         del visit
-    return Policy(nodes=nodes, horizon=horizon)
+    return Policy(nodes=nodes, horizon=pomdp.horizon)
 
 
 def _informed_row(pomdp: Pomdp, r: float, row: tuple, a: int) -> tuple:
@@ -325,7 +325,7 @@ def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
     recursion limit raises CapacityError."""
     try:
         value, chosen, pruned = expectimax(pomdp, belief_cap)
-        policy = compile_policy(pomdp, chosen.get, pomdp.horizon)
+        policy = compile_policy(pomdp, chosen.get)
     except RecursionError as exc:
         raise CapacityError(f"horizon {pomdp.horizon} nests the belief search too deeply") from exc
     return SolveResult(policy=policy, value=value, reachable_beliefs=len(chosen), pruned=pruned)

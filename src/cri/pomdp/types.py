@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -29,10 +28,6 @@ class NetworkState:
 
     def has_flag(self, flag: str) -> bool:
         return flag in self.flags
-
-    def label(self) -> str:
-        comp = ",".join(f"{n}:{'|'.join(items)}" for n, items in self.compromised)
-        return f"[{comp}]{{{','.join(self.flags)}}}"
 
 
 @dataclass(frozen=True)
@@ -123,31 +118,6 @@ class Pomdp:
             raise ValidationError(f"initial belief sums to {total}")
         _check_rows("T", self.transitions)
         _check_rows("Z", self.observation_probs)
-
-    def dump(self) -> str:
-        """Canonical JSON dump of the whole model, for diffing and oracles."""
-        payload = {
-            "flow": self.flow_id,
-            "horizon": self.horizon,
-            "states": [s.label() for s in self.states],
-            "actions": [a.id for a in self.actions],
-            "observations": list(self.observations),
-            "initial_belief": list(self.initial_belief),
-            "transitions": {
-                f"{s},{a}": {str(s2): p for s2, p in row}
-                for (s, a), row in sorted(self.transitions.items())
-            },
-            "observation_probs": {
-                f"{s2},{a}": {self.observations[o]: p for o, p in row}
-                for (s2, a), row in sorted(self.observation_probs.items())
-            },
-            "branch_rewards": {
-                f"{s},{a},{s2}": r for (s, a, s2), r in sorted(self.branch_rewards.items())
-            },
-            "applicable": {str(s): list(acts) for s, acts in sorted(self.applicable.items())},
-            "milestones": {str(k): v for k, v in sorted(self.milestones.items())},
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _check_rows(kind: str, rows: dict[tuple[int, int], tuple[tuple[int, float], ...]]) -> None:

@@ -167,13 +167,16 @@ def block_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
 
 @dataclass
 class SimulationSummary:
+    """One walk's episodes: the mean reward and its standard error, per
+    TTP step the milestone frequency and its Wilson interval, the episodes
+    that ran out of horizon while an action was still offered, and each
+    episode's reward."""
+
     num_episodes: int
-    sum_rewards: float
     mean_reward: float
     p_n_estimates: dict[int, float]
     p_n_intervals: dict[int, tuple[float, float]]
     std_error: float
-    seed: int
     truncated_episodes: int = 0
     rewards: list[float] = field(default_factory=list, repr=False)
 
@@ -334,7 +337,7 @@ def estimate_expected_rewards(
             truncated[i] += int(t.can_act[state[full]].sum())
         del u  # so that the next block is derived with only itself held
     return [
-        _summary(sorted(pomdp.milestones), r, c, n, num_episodes, seed)
+        _summary(sorted(pomdp.milestones), r, c, n, num_episodes)
         for (pomdp, _), r, c, n in zip(walks, rewards, counts, truncated)
     ]
 
@@ -348,13 +351,12 @@ def estimate_expected_reward(
 
 def _summary(
     steps: list[int], rewards: list[float], counts: np.ndarray, truncated: int,
-    num_episodes: int, seed: int,
+    num_episodes: int,
 ) -> SimulationSummary:
     """One walk's summary from its episode rewards, its milestone hit
     counts (in the order of `steps`) and its truncated episode count."""
     hits = {step: int(c) for step, c in zip(steps, counts)}
-    total = math.fsum(rewards)
-    mean = total / num_episodes
+    mean = math.fsum(rewards) / num_episodes
     if num_episodes > 1:
         var = math.fsum((r - mean) ** 2 for r in rewards) / (num_episodes - 1)
         std_error = math.sqrt(var / num_episodes)
@@ -362,14 +364,12 @@ def _summary(
         std_error = 0.0
     return SimulationSummary(
         num_episodes=num_episodes,
-        sum_rewards=total,
         mean_reward=mean,
         p_n_estimates={s: hits[s] / num_episodes for s in sorted(hits)},
         p_n_intervals={
             s: wilson_interval(hits[s], num_episodes) for s in sorted(hits)
         },
         std_error=std_error,
-        seed=seed,
         truncated_episodes=truncated,
         rewards=rewards,
     )

@@ -50,9 +50,9 @@ def rng():
     return random.Random(20240901)
 
 
-def fixed_policy(pomdp, action: int | None, horizon: int):
+def fixed_policy(pomdp, action: int | None):
     """Test helper: play one action index at every belief."""
-    return compile_policy(pomdp, lambda key: action, horizon)
+    return compile_policy(pomdp, lambda key: action)
 
 
 class CallCounter:

@@ -15,7 +15,7 @@ import numpy as np
 
 from cri.errors import CapacityError
 from cri.pomdp.solve import Policy
-from cri.pomdp.types import NetworkState, Pomdp, Support
+from cri.pomdp.types import NetworkState, Pomdp, Support, support_key
 
 
 def substream(seed: int, episode_index: int) -> np.random.Generator:
@@ -79,11 +79,11 @@ def simulate_episode(pomdp: Pomdp, policy: Policy, rng: np.random.Generator) -> 
         total += reward
         steps.append(
             EpisodeStep(
-                belief_before=node.key,
+                belief_before=support_key(node.support),
                 action=pomdp.actions[action].id,
                 observation=pomdp.observations[obs],
                 reward=reward,
-                belief_after=child.key,
+                belief_after=support_key(child.support),
                 state_before=state,
                 state_after=nxt,
             )

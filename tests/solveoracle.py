@@ -232,7 +232,7 @@ def guided_policy(pomdp: Pomdp, choose, horizon: int, guide: Pomdp) -> Policy:
             for o, mass, child in _successors(pomdp, support, action):
                 children[o] = (mass, visit(child, guided[o], depth - 1))
         ids[key] = len(nodes)
-        nodes.append(PolicyNode(action, key[0], support, children))
+        nodes.append(PolicyNode(action, support, children))
         return ids[key]
 
     visit(pomdp.b0_support(), guide.b0_support(), horizon)
@@ -253,7 +253,7 @@ def unlumped_solve(pomdp: Pomdp):
     """The unpruned search run directly on the model's own states:
     (value, policy graph, beliefs expanded)."""
     value, chosen = unpruned_expectimax(pomdp)
-    return value, compile_policy(pomdp, chosen.get, pomdp.horizon), len(chosen)
+    return value, compile_policy(pomdp, chosen.get), len(chosen)
 
 
 class InconsistentObservation(CriError):

@@ -1,7 +1,10 @@
+import gc
 import itertools
+import json
 
 import pytest
 
+from conftest import SCENARIO
 from cri.attack_tree import (
     MAX_TREE_DEPTH,
     AttackTree,
@@ -172,3 +175,21 @@ def test_nesting_depth_is_bounded():
     assert tree.leaves() == [TreeLeaf("x", (("cost", 1.0),))]
     with pytest.raises(ValidationError, match="nested deeper"):
         parse_tree_dict(_nested(MAX_TREE_DEPTH + 1))
+
+
+def test_parse_and_dict_leave_no_reference_cycles():
+    """Parsing the fixture's tree and writing it back leave nothing for
+    the cyclic collector: the walks are module-level functions, not
+    closures that refer to themselves."""
+    flow = json.loads((SCENARIO / "flows" / "dns_injection.json").read_text())
+    (raw,) = flow["attackTrees"]
+    gc.collect()
+    gc.disable()
+    try:
+        tree = parse_tree_dict(raw)
+        found = [gc.collect()]
+        tree_to_dict(tree)
+        found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found == [0, 0]

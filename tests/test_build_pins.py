@@ -1,6 +1,6 @@
-"""Pins of the built attacker models: the sha256 of `Pomdp.dump()` for the
-fixture flows, seeded `genscen` scenarios (with and without attack trees)
-and reference-network chains, in reduced and naive mode.
+"""Pins of the built attacker models: the sha256 of `modeldump.dump()`
+for the fixture flows, seeded `genscen` scenarios (with and without
+attack trees) and reference-network chains, in reduced and naive mode.
 
 State indices fix every downstream float sum, so the builder must keep the
 state order and every row bit-identical. The digests in
@@ -9,7 +9,8 @@ state order and every row bit-identical. The digests in
 the cases `_cases()` lists; a build that raised pins its `CriError` text.
 When `dump()` lost its `"discount": 1.0` line, every digest was re-derived
 and checked to be the sha256 of commit 9ed2b0e's dump with that one line
-removed.
+removed. `dump()` moved from `Pomdp` to `tests/modeldump.py` unchanged,
+and every digest held.
 
 Every build input is pinned twice: the model that tracks inventory under
 `<case>/<mode>`, and the flag model (`inventory=False`), which every run
@@ -29,6 +30,7 @@ from cri.errors import CriError
 from cri.pomdp import build_pomdp
 from conftest import load_scenario
 from genscen import chain_scenario, random_scenario
+from modeldump import dump
 
 DIGESTS = Path(__file__).resolve().parent / "build_digests.json"
 CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659"]
@@ -61,7 +63,7 @@ def _digest(inputs, flow, naive: bool, inventory: bool) -> str:
         pomdp = build_pomdp(flow, inputs.network, inputs.ti, naive=naive, inventory=inventory)
     except CriError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return hashlib.sha256(pomdp.dump().encode()).hexdigest()
+    return hashlib.sha256(dump(pomdp).encode()).hexdigest()
 
 
 def test_builds_match_pinned_dumps():

@@ -16,6 +16,7 @@ from cri.index import parse_countermeasures
 from cri.pomdp import build_pomdp, complexity_report, milestone_flag, value_iteration
 from cri.simulate import BLOCK
 from genscen import random_scenario
+from modeldump import dump
 from toys import and_chain, single_step
 import random
 
@@ -111,7 +112,7 @@ class TestRunCampaign:
         out = run_campaign(inputs, EngineConfig(mode="both", episodes=500, seed=3))
         report = out.flow_reports[0]
         assert report.result.method == "exact"
-        assert report.p_n_exact is not None and report.p_n_simulated is not None
+        assert report.p_n_exact is not None and report.simulation.p_n_estimates is not None
 
 
 class TestRunCampaignWork:
@@ -171,10 +172,10 @@ class TestRunCampaignWork:
 class TestModelDump:
     def test_dump_is_canonical_json(self):
         pomdp, _ = and_chain()
-        payload = json.loads(pomdp.dump())
+        payload = json.loads(dump(pomdp))
         assert payload["states"][0] == "[]{}"
         assert payload["horizon"] == pomdp.horizon
-        assert pomdp.dump() == pomdp.dump()
+        assert dump(pomdp) == dump(pomdp)
 
     def test_or_predecessor_gates_applicability(self, scenario):
         flow = next(f for f in scenario.flows if f.id == "dns_injection")

@@ -139,10 +139,10 @@ class TestCampaignCri:
 
 
 class TestLedger:
-    def _result(self, index=50.0, campaign="camp"):
+    def _result(self, index=50.0, campaign="camp", ts="2024-06-01T10:00:00+00:00"):
         return CampaignResult(
             campaign_id=campaign, flow_results=[], q_campaign=1.0 - index / 100.0,
-            index=index, provenance={}, timestamp="2024-06-01T10:00:00+00:00",
+            index=index, provenance={}, timestamp=ts,
         )
 
     def test_append_one(self, tmp_path):
@@ -152,16 +152,16 @@ class TestLedger:
 
     def test_time_ordered_pair(self, tmp_path):
         ledger = IndexLedger(path=str(tmp_path / "ledger.jsonl"))
-        record_index(ledger, self._result(60.0), "assumed", ts="2024-06-01T10:00:00+00:00")
-        record_index(ledger, self._result(55.0), "validated", ts="2024-06-01T11:00:00+00:00")
+        record_index(ledger, self._result(60.0, ts="2024-06-01T10:00:00+00:00"), "assumed")
+        record_index(ledger, self._result(55.0, ts="2024-06-01T11:00:00+00:00"), "validated")
         assert [e.kind for e in ledger.entries] == ["assumed", "validated"]
         assert ledger.entries[0].ts < ledger.entries[1].ts
 
     def test_replay_round_trip(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
         ledger = IndexLedger(path=path)
-        record_index(ledger, self._result(60.0), "assumed", note="n1", ts="t1")
-        record_index(ledger, self._result(55.0), "validated", note="n2", ts="t2")
+        record_index(ledger, self._result(60.0, ts="t1"), "assumed", note="n1")
+        record_index(ledger, self._result(55.0, ts="t2"), "validated", note="n2")
         replayed = IndexLedger.load(path)
         assert replayed.entries == ledger.entries
         with open(path, encoding="utf-8") as fh:

@@ -93,7 +93,7 @@ class TestParseNetwork:
         assert set(net.nodes) == {"router1", "switch1", "firewall1"}
         assert set(net.edges) == {("router1", "switch1"), ("firewall1", "switch1")}
         assert net.nodes["router1"].asset_class == "router"
-        assert net.nodes["router1"].attribute("ip") == "192.168.1.1"
+        assert dict(net.nodes["router1"].attributes)["ip"] == "192.168.1.1"
 
     def test_minimal_graph(self):
         net = parse_network(
@@ -155,6 +155,11 @@ class TestParseAttackFlow:
         assert len(flow.edges) == 1
         assert flow.edges[0].relation == "sequence"
         assert (flow.edges[0].src, flow.edges[0].dst) == (1, 2)
+
+    def test_duplicate_tree_id_rejected(self):
+        doc = (MALFORMED / "dup_tree_id.json").read_text()
+        with pytest.raises(ValidationError, match="duplicate attack tree id 't'"):
+            parse_attack_flow(doc)
 
     def test_singleton_flow(self):
         flow = parse_attack_flow(
@@ -300,11 +305,31 @@ class TestParsePolicySet:
         policies = parse_policy_set([deny, REMOTE_EMPLOYEE_POLICY])
         assert [r.effect for r in policies.rules] == ["Deny", "Permit"]
 
+    POLICY_TARGET = """<Target><Resource><ResourceMatch MatchID="string-equal">
+        <AttributeValue>db</AttributeValue>
+        <ResourceAttributeDesignator AttributeID="urn:cri:resource-id"/>
+      </ResourceMatch></Resource></Target>"""
+    DENY_RULE = '<Rule RuleID="deny" Effect="Deny"/>'
+
+    def test_policy_target_applies_wherever_it_stands(self):
+        first = f"<Policy>{self.POLICY_TARGET}{self.DENY_RULE}</Policy>"
+        last = f"<Policy>{self.DENY_RULE}{self.POLICY_TARGET}</Policy>"
+        rules = parse_policy_set([first]).rules
+        assert [(r.effect, r.resource.value) for r in rules] == [("Deny", "db")]
+        assert parse_policy_set([last]).rules == rules
+
     def test_zones_parsed(self):
         policies = parse_policy_set([(SCENARIO / "policies/segmentation.xml").read_text()])
         zones = {z.label: z for z in policies.segmentation}
         assert zones["server_pool"].members == ("MailServer", "WebServer", "FileServer")
         assert zones["server_pool"].peers == ("transit",)
+
+    def test_second_policy_target_rejected(self):
+        # the same document with one policy-level <Target> parses
+        doc = (MALFORMED / "two_policy_targets.xml").read_text()
+        with pytest.raises(ValidationError, match="more than one policy-level <Target>"):
+            parse_policy_set([doc])
+        assert len(parse_policy_set([doc.replace("  <Target/>\n</Policy>", "</Policy>")]).rules) == 1
 
     @pytest.mark.parametrize("name", ["bad_effect.xml", "empty_policy.xml", "bad_zone.xml"])
     def test_rejects_malformed(self, name):

@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
+import cri.netmodel
 from conftest import REPO_ROOT, load_scenario
 from cri.attack_flow import TtpNode
-from cri.errors import ValidationError
 from cri.ingest import RawBundle, validate_bundle
 from cri.netmodel import (
     AssetNode,
@@ -53,50 +53,57 @@ def _ttp(technique="T1566"):
     return TtpNode(step=1, tactic_id="TA0001", tactic_name="", technique_id=technique, technique_name="")
 
 
+@pytest.fixture
+def max_path_len(monkeypatch):
+    """Sets `cri.netmodel.MAX_PATH_LEN`, the bound both searches read when
+    called, until the test ends."""
+    return lambda n: monkeypatch.setattr(cri.netmodel, "MAX_PATH_LEN", n)
+
+
 class TestPhysicalPaths:
     def test_reference_route_to_file_server(self, scenario):
-        paths = physical_paths(scenario.network, "IntRouter", "FileServer", 12)
+        paths = physical_paths(scenario.network, "IntRouter", "FileServer")
         assert ["IntRouter", "DMZRouter", "IDS", "FileServer"] in paths
 
-    def test_src_equals_dst(self, scenario):
-        assert physical_paths(scenario.network, "IDS", "IDS", 5) == [["IDS"]]
+    def test_src_equals_dst(self, scenario, max_path_len):
+        max_path_len(5)
+        assert physical_paths(scenario.network, "IDS", "IDS") == [["IDS"]]
 
-    def test_disconnected_pair(self):
+    def test_disconnected_pair(self, max_path_len):
+        max_path_len(5)
         net = _net(["a", "b", "c"], [("a", "b")])
-        assert physical_paths(net, "a", "c", 5) == []
+        assert physical_paths(net, "a", "c") == []
 
-    def test_max_len_bounds_paths(self):
+    def test_max_len_bounds_paths(self, max_path_len):
         net = _net(["a", "b", "c"], [("a", "b"), ("b", "c")])
-        assert physical_paths(net, "a", "c", 1) == []
-        assert physical_paths(net, "a", "c", 2) == [["a", "b", "c"]]
+        max_path_len(1)
+        assert physical_paths(net, "a", "c") == []
+        max_path_len(2)
+        assert physical_paths(net, "a", "c") == [["a", "b", "c"]]
 
-    def test_unknown_node_raises(self, scenario):
+    def test_unknown_node_raises(self, scenario, max_path_len):
+        max_path_len(5)
         with pytest.raises(LookupError):
-            physical_paths(scenario.network, "ghost", "IDS", 5)
+            physical_paths(scenario.network, "ghost", "IDS")
 
-    def test_paths_are_simple(self):
+    def test_paths_are_simple(self, max_path_len):
         # diamond with a cycle: enumeration must not revisit nodes
+        max_path_len(6)
         net = _net(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("b", "c")])
-        for path in physical_paths(net, "a", "d", 6):
+        for path in physical_paths(net, "a", "d"):
             assert len(path) == len(set(path))
 
-    def test_max_len_below_one_raises(self):
-        net = _net(["a", "b"], [("a", "b")])
-        for src, dst in (("a", "b"), ("a", "a")):
-            for max_len in (0, -1):
-                with pytest.raises(ValidationError):
-                    physical_paths(net, src, dst, max_len)
-
-    def test_matches_oracle_on_random_graphs(self):
+    def test_matches_oracle_on_random_graphs(self, max_path_len):
         # every ordered pair, in order and list for list: the hop bound
         # drops no path and reorders none
         rng = random.Random(23)
-        for _ in range(300):
-            net = _random_net(rng)
-            for src in net.nodes:
-                for dst in net.nodes:
-                    for max_len in range(1, 10):
-                        assert physical_paths(net, src, dst, max_len) == simple_paths_by_dfs(
+        nets = [_random_net(rng) for _ in range(300)]
+        for max_len in range(1, 10):
+            max_path_len(max_len)
+            for net in nets:
+                for src in net.nodes:
+                    for dst in net.nodes:
+                        assert physical_paths(net, src, dst) == simple_paths_by_dfs(
                             net, src, dst, max_len
                         )
 
@@ -106,12 +113,13 @@ class TestPhysicalPaths:
         (2, {"nodes": 14, "chords": 8}),
         (3, {"nodes": 14, "chords": 8}),
     ])
-    def test_matches_oracle_on_meshes(self, seed, sizes):
+    def test_matches_oracle_on_meshes(self, seed, sizes, max_path_len):
         net = _mesh(seed, **sizes)
-        for entry in net.entry_points():
-            for dst in net.nodes:
-                for max_len in range(1, 13):
-                    assert physical_paths(net, entry, dst, max_len) == simple_paths_by_dfs(
+        for max_len in range(1, 13):
+            max_path_len(max_len)
+            for entry in net.entry_points():
+                for dst in net.nodes:
+                    assert physical_paths(net, entry, dst) == simple_paths_by_dfs(
                         net, entry, dst, max_len
                     )
 
@@ -122,15 +130,16 @@ class TestPhysicalPaths:
         ("c", "c", 1),
         ("a", "d", 12),
     ])
-    def test_matches_oracle_on_edge_cases(self, src, dst, max_len):
+    def test_matches_oracle_on_edge_cases(self, src, dst, max_len, max_path_len):
         # a chain a-b-c-d-e with a chord b-d, and an edge x-y apart from it
         net = _net(
             ["a", "b", "c", "d", "e", "x", "y"],
             [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "d"), ("x", "y")],
         )
-        assert physical_paths(net, src, dst, max_len) == simple_paths_by_dfs(net, src, dst, max_len)
+        max_path_len(max_len)
+        assert physical_paths(net, src, dst) == simple_paths_by_dfs(net, src, dst, max_len)
 
-    def test_cluster_past_the_hop_bound_is_not_searched(self):
+    def test_cluster_past_the_hop_bound_is_not_searched(self, max_path_len):
         # s-a-b-t is the one path; a 6-clique hangs off s, 4 hops from t.
         # The unbounded search reads neighbours 159 times, walking the
         # clique's prefixes to 4 hops. The bounded one reads them 13 times:
@@ -151,7 +160,8 @@ class TestPhysicalPaths:
         assert simple_paths_by_dfs(net, "s", "t", 4) == [["s", "a", "b", "t"]]
         assert len(reads) == 159
         reads.clear()
-        assert physical_paths(net, "s", "t", 4) == [["s", "a", "b", "t"]]
+        max_path_len(4)
+        assert physical_paths(net, "s", "t") == [["s", "a", "b", "t"]]
         assert len(reads) == 13
 
 
@@ -211,18 +221,20 @@ class TestPolicyPermits:
 
 
 class TestLogicalPaths:
-    def test_subset_of_physical(self, scenario, rng):
+    def test_subset_of_physical(self, scenario, rng, max_path_len):
+        max_path_len(8)
         net = scenario.network
         names = sorted(net.nodes)
         for _ in range(20):
             src, dst = rng.choice(names), rng.choice(names)
             logical = logical_paths(net, src, dst, {}, "access", 8)
-            physical = physical_paths(net, src, dst, 8)
+            physical = physical_paths(net, src, dst)
             assert all(p in physical for p in logical)
 
-    def test_permissive_rule_gives_equality(self):
+    def test_permissive_rule_gives_equality(self, max_path_len):
+        max_path_len(5)
         net = _net(["a", "b"], [("a", "b")], PolicySet(rules=[PERMIT_ALL]), entries=("a",))
-        assert logical_paths(net, "a", "b", {}, "access", 5) == physical_paths(net, "a", "b", 5)
+        assert logical_paths(net, "a", "b", {}, "access", 5) == physical_paths(net, "a", "b")
 
     def test_no_rules_means_no_logical_paths(self):
         net = _net(["a", "b"], [("a", "b")])
@@ -293,12 +305,13 @@ def _mesh(seed: int, **sizes) -> NetworkModel:
 class TestReachableTargets:
     """The breadth-first search against the path-enumeration oracle."""
 
-    def test_matches_oracle_on_random_graphs(self):
+    def test_matches_oracle_on_random_graphs(self, max_path_len):
         rng = random.Random(6)
-        for _ in range(300):
-            net = _random_net(rng)
-            for max_len in range(1, 10):
-                assert reachable_targets(net, max_len) == reachable_by_enumeration(net, max_len)
+        nets = [_random_net(rng) for _ in range(300)]
+        for max_len in range(1, 10):
+            max_path_len(max_len)
+            for net in nets:
+                assert reachable_targets(net) == reachable_by_enumeration(net, max_len)
 
     @pytest.mark.parametrize("policy_dir", ["policies", "policies_isolated"])
     def test_matches_oracle_on_fixture(self, policy_dir):
@@ -335,12 +348,13 @@ class TestReachableTargets:
         net = _net(["a", "b", "c"], [("a", "b"), ("b", "c")], policies, entries=("a",))
         assert reachable_targets(net) == {"a", "c"}
 
-    def test_chain_is_cut_at_max_len(self):
+    def test_chain_is_cut_at_max_len(self, max_path_len):
         for max_len in (1, 2, 5):
+            max_path_len(max_len)
             names = [f"n{i}" for i in range(max_len + 2)]
             edges = list(zip(names, names[1:]))
             net = _net(names, edges, PolicySet(rules=[PERMIT_ALL]), entries=("n0",))
-            assert reachable_targets(net, max_len) == set(names[:-1])
+            assert reachable_targets(net) == set(names[:-1])
 
     def test_default_bound_is_twelve_hops(self):
         names = [f"n{i:02d}" for i in range(14)]

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from cri.attack_flow import TtpNode, parse_attack_flow
-from cri.attack_tree import TreeLibrary, parse_tree_dict
+from cri.attack_tree import parse_tree_dict
 from cri.engine import run_campaign
 from cri.errors import CapacityError, CriError, ModelError, ValidationError
 from cri.ingest import RawBundle, validate_bundle
@@ -23,6 +23,7 @@ from cri.pomdp.types import NetworkState, Pomdp
 from cri.pomdp.build import _Builder
 from buildoracle import build_by_pairs
 from conftest import SCENARIO, CallCounter, load_scenario
+from modeldump import dump
 from genscen import PERMIT_ALL, TI_HEADER, chain_scenario, random_scenario, two_target_tree
 from toys import and_chain, single_step
 
@@ -69,7 +70,7 @@ class TestExpandTechnique:
 
     def test_single_target_no_tree(self):
         ti = TiTable([TiRecord("T1659", "server", 0.5, 0.1, 2, -1, 0.2, 0)])
-        actions = expand_technique(self._ttp(), TreeLibrary(), ti, [("srv", "server")])
+        actions = expand_technique(self._ttp(), {}, ti, [("srv", "server")])
         assert len(actions) == 1
         act = actions[0]
         assert act.leaf_name is None
@@ -77,22 +78,20 @@ class TestExpandTechnique:
         assert act.p_success == 0.5
 
     def test_tree_leaves_become_actions(self):
-        trees = TreeLibrary()
-        trees.add(
-            parse_tree_dict(
-                {
-                    "id": "proc",
-                    "technique_id": "T1659",
-                    "root": {
-                        "gate": "OR",
-                        "children": [
-                            {"name": "first", "p_success": 0.3},
-                            {"name": "second"},
-                        ],
-                    },
-                }
-            )
+        tree = parse_tree_dict(
+            {
+                "id": "proc",
+                "technique_id": "T1659",
+                "root": {
+                    "gate": "OR",
+                    "children": [
+                        {"name": "first", "p_success": 0.3},
+                        {"name": "second"},
+                    ],
+                },
+            }
         )
+        trees = {tree.id: tree}
         ti = TiTable([TiRecord("T1659", "server", 0.5, 0.1, 2, -1, 0.2, 0)])
         actions = expand_technique(self._ttp("proc"), trees, ti, [("srv", "server")])
         assert [a.leaf_name for a in actions] == ["first", "second"]
@@ -102,7 +101,7 @@ class TestExpandTechnique:
     def test_targets_without_records_skipped(self):
         ti = TiTable([TiRecord("T1659", "server", 0.5, 0.1, 2, -1, 0.2, 0)])
         actions = expand_technique(
-            self._ttp(), TreeLibrary(), ti, [("srv", "server"), ("pc", "endpoint")]
+            self._ttp(), {}, ti, [("srv", "server"), ("pc", "endpoint")]
         )
         assert [a.target for a in actions] == ["srv"]
 
@@ -505,7 +504,7 @@ class TestPerPairOracle:
                         assert got == want, where
                         continue
                     built += 1
-                    assert got.dump() == want.dump(), where
+                    assert dump(got) == dump(want), where
                     assert list(got.transitions) == list(want.transitions), where
                     assert list(got.observation_probs) == list(want.observation_probs), where
         # most inputs build in both modes, not only refuse

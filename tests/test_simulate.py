@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import fixed_policy
 from cri.errors import CapacityError
 from cri.pomdp import build_pomdp, value_iteration
-from cri.pomdp.types import AttackerAction, NetworkState, Pomdp
+from cri.pomdp.types import AttackerAction, NetworkState, Pomdp, support_key
 import cri.simulate
 from cri.simulate import (
     BLOCK,
@@ -70,7 +70,7 @@ class TestSimulateEpisode:
 
     def test_forced_failure_accumulates_penalties(self):
         pomdp, _ = single_step(p_success=0.0, penalty=-2.0, cost=1.0, horizon=3)
-        policy = fixed_policy(pomdp, 0, horizon=3)
+        policy = fixed_policy(pomdp, 0)
         episode = simulate_episode(pomdp, policy, substream(5, 0))
         assert episode.cumulative_reward == pytest.approx(3 * (-2.0 - 1.0), abs=1e-12)
         assert episode.succeeded == {1: False}
@@ -121,11 +121,11 @@ class TestSimulateEpisode:
             for i in range(25):
                 node = policy.root
                 for step in simulate_episode(pomdp, policy, substream(9, i)).steps:
-                    assert step.belief_before == node.key
+                    assert step.belief_before == support_key(node.support)
                     a, o = action_index[step.action], obs_index[step.observation]
                     assert a == node.action
                     node = policy.nodes[node.children[o][1]]
-                    assert step.belief_after == node.key
+                    assert step.belief_after == support_key(node.support)
                     before = [0.0] * len(pomdp.states)
                     for s, p in step.belief_before:
                         before[s] = p
@@ -163,7 +163,7 @@ class TestEstimators:
     def test_seeded_rewards_average_exactly(self):
         # seed 17 draws the 1, 2 and 3 branches once each across 3 episodes
         pomdp = _reward_lottery()
-        summary = estimate_expected_reward(pomdp, fixed_policy(pomdp, 0, horizon=1), 3, seed=17)
+        summary = estimate_expected_reward(pomdp, fixed_policy(pomdp, 0), 3, seed=17)
         assert sorted(e for e in summary.rewards) == [1.0, 2.0, 3.0]
         assert summary.mean_reward == pytest.approx(2.0, abs=1e-15)
 
@@ -186,7 +186,6 @@ class TestEstimators:
         result = value_iteration(pomdp)
         a = estimate_expected_reward(pomdp, result.policy, 500, seed=101)
         b = estimate_expected_reward(pomdp, result.policy, 500, seed=101)
-        assert a.sum_rewards == b.sum_rewards
         assert a.mean_reward == b.mean_reward
         assert a.std_error == b.std_error
         assert a.p_n_estimates == b.p_n_estimates
@@ -288,19 +287,19 @@ class TestBlockWalkOracle:
 
     def test_policy_stopping_at_the_root(self):
         pomdp, _ = noisy_sensor()
-        summary = _assert_matches_episode_walks(pomdp, fixed_policy(pomdp, None, 3), 40, 1)
+        summary = _assert_matches_episode_walks(pomdp, fixed_policy(pomdp, None), 40, 1)
         assert summary.rewards == [0.0] * 40
         assert summary.truncated_episodes == 0
 
     def test_policy_running_to_the_horizon_is_truncated(self, monkeypatch):
         monkeypatch.setattr(cri.simulate, "BLOCK", self.SMALL_BLOCK)
         pomdp, _ = single_step(p_success=0.0, penalty=-2.0, cost=1.0, horizon=3)
-        summary = _assert_matches_episode_walks(pomdp, fixed_policy(pomdp, 0, 3), 40, 1)
+        summary = _assert_matches_episode_walks(pomdp, fixed_policy(pomdp, 0), 40, 1)
         assert summary.truncated_episodes == 40
         rng = random.Random(7070)
         for _ in range(50):
             pomdp = _spread(random_pomdp(rng), rng)
-            policy = fixed_policy(pomdp, 0, pomdp.horizon)
+            policy = fixed_policy(pomdp, 0)
             _assert_matches_episode_walks(pomdp, policy, 17, seed=rng.randrange(10**6))
 
     def test_boundary_uniforms_pick_like_draw(self, monkeypatch):
@@ -324,7 +323,7 @@ class TestBlockWalkOracle:
             "block_uniforms",
             lambda seed, start, count, draws: np.array(scripts[start : start + count]),
         )
-        policy = fixed_policy(pomdp, 0, 1)
+        policy = fixed_policy(pomdp, 0)
         episodes = [simulate_episode(pomdp, policy, _Scripted(u)) for u in scripts]
         summary = estimate_expected_reward(pomdp, policy, len(scripts), 0)
         assert summary.rewards == [e.cumulative_reward for e in episodes]
@@ -454,7 +453,7 @@ class TestWalkTables:
             horizon=2,
         )
         pomdp.validate()
-        policy = fixed_policy(pomdp, 0, 2)
+        policy = fixed_policy(pomdp, 0)
         assert assert_graph_rows(pomdp, policy) == {(0, 0), (1, 0), (2, 0)}
         script = [0.0, 0.99999999995, 0.0, 0.0, 0.0]
         assert simulate_episode(pomdp, policy, _Scripted(script)).steps[0].state_after == 3

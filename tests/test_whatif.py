@@ -18,6 +18,7 @@ from cri.ingest import ValidatedInputs
 from cri.pomdp import build_pomdp, reweight_pomdp
 from cri.threat_intel import TiTable
 from genscen import random_scenario
+from modeldump import dump
 from toys import _NET_ONE, _build, _flow
 
 MULTIPLIERS = (0.0, 0.5, 1.0, 1.4, 2.0, 3.0)
@@ -49,7 +50,6 @@ def rerun_delta(inputs, cm, cfg):
         index_before=before,
         index_after=after,
         delta_index=delta,
-        total_cost=cost,
         delta_per_cost=delta / cost if cost > 0 else None,
         matched=matched,
     )
@@ -226,7 +226,7 @@ def reweighted(base, flow, net, new_ti, inventory=True):
     `new_ti` and checked against a fresh build under `new_ti`."""
     derived = reweight_pomdp(base, new_ti)
     fresh = build_pomdp(flow, net, new_ti, inventory=inventory)
-    assert derived.dump() == fresh.dump()
+    assert dump(derived) == dump(fresh)
     assert derived.rewards == fresh.rewards
     return derived
 
@@ -270,7 +270,7 @@ class TestReweightPomdp:
                 assert_observations_agree(derived, flags, new_ti)
         # re-weighting leaves the baseline models as built
         for flow, base in zip(scenario.flows, fixture_models):
-            assert base.dump() == build_pomdp(flow, scenario.network, scenario.ti).dump()
+            assert dump(base) == dump(build_pomdp(flow, scenario.network, scenario.ti))
 
     def test_random_scenarios(self):
         rng = random.Random(1515)
