@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .attack_tree import AttackTree, parse_tree_dict, tree_to_dict
+from .canon import canonical_json
 from .errors import ParseError, ValidationError
 
 RELATIONS = ("sequence", "AND", "OR")
@@ -224,4 +225,4 @@ def serialize_attack_flow(flow: AttackFlow) -> str:
     }
     if flow.trees:
         payload["attackTrees"] = [tree_to_dict(t) for _, t in sorted(flow.trees.items())]
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    return canonical_json(payload)

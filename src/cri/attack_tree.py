@@ -29,11 +29,13 @@ class TreeLeaf:
     name: str
     params: tuple[tuple[str, float], ...] = ()
 
-    def param(self, key: str) -> float | None:
+    def param(self, key: str, default: float | None = None) -> float | None:
+        """The leaf's own value of `key`, which overrides `default`, the
+        threat-intel record's."""
         for k, v in self.params:
             if k == key:
                 return v
-        return None
+        return default
 
 
 @dataclass(frozen=True)

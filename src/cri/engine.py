@@ -6,28 +6,33 @@ raw threat-intel base rates straight through the flow DAG; the "validated"
 series runs the attacker emulation (solver and/or Monte Carlo) first and
 combines the resulting milestone probabilities.
 
-`run_campaign` builds each flow's flag model (`build_pomdp(...,
-inventory=False)`), whose states are their flag sets, and solves it into
-one policy graph. It also builds the model that tracks inventory, whose
-sizes the complexity report reads; a run that walks Monte Carlo episodes
-samples that model's rows while it follows the flag model's graph. Flows
-are built and solved one after another; then every flow is walked in one
-call (`estimate_expected_rewards`), which derives each block of the
-episodes' uniforms once for all of them, and the flow reports are put
-together in flow order.
+Every flow goes through one pipeline, `_flow_reports`. It takes each
+flow's flag model (`build_pomdp(..., inventory=False)`), whose states are
+its flag sets, as it is needed and solves it into one policy graph; then
+it walks every flow in one call (`estimate_expected_rewards`), which
+derives each block of the episodes' uniforms once for all of them, and
+puts the flow reports together in flow order. A walk samples the rows of
+the flow's model that tracks inventory while it follows the flag model's
+graph. What a mode implies is stated once, on `EngineConfig`: `reads_graph`
+(P_N read exactly off the graph: `exact`, `both`) and `walks` (episodes
+walked: `simulate`, `both`).
 
-`run_whatif` evaluates countermeasures against one baseline run, building
-inventory models only to walk them: it re-weights each flow's baseline
-models with the scaled probabilities
-(`reweight_pomdp`, which builds a model afresh only where its structure
-could move) and re-solves only the flows whose models the countermeasure
-changes.
+`run_campaign` and `run_whatif`'s baseline build a flow's models right
+before its flag model is solved, so a flow's build or solve error is
+raised before any later flow is built, and any error before any walk.
+`run_campaign` always builds the model that tracks inventory, whose sizes
+the complexity report reads; `run_whatif` builds it only to walk it. Under
+each countermeasure `run_whatif` re-weights each flow's baseline models
+with the scaled probabilities (`reweight_pomdp`, which builds a model
+afresh only where its structure could move), right before that flow's
+solve, and sends through the pipeline again only the flows whose flag
+model the countermeasure changes.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
@@ -46,7 +51,6 @@ from .index import (
 from .ingest import ValidatedInputs
 from .netmodel import NetworkModel
 from .pomdp import (
-    Policy,
     Pomdp,
     SolveResult,
     build_pomdp,
@@ -73,10 +77,21 @@ class EngineConfig:
     campaign_id: str = "campaign"
     provenance: dict[str, str] = field(default_factory=dict)
 
+    @property
+    def reads_graph(self) -> bool:
+        """Whether P_N is read exactly off the solved policy graph."""
+        return self.mode in ("exact", "both")
+
+    @property
+    def walks(self) -> bool:
+        """Whether Monte Carlo episodes are walked over the model that
+        tracks inventory."""
+        return self.mode in ("simulate", "both")
+
     def __post_init__(self):
         if self.mode not in MODES:
             raise ModelError(f"unknown mode {self.mode!r}")
-        if self.mode in ("simulate", "both") and self.episodes < 1:
+        if self.walks and self.episodes < 1:
             raise ModelError("episodes must be >= 1 when simulating")
         if self.seed < 0:
             raise ModelError(f"seed must be non-negative, got {self.seed}")
@@ -118,24 +133,14 @@ def assumed_p_n(flow: AttackFlow, net: NetworkModel, ti: TiTable) -> dict[int, f
     classes = _asset_classes(net)
     out: dict[int, float] = {}
     for node in flow.nodes:
-        base = 0.0
-        found = False
-        for asset_class in classes:
-            rec = ti.lookup(node.technique_id, asset_class)
-            if rec is not None:
-                base = max(base, rec.p_success_base)
-                found = True
-        if not found:
-            out[node.step] = 0.0
-            continue
-        tree = flow.trees.get(node.attack_tree_id) if node.attack_tree_id else None
-        if tree is None:
-            out[node.step] = base
-        else:
-            out[node.step] = success_probability(
-                tree,
-                lambda leaf: leaf.param("p_success") if leaf.param("p_success") is not None else base,
-            )
+        records = [r for r in (ti.lookup(node.technique_id, c) for c in classes) if r is not None]
+        # the fold starts at 0.0, so a -0.0 base rate reads 0.0
+        base = max([0.0, *(r.p_success_base for r in records)])
+        tree = flow.trees.get(node.attack_tree_id) if records and node.attack_tree_id else None
+        out[node.step] = (
+            base if tree is None
+            else success_probability(tree, lambda leaf: leaf.param("p_success", base))
+        )
     return out
 
 
@@ -158,11 +163,11 @@ def _solve(flow: AttackFlow, pomdp: Pomdp) -> SolveResult:
         raise CapacityError(f"{exc} (flow {flow.id})") from exc
 
 
-def _naive_check(flow, net, ti, cfg, flags, walk, value) -> str:
+def _naive_check(flow, net, ti, cfg, flags, full, value) -> str:
     """Check `flags`, the flow's flag model, against its naive flag grid:
-    the reachable set and V* (`value`). Then check the reachable set of
-    `walk`, the model the run walks, if any, against the naive grid that
-    tracks inventory. A grid above the size cap skips its comparison; the
+    the reachable set and V* (`value`). Then, when the run walks, check the
+    reachable set of `full`, the model it walks, against the naive grid
+    that tracks inventory. A grid above the size cap skips its comparison; the
     flag grid's skips the walk model's too, whose grid is no smaller."""
     try:
         naive = build_pomdp(flow, net, ti, horizon=cfg.horizon, naive=True, inventory=False)
@@ -172,13 +177,13 @@ def _naive_check(flow, net, ti, cfg, flags, walk, value) -> str:
     naive_value = _solve(flow, naive).value
     if abs(naive_value - value) > 1e-9:
         raise ModelError(f"flow {flow.id}: naive value {naive_value} != reduced {value}")
-    if walk is None:
+    if not cfg.walks:
         return "ok"
     try:
         naive = build_pomdp(flow, net, ti, horizon=cfg.horizon, naive=True)
     except CapacityError as exc:
         return f"flag model ok; walk model skipped: {exc}"
-    _check_reachable(flow, naive, walk)
+    _check_reachable(flow, naive, full)
     return "ok"
 
 
@@ -200,110 +205,102 @@ def _check_reachable(flow, naive, reduced) -> None:
         )
 
 
-def _walks(cfg: EngineConfig) -> bool:
-    """Whether the run walks Monte Carlo episodes over the inventory model."""
-    return cfg.mode != "exact"
+def _built(
+    inputs: ValidatedInputs, cfg: EngineConfig, inventory: bool, kept: list
+) -> Iterator[tuple[AttackFlow, Pomdp, Pomdp | None]]:
+    """Each flow of `inputs` with its flag model, which every run solves,
+    and, when `inventory`, its model that tracks inventory, built one flow
+    at a time as they are asked for. Each triple is also kept in `kept`."""
+    net, ti = inputs.network, inputs.ti
+    for flow in inputs.flows:
+        logger.info("building model for flow %s", flow.id)
+        flags = build_pomdp(flow, net, ti, horizon=cfg.horizon, inventory=False)
+        full = build_pomdp(flow, net, ti, horizon=cfg.horizon) if inventory else None
+        kept.append((flow, flags, full))
+        yield flow, flags, full
 
 
-def _build(
-    flow: AttackFlow, net: NetworkModel, ti: TiTable, cfg: EngineConfig, inventory: bool
-) -> tuple[Pomdp, Pomdp | None]:
-    """The flag model of `flow`, which every run solves, and its model
-    that tracks inventory when `inventory`."""
-    logger.info("building model for flow %s", flow.id)
-    flags = build_pomdp(flow, net, ti, horizon=cfg.horizon, inventory=False)
-    full = build_pomdp(flow, net, ti, horizon=cfg.horizon) if inventory else None
-    return flags, full
+def _reweighted(
+    models: list[tuple[AttackFlow, Pomdp, Pomdp | None]], ti: TiTable, moved: list[int]
+) -> Iterator[tuple[AttackFlow, Pomdp, Pomdp | None]]:
+    """Each flow of `models` whose flag model `ti` re-weights into another
+    model (`reweight_pomdp`), with its re-weighted models. A flow is
+    re-weighted when it is asked for, right before its solve; the position
+    of each flow yielded is appended to `moved`."""
+    for i, (flow, flags, full) in enumerate(models):
+        new = reweight_pomdp(flags, ti)
+        if new is not flags:
+            moved.append(i)
+            yield flow, new, None if full is None else reweight_pomdp(full, ti)
 
 
-@dataclass
-class _Solved:
-    """A flow whose flag model is solved, waiting for its walk, if any:
-    the flow's model that tracks inventory and the policy graph to walk
-    on it."""
-
-    flow: AttackFlow
-    flags: Pomdp
-    value: float
-    p_exact: dict[int, float] | None
-    naive_check: str | None
-    walk: tuple[Pomdp, Policy] | None
-
-
-def _solve_flow(
-    flow: AttackFlow, net: NetworkModel, ti: TiTable,
-    flags: Pomdp, walk: Pomdp | None, cfg: EngineConfig,
-) -> _Solved:
-    """Solve `flags`, the flag model of `flow` over `net` and `ti`, and
-    read its milestones off the policy graph; `walk`, the flow's model
-    that tracks inventory, is kept with the graph for `_reports` to walk."""
-    solved = _solve(flow, flags)
-    logger.info(
-        "flow %s: %d states, %d actions, %d reachable beliefs, "
-        "%d actions pruned, V*=%.6f",
-        flow.id, len(flags.states), len(flags.actions),
-        solved.reachable_beliefs, solved.pruned, solved.value,
+def _flow_reports(
+    models: Iterable[tuple[AttackFlow, Pomdp, Pomdp | None]],
+    net: NetworkModel, ti: TiTable, cfg: EngineConfig,
+) -> list[FlowReport]:
+    """The report of each (flow, flag model, model that tracks inventory)
+    of `models` over `net` and `ti`, in order. Each flag model is solved as
+    it is taken; its milestones are read off the policy graph when
+    `cfg.reads_graph`, and the graph is kept only when `cfg.walks`. Then
+    every kept graph is walked over its flow's model that tracks inventory
+    in one call, which derives each block of episodes' uniforms once for
+    all of them."""
+    solved, walks = [], []
+    for flow, flags, full in models:
+        result = _solve(flow, flags)
+        logger.info(
+            "flow %s: %d states, %d actions, %d reachable beliefs, "
+            "%d actions pruned, V*=%.6f",
+            flow.id, len(flags.states), len(flags.actions),
+            result.reachable_beliefs, result.pruned, result.value,
+        )
+        p_exact = milestone_probabilities(flags, result.policy) if cfg.reads_graph else None
+        note = None
+        if cfg.naive_check:
+            note = _naive_check(flow, net, ti, cfg, flags, full, result.value)
+        solved.append((flow, flags, result.value, p_exact, note))
+        if cfg.walks:
+            walks.append((full, result.policy))
+        del result  # no unwalked graph outlives its flow's solve
+    summaries = (
+        estimate_expected_rewards(walks, cfg.episodes, cfg.seed) if cfg.walks
+        else [None] * len(solved)
     )
-    p_exact = None
-    if cfg.mode in ("exact", "both"):
-        p_exact = milestone_probabilities(flags, solved.policy)
-    naive_note = None
-    if cfg.naive_check:
-        naive_note = _naive_check(flow, net, ti, cfg, flags, walk, solved.value)
-    return _Solved(
-        flow, flags, solved.value, p_exact, naive_note,
-        None if walk is None else (walk, solved.policy),
-    )
-
-
-def _reports(flows: list[_Solved], cfg: EngineConfig) -> list[FlowReport]:
-    """The report of each solved flow, in order. The flows with a walk
-    model are walked in one call, which derives each block of episodes'
-    uniforms once for all of them."""
-    walks = [f.walk for f in flows if f.walk is not None]
-    summaries = iter(estimate_expected_rewards(walks, cfg.episodes, cfg.seed) if walks else ())
-    return [_report(f, next(summaries) if f.walk is not None else None) for f in flows]
-
-
-def _report(done: _Solved, summary: SimulationSummary | None) -> FlowReport:
-    """The report of a solved flow and its walk's summary, if walked."""
-    flow = done.flow
-    if done.p_exact is not None:
-        p_used, method = done.p_exact, "exact"
-        reward = done.value
-    else:
-        assert summary is not None
-        p_used, method = summary.p_n_estimates, "simulated"
-        reward = summary.mean_reward
-
-    return FlowReport(
-        result=FlowResult(
-            flow_id=flow.id,
-            p_n=p_used,
-            q_flow=flow_cri(flow, p_used),
-            expected_attacker_reward=reward,
-            method=method,
-        ),
-        p_n_exact=done.p_exact,
-        solver_value=done.value,
-        simulation=summary,
-        normalized_reward=_normalized_reward(done.flags, reward),
-        naive_check=done.naive_check,
-    )
+    reports = []
+    for (flow, flags, value, p_exact, note), summary in zip(solved, summaries):
+        if p_exact is not None:
+            p_used, method, reward = p_exact, "exact", value
+        else:
+            p_used, method, reward = summary.p_n_estimates, "simulated", summary.mean_reward
+        reports.append(FlowReport(
+            result=FlowResult(
+                flow_id=flow.id,
+                p_n=p_used,
+                q_flow=flow_cri(flow, p_used),
+                expected_attacker_reward=reward,
+                method=method,
+            ),
+            p_n_exact=p_exact,
+            solver_value=value,
+            simulation=summary,
+            normalized_reward=_normalized_reward(flags, reward),
+            naive_check=note,
+        ))
+    return reports
 
 
 def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> RunOutput:
-    """Run the full pipeline over every flow and aggregate the campaign."""
+    """Run the pipeline over every flow and aggregate the campaign. Each
+    flow's flag model and its model that tracks inventory are built right
+    before the flag model is solved (`_flow_reports`); the complexity
+    report reads the models that track inventory."""
     cfg = cfg or EngineConfig()
     net = inputs.network
+    models: list[tuple[AttackFlow, Pomdp, Pomdp | None]] = []
+    flow_reports = _flow_reports(_built(inputs, cfg, True, models), net, inputs.ti, cfg)
 
-    solved: list[_Solved] = []
     assumed_results: list[FlowResult] = []
-    full_models: list[Pomdp] = []
     for flow in inputs.flows:
-        flags, full = _build(flow, net, inputs.ti, cfg, inventory=True)
-        solved.append(_solve_flow(flow, net, inputs.ti, flags, full if _walks(cfg) else None, cfg))
-        full_models.append(full)
         base = assumed_p_n(flow, net, inputs.ti)
         assumed_results.append(
             FlowResult(
@@ -314,16 +311,13 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
                 method="exact",
             )
         )
-
-    flow_reports = _reports(solved, cfg)
-
     provenance = dict(cfg.provenance)
     provenance.update(
         {
             "engine_version": __version__,
             "mode": cfg.mode,
             "seed": str(cfg.seed),
-            "episodes": str(cfg.episodes if cfg.mode in ("simulate", "both") else 0),
+            "episodes": str(cfg.episodes if cfg.walks else 0),
             "horizon": str(cfg.horizon if cfg.horizon is not None else "auto"),
             "inputs_digest": inputs.digest(),
         }
@@ -332,7 +326,7 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
         [fr.result for fr in flow_reports], cfg.campaign_id, provenance
     )
     assumed = campaign_cri(assumed_results, cfg.campaign_id, dict(provenance, series="assumed"))
-    complexity = asdict(complexity_report(net, inputs.flows, full_models))
+    complexity = asdict(complexity_report(net, inputs.flows, [full for *_, full in models]))
     return RunOutput(
         campaign=campaign,
         assumed=assumed,
@@ -344,27 +338,22 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
 def run_whatif(
     inputs: ValidatedInputs, measures: list[Countermeasure], cfg: EngineConfig | None = None
 ) -> Iterator[CountermeasureDelta]:
-    """Yield one delta per countermeasure, in order. Each flow's flag
-    model, and its walk model when the run walks, is built once and solved
-    once. Under each countermeasure every baseline model is re-weighted
-    under the scaled table (`reweight_pomdp`, which rebuilds where an
-    action's shape moves). A flow whose re-weighted flag model is its
-    baseline flag model, because no action's probabilities moved, reuses its
-    baseline result; the others are solved again, in order. A run that
-    walks walks the baseline flows in one call, and under each
-    countermeasure the re-solved flows in one call."""
+    """Yield one delta per countermeasure, in order. The baseline goes
+    through the pipeline (`_flow_reports`) as in `run_campaign`, building
+    each flow's model that tracks inventory only when the run walks. Under
+    each countermeasure every baseline model is re-weighted under the
+    scaled table (`reweight_pomdp`, which rebuilds where an action's shape
+    moves), each flow right before its solve. A flow whose re-weighted
+    flag model is its baseline flag model, because no action's
+    probabilities moved, reuses its baseline result; the others go
+    through the pipeline again, and their results replace the baseline's.
+    No countermeasure's reports are held once its delta is yielded."""
     cfg = cfg or EngineConfig()
     net = inputs.network
-    models = [_build(flow, net, inputs.ti, cfg, _walks(cfg)) for flow in inputs.flows]
+    models: list[tuple[AttackFlow, Pomdp, Pomdp | None]] = []
     baseline = [
         report.result
-        for report in _reports(
-            [
-                _solve_flow(flow, net, inputs.ti, flags, walk, cfg)
-                for flow, (flags, walk) in zip(inputs.flows, models)
-            ],
-            cfg,
-        )
+        for report in _flow_reports(_built(inputs, cfg, cfg.walks, models), net, inputs.ti, cfg)
     ]
     index_before = campaign_cri(baseline, cfg.campaign_id).index
     for cm in measures:
@@ -374,17 +363,13 @@ def run_whatif(
             p_success_multiplier=cm.p_success_multiplier,
             p_detect_multiplier=cm.p_detect_multiplier,
         )
-        solved = [
-            None if (moved := reweight_pomdp(flags, ti)) is flags
-            else _solve_flow(
-                flow, net, ti, moved, None if walk is None else reweight_pomdp(walk, ti), cfg
-            )
-            for flow, (flags, walk) in zip(inputs.flows, models)
-        ]
-        reports = iter(_reports([s for s in solved if s is not None], cfg))
+        moved: list[int] = []
         results = [
-            before if s is None else next(reports).result
-            for s, before in zip(solved, baseline)
+            report.result
+            for report in _flow_reports(_reweighted(models, ti, moved), net, ti, cfg)
         ]
-        index_after = campaign_cri(results, cfg.campaign_id).index
+        after = dict(zip(moved, results))
+        index_after = campaign_cri(
+            [after.get(i, before) for i, before in enumerate(baseline)], cfg.campaign_id
+        ).index
         yield evaluate_countermeasure(cm, inputs.ti, index_before, index_after)

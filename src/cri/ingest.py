@@ -240,9 +240,9 @@ def parse_policy_set(docs: list[str]) -> PolicySet:
     """Parse XACML-subset policy documents, preserving rule document order.
 
     A policy may hold one policy-level <Target>, wherever it stands among
-    its rules; each rule takes from it every matcher its own target leaves
-    open. An empty docs list yields an empty PolicySet (default deny
-    downstream).
+    its rules, and a rule one <Target> of its own; each rule takes from the
+    policy's target every matcher its own target leaves open. An empty
+    docs list yields an empty PolicySet (default deny downstream).
     """
     rules: list[PolicyRule] = []
     zones: list[Zone] = []
@@ -267,8 +267,12 @@ def parse_policy_set(docs: list[str]) -> PolicySet:
                         f"policy document {index}: unknown Effect {effect!r}"
                     )
                 rule_id = child.get("RuleID") or child.get("RuleId") or f"rule-{index}-{len(doc_rules)}"
-                rule_target = next((c for c in child if _local(c.tag) == "Target"), None)
-                matchers = _parse_target(rule_target)
+                rule_targets = [c for c in child if _local(c.tag) == "Target"]
+                if len(rule_targets) > 1:
+                    raise ValidationError(
+                        f"policy document {index}: rule {rule_id!r} has more than one <Target>"
+                    )
+                matchers = _parse_target(rule_targets[0] if rule_targets else None)
                 for cat in matchers:
                     if matchers[cat].value is None and inherited[cat].value is not None:
                         matchers[cat] = inherited[cat]

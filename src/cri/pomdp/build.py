@@ -156,8 +156,7 @@ def expand_technique(
             continue
         for leaf in tree.leaves() if tree is not None else [None]:
             def pick(key: str, fallback: float) -> float:
-                value = leaf.param(key) if leaf is not None else None
-                return fallback if value is None else value
+                return fallback if leaf is None else leaf.param(key, fallback)
 
             actions.append(
                 AttackerAction(

@@ -355,6 +355,39 @@ class TestConfigKeys:
         assert result.exit_code == 0, result.output
 
 
+class TestTiDefaults:
+    """A technique with no threat-intel record stops `calc` unless
+    `--ti-defaults` (or `ti_defaults` in a config file) lets it take the
+    default record."""
+
+    @pytest.fixture
+    def ti(self, tmp_path):
+        path = tmp_path / "ti.csv"
+        rows = (SCENARIO / "ti.csv").read_text().splitlines(keepends=True)
+        path.write_text("".join(row for row in rows if not row.startswith("T1020,")))
+        return str(path)
+
+    def test_missing_record_exits_2(self, tmp_path, ti):
+        result = run_cli("calc", *calc_args(tmp_path / "out", ti=ti))
+        assert result.exit_code == 2, result.output
+        assert (
+            "flow dns_injection: technique T1020 has no threat-intel record "
+            "and defaults are disabled"
+        ) in result.output
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_defaults_stand_in_for_the_missing_record(self, tmp_path, ti, how):
+        config = tmp_path / "run.cfg"
+        config.write_text("ti_defaults=true\n")
+        extra = ["--ti-defaults"] if how == "flag" else ["--config", str(config)]
+        result = run_cli("calc", *extra, *calc_args(tmp_path / "out", ti=ti))
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "out" / "campaign_report.json").read_text())
+        assumed = {flow["flow_id"]: flow["p_n"] for flow in report["assumed"]["flows"]}
+        # step 3, T1020, takes the default record's p_success_base of 0.5
+        assert assumed["dns_injection"] == {"1": 0.5, "2": 0.54, "3": 0.5}
+
+
 class TestUnreadableInputs:
     """Every input file goes through one reader: undecodable bytes or an
     unreadable path exit 2 with an error naming the file, never with a

@@ -331,6 +331,14 @@ class TestParsePolicySet:
             parse_policy_set([doc])
         assert len(parse_policy_set([doc.replace("  <Target/>\n</Policy>", "</Policy>")]).rules) == 1
 
+    def test_second_rule_target_rejected(self):
+        # a second rule-level <Target> was ignored: the rule denied every node
+        doc = (MALFORMED / "two_rule_targets.xml").read_text()
+        with pytest.raises(ValidationError, match="policy document 0: rule 'r' has more than one"):
+            parse_policy_set([doc])
+        rules = parse_policy_set([doc.replace("<Target/>", "")]).rules
+        assert [(r.effect, r.resource.value) for r in rules] == [("Deny", "db")]
+
     @pytest.mark.parametrize("name", ["bad_effect.xml", "empty_policy.xml", "bad_zone.xml"])
     def test_rejects_malformed(self, name):
         with pytest.raises(ValidationError):

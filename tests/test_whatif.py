@@ -4,6 +4,7 @@
 import ast
 import dataclasses
 import random
+import weakref
 
 import pytest
 
@@ -16,6 +17,7 @@ from cri.index import (
 )
 from cri.ingest import ValidatedInputs
 from cri.pomdp import build_pomdp, reweight_pomdp
+from cri.simulate import estimate_expected_rewards
 from cri.threat_intel import TiTable
 from genscen import random_scenario
 from modeldump import dump
@@ -219,6 +221,27 @@ class TestRunWhatifWork:
         assert [d.delta_index for d in deltas] == [0.0, 0.0]
         assert [d.matched for d in deltas] == [True, False]
         assert counter.calls["build_pomdp"] == len(scenario.flows)
+
+    def test_frees_each_countermeasures_walks(self, scenario, monkeypatch):
+        # a name left bound in the generator's frame, such as a loop
+        # variable whose loop ran no turn under the no-op measure, would
+        # keep the previous measure's summaries alive
+        walked = []
+
+        def recorded(*args):
+            summaries = estimate_expected_rewards(*args)
+            walked.append([weakref.ref(s) for s in summaries])
+            return summaries
+
+        monkeypatch.setattr(cri.engine, "estimate_expected_rewards", recorded)
+        measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
+        deltas = run_whatif(scenario, measures, EngineConfig(mode="both", episodes=50, seed=7))
+        assert next(deltas).countermeasure.id == "cm-mfa-rollout"
+        # the baseline's walks, then those of the one flow mfa moves
+        baseline, mfa = walked
+        assert (len(baseline), len(mfa)) == (len(scenario.flows), 1)
+        assert next(deltas).countermeasure.id == "cm-noop-baseline"
+        assert [ref() for ref in mfa] == [None]
 
 
 def reweighted(base, flow, net, new_ti, inventory=True):
