@@ -6,33 +6,31 @@ raw threat-intel base rates straight through the flow DAG; the "validated"
 series runs the attacker emulation (solver and/or Monte Carlo) first and
 combines the resulting milestone probabilities.
 
-Every flow goes through one pipeline, `_flow_reports`. It takes each
+Every flow goes through one pipeline, `_flow_reports`. It solves each
 flow's flag model (`build_pomdp(..., inventory=False)`), whose states are
-its flag sets, as it is needed and solves it into one policy graph; then
-it walks every flow in one call (`estimate_expected_rewards`), which
-derives each block of the episodes' uniforms once for all of them, and
-puts the flow reports together in flow order. A walk samples the rows of
-the flow's model that tracks inventory while it follows the flag model's
-graph. What a mode implies is stated once, on `EngineConfig`: `reads_graph`
-(P_N read exactly off the graph: `exact`, `both`) and `walks` (episodes
-walked: `simulate`, `both`).
+its flag sets, into one policy graph; then it walks every flow in one call
+(`estimate_expected_rewards`), which derives each block of the episodes'
+uniforms once for all of them, and puts the flow reports together in flow
+order. A walk samples the rows of the flow's model that tracks inventory
+while it follows the flag model's graph. What a mode implies is stated
+once, on `EngineConfig`: `reads_graph` (P_N read exactly off the graph:
+`exact`, `both`) and `walks` (episodes walked: `simulate`, `both`).
 
-`run_campaign` and `run_whatif`'s baseline build a flow's models right
-before its flag model is solved, so a flow's build or solve error is
-raised before any later flow is built, and any error before any walk.
-`run_campaign` always builds the model that tracks inventory, whose sizes
-the complexity report reads; `run_whatif` builds it only to walk it. Under
-each countermeasure `run_whatif` re-weights each flow's baseline models
-with the scaled probabilities (`reweight_pomdp`, which builds a model
-afresh only where its structure could move), right before that flow's
-solve, and sends through the pipeline again only the flows whose flag
-model the countermeasure changes.
+`run_campaign` and `run_whatif` build every flow's models (`_built`)
+before the first solve, so any build error comes before any solve, and any
+error before any walk. `run_campaign` always builds the model that tracks
+inventory, whose sizes the complexity report reads; `run_whatif` builds it
+only to walk it. Under each countermeasure `run_whatif` first re-weights
+every flow's baseline models with the scaled probabilities
+(`reweight_pomdp`, which builds a model afresh only where its structure
+could move), then sends through the pipeline again only the flows whose
+flag model the countermeasure changes.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
@@ -52,7 +50,6 @@ from .ingest import ValidatedInputs
 from .netmodel import NetworkModel
 from .pomdp import (
     Pomdp,
-    SolveResult,
     build_pomdp,
     complexity_report,
     milestone_probabilities,
@@ -155,14 +152,6 @@ def _normalized_reward(pomdp, value: float) -> float | None:
     return min(1.0, max(0.0, (value - lo) / (hi - lo)))
 
 
-def _solve(flow: AttackFlow, pomdp: Pomdp) -> SolveResult:
-    """`value_iteration` of a model of `flow`; a CapacityError names the flow."""
-    try:
-        return value_iteration(pomdp)
-    except CapacityError as exc:
-        raise CapacityError(f"{exc} (flow {flow.id})") from exc
-
-
 def _naive_check(flow, net, ti, cfg, flags, full, value) -> str:
     """Check `flags`, the flow's flag model, against its naive flag grid:
     the reachable set and V* (`value`). Then, when the run walks, check the
@@ -174,7 +163,7 @@ def _naive_check(flow, net, ti, cfg, flags, full, value) -> str:
     except CapacityError as exc:
         return f"skipped: {exc}"
     _check_reachable(flow, naive, flags)
-    naive_value = _solve(flow, naive).value
+    naive_value = value_iteration(naive).value
     if abs(naive_value - value) > 1e-9:
         raise ModelError(f"flow {flow.id}: naive value {naive_value} != reduced {value}")
     if not cfg.walks:
@@ -206,48 +195,34 @@ def _check_reachable(flow, naive, reduced) -> None:
 
 
 def _built(
-    inputs: ValidatedInputs, cfg: EngineConfig, inventory: bool, kept: list
-) -> Iterator[tuple[AttackFlow, Pomdp, Pomdp | None]]:
+    inputs: ValidatedInputs, cfg: EngineConfig, inventory: bool
+) -> list[tuple[AttackFlow, Pomdp, Pomdp | None]]:
     """Each flow of `inputs` with its flag model, which every run solves,
-    and, when `inventory`, its model that tracks inventory, built one flow
-    at a time as they are asked for. Each triple is also kept in `kept`."""
+    and, when `inventory`, its model that tracks inventory."""
     net, ti = inputs.network, inputs.ti
+    models = []
     for flow in inputs.flows:
         logger.info("building model for flow %s", flow.id)
         flags = build_pomdp(flow, net, ti, horizon=cfg.horizon, inventory=False)
         full = build_pomdp(flow, net, ti, horizon=cfg.horizon) if inventory else None
-        kept.append((flow, flags, full))
-        yield flow, flags, full
-
-
-def _reweighted(
-    models: list[tuple[AttackFlow, Pomdp, Pomdp | None]], ti: TiTable, moved: list[int]
-) -> Iterator[tuple[AttackFlow, Pomdp, Pomdp | None]]:
-    """Each flow of `models` whose flag model `ti` re-weights into another
-    model (`reweight_pomdp`), with its re-weighted models. A flow is
-    re-weighted when it is asked for, right before its solve; the position
-    of each flow yielded is appended to `moved`."""
-    for i, (flow, flags, full) in enumerate(models):
-        new = reweight_pomdp(flags, ti)
-        if new is not flags:
-            moved.append(i)
-            yield flow, new, None if full is None else reweight_pomdp(full, ti)
+        models.append((flow, flags, full))
+    return models
 
 
 def _flow_reports(
-    models: Iterable[tuple[AttackFlow, Pomdp, Pomdp | None]],
+    models: list[tuple[AttackFlow, Pomdp, Pomdp | None]],
     net: NetworkModel, ti: TiTable, cfg: EngineConfig,
 ) -> list[FlowReport]:
     """The report of each (flow, flag model, model that tracks inventory)
-    of `models` over `net` and `ti`, in order. Each flag model is solved as
-    it is taken; its milestones are read off the policy graph when
+    of `models` over `net` and `ti`, in order. Each flag model is solved in
+    turn; its milestones are read off the policy graph when
     `cfg.reads_graph`, and the graph is kept only when `cfg.walks`. Then
     every kept graph is walked over its flow's model that tracks inventory
     in one call, which derives each block of episodes' uniforms once for
     all of them."""
     solved, walks = [], []
     for flow, flags, full in models:
-        result = _solve(flow, flags)
+        result = value_iteration(flags)
         logger.info(
             "flow %s: %d states, %d actions, %d reachable beliefs, "
             "%d actions pruned, V*=%.6f",
@@ -290,14 +265,15 @@ def _flow_reports(
 
 
 def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> RunOutput:
-    """Run the pipeline over every flow and aggregate the campaign. Each
-    flow's flag model and its model that tracks inventory are built right
-    before the flag model is solved (`_flow_reports`); the complexity
-    report reads the models that track inventory."""
+    """Run the pipeline over every flow and aggregate the campaign. Every
+    flow's flag model and its model that tracks inventory are built
+    (`_built`) before the first solve (`_flow_reports`), so any error comes
+    before any walk; the complexity report reads the models that track
+    inventory."""
     cfg = cfg or EngineConfig()
     net = inputs.network
-    models: list[tuple[AttackFlow, Pomdp, Pomdp | None]] = []
-    flow_reports = _flow_reports(_built(inputs, cfg, True, models), net, inputs.ti, cfg)
+    models = _built(inputs, cfg, True)
+    flow_reports = _flow_reports(models, net, inputs.ti, cfg)
 
     assumed_results: list[FlowResult] = []
     for flow in inputs.flows:
@@ -339,22 +315,21 @@ def run_whatif(
     inputs: ValidatedInputs, measures: list[Countermeasure], cfg: EngineConfig | None = None
 ) -> Iterator[CountermeasureDelta]:
     """Yield one delta per countermeasure, in order. The baseline goes
-    through the pipeline (`_flow_reports`) as in `run_campaign`, building
-    each flow's model that tracks inventory only when the run walks. Under
-    each countermeasure every baseline model is re-weighted under the
-    scaled table (`reweight_pomdp`, which rebuilds where an action's shape
-    moves), each flow right before its solve. A flow whose re-weighted
-    flag model is its baseline flag model, because no action's
-    probabilities moved, reuses its baseline result; the others go
-    through the pipeline again, and their results replace the baseline's.
-    No countermeasure's reports are held once its delta is yielded."""
+    through the pipeline (`_flow_reports`) as in `run_campaign`: every
+    flow's models are built before the first solve, the model that tracks
+    inventory only when the run walks, so any error comes before any walk.
+    Under each countermeasure every flow's flag model is first re-weighted
+    under the scaled table (`reweight_pomdp`, which rebuilds where an
+    action's shape moves), and its model that tracks inventory too when
+    the flag model moved. A flow whose re-weighted flag model is its
+    baseline flag model, because no action's probabilities moved, reuses
+    its baseline result; the others go through the pipeline again, and
+    their results replace the baseline's. No countermeasure's reports are
+    held once its delta is yielded."""
     cfg = cfg or EngineConfig()
     net = inputs.network
-    models: list[tuple[AttackFlow, Pomdp, Pomdp | None]] = []
-    baseline = [
-        report.result
-        for report in _flow_reports(_built(inputs, cfg, cfg.walks, models), net, inputs.ti, cfg)
-    ]
+    models = _built(inputs, cfg, cfg.walks)
+    baseline = [report.result for report in _flow_reports(models, net, inputs.ti, cfg)]
     index_before = campaign_cri(baseline, cfg.campaign_id).index
     for cm in measures:
         ti = inputs.ti.with_multiplier(
@@ -363,12 +338,15 @@ def run_whatif(
             p_success_multiplier=cm.p_success_multiplier,
             p_detect_multiplier=cm.p_detect_multiplier,
         )
-        moved: list[int] = []
-        results = [
-            report.result
-            for report in _flow_reports(_reweighted(models, ti, moved), net, ti, cfg)
-        ]
-        after = dict(zip(moved, results))
+        moved = {}
+        for i, (flow, flags, full) in enumerate(models):
+            new = reweight_pomdp(flags, ti)
+            if new is not flags:
+                moved[i] = (flow, new, None if full is None else reweight_pomdp(full, ti))
+        after = {
+            i: report.result
+            for i, report in zip(moved, _flow_reports(list(moved.values()), net, ti, cfg))
+        }
         index_after = campaign_cri(
             [after.get(i, before) for i, before in enumerate(baseline)], cfg.campaign_id
         ).index

@@ -8,12 +8,7 @@ from .build import (
     milestone_flag,
     reweight_pomdp,
 )
-from .complexity import (
-    complexity_from_sizes,
-    complexity_report,
-    natural_state_count,
-    state_space_size,
-)
+from .complexity import complexity_report, state_space_size
 from .solve import (
     Policy,
     PolicyNode,
@@ -43,13 +38,11 @@ __all__ = [
     "analyze_targets",
     "build_pomdp",
     "compile_policy",
-    "complexity_from_sizes",
     "complexity_report",
     "expand_technique",
     "leaf_flag",
     "milestone_flag",
     "milestone_probabilities",
-    "natural_state_count",
     "reweight_pomdp",
     "state_space_size",
     "support_key",

@@ -24,36 +24,6 @@ def state_space_size(num_nodes: int, inventory_size: int) -> int:
     return (2**inventory_size - 1) ** num_nodes
 
 
-def natural_state_count(num_nodes: int, inventory_size: int) -> int:
-    """State count when the empty subset per node is included: (2^|I|)^|V|."""
-    if num_nodes < 0 or inventory_size < 0:
-        raise ValidationError("counts must be non-negative")
-    return (2**inventory_size) ** num_nodes
-
-
-def complexity_from_sizes(
-    num_nodes: int, max_inventory: int, num_actions: int
-) -> ComplexityEstimate:
-    if num_nodes >= 1 and max_inventory >= 1:
-        worst = state_space_size(num_nodes, max_inventory)
-        natural = natural_state_count(num_nodes, max_inventory)
-    else:
-        worst = 0
-        natural = 0
-    num_observations = len(OBSERVATIONS)
-    return ComplexityEstimate(
-        num_nodes=num_nodes,
-        max_inventory=max_inventory,
-        worst_states=worst,
-        num_actions=num_actions,
-        num_observations=num_observations,
-        comp_state_obs=worst * num_actions * worst * num_observations,
-        c_statetrans=worst * num_actions * worst,
-        natural_states=natural,
-        note=_NOTE,
-    )
-
-
 def complexity_report(
     net: NetworkModel,
     flows: list[AttackFlow],
@@ -64,9 +34,26 @@ def complexity_report(
     the models that track compromised inventory (`build_pomdp(flow, net,
     ti)`), so `reduced_states` counts their states, not those of the
     smaller flag models every run solves."""
+    num_nodes = len(net.nodes)
     max_inventory = max((len(n.inventory) for n in net.nodes.values()), default=0)
     num_actions = sum(len(f.nodes) for f in flows)
-    estimate = complexity_from_sizes(len(net.nodes), max_inventory, num_actions)
+    if num_nodes >= 1 and max_inventory >= 1:
+        worst = state_space_size(num_nodes, max_inventory)
+        # (2^|I|)^|V|: the empty subset per node included
+        natural = (2**max_inventory) ** num_nodes
+    else:
+        worst = natural = 0
+    estimate = ComplexityEstimate(
+        num_nodes=num_nodes,
+        max_inventory=max_inventory,
+        worst_states=worst,
+        num_actions=num_actions,
+        num_observations=len(OBSERVATIONS),
+        comp_state_obs=worst * num_actions * worst * len(OBSERVATIONS),
+        c_statetrans=worst * num_actions * worst,
+        natural_states=natural,
+        note=_NOTE,
+    )
     if models:
         estimate.reduced_states = sum(len(m.states) for m in models)
         estimate.reduced_actions = sum(len(m.actions) for m in models)

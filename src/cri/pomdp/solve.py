@@ -111,10 +111,6 @@ class Policy:
     nodes: list[PolicyNode]
     horizon: int
 
-    @property
-    def root(self) -> PolicyNode:
-        return self.nodes[-1]
-
 
 @dataclass
 class SolveResult:
@@ -266,7 +262,7 @@ def expectimax(pomdp: Pomdp, belief_cap: int) -> tuple[float, dict[tuple, int | 
         if len(values) >= belief_cap:
             raise CapacityError(
                 f"reachable belief tree of horizon {pomdp.horizon} "
-                f"above its cap of {belief_cap} beliefs"
+                f"above its cap of {belief_cap} beliefs (flow {pomdp.flow_id})"
             )
         depth = key[1]
         if depth == 0:
@@ -322,12 +318,15 @@ def value_iteration(pomdp: Pomdp, belief_cap: int = 500_000) -> SolveResult:
     """Solve for V* and the attacker-optimal policy by exact expectimax on
     the model's own states, and compile the policy into a graph over them.
     Both recurse once per step left: a horizon past the interpreter's
-    recursion limit raises CapacityError."""
+    recursion limit raises CapacityError. Either CapacityError names the
+    model's flow."""
     try:
         value, chosen, pruned = expectimax(pomdp, belief_cap)
         policy = compile_policy(pomdp, chosen.get)
     except RecursionError as exc:
-        raise CapacityError(f"horizon {pomdp.horizon} nests the belief search too deeply") from exc
+        raise CapacityError(
+            f"horizon {pomdp.horizon} nests the belief search too deeply (flow {pomdp.flow_id})"
+        ) from exc
     return SolveResult(policy=policy, value=value, reachable_beliefs=len(chosen), pruned=pruned)
 
 

@@ -62,7 +62,7 @@ def simulate_episode(pomdp: Pomdp, policy: Policy, rng: np.random.Generator) -> 
     """Play one episode: hidden state sampled from b0, the policy's action
     applied at each step, successor/observation sampled, and the policy
     graph followed to the child for that observation."""
-    node = policy.root
+    node = policy.nodes[-1]
     state = _draw(rng, sorted(node.support.items()))
     steps: list[EpisodeStep] = []
     total = 0.0

@@ -768,11 +768,50 @@ class TestHistory:
 
 
 class TestMalformedInputsSuite:
+    """Each malformed input is rejected by its own parser: its `error:`
+    line says why."""
+
     CASES = sorted(p.name for p in MALFORMED.iterdir())
+    REASONS = {
+        "bad_effect.xml": "unknown Effect 'Maybe'",
+        "bad_header.csv": "threat-intel CSV header must be exactly",
+        "bad_json.json": "invalid attack-flow JSON",
+        "bad_prob.csv": "p_success_base=1.2 outside [0,1]",
+        "bad_relation.json": "unknown relation 'XOR'",
+        "bad_xml.graphml": "malformed GraphML XML",
+        "bad_zone.xml": "zone 'empty_zone' has no members",
+        "bool_step.json": "'step' must be an integer",
+        "cycle.json": "has a cycle through steps [1, 2]",
+        "dup_edge.graphml": "duplicate edge ('b', 'a')",
+        "dup_key.csv": "duplicate threat-intel key ('T1078', 'endpoint')",
+        "dup_node.graphml": "duplicate node id 'a'",
+        "dup_step.json": "duplicate step 1",
+        "dup_tree_id.json": "duplicate attack tree id 't'",
+        "empty_policy.xml": "empty Policy",
+        "int_edges.json": "'edges' must be an array",
+        "ledger_bogus_kind.jsonl": "line 2: 'kind' must be assumed|validated",
+        "ledger_missing_key.jsonl": "line 1: 'ts' must be a string",
+        "ledger_nan_index.jsonl": "line 1: 'index' must be a finite number",
+        "ledger_not_object.jsonl": "line 1: expected a JSON object",
+        "ledger_string_index.jsonl": "line 1: 'index' must be a finite number",
+        "list_edge_step.json": "'from' and 'to' must be integer steps",
+        "missing_technique.json": "technique: missing 'id'",
+        "nan_leaf_cost.json": "leaf 'x' cost='nan' is not a finite number",
+        "nan_reward.csv": "reward_success=nan is not a finite number",
+        "no_entry.graphml": "declares no entry_point",
+        "not_utf8.csv": "not UTF-8 text (byte 0)",
+        "self_loop.graphml": "self-loop edge on node 'a'",
+        "string_tactic.json": "'tactic' must be an object",
+        "two_policy_targets.xml": "more than one policy-level <Target>",
+        "two_rule_targets.xml": "rule 'r' has more than one <Target>",
+        "unknown_edge.graphml": "edge ('a', 'ghost') references an unknown node",
+    }
+
+    def test_every_reason_names_a_fixture(self):
+        assert sorted(self.REASONS) == self.CASES
 
     @pytest.mark.parametrize("name", CASES)
     def test_each_malformed_input_is_rejected(self, tmp_path, name):
-        assert len(self.CASES) >= 12
         source = MALFORMED / name
         args = {"out": str(tmp_path / "out")}
         if name.endswith(".graphml"):
@@ -794,6 +833,8 @@ class TestMalformedInputsSuite:
             args["ti"] = str(source)
         result = run_cli("calc", *calc_args(tmp_path / "out", **args))
         assert result.exit_code == 2, name
+        assert result.stderr.startswith("error: "), result.stderr
+        assert self.REASONS[name] in result.stderr, result.stderr
         if name.endswith(".jsonl"):
             assert (tmp_path / "ledger.jsonl").read_bytes() == source.read_bytes()
             assert not (tmp_path / "out" / "campaign_report.json").exists()

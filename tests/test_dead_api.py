@@ -13,7 +13,9 @@ call belongs under `tests/`.
 
 The check matches by name alone, so a name shared with another definition
 or attribute can hide a dead one: the use of the one keeps the other
-alive: a method named `get`, say, passes on any `dict.get` call.
+alive: a method named `get`, say, passes on any `dict.get` call, and a
+`Policy.root` property, which nothing in `src/cri` read, passed on the
+uses of `AttackTree.root` until it was deleted.
 """
 
 from __future__ import annotations

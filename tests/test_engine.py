@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -13,11 +14,12 @@ from conftest import SCENARIO, CallCounter, load_scenario
 from cri.engine import MODES, EngineConfig, assumed_p_n, run_campaign, run_whatif
 from cri.errors import CapacityError, ModelError
 from cri.index import parse_countermeasures
+from cri.ingest import RawBundle, validate_bundle
 from cri.pomdp import build_pomdp, complexity_report, milestone_flag, value_iteration
 from cri.simulate import BLOCK
 from genscen import random_scenario
 from modeldump import dump
-from toys import and_chain, single_step
+from toys import _flow, and_chain, single_step
 import random
 
 
@@ -248,6 +250,50 @@ class TestCapacityNamesTheFlow:
         assert str(info.value) == (
             "reachable belief tree of horizon 5 above its cap of 3 beliefs (flow credential_chain)"
         )
+
+
+class TestBuildsBeforeSolving:
+    """Every flow's models are built before the first solve, so a flow that
+    cannot be built fails the run before any flow is solved, even one
+    listed after a flow that solves."""
+
+    MESSAGE = "no candidate targets for TTP step 1 (T9999) in flow 'unbuildable'"
+
+    @pytest.fixture
+    def inputs(self):
+        # T9999's only threat-intel record is for an asset class the
+        # network lacks, so its one step has no candidate target
+        flows = SCENARIO / "flows"
+        return validate_bundle(RawBundle(
+            network_doc=(SCENARIO / "network.graphml").read_text(),
+            flow_docs=[
+                (flows / "credential_chain.json").read_text(),
+                _flow([(1, "T9999")], "unbuildable"),
+                (flows / "dns_injection.json").read_text(),
+            ],
+            policy_docs=[
+                (SCENARIO / "policies" / "access.xml").read_text(),
+                (SCENARIO / "policies" / "segmentation.xml").read_text(),
+            ],
+            ti_doc=(SCENARIO / "ti.csv").read_text() + "T9999,mainframe,0.5,0.1,5,-1,0.5,1\n",
+            flow_names=["credential_chain", "unbuildable", "dns_injection"],
+        ))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_calc(self, inputs, monkeypatch, mode):
+        counter = CallCounter(monkeypatch, "value_iteration")
+        with pytest.raises(ModelError, match=re.escape(self.MESSAGE)):
+            run_campaign(inputs, EngineConfig(mode=mode, episodes=10))
+        assert counter.calls == {"value_iteration": 0}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_whatif(self, inputs, monkeypatch, mode):
+        counter = CallCounter(monkeypatch, "value_iteration")
+        measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
+        deltas = run_whatif(inputs, measures, EngineConfig(mode=mode, episodes=10))
+        with pytest.raises(ModelError, match=re.escape(self.MESSAGE)):
+            next(deltas)
+        assert counter.calls == {"value_iteration": 0}
 
 
 class TestSolvesOnlyFlagModels:

@@ -10,7 +10,6 @@ from cri.errors import CapacityError, CriError, ModelError, ValidationError
 from cri.ingest import RawBundle, validate_bundle
 from cri.pomdp import (
     build_pomdp,
-    complexity_from_sizes,
     complexity_report,
     expand_technique,
     milestone_flag,
@@ -25,7 +24,7 @@ from buildoracle import build_by_pairs
 from conftest import SCENARIO, CallCounter, load_scenario
 from modeldump import dump
 from genscen import PERMIT_ALL, TI_HEADER, chain_scenario, random_scenario, two_target_tree
-from toys import and_chain, single_step
+from toys import and_chain, noisy_sensor, single_step
 
 PROB_TOL = 1e-9
 
@@ -380,7 +379,9 @@ class TestNodeNamesOnlyLabel:
 
 class TestComplexityReport:
     def test_formula_identity(self):
-        est = complexity_from_sizes(3, 2, 4)
+        # 3 nodes holding at most 2 items each, and 4 TTP nodes
+        _, inputs = noisy_sensor()
+        est = complexity_report(inputs.network, inputs.flows * 4)
         assert est.worst_states == 27
         assert est.comp_state_obs == 27 * 4 * 27 * 8 == 23328
         assert est.c_statetrans == 27 * 4 * 27

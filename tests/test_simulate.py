@@ -119,7 +119,7 @@ class TestSimulateEpisode:
             action_index = {act.id: i for i, act in enumerate(pomdp.actions)}
             obs_index = {o: i for i, o in enumerate(pomdp.observations)}
             for i in range(25):
-                node = policy.root
+                node = policy.nodes[-1]
                 for step in simulate_episode(pomdp, policy, substream(9, i)).steps:
                     assert step.belief_before == support_key(node.support)
                     a, o = action_index[step.action], obs_index[step.observation]

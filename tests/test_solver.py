@@ -196,13 +196,13 @@ class TestValueIteration:
         )
         result = value_iteration(pomdp)
         assert result.value == pytest.approx(5.0, abs=1e-12)
-        assert result.policy.root.action == 0
+        assert result.policy.nodes[-1].action == 0
 
     def test_all_negative_options_mean_stop(self):
         pomdp, _ = single_step(p_success=0.1, reward=1.0, penalty=-5.0, cost=2.0)
         result = value_iteration(pomdp)
         assert result.value == 0.0
-        assert result.policy.root.action is None
+        assert result.policy.nodes[-1].action is None
 
     def test_matches_brute_force_on_random_models(self):
         rng = random.Random(7321)
@@ -229,11 +229,13 @@ class TestValueIteration:
             milestones=pomdp.milestones,
         )
         result = value_iteration(doubled)
-        assert result.policy.root.action == 0
+        assert result.policy.nodes[-1].action == 0
 
     def test_belief_cap_raises(self, scenario):
         pomdp = build_pomdp(scenario.flows[0], scenario.network, scenario.ti)
-        with pytest.raises(CapacityError, match=r"above its cap of 10 beliefs$"):
+        with pytest.raises(
+            CapacityError, match=r"above its cap of 10 beliefs \(flow credential_chain\)$"
+        ):
             value_iteration(pomdp, belief_cap=10)
 
 
@@ -308,7 +310,7 @@ def _dense(pomdp, support):
 
 class TestPolicyGraph:
     def _check_graph(self, pomdp, policy):
-        assert policy.root.support == pomdp.b0_support()
+        assert policy.nodes[-1].support == pomdp.b0_support()
         referenced = set()
         for i, node in enumerate(policy.nodes):
             if node.action is None:
@@ -821,7 +823,7 @@ class TestPrunedSolve:
         pomdp = _forced_wasted_move()
         result = self._assert_same_as_unpruned(pomdp)
         assert result.value == 5.0
-        assert result.policy.root.action == 0
+        assert result.policy.nodes[-1].action == 0
         assert result.pruned == 1
 
     def test_bound_rounding_keeps_an_exact_tie(self):
@@ -832,7 +834,7 @@ class TestPrunedSolve:
         pomdp = _tied_gamble(gamble)
         assert informed_bounds(pomdp)[2][0][0] < gamble
         result = self._assert_same_as_unpruned(pomdp)
-        assert result.policy.root.action == 0
+        assert result.policy.nodes[-1].action == 0
         assert result.value == gamble
 
     def test_chain_belief_counts(self):
