@@ -82,7 +82,7 @@ class CampaignResult:
     q_campaign: float
     index: float
     provenance: dict[str, str]
-    timestamp: str | None = None
+    timestamp: str
 
     def as_dict(self) -> dict:
         return {
@@ -199,7 +199,7 @@ def record_index(
     if kind not in ("assumed", "validated"):
         raise UsageError(f"ledger kind must be assumed|validated, got {kind!r}")
     entry = LedgerEntry(
-        ts=result.timestamp or _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        ts=result.timestamp,
         campaign=result.campaign_id,
         index=result.index,
         kind=kind,

@@ -352,7 +352,7 @@ def validate_bundle(bundle: RawBundle, allow_ti_defaults: bool = False) -> Valid
     errors: list[str] = []
     network = None
     flows: list[AttackFlow] = []
-    ti = TiTable([], allow_defaults=allow_ti_defaults)
+    ti: TiTable | None = TiTable([], allow_defaults=allow_ti_defaults)
 
     if not bundle.network_doc.strip():
         errors.append("network document is empty")
@@ -382,11 +382,12 @@ def validate_bundle(bundle: RawBundle, allow_ti_defaults: bool = False) -> Valid
             ti = load_threat_intel(bundle.ti_doc, allow_defaults=allow_ti_defaults)
         except CriError as exc:
             errors.append(f"threat intel: {exc}")
+            ti = None  # no coverage check of a table that did not parse
 
     if network is not None and not network.entry_points():
         errors.append("network declares no entry_point nodes")
 
-    if not allow_ti_defaults:
+    if ti is not None and not allow_ti_defaults:
         for flow in flows:
             for node in flow.nodes:
                 if not ti.has_technique(node.technique_id):
@@ -398,6 +399,6 @@ def validate_bundle(bundle: RawBundle, allow_ti_defaults: bool = False) -> Valid
     if errors:
         raise ValidationError("; ".join(errors))
 
-    assert network is not None
+    assert network is not None and ti is not None
     network.policies = policies
     return ValidatedInputs(network=network, flows=flows, ti=ti)

@@ -162,7 +162,6 @@ def expand_technique(
                 AttackerAction(
                     id=f"s{ttp.step}:{ttp.technique_id}@{target}"
                     + (f"#{leaf.name}" if leaf is not None else ""),
-                    technique_id=ttp.technique_id,
                     target=target,
                     p_success=pick("p_success", record.p_success_base),
                     p_detect=pick("p_detect", record.p_detect),

@@ -35,7 +35,6 @@ class AttackerAction:
     """One executable attacker move bound to a technique and a target."""
 
     id: str
-    technique_id: str
     target: str
     p_success: float
     p_detect: float

@@ -12,9 +12,10 @@ of each episode's own generator: a walk with a shorter horizon reads a
 prefix of each row, which is what its own derivation would draw. So a
 run that walks several flows, as the engine's does, derives each block
 once, and each flow's summary is that of its walk alone
-(`estimate_expected_reward`). The walk moves between nodes by
-observation alone, so the graph may be compiled over a quotient of the
-walked model, as the engine's is over the flag model.
+(`estimate_expected_reward`), summed from a tally of its episodes per
+distinct reward. The walk moves between nodes by observation alone, so
+the graph may be compiled over a quotient of the walked model, as the
+engine's is over the flag model.
 
 numpy is imported inside the functions that touch arrays, so that only a
 command that walks episodes (`--mode simulate|both`) pays for loading it.
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 from .pomdp.solve import Policy
 from .pomdp.types import Pomdp
@@ -168,9 +170,8 @@ def block_uniforms(seed: int, start: int, count: int, draws: int) -> np.ndarray:
 @dataclass
 class SimulationSummary:
     """One walk's episodes: the mean reward and its standard error, per
-    TTP step the milestone frequency and its Wilson interval, the episodes
-    that ran out of horizon while an action was still offered, and each
-    episode's reward."""
+    TTP step the milestone frequency and its Wilson interval, and the
+    episodes that ran out of horizon while an action was still offered."""
 
     num_episodes: int
     mean_reward: float
@@ -178,7 +179,6 @@ class SimulationSummary:
     p_n_intervals: dict[int, tuple[float, float]]
     std_error: float
     truncated_episodes: int = 0
-    rewards: list[float] = field(default_factory=list, repr=False)
 
 
 class _WalkTables:
@@ -324,7 +324,7 @@ def estimate_expected_rewards(
 
     tables = [_WalkTables(pomdp, policy) for pomdp, policy in walks]
     draws = [2 * policy.horizon + 1 for _, policy in walks]
-    rewards: list[list[float]] = [[] for _ in walks]
+    tallies = [Counter() for _ in walks]
     counts = [np.zeros(t.flagged.shape[1], dtype=np.int64) for t in tables]
     truncated = [0] * len(walks)
     for start in range(0, num_episodes, BLOCK):
@@ -332,13 +332,14 @@ def estimate_expected_rewards(
         u = block_uniforms(seed, start, count, max(draws))
         for i, t in enumerate(tables):
             totals, state, full = t.walk(u[:, : draws[i]])
-            rewards[i].extend(totals.tolist())
+            values, episodes = np.unique(totals, return_counts=True)
+            tallies[i].update(dict(zip(values.tolist(), episodes.tolist())))
             counts[i] += t.flagged[state].sum(axis=0)
             truncated[i] += int(t.can_act[state[full]].sum())
         del u  # so that the next block is derived with only itself held
     return [
         _summary(sorted(pomdp.milestones), r, c, n, num_episodes)
-        for (pomdp, _), r, c, n in zip(walks, rewards, counts, truncated)
+        for (pomdp, _), r, c, n in zip(walks, tallies, counts, truncated)
     ]
 
 
@@ -350,15 +351,18 @@ def estimate_expected_reward(
 
 
 def _summary(
-    steps: list[int], rewards: list[float], counts: np.ndarray, truncated: int,
+    steps: list[int], tally: Counter, counts: np.ndarray, truncated: int,
     num_episodes: int,
 ) -> SimulationSummary:
-    """One walk's summary from its episode rewards, its milestone hit
-    counts (in the order of `steps`) and its truncated episode count."""
+    """One walk's summary from its tally of episodes per reward, its
+    milestone hit counts (in the order of `steps`) and its truncated
+    episode count. `math.fsum` is correctly rounded, so the sums over the
+    tally have the bits of those over the episodes in walk order."""
     hits = {step: int(c) for step, c in zip(steps, counts)}
-    mean = math.fsum(rewards) / num_episodes
+    mean = math.fsum(tally.elements()) / num_episodes
     if num_episodes > 1:
-        var = math.fsum((r - mean) ** 2 for r in rewards) / (num_episodes - 1)
+        squares = (itertools.repeat((v - mean) ** 2, c) for v, c in tally.items())
+        var = math.fsum(itertools.chain.from_iterable(squares)) / (num_episodes - 1)
         std_error = math.sqrt(var / num_episodes)
     else:
         std_error = 0.0
@@ -371,5 +375,4 @@ def _summary(
         },
         std_error=std_error,
         truncated_episodes=truncated,
-        rewards=rewards,
     )

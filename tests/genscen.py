@@ -221,7 +221,7 @@ def random_pomdp(
     )
     actions = tuple(
         AttackerAction(
-            id=f"a{j}", technique_id=f"T{j}", target="n0",
+            id=f"a{j}", target="n0",
             p_success=0.5, p_detect=0.0, reward_success=1.0, penalty_failure=-1.0,
             cost=0.0, step=j + 1,
         )

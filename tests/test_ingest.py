@@ -375,7 +375,8 @@ class TestValidateBundle:
             policy_docs=[(SCENARIO / "policies/access.xml").read_text()],
             ti_doc="",
         )
-        with pytest.raises(ValidationError, match="T1078"):
+        # an empty threat-intel document is still checked for the techniques
+        with pytest.raises(ValidationError, match="technique T1078 has no threat-intel record"):
             validate_bundle(bundle)
 
     def test_errors_aggregate_instead_of_failing_fast(self):

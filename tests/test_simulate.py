@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def _reward_lottery():
     s0 = NetworkState()
     branches = tuple(NetworkState(flags=(c,)) for c in "abc")
     act = AttackerAction(
-        id="roll", technique_id="T", target="n",
+        id="roll", target="n",
         p_success=1.0, p_detect=0.0, reward_success=0.0, penalty_failure=0.0,
         cost=0.0, step=1,
     )
@@ -163,9 +164,11 @@ class TestEstimators:
     def test_seeded_rewards_average_exactly(self):
         # seed 17 draws the 1, 2 and 3 branches once each across 3 episodes
         pomdp = _reward_lottery()
-        summary = estimate_expected_reward(pomdp, fixed_policy(pomdp, 0), 3, seed=17)
-        assert sorted(e for e in summary.rewards) == [1.0, 2.0, 3.0]
+        policy = fixed_policy(pomdp, 0)
+        summary = estimate_expected_reward(pomdp, policy, 3, seed=17)
+        assert sorted(episode_totals(pomdp, policy, 3, seed=17).tolist()) == [1.0, 2.0, 3.0]
         assert summary.mean_reward == pytest.approx(2.0, abs=1e-15)
+        assert summary.std_error == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-15)
 
     def test_deterministic_model_zero_std_error(self):
         pomdp, _ = single_step(p_success=1.0, horizon=1)
@@ -186,10 +189,11 @@ class TestEstimators:
         result = value_iteration(pomdp)
         a = estimate_expected_reward(pomdp, result.policy, 500, seed=101)
         b = estimate_expected_reward(pomdp, result.policy, 500, seed=101)
-        assert a.mean_reward == b.mean_reward
-        assert a.std_error == b.std_error
-        assert a.p_n_estimates == b.p_n_estimates
-        assert a.rewards == b.rewards
+        assert a.mean_reward.hex() == b.mean_reward.hex()
+        assert a.std_error.hex() == b.std_error.hex()
+        assert a == b
+        totals = [episode_totals(pomdp, result.policy, 500, seed=101) for _ in range(2)]
+        assert totals[0].tobytes() == totals[1].tobytes()
 
     def test_intervals_within_unit_range(self):
         for successes, n in ((0, 10), (10, 10), (3, 7), (500, 1000)):
@@ -197,8 +201,20 @@ class TestEstimators:
             assert 0.0 <= lo <= hi <= 1.0
 
 
+def episode_totals(pomdp, policy, num_episodes, seed):
+    """Each episode's cumulative reward, from one walk of `policy` on
+    `pomdp` over the first `num_episodes` episodes' uniforms."""
+    tables = cri.simulate._WalkTables(pomdp, policy)
+    return tables.walk(block_uniforms(seed, 0, num_episodes, 2 * policy.horizon + 1))[0]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
 def _fold(pomdp, policy, num_episodes, seed):
-    """The summary fields, folded from one `simulate_episode` per episode."""
+    """The summary fields, folded from one `simulate_episode` per episode,
+    and each episode's reward (under `"rewards"`)."""
     episodes = [
         simulate_episode(pomdp, policy, substream(seed, i)) for i in range(num_episodes)
     ]
@@ -220,10 +236,17 @@ def _fold(pomdp, policy, num_episodes, seed):
     }
 
 
-def _assert_matches_episode_walks(pomdp, policy, num_episodes, seed):
-    summary = estimate_expected_reward(pomdp, policy, num_episodes, seed)
+def _assert_matches_episode_walks(pomdp, policy, num_episodes, seed, summary=None):
+    """`summary` (by default `estimate_expected_reward`'s) holds the
+    fields `_fold` folds from per-episode walks, and the walk rewards each
+    episode as they do, bit for bit. Returns the summary."""
+    summary = summary or estimate_expected_reward(pomdp, policy, num_episodes, seed)
     folded = _fold(pomdp, policy, num_episodes, seed)
+    rewards = folded.pop("rewards")
     assert {key: getattr(summary, key) for key in folded} == folded
+    assert summary.mean_reward.hex() == folded["mean_reward"].hex()
+    assert summary.std_error.hex() == folded["std_error"].hex()
+    assert _hex(episode_totals(pomdp, policy, num_episodes, seed)) == _hex(rewards)
     assert summary.num_episodes == num_episodes
     return summary
 
@@ -287,8 +310,10 @@ class TestBlockWalkOracle:
 
     def test_policy_stopping_at_the_root(self):
         pomdp, _ = noisy_sensor()
-        summary = _assert_matches_episode_walks(pomdp, fixed_policy(pomdp, None), 40, 1)
-        assert summary.rewards == [0.0] * 40
+        policy = fixed_policy(pomdp, None)
+        summary = _assert_matches_episode_walks(pomdp, policy, 40, 1)
+        assert episode_totals(pomdp, policy, 40, 1).tolist() == [0.0] * 40
+        assert (summary.mean_reward, summary.std_error) == (0.0, 0.0)
         assert summary.truncated_episodes == 0
 
     def test_policy_running_to_the_horizon_is_truncated(self, monkeypatch):
@@ -326,20 +351,30 @@ class TestBlockWalkOracle:
         policy = fixed_policy(pomdp, 0)
         episodes = [simulate_episode(pomdp, policy, _Scripted(u)) for u in scripts]
         summary = estimate_expected_reward(pomdp, policy, len(scripts), 0)
-        assert summary.rewards == [e.cumulative_reward for e in episodes]
-        assert summary.rewards[:6] == [1.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+        totals = cri.simulate._WalkTables(pomdp, policy).walk(np.array(scripts))[0].tolist()
+        assert totals == [e.cumulative_reward for e in episodes]
+        assert totals[:6] == [1.0, 2.0, 3.0, 3.0, 3.0, 3.0]
+        assert summary.mean_reward == math.fsum(totals) / len(scripts)
         hits = sum(e.succeeded[1] for e in episodes)
         assert summary.p_n_estimates == {1: hits / len(scripts)}
 
 
 def _assert_each_walks_alone(walks, num_episodes, seed):
     """`estimate_expected_rewards` over `walks` gives each walk the
-    summary of its walk alone, bit for bit. Returns the summaries."""
+    summary of its walk alone, bit for bit, and each walk over its prefix
+    of the widest walk's uniforms rewards each episode as its walk alone
+    does. Returns the summaries."""
     together = estimate_expected_rewards(walks, num_episodes, seed)
     assert len(together) == len(walks)
+    wide = block_uniforms(
+        seed, 0, num_episodes, max(2 * policy.horizon + 1 for _, policy in walks)
+    )
     for (pomdp, policy), summary in zip(walks, together):
         alone = estimate_expected_reward(pomdp, policy, num_episodes, seed)
-        assert [r.hex() for r in summary.rewards] == [r.hex() for r in alone.rewards]
+        prefix = wide[:, : 2 * policy.horizon + 1]
+        walked = cri.simulate._WalkTables(pomdp, policy).walk(prefix)[0]
+        assert _hex(walked) == _hex(episode_totals(pomdp, policy, num_episodes, seed))
+        assert summary.mean_reward.hex() == alone.mean_reward.hex()
         assert summary.std_error.hex() == alone.std_error.hex()
         assert summary == alone
     return together
@@ -381,8 +416,7 @@ class TestMultiWalk:
             num_episodes, seed = sizes[i % len(sizes)], rng.randrange(10**6)
             together = _assert_each_walks_alone(walks, num_episodes, seed)
             for (pomdp, policy), summary in zip(walks, together):
-                folded = _fold(pomdp, policy, num_episodes, seed)
-                assert {key: getattr(summary, key) for key in folded} == folded
+                _assert_matches_episode_walks(pomdp, policy, num_episodes, seed, summary)
             mixed += len({policy.horizon for _, policy in walks}) > 1
         # most groups mix horizons
         assert mixed > 30
@@ -402,6 +436,32 @@ class TestMultiWalk:
         monkeypatch.setattr(cri.simulate, "block_uniforms", counted)
         estimate_expected_rewards(self._fixture_walks(scenario), 2 * BLOCK + 1, 3)
         assert derived == [(0, BLOCK, 11), (BLOCK, BLOCK, 11), (2 * BLOCK, 1, 11)]
+
+
+class TestMemory:
+    """A walk keeps nothing per episode beyond the block it walks, so the
+    memory a run peaks at does not grow with its episodes."""
+
+    def test_peak_does_not_grow_with_the_episodes(self, scenario):
+        # the engine's walks: each flow's flag graph on its model that
+        # tracks inventory
+        walks = []
+        for flow in scenario.flows:
+            flags = build_pomdp(flow, scenario.network, scenario.ti, inventory=False)
+            full = build_pomdp(flow, scenario.network, scenario.ti)
+            walks.append((full, value_iteration(flags).policy))
+
+        def peak(num_episodes):
+            tracemalloc.start()
+            try:
+                estimate_expected_rewards(walks, num_episodes, seed=7)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # what a first walk loads or caches is not counted
+        few, many = peak(2 * BLOCK), peak(32 * BLOCK)
+        assert many - few <= 64 * 1024, (few, many)
 
 
 def _row_pairs(rows, stride):

@@ -34,7 +34,7 @@ from solveoracle import (
     unpruned_solve,
 )
 from test_build_pins import _cases as pinned_cases
-from test_simulate import assert_graph_rows
+from test_simulate import assert_graph_rows, episode_totals
 from test_whatif import scaled
 from toys import and_chain, single_step
 
@@ -43,7 +43,7 @@ CHAIN = ["T1078", "T1059", "T1005", "T1566", "T1659", "T1078"]
 
 def _action(idx, **kwargs):
     defaults = dict(
-        id=f"a{idx}", technique_id=f"T{idx}", target="n0",
+        id=f"a{idx}", target="n0",
         p_success=0.5, p_detect=0.0, reward_success=1.0, penalty_failure=0.0,
         cost=0.0, step=idx + 1,
     )
@@ -600,7 +600,11 @@ def _assert_walks_alike(pomdp, policy, oracle, seed):
     for bit."""
     walked = estimate_expected_reward(pomdp, policy, 32, seed)
     again = estimate_expected_reward(pomdp, oracle, 32, seed)
-    assert [r.hex() for r in walked.rewards] == [r.hex() for r in again.rewards]
+    assert (walked.mean_reward.hex(), walked.std_error.hex()) == (
+        again.mean_reward.hex(), again.std_error.hex()
+    )
+    totals = [episode_totals(pomdp, graph, 32, seed) for graph in (policy, oracle)]
+    assert totals[0].tobytes() == totals[1].tobytes()
     assert _hex(walked.p_n_estimates) == _hex(again.p_n_estimates)
     assert walked.truncated_episodes == again.truncated_episodes
 
