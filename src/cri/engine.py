@@ -14,24 +14,27 @@ uniforms once for all of them, and puts the flow reports together in flow
 order. A walk samples the rows of the flow's model that tracks inventory
 while it follows the flag model's graph. What a mode implies is stated
 once, on `EngineConfig`: `reads_graph` (P_N read exactly off the graph:
-`exact`, `both`) and `walks` (episodes walked: `simulate`, `both`).
+`exact`, `both`), `walks` (episodes walked: `simulate`, `both`) and
+`index_only` (the run that yields the same index and nothing else).
 
 `run_campaign` and `run_whatif` build every flow's models (`_built`)
 before the first solve, so any build error comes before any solve, and any
 error before any walk. `run_campaign` always builds the model that tracks
-inventory, whose sizes the complexity report reads; `run_whatif` builds it
-only to walk it. Under each countermeasure `run_whatif` first re-weights
-every flow's baseline models with the scaled probabilities
-(`reweight_pomdp`, which builds a model afresh only where its structure
-could move), then sends through the pipeline again only the flows whose
-flag model the countermeasure changes.
+inventory, whose sizes the complexity report reads. `run_whatif` writes
+only index deltas, so it runs `index_only`: in `exact` and `both` it builds
+and solves the flag models alone, and only in `simulate` does it build,
+re-weight and walk the model that tracks inventory. Under each
+countermeasure `run_whatif` first re-weights every flow's baseline models
+with the scaled probabilities (`reweight_pomdp`, which builds a model
+afresh only where its structure could move), then sends through the
+pipeline again only the flows whose flag model the countermeasure changes.
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from .attack_flow import AttackFlow
@@ -84,6 +87,12 @@ class EngineConfig:
         """Whether Monte Carlo episodes are walked over the model that
         tracks inventory."""
         return self.mode in ("simulate", "both")
+
+    def index_only(self) -> EngineConfig:
+        """The settings of the run that yields this run's index and nothing
+        else: the index is read off the policy graph whenever the graph is
+        read, so such a run walks nothing."""
+        return replace(self, mode="exact") if self.reads_graph else self
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -314,10 +323,13 @@ def run_campaign(inputs: ValidatedInputs, cfg: EngineConfig | None = None) -> Ru
 def run_whatif(
     inputs: ValidatedInputs, measures: list[Countermeasure], cfg: EngineConfig | None = None
 ) -> Iterator[CountermeasureDelta]:
-    """Yield one delta per countermeasure, in order. The baseline goes
-    through the pipeline (`_flow_reports`) as in `run_campaign`: every
-    flow's models are built before the first solve, the model that tracks
-    inventory only when the run walks, so any error comes before any walk.
+    """Yield one delta per countermeasure, in order. The run is
+    `cfg.index_only()`: a delta reads only the index, so under `both` the
+    index is read off the graph as under `exact`, and nothing is walked.
+    The baseline goes through the pipeline (`_flow_reports`) as in
+    `run_campaign`: every flow's models are built before the first solve,
+    the model that tracks inventory only when the run walks (`simulate`),
+    so any error comes before any walk.
     Under each countermeasure every flow's flag model is first re-weighted
     under the scaled table (`reweight_pomdp`, which rebuilds where an
     action's shape moves), and its model that tracks inventory too when
@@ -326,7 +338,7 @@ def run_whatif(
     its baseline result; the others go through the pipeline again, and
     their results replace the baseline's. No countermeasure's reports are
     held once its delta is yielded."""
-    cfg = cfg or EngineConfig()
+    cfg = (cfg or EngineConfig()).index_only()
     net = inputs.network
     models = _built(inputs, cfg, cfg.walks)
     baseline = [report.result for report in _flow_reports(models, net, inputs.ti, cfg)]

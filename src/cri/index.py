@@ -12,7 +12,7 @@ import datetime as _dt
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .attack_flow import AttackFlow
 from .canon import compact_json, finite_number
@@ -234,7 +234,7 @@ class Countermeasure:
             raise ValidationError(
                 f"countermeasure {self.id!r}: unknown group {self.d3fend_group!r}"
             )
-        for name in ("p_success_multiplier", "p_detect_multiplier", "capex", "opex", "maintenance"):
+        for name in _CM_NUMBERS:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
                 raise ValidationError(
@@ -246,14 +246,8 @@ class Countermeasure:
         return self.capex + self.opex + self.maintenance
 
 
-# Numeric countermeasure fields and their defaults.
-_CM_NUMBERS = (
-    ("p_success_multiplier", 1.0),
-    ("p_detect_multiplier", 1.0),
-    ("capex", 0.0),
-    ("opex", 0.0),
-    ("maintenance", 0.0),
-)
+# The numeric countermeasure fields: those whose default is a number.
+_CM_NUMBERS = tuple(f.name for f in fields(Countermeasure) if isinstance(f.default, float))
 
 
 def parse_countermeasures(doc: str) -> list[Countermeasure]:
@@ -281,10 +275,9 @@ def parse_countermeasures(doc: str) -> list[Countermeasure]:
         for key in ("technique_id", "asset_class"):
             if not isinstance(raw.get(key), (str, type(None))):
                 raise ValidationError(f"countermeasure {i}: {key!r} must be a string or null")
-        numbers = {}
-        for key, default in _CM_NUMBERS:
-            numbers[key] = finite_number(raw.get(key, default))
-            if numbers[key] is None:
+        numbers = {key: finite_number(raw[key]) for key in _CM_NUMBERS if key in raw}
+        for key, value in numbers.items():
+            if value is None:
                 raise ValidationError(f"countermeasure {i}: {key} must be a finite JSON number")
         out.append(
             Countermeasure(

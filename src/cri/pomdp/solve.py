@@ -334,29 +334,26 @@ def milestone_probabilities(pomdp: Pomdp, policy: Policy) -> dict[int, float]:
     """Exact probability, per TTP step, that the step's milestone flag is
     ever reached when the attacker follows `policy` from the initial belief."""
     steps = sorted(pomdp.milestones)
-    flags = [pomdp.milestones[s] for s in steps]
-    flag_in_state = [
-        tuple(flag in state.flags for flag in flags) for state in pomdp.states
-    ]
-    zeros = tuple(0.0 for _ in flags)
+    flagged = pomdp.flagged
+    zeros = tuple(0.0 for _ in steps)
     reached: list[tuple[float, ...]] = []
     for node in policy.nodes:
         a = node.action
         if a is None:
             reached.append(zeros)
             continue
-        total = [0.0] * len(flags)
+        total = [0.0] * len(steps)
         for s in sorted(node.support):
             bs = node.support[s]
-            here = flag_in_state[s]
+            here = flagged[s]
             for s2, p in pomdp.transitions[(s, a)]:
-                there = flag_in_state[s2]
-                for i in range(len(flags)):
+                there = flagged[s2]
+                for i in range(len(steps)):
                     if there[i] and not here[i]:
                         total[i] += bs * p
         for mass, child in node.children.values():
             sub = reached[child]
-            for i in range(len(flags)):
+            for i in range(len(steps)):
                 total[i] += mass * sub[i]
         reached.append(tuple(min(1.0, max(0.0, v)) for v in total))
     return {step: reached[-1][i] for i, step in enumerate(steps)}

@@ -26,9 +26,6 @@ class NetworkState:
     compromised: tuple[tuple[str, tuple[str, ...]], ...] = ()
     flags: tuple[str, ...] = ()
 
-    def has_flag(self, flag: str) -> bool:
-        return flag in self.flags
-
 
 @dataclass(frozen=True)
 class AttackerAction:
@@ -99,6 +96,13 @@ class Pomdp:
         Cached on the instance, so a model made by `dataclasses.replace`
         sums its own branch rewards."""
         return self.expected_rewards(self.transitions)
+
+    @functools.cached_property
+    def flagged(self) -> tuple[tuple[bool, ...], ...]:
+        """Which milestones each state holds: per state, per TTP step of
+        `milestones` in step order, whether the state has its flag."""
+        flags = [self.milestones[step] for step in sorted(self.milestones)]
+        return tuple(tuple(flag in state.flags for flag in flags) for state in self.states)
 
     def expected_rewards(self, keys: Iterable[tuple[int, int]]) -> dict[tuple[int, int], float]:
         """R(s, a) of each (state, action) pair of `keys`."""

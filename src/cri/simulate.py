@@ -18,7 +18,8 @@ the graph may be compiled over a quotient of the walked model, as the
 engine's is over the flag model.
 
 numpy is imported inside the functions that touch arrays, so that only a
-command that walks episodes (`--mode simulate|both`) pays for loading it.
+run that walks episodes (`calc --mode simulate|both`, `whatif --mode
+simulate`) pays for loading it.
 """
 
 from __future__ import annotations
@@ -229,11 +230,7 @@ class _WalkTables:
             for s2, a in arrivals
         })
         self.b0 = _Rows(1, {0: [(s, p, 0.0) for s, p in sorted(pomdp.b0_support().items())]})
-        steps = sorted(pomdp.milestones)
-        self.flagged = np.array(
-            [[st.has_flag(pomdp.milestones[m]) for m in steps] for st in pomdp.states],
-            dtype=bool,
-        )
+        self.flagged = np.array(pomdp.flagged, dtype=bool)
         self.can_act = np.array(
             [bool(pomdp.applicable.get(s)) for s in range(len(pomdp.states))]
         )

@@ -140,14 +140,8 @@ def _record_from_row(row: dict, where: str) -> TiRecord:
         raise ValidationError(f"{where}: missing columns {missing}")
     try:
         return TiRecord(
-            technique_id=str(row["technique_id"]).strip(),
-            asset_class=str(row["asset_class"]).strip(),
-            p_success_base=float(row["p_success_base"]),
-            p_detect=float(row["p_detect"]),
-            reward_success=float(row["reward_success"]),
-            penalty_failure=float(row["penalty_failure"]),
-            action_cost=float(row["action_cost"]),
-            historical_frequency=float(row["historical_frequency"]),
+            *(str(row[column]).strip() for column in TI_COLUMNS[:2]),
+            **{column: float(row[column]) for column in TI_COLUMNS[2:]},
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
@@ -208,15 +202,7 @@ def serialize_threat_intel(table: TiTable) -> str:
     writer.writerow(TI_COLUMNS)
     for rec in sorted(table.records, key=lambda r: (r.technique_id, r.asset_class)):
         writer.writerow(
-            [
-                rec.technique_id,
-                rec.asset_class,
-                repr(rec.p_success_base),
-                repr(rec.p_detect),
-                repr(rec.reward_success),
-                repr(rec.penalty_failure),
-                repr(rec.action_cost),
-                repr(rec.historical_frequency),
-            ]
+            [rec.technique_id, rec.asset_class,
+             *(repr(getattr(rec, column)) for column in TI_COLUMNS[2:])]
         )
     return out.getvalue()

@@ -92,7 +92,7 @@ def simulate_episode(pomdp: Pomdp, policy: Policy, rng: np.random.Generator) -> 
         state = nxt
     terminal = pomdp.states[state]
     succeeded = {
-        step: terminal.has_flag(flag) for step, flag in sorted(pomdp.milestones.items())
+        step: flag in terminal.flags for step, flag in sorted(pomdp.milestones.items())
     }
     truncated = len(steps) == policy.horizon and bool(pomdp.applicable.get(state))
     return Episode(

@@ -638,6 +638,27 @@ class TestWhatif:
         with open(tmp_path / "out" / "whatif.csv", newline="", encoding="utf-8") as fh:
             assert len(list(csv.DictReader(fh))) == 3
 
+    def test_both_mode_writes_the_exact_reports(self, tmp_path):
+        # a delta reads only the index, which `both` reads off the policy
+        # graph as `exact` does; with --naive-check too
+        seen = {}
+        for name, extra in [
+            ("exact", ["--mode", "exact"]),
+            ("both", ["--mode", "both"]),
+            ("both-naive", ["--mode", "both", "--naive-check"]),
+        ]:
+            out = tmp_path / name
+            result = run_cli(
+                "whatif", *calc_args(out), *extra,
+                "--countermeasures", str(SCENARIO / "countermeasures.json"),
+            )
+            assert result.exit_code == 0, result.output
+            seen[name] = (
+                result.stdout,
+                [(out / n).read_bytes() for n in ("whatif_report.json", "whatif.csv")],
+            )
+        assert seen["both"] == seen["exact"] == seen["both-naive"]
+
     def test_ledger_is_ignored_with_a_warning(self, tmp_path):
         warning = "warning: whatif writes no ledger; --ledger ignored"
         # a ledger whose directory could not be created is ignored too
@@ -874,11 +895,15 @@ class TestNumpyDeferred:
         )
         assert loads == (mode != "exact")
 
-    def test_whatif(self, tmp_path):
-        assert not self._loads_numpy(
-            "whatif", *calc_args(tmp_path / "out"),
+    @pytest.mark.parametrize("mode", ["exact", "simulate", "both"])
+    def test_whatif(self, tmp_path, mode):
+        # `both` reads its index off the policy graph, as `exact` does, so
+        # only `simulate` walks
+        loads = self._loads_numpy(
+            "whatif", *calc_args(tmp_path / "out"), "--mode", mode, "--episodes", "50",
             "--countermeasures", str(SCENARIO / "countermeasures.json"),
         )
+        assert loads == (mode == "simulate")
 
     def test_complexity(self):
         assert not self._loads_numpy(

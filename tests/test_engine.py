@@ -191,7 +191,7 @@ class TestModelDump:
         for idx, state in by_index.items():
             steps = {pomdp.actions[a].step for a in pomdp.applicable[idx]}
             if 3 in steps:
-                assert state.has_flag(milestone_flag(1)) or state.has_flag(milestone_flag(2))
+                assert milestone_flag(1) in state.flags or milestone_flag(2) in state.flags
 
 
 class TestLogging:

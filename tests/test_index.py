@@ -220,6 +220,25 @@ class TestCountermeasures:
         with pytest.raises(ValidationError):
             parse_countermeasures(raw)
 
+    def test_missing_numbers_take_the_field_defaults(self):
+        (cm,) = parse_countermeasures('[{"id": "x", "d3fend_group": "harden"}]')
+        assert cm == Countermeasure(id="x", d3fend_group="harden")
+        assert (cm.p_success_multiplier, cm.p_detect_multiplier, cm.total_cost) == (1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "key", ["p_success_multiplier", "p_detect_multiplier", "capex", "opex", "maintenance"]
+    )
+    def test_each_number_is_checked_by_name(self, key):
+        doc = {"id": "x", "d3fend_group": "harden", key: "1"}
+        with pytest.raises(
+            ValidationError, match=re.escape(f"countermeasure 0: {key} must be a finite JSON number")
+        ):
+            parse_countermeasures(json.dumps([doc]))
+        with pytest.raises(
+            ValidationError, match=re.escape(f"countermeasure 'x': {key} must be a finite number >= 0")
+        ):
+            parse_countermeasures(json.dumps([dict(doc, **{key: -1})]))
+
     @pytest.mark.parametrize(
         "ids, message",
         [

@@ -1,11 +1,15 @@
+import dataclasses
 import random
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cri.attack_flow import TtpNode, parse_attack_flow
 from cri.attack_tree import parse_tree_dict
-from cri.engine import run_campaign
+from cri.engine import MODES, EngineConfig, run_campaign, run_whatif
+from cri.index import Countermeasure
 from cri.errors import CapacityError, CriError, ModelError, ValidationError
 from cri.ingest import RawBundle, validate_bundle
 from cri.pomdp import (
@@ -132,7 +136,7 @@ class TestBuildPomdp:
     def test_success_adds_inventory_and_milestone(self):
         pomdp, inputs = single_step()
         succ = pomdp.states[1]
-        assert succ.has_flag(milestone_flag(1))
+        assert milestone_flag(1) in succ.flags
         assert dict(succ.compromised)["host"] == ("agent", "os")
 
     def test_milestones_map(self):
@@ -375,6 +379,63 @@ class TestNodeNamesOnlyLabel:
         inputs = validate_bundle(two_target_tree("a#q", leaves=("q#l1", "l1")))
         with pytest.raises(ModelError, match=re.escape("tree leaf flag 'ttp1@a#q#l1'")):
             build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
+
+
+# genscen scenarios with 2 or 3 flows, some with an attack tree
+SCENARIOS = st.builds(
+    lambda seed, extra_flows, tree: random_scenario(
+        random.Random(seed), max_steps=3, extra_flows=extra_flows, tree=tree
+    ),
+    st.integers(0, 2**32 - 1), st.integers(1, 2), st.booleans(),
+)
+RELATIONS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestFlowOrderOnlyLists:
+    """Reversing the flow order changes no flow's report (V*, P_N, and in
+    `both` the walk's summary), the complexity report or either index, bit
+    for bit: each flow is built, solved and walked on its own, and the
+    campaign takes the max over the flows."""
+
+    @staticmethod
+    def _outcome(inputs, cfg):
+        out = run_campaign(inputs, cfg)
+        reports = {report.result.flow_id: repr(report) for report in out.flow_reports}
+        return repr((out.campaign.index, out.assumed.index)), reports, out.complexity
+
+    @RELATIONS
+    @given(SCENARIOS, st.sampled_from([("exact", 1), ("both", 60)]))
+    def test_reversed_flows(self, inputs, setting):
+        mode, episodes = setting
+        cfg = EngineConfig(mode=mode, episodes=episodes, seed=3)
+        reversed_inputs = dataclasses.replace(inputs, flows=inputs.flows[::-1])
+        assert self._outcome(reversed_inputs, cfg) == self._outcome(inputs, cfg)
+
+
+class TestIdentityCountermeasure:
+    """A countermeasure whose multipliers are all 1 scales no probability,
+    so under any scope and in every mode its delta is exactly 0.0 and
+    nothing is solved after the baseline."""
+
+    @RELATIONS
+    @given(SCENARIOS, st.sampled_from(MODES), st.data())
+    def test_moves_nothing(self, inputs, mode, data):
+        techniques = sorted({rec.technique_id for rec in inputs.ti.records})
+        classes = sorted({rec.asset_class for rec in inputs.ti.records})
+        cm = Countermeasure(
+            id="identity", d3fend_group="harden",
+            technique_id=data.draw(st.sampled_from([None, *techniques])),
+            asset_class=data.draw(st.sampled_from([None, *classes])),
+            p_success_multiplier=1.0, p_detect_multiplier=1.0, capex=1.0,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            counter = CallCounter(patch, "value_iteration")
+            deltas = run_whatif(inputs, [cm], EngineConfig(mode=mode, episodes=20))
+            delta = next(deltas)
+            # the baseline's solves only
+            assert counter.calls == {"value_iteration": len(inputs.flows)}
+        assert repr(delta.delta_index) == "0.0"
+        assert delta.index_after == delta.index_before
 
 
 class TestComplexityReport:

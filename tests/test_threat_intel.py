@@ -144,6 +144,12 @@ def test_serialize_round_trip():
     again = load_threat_intel(serialize_threat_intel(table))
     assert again.records == sorted(table.records, key=lambda r: (r.technique_id, r.asset_class))
     assert serialize_threat_intel(again) == serialize_threat_intel(table)
+    # the canonical bytes, which every report's inputs_digest hashes
+    assert serialize_threat_intel(table) == (
+        ",".join(TI_COLUMNS) + "\n"
+        "T1059,server,0.4,0.2,5.0,-1.0,0.5,12.0\n"
+        "T1078,endpoint,0.6,0.3,10.0,-2.0,1.0,40.0\n"
+    )
 
 
 def test_multiplier_scales_and_clamps():

@@ -107,28 +107,39 @@ class TestRunWhatifOracle:
         expected = [rerun_delta(scenario, cm, cfg) for cm in measures]
         assert list(run_whatif(scenario, measures, cfg)) == expected
 
-    @pytest.mark.parametrize("mode, after", [
-        ("both", [42.2164, 38.91228230892706, 39.191623584227685, 68.66114087319494,
-                  38.91228230892706]),
+    # pinned before exact runs moved to the flag model
+    EXACT_AFTER = [42.2164, 38.91228230892706, 39.191623584227685, 68.66114087319494,
+                   38.91228230892706]
+
+    @pytest.mark.parametrize("mode, after, built, reweights, walks", [
+        ("exact", EXACT_AFTER, [4, 75], 10, 0),
+        # the index is read off the graph, as in exact, so nothing is walked
+        ("both", EXACT_AFTER, [4, 75], 10, 0),
         # the walk's index: on the flag model the first would read 40.6972
-        ("simulate", [37.58759999999999, 32.8966208, 32.8966208, 68.9602016,
-                      32.8966208]),
+        ("simulate", [37.58759999999999, 32.8966208, 32.8966208, 68.9602016, 32.8966208],
+         [4, 35, 75, 313], 15, 6),
     ])
-    def test_walking_modes_keep_the_inventory_model(self, scenario, monkeypatch, mode, after):
-        built = []
+    def test_builds_and_walks_only_what_its_index_reads(
+        self, scenario, monkeypatch, mode, after, built, reweights, walks
+    ):
+        sizes = []
 
         def recorded(*args, **kwargs):
             model = build_pomdp(*args, **kwargs)
-            built.append(len(model.states))
+            sizes.append(len(model.states))
             return model
 
         monkeypatch.setattr(cri.engine, "build_pomdp", recorded)
+        counter = CallCounter(monkeypatch, "reweight_pomdp", "estimate_expected_rewards")
         cfg = EngineConfig(mode=mode, episodes=500, seed=7)
         deltas = list(run_whatif(scenario, fixture_measures(), cfg))
-        # pinned before exact runs moved to the flag model
         assert [d.index_after for d in deltas] == after
-        # each flow's flag model, then the model its walk follows
-        assert built == [4, 35, 75, 313]
+        # each flow's flag model, then, when the run walks, the model its walk follows
+        assert sizes == built
+        # each flag model under each of the 5 measures and, when the run
+        # walks, the 5 walk models they move, and one walk call for the
+        # baseline and one per measure
+        assert counter.calls == {"reweight_pomdp": reweights, "estimate_expected_rewards": walks}
 
     def test_random_scenarios(self, monkeypatch):
         rng = random.Random(5150)
@@ -235,7 +246,7 @@ class TestRunWhatifWork:
 
         monkeypatch.setattr(cri.engine, "estimate_expected_rewards", recorded)
         measures = parse_countermeasures((SCENARIO / "countermeasures.json").read_text())
-        deltas = run_whatif(scenario, measures, EngineConfig(mode="both", episodes=50, seed=7))
+        deltas = run_whatif(scenario, measures, EngineConfig(mode="simulate", episodes=50, seed=7))
         assert next(deltas).countermeasure.id == "cm-mfa-rollout"
         # the baseline's walks, then those of the one flow mfa moves
         baseline, mfa = walked
