@@ -3,8 +3,9 @@
 The JSON form carries an "attackFlow" array of steps (tactic + technique),
 an optional "edges" array with sequence/AND/OR relations between steps,
 and an optional "attackTrees" array holding per-technique procedure trees
-referenced by step via "attackTree". When no edges are declared the steps
-are chained in step order with sequence relations.
+referenced by step via "attackTree"; a step's tree must be for the step's
+technique. When no edges are declared the steps are chained in step order
+with sequence relations.
 """
 
 from __future__ import annotations
@@ -184,9 +185,17 @@ def parse_attack_flow(doc: str, flow_id: str | None = None) -> AttackFlow:
             raise ValidationError(f"duplicate attack tree id {tree.id!r}")
         trees[tree.id] = tree
     for node in nodes:
-        if node.attack_tree_id is not None and node.attack_tree_id not in trees:
+        if node.attack_tree_id is None:
+            continue
+        tree = trees.get(node.attack_tree_id)
+        if tree is None:
             raise ValidationError(
                 f"step {node.step} references unknown attack tree {node.attack_tree_id!r}"
+            )
+        if tree.technique_id != node.technique_id:
+            raise ValidationError(
+                f"step {node.step} ({node.technique_id}) references attack tree "
+                f"{tree.id!r} for technique {tree.technique_id}"
             )
 
     if not isinstance(data.get("id") or "", str):

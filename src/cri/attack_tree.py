@@ -2,7 +2,10 @@
 
 A tree describes one high-level procedure for a technique without binding
 it to concrete vulnerabilities. Leaves are action templates; gates say how
-leaf outcomes combine (AND = all children, OR = any child).
+leaf outcomes combine (AND = all children, OR = any child). A leaf may
+override its action's threat-intel parameters under the keys of
+`threat_intel.LEAF_COLUMNS`, each checked against the range of the column
+it overrides.
 """
 
 from __future__ import annotations
@@ -11,15 +14,13 @@ from dataclasses import dataclass
 
 from .canon import finite_number
 from .errors import ValidationError
+from .threat_intel import LEAF_COLUMNS, column_error
 
 GATES = ("AND", "OR")
 
 # Deepest gate nesting a tree may have; deeper documents are rejected
 # before they can exhaust the interpreter's recursion limit.
 MAX_TREE_DEPTH = 64
-
-# Leaf parameters that may override the technique's threat-intel record.
-LEAF_PARAM_KEYS = ("p_success", "p_detect", "reward_success", "penalty_failure", "cost")
 
 
 @dataclass(frozen=True)
@@ -147,18 +148,15 @@ def _parse_node(node, depth: int, tree_id: str, seen_names: set[str]) -> TreeGat
         raise ValidationError(f"attack tree {tree_id!r}: duplicate leaf name {name!r}")
     seen_names.add(name)
     params = []
-    for key in LEAF_PARAM_KEYS:
+    for key, column in LEAF_COLUMNS.items():
         if key in node:
             value = finite_number(node[key])
-            if value is None:
-                raise ValidationError(
-                    f"attack tree {tree_id!r}: leaf {name!r} {key}={node[key]!r} "
-                    "is not a finite number"
-                )
-            if key in ("p_success", "p_detect") and not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"attack tree {tree_id!r}: leaf {name!r} {key}={value} outside [0,1]"
-                )
+            reason = (
+                f"{key}={node[key]!r} is not a finite number" if value is None
+                else column_error(column, value, key)
+            )
+            if reason is not None:
+                raise ValidationError(f"attack tree {tree_id!r}: leaf {name!r} {reason}")
             params.append((key, value))
     return TreeLeaf(name, tuple(params))
 

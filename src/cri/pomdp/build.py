@@ -66,7 +66,7 @@ from ..attack_flow import AttackFlow, TtpNode
 from ..attack_tree import AttackTree
 from ..errors import CapacityError, ModelError
 from ..netmodel import NetworkModel, candidate_targets, physical_paths, reachable_targets
-from ..threat_intel import TiTable
+from ..threat_intel import LEAF_COLUMNS, TiTable
 from .types import AttackerAction, NetworkState, Pomdp, OBSERVATIONS
 
 IDS_CLASSES = {"ids", "ips", "idps"}
@@ -154,24 +154,16 @@ def expand_technique(
         record = ti.lookup(ttp.technique_id, asset_class)
         if record is None:
             continue
-        for leaf in tree.leaves() if tree is not None else [None]:
-            def pick(key: str, fallback: float) -> float:
-                return fallback if leaf is None else leaf.param(key, fallback)
-
-            actions.append(
-                AttackerAction(
-                    id=f"s{ttp.step}:{ttp.technique_id}@{target}"
-                    + (f"#{leaf.name}" if leaf is not None else ""),
-                    target=target,
-                    p_success=pick("p_success", record.p_success_base),
-                    p_detect=pick("p_detect", record.p_detect),
-                    reward_success=pick("reward_success", record.reward_success),
-                    penalty_failure=pick("penalty_failure", record.penalty_failure),
-                    cost=pick("cost", record.action_cost),
-                    step=ttp.step,
-                    leaf_name=leaf.name if leaf is not None else None,
-                )
-            )
+        base = f"s{ttp.step}:{ttp.technique_id}@{target}"
+        params = {key: getattr(record, column) for key, column in LEAF_COLUMNS.items()}
+        if tree is None:
+            actions.append(AttackerAction(id=base, target=target, step=ttp.step, **params))
+            continue
+        for leaf in tree.leaves():
+            actions.append(AttackerAction(
+                id=f"{base}#{leaf.name}", target=target, step=ttp.step, leaf_name=leaf.name,
+                **{key: leaf.param(key, value) for key, value in params.items()},
+            ))
     return actions
 
 

@@ -29,7 +29,9 @@ class NetworkState:
 
 @dataclass(frozen=True)
 class AttackerAction:
-    """One executable attacker move bound to a technique and a target."""
+    """One executable attacker move bound to a technique and a target. Its
+    five parameters are named by their attack-tree leaf keys, and each has
+    passed its threat-intel column's check (`threat_intel.LEAF_COLUMNS`)."""
 
     id: str
     target: str
@@ -40,14 +42,6 @@ class AttackerAction:
     cost: float
     step: int = 0
     leaf_name: str | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_success <= 1.0:
-            raise ValidationError(f"action {self.id}: p_success outside [0,1]")
-        if not 0.0 <= self.p_detect <= 1.0:
-            raise ValidationError(f"action {self.id}: p_detect outside [0,1]")
-        if self.cost < 0:
-            raise ValidationError(f"action {self.id}: cost must be >= 0")
 
 
 # Sparse belief used internally: state index -> probability.

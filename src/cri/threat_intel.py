@@ -2,7 +2,8 @@
 
 Records carry the success/detection probabilities and the reward economics
 an emulated attacker uses when deciding between actions. The table accepts
-CSV or JSON documents with exactly the columns below.
+CSV or JSON documents with exactly the columns below. Records and the
+attack-tree leaves that override them are both checked by `column_error`.
 """
 
 from __future__ import annotations
@@ -16,16 +17,34 @@ from dataclasses import dataclass, field, replace
 from .canon import finite_number
 from .errors import ParseError, ValidationError
 
-TI_COLUMNS = (
-    "technique_id",
-    "asset_class",
-    "p_success_base",
-    "p_detect",
-    "reward_success",
-    "penalty_failure",
-    "action_cost",
-    "historical_frequency",
-)
+# Each numeric column's closed range [lo, hi], and the attack-tree leaf key
+# that overrides the column for one action (None if no leaf may)
+NUMERIC_COLUMNS = {
+    "p_success_base": (0.0, 1.0, "p_success"),
+    "p_detect": (0.0, 1.0, "p_detect"),
+    "reward_success": (0.0, math.inf, "reward_success"),
+    "penalty_failure": (-math.inf, 0.0, "penalty_failure"),
+    "action_cost": (0.0, math.inf, "cost"),
+    "historical_frequency": (0.0, math.inf, None),
+}
+
+TI_COLUMNS = ("technique_id", "asset_class", *NUMERIC_COLUMNS)
+
+# leaf key -> the column it overrides; the leaf keys are the parameter
+# names of `AttackerAction`
+LEAF_COLUMNS = {key: column for column, (_, _, key) in NUMERIC_COLUMNS.items() if key}
+
+
+def column_error(column: str, value: float, name: str | None = None) -> str | None:
+    """Why `value`, given as `name` (the column's own name by default),
+    cannot fill `column`, or None if it can."""
+    lo, hi, _ = NUMERIC_COLUMNS[column]
+    name = name or column
+    if not math.isfinite(value):
+        return f"{name}={value} is not a finite number"
+    if not lo <= value <= hi:
+        return f"{name}={value} outside [{lo:g},{hi:g}]"
+    return None
 
 
 @dataclass(frozen=True)
@@ -44,30 +63,10 @@ class TiRecord:
     def __post_init__(self):
         if not self.technique_id or not self.asset_class:
             raise ValidationError("technique_id and asset_class must be non-empty")
-        for name in TI_COLUMNS[2:]:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(
-                    f"{name}={value} is not a finite number for "
-                    f"({self.technique_id}, {self.asset_class})"
-                )
-        for name in ("p_success_base", "p_detect"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"{name}={value} outside [0,1] for "
-                    f"({self.technique_id}, {self.asset_class})"
-                )
-        if self.reward_success < 0:
-            raise ValidationError(f"reward_success must be >= 0, got {self.reward_success}")
-        if self.penalty_failure > 0:
-            raise ValidationError(f"penalty_failure must be <= 0, got {self.penalty_failure}")
-        if self.action_cost < 0:
-            raise ValidationError(f"action_cost must be >= 0, got {self.action_cost}")
-        if self.historical_frequency < 0:
-            raise ValidationError(
-                f"historical_frequency must be >= 0, got {self.historical_frequency}"
-            )
+        for column in NUMERIC_COLUMNS:
+            reason = column_error(column, getattr(self, column))
+            if reason is not None:
+                raise ValidationError(f"{reason} for ({self.technique_id}, {self.asset_class})")
 
 
 # Fallback used when a technique/asset-class pair has no record and the
@@ -114,7 +113,8 @@ class TiTable:
         p_detect_multiplier: float = 1.0,
     ) -> "TiTable":
         """Return a new table with probabilities scaled (clamped to [0,1]) on
-        the records `in_scope`; the others are the same objects."""
+        the records `in_scope`, each checked again as a TiRecord; the others
+        are the same objects."""
         return TiTable(
             [
                 replace(
@@ -141,9 +141,9 @@ def _record_from_row(row: dict, where: str) -> TiRecord:
     try:
         return TiRecord(
             *(str(row[column]).strip() for column in TI_COLUMNS[:2]),
-            **{column: float(row[column]) for column in TI_COLUMNS[2:]},
+            **{column: float(row[column]) for column in NUMERIC_COLUMNS},
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
@@ -169,7 +169,7 @@ def load_threat_intel(doc: str, allow_defaults: bool = False) -> TiTable:
         for i, row in rows:
             if not isinstance(row, dict):
                 raise ValidationError(f"threat-intel row {i} is not an object")
-            for column in TI_COLUMNS[2:]:
+            for column in NUMERIC_COLUMNS:
                 if row.get(column) is not None and finite_number(row[column]) is None:
                     raise ValidationError(f"row {i}: {column} must be a finite JSON number")
             records.append(_record_from_row(row, f"row {i}"))
@@ -203,6 +203,6 @@ def serialize_threat_intel(table: TiTable) -> str:
     for rec in sorted(table.records, key=lambda r: (r.technique_id, r.asset_class)):
         writer.writerow(
             [rec.technique_id, rec.asset_class,
-             *(repr(getattr(rec, column)) for column in TI_COLUMNS[2:])]
+             *(repr(getattr(rec, column)) for column in NUMERIC_COLUMNS)]
         )
     return out.getvalue()

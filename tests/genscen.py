@@ -38,6 +38,7 @@ def random_scenario(
     extra_flows: int = 0,
     tree: bool = False,
     rename: dict[str, str] | None = None,
+    isolated: bool = False,
 ):
     """Random connected network + chain flow + TI table, sized to stay under
     the naive-mode cap. With shared_rewards the reward economics are drawn
@@ -48,7 +49,9 @@ def random_scenario(
     AND/OR attack tree over 2-3 leaves with random parameter overrides.
     Both are drawn last, so the rest of the scenario does not depend on
     them. `rename` maps node ids (n0, n1, ...) to the ids the network
-    document uses instead, and changes no draw."""
+    document uses instead, and `isolated` adds a node 'iso' with no edge,
+    one inventory item and the first node's asset class; neither changes
+    a draw."""
     num_nodes = rng.randint(2, max_nodes)
     if distinct_classes:
         classes = [f"class{i}" for i in range(num_nodes)]
@@ -68,6 +71,11 @@ def random_scenario(
     edges = [f'<edge source="n{i}" target="n{i + 1}"/>' for i in range(num_nodes - 1)]
     if num_nodes == 3 and rng.random() < 0.4:
         edges.append('<edge source="n0" target="n2"/>')
+    if isolated:
+        nodes.append(
+            f'<node id="iso"><data key="type">{classes[0]}</data>'
+            '<data key="inventory">iso0</data></node>'
+        )
     network_doc = (
         '<graphml><graph edgedefault="undirected">'
         + "".join(nodes)

@@ -9,7 +9,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from conftest import MALFORMED, REPO_ROOT, SCENARIO
+import cri.cli
+from conftest import MALFORMED, REPO_ROOT, SCENARIO, CallCounter
 from cri.cli import main
 from genscen import two_target_tree
 
@@ -819,11 +820,15 @@ class TestMalformedInputsSuite:
         "missing_technique.json": "technique: missing 'id'",
         "nan_leaf_cost.json": "leaf 'x' cost='nan' is not a finite number",
         "nan_reward.csv": "reward_success=nan is not a finite number",
+        "negative_leaf_reward.json": "leaf 'x' reward_success=-3.0 outside [0,inf]",
         "no_entry.graphml": "declares no entry_point",
         "not_utf8.csv": "not UTF-8 text (byte 0)",
         "self_loop.graphml": "self-loop edge on node 'a'",
         "string_tactic.json": "'tactic' must be an object",
         "two_policy_targets.xml": "more than one policy-level <Target>",
+        "tree_for_other_technique.json": (
+            "step 1 (T1078) references attack tree 't' for technique T1659"
+        ),
         "two_rule_targets.xml": "rule 'r' has more than one <Target>",
         "unknown_edge.graphml": "edge ('a', 'ghost') references an unknown node",
     }
@@ -862,6 +867,20 @@ class TestMalformedInputsSuite:
         if name.endswith(".jsonl"):
             assert (tmp_path / "ledger.jsonl").read_bytes() == source.read_bytes()
             assert not (tmp_path / "out" / "campaign_report.json").exists()
+
+    def test_leaf_out_of_range_stops_before_any_build(self, tmp_path, monkeypatch):
+        """A leaf value its column's range refuses fails the inputs' check,
+        so no model is built."""
+        flows = tmp_path / "flows"
+        flows.mkdir()
+        doc = (MALFORMED / "negative_leaf_reward.json").read_text()
+        (flows / "flow.json").write_text(doc.replace('"reward_success": -3', '"cost": -1'))
+        checks = CallCounter(monkeypatch, "validate_bundle", module=cri.cli)
+        builds = CallCounter(monkeypatch, "build_pomdp")
+        result = run_cli("calc", *calc_args(tmp_path / "out", flows=str(flows)))
+        assert result.exit_code == 2, result.output
+        assert "attack tree 't': leaf 'x' cost=-1.0 outside [0,inf]" in result.stderr
+        assert (checks.calls, builds.calls) == ({"validate_bundle": 1}, {"build_pomdp": 0})
 
 
 class TestNumpyDeferred:

@@ -15,12 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIO
 from cri.attack_flow import parse_attack_flow
-from cri.attack_tree import LEAF_PARAM_KEYS
 from cri.cli import main
 from cri.errors import CriError
 from cri.index import IndexLedger, parse_countermeasures
 from cri.ingest import parse_network, parse_policy_set
-from cri.threat_intel import TI_COLUMNS, load_threat_intel
+from cri.threat_intel import LEAF_COLUMNS, TI_COLUMNS, load_threat_intel
 
 EXAMPLES = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -79,7 +78,7 @@ def shaped(keys, values=scalars, required=()):
 
 refs = scalars | shaped(("id", "name"))
 tree_nodes = st.recursive(
-    shaped(("name",) + LEAF_PARAM_KEYS),
+    shaped(("name", *LEAF_COLUMNS)),
     lambda inner: shaped(("children",), st.lists(inner, max_size=3), required=("gate",)),
     max_leaves=6,
 )

@@ -23,7 +23,7 @@ from cri.pomdp import (
 )
 from cri.threat_intel import TiRecord, TiTable
 from cri.pomdp.types import NetworkState, Pomdp
-from cri.pomdp.build import _Builder
+from cri.pomdp.build import IDS_CLASSES, _Builder
 from buildoracle import build_by_pairs
 from conftest import SCENARIO, CallCounter, load_scenario
 from modeldump import dump
@@ -381,14 +381,30 @@ class TestNodeNamesOnlyLabel:
             build_pomdp(inputs.flows[0], inputs.network, inputs.ti)
 
 
-# genscen scenarios with 2 or 3 flows, some with an attack tree
-SCENARIOS = st.builds(
-    lambda seed, extra_flows, tree: random_scenario(
-        random.Random(seed), max_steps=3, extra_flows=extra_flows, tree=tree
-    ),
-    st.integers(0, 2**32 - 1), st.integers(1, 2), st.booleans(),
-)
+# the draws of one genscen scenario: its seed, its 1 or 2 extra flows and
+# whether a step has an attack tree
+DRAWS = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 2), st.booleans())
+
+
+def _scenario(draws, **options):
+    seed, extra_flows, tree = draws
+    return random_scenario(
+        random.Random(seed), max_steps=3, extra_flows=extra_flows, tree=tree, **options
+    )
+
+
+SCENARIOS = DRAWS.map(_scenario)
 RELATIONS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# the two settings a relation runs in: mode and episodes
+SETTINGS = st.sampled_from([("exact", 1), ("both", 60)])
+
+
+def _outcome(inputs, cfg):
+    """Both indices' `repr`, each flow's report `repr` by flow id, and the
+    complexity report of one run."""
+    out = run_campaign(inputs, cfg)
+    reports = {report.result.flow_id: repr(report) for report in out.flow_reports}
+    return repr((out.campaign.index, out.assumed.index)), reports, out.complexity
 
 
 class TestFlowOrderOnlyLists:
@@ -397,19 +413,64 @@ class TestFlowOrderOnlyLists:
     for bit: each flow is built, solved and walked on its own, and the
     campaign takes the max over the flows."""
 
-    @staticmethod
-    def _outcome(inputs, cfg):
-        out = run_campaign(inputs, cfg)
-        reports = {report.result.flow_id: repr(report) for report in out.flow_reports}
-        return repr((out.campaign.index, out.assumed.index)), reports, out.complexity
-
     @RELATIONS
-    @given(SCENARIOS, st.sampled_from([("exact", 1), ("both", 60)]))
+    @given(SCENARIOS, SETTINGS)
     def test_reversed_flows(self, inputs, setting):
         mode, episodes = setting
         cfg = EngineConfig(mode=mode, episodes=episodes, seed=3)
         reversed_inputs = dataclasses.replace(inputs, flows=inputs.flows[::-1])
-        assert self._outcome(reversed_inputs, cfg) == self._outcome(inputs, cfg)
+        assert _outcome(reversed_inputs, cfg) == _outcome(inputs, cfg)
+
+
+class TestNodeOrderOnlyLists:
+    """Renaming every node so that the ids sort in reverse changes no
+    flow's report, the complexity report or either index in `exact` mode,
+    bit for bit. The rename reverses the order of the inventory model's
+    states, which the seeded walk follows, so `both` is left out. A failed
+    attempt at an IDS-class target reads a muddle label picked from the
+    target's name, which a rename may move; genscen draws no IDS class, so
+    no label here depends on a name. Its one policy permits everything and
+    names no node, so only the network document is renamed."""
+
+    # n0 < n1 < n2 sort as n9 > n8 > n7
+    RENAME = {f"n{i}": f"n{9 - i}" for i in range(3)}
+
+    @RELATIONS
+    @given(DRAWS)
+    def test_reversed_node_order(self, draws):
+        inputs = _scenario(draws)
+        assert not {n.asset_class for n in inputs.network.nodes.values()} & IDS_CLASSES
+        renamed = _scenario(draws, rename=self.RENAME)
+        assert [self.RENAME[n] for n in sorted(inputs.network.nodes)] == sorted(
+            renamed.network.nodes, reverse=True
+        )
+        cfg = EngineConfig(mode="exact", seed=3)
+        assert _outcome(renamed, cfg) == _outcome(inputs, cfg)
+
+
+class TestIsolatedNodeAddsNothing:
+    """A node that no path reaches offers no target, so adding one with
+    inventory changes no flow's report and neither index, bit for bit, in
+    `exact` and in `both`: no walk compromises its inventory. Only the
+    complexity report's worst-case bounds move, since they count every
+    node and item."""
+
+    BOUNDS = {
+        "num_nodes", "max_inventory", "worst_states", "natural_states",
+        "comp_state_obs", "c_statetrans",
+    }
+
+    @RELATIONS
+    @given(DRAWS, SETTINGS)
+    def test_isolated_node(self, draws, setting):
+        mode, episodes = setting
+        cfg = EngineConfig(mode=mode, episodes=episodes, seed=3)
+        indices, reports, complexity = _outcome(_scenario(draws), cfg)
+        indices2, reports2, complexity2 = _outcome(_scenario(draws, isolated=True), cfg)
+        assert (indices2, reports2) == (indices, reports)
+        moved = {key for key in complexity if complexity2[key] != complexity[key]}
+        assert "num_nodes" in moved
+        assert moved <= self.BOUNDS
 
 
 class TestIdentityCountermeasure:

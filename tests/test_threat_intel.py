@@ -1,9 +1,17 @@
 import json
+import re
 
 import pytest
 
+from cri.attack_tree import parse_tree_dict
 from cri.errors import ParseError, ValidationError
-from cri.threat_intel import TI_COLUMNS, TiRecord, load_threat_intel, serialize_threat_intel
+from cri.threat_intel import (
+    NUMERIC_COLUMNS,
+    TI_COLUMNS,
+    TiRecord,
+    load_threat_intel,
+    serialize_threat_intel,
+)
 
 CSV_ONE = (
     "technique_id,asset_class,p_success_base,p_detect,reward_success,"
@@ -53,25 +61,80 @@ def test_defaults_fill_missing_records_when_enabled():
     assert rec.penalty_failure == -1.0
 
 
+GOOD_RECORD = dict(
+    technique_id="T1", asset_class="endpoint", p_success_base=0.5,
+    p_detect=0.5, reward_success=1, penalty_failure=-1,
+    action_cost=0.1, historical_frequency=0,
+)
+
+
+def _leaf_tree(key, value):
+    """A tree whose one leaf 'x' overrides `key` with `value`."""
+    return {"id": "t", "technique_id": "T1", "root": {"name": "x", key: value}}
+
+
+@pytest.mark.parametrize(
+    "field,value,bounds",
+    [
+        ("reward_success", -1.0, "[0,inf]"),
+        ("penalty_failure", 0.5, "[-inf,0]"),
+        ("action_cost", -0.1, "[0,inf]"),
+        ("historical_frequency", -3.0, "[0,inf]"),
+        ("p_detect", 1.5, "[0,1]"),
+        ("p_success_base", -0.5, "[0,1]"),
+    ],
+)
+def test_record_invariants(field, value, bounds):
+    """A record refuses a value outside its column's range, and so does a
+    tree leaf that overrides the column, with the same
+    `=<value> outside [lo,hi]` core after each one's own name."""
+    core = f"={value} outside {bounds}"
+    with pytest.raises(ValidationError, match=re.escape(f"{field}{core} for (T1, endpoint)")):
+        TiRecord(**{**GOOD_RECORD, field: value})
+    _, _, key = NUMERIC_COLUMNS[field]
+    if key is not None:
+        with pytest.raises(ValidationError, match=re.escape(f"leaf 'x' {key}{core}")):
+            parse_tree_dict(_leaf_tree(key, value))
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
-        ("reward_success", -1.0),
-        ("penalty_failure", 0.5),
-        ("action_cost", -0.1),
-        ("historical_frequency", -3),
-        ("p_detect", 1.5),
+        ("p_success_base", 0.0), ("p_success_base", 1.0), ("p_detect", 0.0), ("p_detect", 1.0),
+        ("reward_success", 0.0), ("reward_success", -0.0),
+        ("penalty_failure", 0.0), ("penalty_failure", -0.0),
+        ("action_cost", 0.0), ("action_cost", -0.0),
+        ("historical_frequency", 0.0), ("historical_frequency", -0.0),
     ],
 )
-def test_record_invariants(field, value):
-    kwargs = dict(
-        technique_id="T1", asset_class="endpoint", p_success_base=0.5,
-        p_detect=0.5, reward_success=1, penalty_failure=-1,
-        action_cost=0.1, historical_frequency=0,
-    )
-    kwargs[field] = value
-    with pytest.raises(ValidationError):
-        TiRecord(**kwargs)
+def test_range_edges_accepted(field, value):
+    """Each range is closed, in a record and in a leaf alike."""
+    assert repr(getattr(TiRecord(**{**GOOD_RECORD, field: value}), field)) == repr(value)
+    _, _, key = NUMERIC_COLUMNS[field]
+    if key is not None:
+        leaf = parse_tree_dict(_leaf_tree(key, value)).root
+        assert repr(leaf.param(key)) == repr(value)
+
+
+@pytest.mark.parametrize(
+    "cell,reason",
+    [
+        ("1.5", "row 3: p_success_base=1.5 outside [0,1] for (T3, server)"),
+        ("abc", "row 3: could not convert string to float: 'abc'"),
+    ],
+)
+def test_record_errors_name_their_row(cell, reason):
+    doc = CSV_ONE + f"T3,server,{cell},0.3,10,-2,1,40\n"
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        load_threat_intel(doc)
+
+
+def test_json_record_errors_name_their_row():
+    row = dict(zip(TI_COLUMNS, ["T1", "endpoint", 0.6, 0.3, 10, -2, 1, 40]))
+    bad = {**row, "technique_id": "T2", "reward_success": -1}
+    reason = "row 2: reward_success=-1.0 outside [0,inf] for (T2, endpoint)"
+    with pytest.raises(ValidationError, match=re.escape(reason)):
+        load_threat_intel(json.dumps([row, bad]))
 
 
 @pytest.mark.parametrize("field", TI_COLUMNS[2:])
